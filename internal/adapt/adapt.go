@@ -6,10 +6,10 @@
 // loop — sensing and deciding — while the cluster owns actuation
 // (installing the scheme at a safe boundary).
 //
-// The controller is deliberately conservative. Re-slicing is free at the
-// partition level but not at the serving level: migrating a fused decode
-// batch re-prefills every live sequence's committed prefix. Three guards
-// keep the loop from thrashing on noise:
+// The controller is deliberately conservative. An install parks nothing —
+// it reaches the next sequence to join, slicing its prefill and weighing
+// its owner rank — but a move made on noise misplaces those joiners until
+// it is corrected. Three guards keep the loop from thrashing:
 //
 //   - threshold: a candidate scheme must predict a round-time improvement
 //     over the installed one of more than Threshold (default 10%);
@@ -17,7 +17,7 @@
 //     consecutive evaluations (default 3) — one noisy EWMA excursion
 //     never moves the partition;
 //   - cooldown: at least Cooldown (default 2s) must pass between installed
-//     schemes, bounding migration churn even under oscillating load.
+//     schemes, bounding churn even under oscillating load.
 //
 // Evaluate is a pure function of the injected clock and profile snapshot,
 // so the policy is deterministic and testable without a cluster.

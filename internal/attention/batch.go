@@ -60,18 +60,10 @@ func (m *MultiHead) StepBatch(states []*MultiHeadState, xNew *tensor.Matrix) (*t
 		out := tensor.New(b, h.FH())
 		for i, s := range states {
 			hs := s.Heads[hi]
-			ki, err := kNew.RowSlice(i, i+1)
-			if err != nil {
+			if hs.K, err = appendRow(hs.K, kNew.Row(i)); err != nil {
 				return nil, err
 			}
-			vi, err := vNew.RowSlice(i, i+1)
-			if err != nil {
-				return nil, err
-			}
-			if hs.K, err = appendRows(hs.K, ki); err != nil {
-				return nil, err
-			}
-			if hs.V, err = appendRows(hs.V, vi); err != nil {
+			if hs.V, err = appendRow(hs.V, vNew.Row(i)); err != nil {
 				return nil, err
 			}
 			qi, err := q.RowSlice(i, i+1)

@@ -28,12 +28,14 @@ func (s *HeadState) Len() int {
 	return s.K.Rows()
 }
 
-// appendRows grows a cached matrix by the rows of add.
-func appendRows(cur, add *tensor.Matrix) (*tensor.Matrix, error) {
-	if cur == nil || cur.Rows() == 0 {
-		return add, nil
+// appendRow grows a cached matrix by one position in place; the cache's
+// backing array grows geometrically (tensor.Matrix.AppendRow), so a decode
+// step no longer copies every head's whole K and V.
+func appendRow(cur *tensor.Matrix, row []float32) (*tensor.Matrix, error) {
+	if cur == nil {
+		cur = tensor.New(0, len(row))
 	}
-	return tensor.ConcatRows(cur, add)
+	return cur, cur.AppendRow(row)
 }
 
 // PrefillHead builds a head's cache from the full layer input x (the
@@ -67,10 +69,10 @@ func StepHead(h *HeadWeights, s *HeadState, xNew *tensor.Matrix) (*tensor.Matrix
 	if err != nil {
 		return nil, err
 	}
-	if s.K, err = appendRows(s.K, kNew); err != nil {
+	if s.K, err = appendRow(s.K, kNew.Row(0)); err != nil {
 		return nil, err
 	}
-	if s.V, err = appendRows(s.V, vNew); err != nil {
+	if s.V, err = appendRow(s.V, vNew.Row(0)); err != nil {
 		return nil, err
 	}
 	q, err := tensor.MatMul(xNew, h.WQ)

@@ -17,16 +17,16 @@ import (
 //   - exclusive/solo requests: submit() pins the current scheme on the
 //     request, so a scheme installed mid-flight only affects requests
 //     admitted after it — "between requests";
-//   - fused decode: each batch round pins the scheme (and its generation)
-//     at plan(); the terminal loop checks the generation at every step
-//     boundary and, on a change, parks the live sequences and retires the
-//     round. The next round re-plans under the new scheme and re-prefills
-//     each sequence's committed prefix — the same park/resume machinery a
-//     mid-batch device failure uses, so greedy continuations stay
-//     bit-identical across the migration;
-//   - degraded rounds never migrate mid-fault: the health path re-plans
-//     them anyway, composing survivor re-slices with the installed ratios
-//     (degradedScheme).
+//   - batched generation: the terminal reads the installed scheme at each
+//     join and ships the joiner's row ranges and owner in its opPrefill
+//     frame, so every rank slices that prefill identically and an install
+//     takes effect at the next join. Live sequences are not touched: a K/V
+//     cache does not depend on the scheme it was prefilled under, and a
+//     sequence stays on its owner until it leaves. The installed shares
+//     also weigh owner placement (pickOwner), which is how a re-slice
+//     moves decode work off a slow rank;
+//   - degraded rounds compose the survivors' re-slice with the installed
+//     ratios (degradedScheme), likewise at each join.
 
 // defaultAdaptInterval is the controller's evaluation period when
 // Options.AdaptInterval is zero.
@@ -39,14 +39,6 @@ func (c *Cluster) currentScheme() *partition.Scheme {
 	return c.scheme
 }
 
-// schemeSnapshot returns the installed scheme together with its
-// generation, consistently (an install cannot interleave).
-func (c *Cluster) schemeSnapshot() (*partition.Scheme, uint64) {
-	c.schemeMu.RLock()
-	defer c.schemeMu.RUnlock()
-	return c.scheme, c.schemeGen
-}
-
 // Scheme returns the partition scheme currently serving new work. It
 // starts as Options.Scheme and moves when the adaptive controller (or an
 // explicit InstallScheme call) re-slices.
@@ -56,7 +48,7 @@ func (c *Cluster) Scheme() *partition.Scheme {
 
 // InstallScheme swaps the serving partition scheme. The swap itself is
 // immediate; work already holding a pinned scheme finishes under it, and
-// the fused decode batch migrates at its next step boundary. cause labels
+// the running decode batch applies it from its next join on. cause labels
 // the repartition counter (adapt.CauseStraggler/CauseSkew/CauseManual);
 // predictedGain is the controller's promised fractional round-time
 // improvement (0 for manual installs).

@@ -104,13 +104,14 @@ func TestInstallSchemeSwapsServingScheme(t *testing.T) {
 	}
 }
 
-// --- bit-exactness across migration ---------------------------------------
+// --- bit-exactness across installs ------------------------------------------
 
 // TestGenerateExactAcrossInstallAtEveryCut re-slices the partition at every
 // possible step boundary of a streaming generation and checks the output
-// against the single-device oracle each time. The migration machinery
-// (park, re-prefill under the new scheme, greedy resume) must be invisible
-// in the token stream no matter where the cut lands.
+// against the single-device oracle each time. A live sequence's cache does
+// not depend on the scheme it was prefilled under, so an install must leave
+// it decoding where it is: same tokens, one attempt, one prefill, nothing
+// resumed.
 func TestGenerateExactAcrossInstallAtEveryCut(t *testing.T) {
 	const steps = 6
 	prompt := batchPrompts[0]
@@ -129,7 +130,7 @@ func TestGenerateExactAcrossInstallAtEveryCut(t *testing.T) {
 			}
 			seen := 0
 			if cut == 0 {
-				install() // before admission: the request pins the new scheme
+				install() // before admission: the join slices under the new scheme
 			}
 			res, err := c.GenerateVoltageStream(context.Background(), prompt, steps, func(int) {
 				seen++
@@ -143,24 +144,31 @@ func TestGenerateExactAcrossInstallAtEveryCut(t *testing.T) {
 			if !equalTokens(res.Tokens, want) {
 				t.Fatalf("cut %d: tokens %v, want %v", cut, res.Tokens, want)
 			}
-			if cut > 0 && cut < steps {
-				// The install landed mid-residency, so the sequence must have
-				// migrated (parked and re-prefilled) rather than rolled the
-				// old scheme forward.
-				if n := c.Metrics().Counter("voltage_batch_migrations_total"); n < 1 {
-					t.Fatalf("cut %d: no migration recorded", cut)
-				}
-			}
 			if res.Attempts != 1 {
-				t.Fatalf("cut %d: attempts = %d, want 1 (migration must not spend retry budget)", cut, res.Attempts)
+				t.Fatalf("cut %d: attempts = %d, want 1", cut, res.Attempts)
 			}
+			assertNoReprefill(t, c, 1)
 		})
 	}
 }
 
-// TestBatchedGenerateExactAcrossInstall migrates a full fused batch: four
-// concurrent sequences at different cache positions, with the re-slice
-// triggered from inside one sequence's token stream.
+// assertNoReprefill checks that exactly joins sequences prefilled, each
+// once: no install parked a live sequence for a re-prefill.
+func assertNoReprefill(t *testing.T, c *Cluster, joins int) {
+	t.Helper()
+	snap := c.Metrics()
+	if n := snap.Counter("voltage_batch_joins_total"); n != float64(joins) {
+		t.Errorf("prefills (batch joins) = %v, want %d: an install forced a re-prefill", n, joins)
+	}
+	if n := snap.Counter("voltage_batch_seqs_resumed_total"); n != 0 {
+		t.Errorf("sequences resumed = %v, want 0 across installs", n)
+	}
+}
+
+// TestBatchedGenerateExactAcrossInstall installs under a full fused batch:
+// four concurrent sequences at different cache positions, with the re-slice
+// triggered from inside one sequence's token stream. Every stream keeps
+// decoding on its owner — bit-identical tokens, one attempt, no re-prefill.
 func TestBatchedGenerateExactAcrossInstall(t *testing.T) {
 	c := newTinyDecoder(t, 3, Options{MaxBatch: 4, BatchWindow: 30 * time.Millisecond})
 	const steps = 6
@@ -204,9 +212,7 @@ func TestBatchedGenerateExactAcrossInstall(t *testing.T) {
 			t.Fatalf("seq %d: attempts = %d, want 1", i, results[i].Attempts)
 		}
 	}
-	if n := c.Metrics().Counter("voltage_batch_migrations_total"); n < 1 {
-		t.Fatalf("no migration recorded, counter = %v", n)
-	}
+	assertNoReprefill(t, c, len(batchPrompts))
 }
 
 // --- closed-loop acceptance ------------------------------------------------
@@ -219,11 +225,12 @@ func TestBatchedGenerateExactAcrossInstall(t *testing.T) {
 // bit-identical to the single-device oracle throughout.
 //
 // The measured workload uses a long context (240-position prompts on a
-// MaxSeq-256 tiny decoder): prefill's replicated KV-cache build costs a
-// fixed ~F/H positions' worth of work per rank per layer, so short
-// prompts cap the achievable speedup well below the partition's — at
-// N=240 the expected ratio is ~1.75 across the whole band of shares the
-// EWMA plausibly converges to, comfortably clear of the 1.5x bar.
+// MaxSeq-256 tiny decoder), one prompt at a time, owned by a fast rank in
+// both clusters. Static even, the throttled rank's third of the positions
+// sets the round at 4·N/3 position-times; adapted, the fast owner's 4N/9
+// share plus its cache build (a fixed ~F/H positions' worth of work per
+// layer) does — an expected ratio near 2.3, comfortably clear of the 1.5x
+// bar across the band of shares the EWMA plausibly converges to.
 func TestAdaptConvergesAndOutpacesStaticEven(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paced acceptance run")
@@ -278,10 +285,11 @@ func TestAdaptConvergesAndOutpacesStaticEven(t *testing.T) {
 	}
 	adaptive := mkCluster(true)
 
-	// Sensing burst: fused decode steps are replicated work, so the
-	// per-rank step EWMAs read the 4x throttle directly. The burst runs
-	// long enough for the profile to settle and the hysteresis to clear;
-	// any migration it triggers mid-flight must not perturb the tokens.
+	// Sensing burst: each rank advances the sequences it owns and reports
+	// its step time per MAC, so the per-rank step EWMAs read the 4x
+	// throttle directly. The burst runs long enough for the profile to
+	// settle and the hysteresis to clear; any install it triggers
+	// mid-flight must not perturb the tokens.
 	const senseSteps = 24
 	var wg sync.WaitGroup
 	senseRes := make([]*GenerateResult, len(batchPrompts))
@@ -308,7 +316,7 @@ func TestAdaptConvergesAndOutpacesStaticEven(t *testing.T) {
 	// install from a half-converged EWMA may be refined by a follow-up
 	// move one cooldown later, so wait until the scheme has both reached
 	// the optimum's neighborhood and stopped moving — a mid-measurement
-	// install would bill a full re-prefill to one timed request.
+	// install would split the timed requests between two schemes.
 	// Race instrumentation slows host math past the fast ranks' paced
 	// budgets, so the measured skew (and thus the converged shares) stops
 	// reflecting the emulated 4x rate split — only the loose loop-closure
@@ -359,11 +367,9 @@ func TestAdaptConvergesAndOutpacesStaticEven(t *testing.T) {
 		t.Fatalf("fast ranks should share evenly, got %v", ratios)
 	}
 
-	// Measurement: prefill is the partition-dependent phase (decode-step
-	// math is replicated), so the payoff workload is long prompts with a
-	// single readout step. One untimed warmup request per cluster drains
-	// any fused-step backlog the sensing burst left queued on the slow
-	// rank's FIFO — the criterion is steady-state throughput.
+	// Measurement: prefill is the partition-dependent phase, so the payoff
+	// workload is long prompts with a single readout step, after one
+	// untimed warmup request per cluster.
 	prompt := make([]int, 240)
 	for i := range prompt {
 		prompt[i] = (i*7 + 3) % 100

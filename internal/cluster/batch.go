@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -16,56 +17,76 @@ import (
 )
 
 // Continuous batching (vLLM/Orca-style iteration-level scheduling; see
-// DESIGN.md "Continuous batching"). Generation no longer dispatches one
+// DESIGN.md "Continuous batching"). Generation does not dispatch one
 // exclusive mesh protocol per request: a batch manager coalesces queued
 // sequences into a single long-lived "batched-generate" request whose
 // terminal loop alternates three boundaries —
 //
-//	join:    queued sequences prefill (each an Algorithm-2 round that also
-//	         builds its K/V caches on every worker), up to MaxBatch live;
+//	join:    queued sequences prefill (each an Algorithm-2 round over every
+//	         live rank), up to MaxBatch live. The terminal gives each joiner
+//	         one owner rank — the least-loaded live rank, load being owned
+//	         sequences ÷ the rank's share of the installed partition scheme,
+//	         ties taking turns from the lowest rank up — and only the owner
+//	         builds its K/V caches. A sequence never moves while it is live;
 //	produce: each live sequence's next token is decoded from its last
 //	         hidden row; finished or canceled sequences leave;
-//	step:    one fused frame carries every live sequence's newest token to
-//	         the workers, which advance all caches with a single batched
-//	         matmul per weight per layer and return the fused B×F hidden
-//	         rows in one message.
+//	step:    the round is sharded by sequence. Each owner gets one frame
+//	         carrying only its own sequences' newest tokens, advances their
+//	         caches with a single batched matmul per weight per layer, and
+//	         returns its rows in one message; the terminal gathers the ≤ K
+//	         replies and scatters the rows back to their sequences. A rank
+//	         owning nothing in a round gets no frame.
 //
-// K concurrent streams thus pay one broadcast round per token instead of K,
-// and the position-wise work fuses across the batch dimension. Per-sequence
-// outputs stay bit-identical to solo runs (model.DecodeStepBatch's row-wise
-// exactness), membership changes only happen between steps, and a lone
-// request degenerates to a batch of one — the old serial protocol.
+// B concurrent streams thus pay one round per token instead of B, the
+// round's compute is divided between the owners instead of repeated on every
+// worker, and each cache lives on one device. Per-sequence outputs stay
+// bit-identical to solo runs (model.DecodeStepBatch's row-wise exactness
+// holds for any subset of the batch), membership changes only happen between
+// steps, and a lone request degenerates to a batch of one on one owner.
 //
 // Fault tolerance (DESIGN.md "Fault-tolerant batching"): with
 // Options.MaxRetries > 0 a mid-batch device failure does not kill the
-// co-batched sequences. The failed round's surviving sequences park, the
-// blamed rank is recorded with the same health machinery the solo path
-// uses, and the next round re-slices the position-wise partition over the
-// survivors; each parked sequence resumes by re-prefilling its committed
-// prompt+generated prefix, so its greedy continuation is exactly the one an
-// uninterrupted run would have produced. Blast radius is isolated the other
-// way too: a fault attributable to one sequence (its caller canceling, its
-// own decode failing, its prefill partition arriving corrupt) retires that
-// sequence alone at a step boundary while the rest of the batch keeps
-// decoding. With no surviving worker, sequences fall back to the terminal
-// replica one at a time.
+// co-batched sequences. The failed round's surviving sequences park —
+// whoever owned them — the blamed rank is recorded with the same health
+// machinery the solo path uses, and the next round re-slices the
+// position-wise partition over the survivors; each parked sequence resumes by
+// re-prefilling its committed prompt+generated prefix onto a fresh owner, so
+// its greedy continuation is exactly the one an uninterrupted run would have
+// produced. Blast radius is isolated the other way too: a fault attributable
+// to one sequence (its caller canceling, its own decode failing, its prefill
+// partition arriving corrupt) retires that sequence alone at a step boundary
+// while the rest of the batch keeps decoding. With no surviving worker,
+// sequences fall back to the terminal replica one at a time.
 //
 // Compatibility rules: every sequence on a cluster shares the replicated
-// model, greedy decoding, and the partition scheme, so any set of decoder
-// sequences is batch-compatible; sequences differ only in cache length and
-// content, which the fused step handles per sequence.
+// model and greedy decoding, so any set of decoder sequences is
+// batch-compatible; sequences differ only in cache length, content and
+// owner, and their caches do not depend on the partition scheme they were
+// prefilled under — an adaptive install (adapt.go) reaches the next joiner's
+// ranges and placement and leaves live sequences decoding.
 //
-// Terminal→worker frames (FIFO links; first byte is the opcode):
+// Terminal→worker frames (FIFO links; first byte is the opcode, integers
+// little-endian). R is the round's live-rank count; ranges are in live-set
+// order, contiguous from row 0 and cover the prompt blob's rows:
 //
-//	opPrefill  [1][seqID u32]            then the embedded prompt blob
-//	opStep     [2][B u16][B×(seqID u32, token u32)]
-//	opLeave    [3][seqID u32]
+//	opPrefill  [1][seqID u32][owner u16][R u16][R×(from u32, to u32)]
+//	           then the embedded prompt blob; to every live rank
+//	opStep     [2][round u32][owners u16][n u16][n×(seqID u32, token u32)]
+//	           to each of the round's `owners` ranks, its own n ≥ 1 rows
+//	opLeave    [3][seqID u32]            to the owner
 //	zero-length frame                    batch request shutdown
+//
+// Workers validate every field before use and fail the round with
+// errBadFrame on a malformed frame; the fence then flushes the links, so the
+// next round's streams start aligned.
 const (
 	opPrefill = 1
 	opStep    = 2
 	opLeave   = 3
 )
+
+// errBadFrame reports a terminal→worker batch frame that failed validation.
+var errBadFrame = errors.New("cluster: malformed batch frame")
 
 // batchBackoff spaces recovery rounds after a batch fault, scaled by the
 // consecutive-fault count, so a flapping mesh is not hammered with
@@ -86,9 +107,11 @@ type batchSeq struct {
 	enq     time.Time
 	res     *GenerateResult
 
-	// Live-decode state, owned by the terminal loop after join.
+	// Live-decode state, owned by the terminal loop after join. owner is
+	// the worker rank holding the sequence's K/V caches for this residency.
 	tokens      []int
 	produced    int
+	owner       int
 	last        *tensor.Matrix // final hidden row of the newest position
 	decodeStart time.Time
 	joinStats   []comm.Stats // per-rank scope snapshot at join
@@ -96,13 +119,17 @@ type batchSeq struct {
 	// Fault-recovery state. attempts counts batch rounds this sequence was
 	// dispatched into (prefilled or re-prefilled); parkedAt is non-zero
 	// while the sequence sits in pending after surviving a batch fault,
-	// waiting to resume from its committed tokens. adaptPark marks a park
-	// caused by a partition-scheme migration rather than a fault: the
-	// resume then costs no retry budget and counts as a migration, not a
-	// recovery.
-	attempts  int
-	parkedAt  time.Time
-	adaptPark bool
+	// waiting to resume from its committed tokens.
+	attempts int
+	parkedAt time.Time
+
+	// streamMu orders token callbacks against the caller's return: it is
+	// held across each onToken call — deliberately, the one place a lock
+	// spans caller code — so closeStream waits out a callback in flight and
+	// no later one begins. Only the terminal loop and the returning caller
+	// ever contend for it.
+	streamMu     sync.Mutex
+	streamClosed bool
 
 	err  error
 	done chan struct{}
@@ -112,6 +139,28 @@ type batchSeq struct {
 func (s *batchSeq) finish(err error) {
 	s.err = err
 	close(s.done)
+}
+
+// emit streams one token to the caller unless the caller has already
+// returned.
+func (s *batchSeq) emit(tok int) {
+	if s.onToken == nil {
+		return
+	}
+	s.streamMu.Lock()
+	defer s.streamMu.Unlock()
+	if !s.streamClosed {
+		s.onToken(tok)
+	}
+}
+
+// closeStream is called by a caller abandoning the sequence (context
+// cancellation, shutdown) before it returns: it waits for a token callback
+// in flight and suppresses every later one.
+func (s *batchSeq) closeStream() {
+	s.streamMu.Lock()
+	s.streamClosed = true
+	s.streamMu.Unlock()
 }
 
 // batcher coalesces generate sequences into batched-generate requests. At
@@ -129,6 +178,9 @@ type batcher struct {
 	// flight recorder logs plan changes (degraded entry/recovery), not
 	// every round.
 	lastPlan string
+	// lastOwner is the owner of the last sequence to join (-1 before the
+	// first): placement ties take turns from there. Terminal loop only.
+	lastOwner int
 }
 
 // add enqueues a sequence and ensures a batch request is running.
@@ -211,11 +263,8 @@ func (b *batcher) run() {
 		if !b.purgeCanceled() {
 			return // nothing pending or live: the run retired
 		}
-		live, scheme, gen, degraded, perr := b.plan()
-		if perr != nil {
-			b.failPending(perr)
-			return
-		}
+		live := b.plan()
+		degraded := live != nil // a subset of the mesh, possibly empty
 		// Log plan changes — full-strength start, degraded entry, recovery —
 		// once per transition rather than per round.
 		sig := fmt.Sprintf("degraded=%v live=%v", degraded, live)
@@ -227,7 +276,7 @@ func (b *batcher) run() {
 				c.flight.Eventf("batch_plan", -1, "batch running at full strength (k=%d)", c.k)
 			}
 		}
-		if live != nil && len(live) == 0 {
+		if degraded && len(live) == 0 {
 			// No surviving worker: serve each pending sequence on the
 			// terminal replica alone, then re-check for arrivals.
 			b.fallbackPending()
@@ -238,7 +287,7 @@ func (b *batcher) run() {
 		// attributed per-rank errors blame voting needs.
 		req := &request{
 			runner: batchRunner{b}, supervised: true, noTimeout: true,
-			live: live, scheme: scheme, schemeGen: gen, degraded: degraded,
+			live: live, degraded: degraded,
 			fenced: c.opts.MaxRetries > 0,
 		}
 		// Scopes are pre-created so the terminal can snapshot every rank's
@@ -290,17 +339,19 @@ func (b *batcher) coalesce(w time.Duration) {
 	deadline := time.NewTimer(w)
 	defer deadline.Stop()
 	for {
+		// cancel stays nil for a waiter that cannot be canceled
+		// (context.Background): the window then simply runs out.
 		var cancel <-chan struct{}
 		b.mu.Lock()
-		waiting := len(b.pending)
+		abandoned := len(b.pending) > 0
 		for _, s := range b.pending {
 			if s.ctx.Err() == nil {
-				cancel = s.ctx.Done()
+				cancel, abandoned = s.ctx.Done(), false
 				break
 			}
 		}
 		b.mu.Unlock()
-		if waiting > 0 && cancel == nil {
+		if abandoned {
 			return // every pending sequence is already canceled
 		}
 		select {
@@ -343,44 +394,20 @@ func (b *batcher) purgeCanceled() bool {
 	return !idle
 }
 
-// plan picks the worker set and partition scheme for the next batch round.
-// With fault tolerance off, every round runs the full mesh (nil live set).
-// Otherwise the health tracker decides between a full round, a degraded
-// round re-sliced over the survivors, and — empty live set — terminal-local
-// fallback. Full rounds pin the installed adaptive scheme and its
-// generation, so the terminal loop can migrate at a step boundary when the
-// controller installs a newer one.
-func (b *batcher) plan() (live []int, scheme *partition.Scheme, gen uint64, degraded bool, err error) {
+// plan picks the worker set for the next batch round. With fault tolerance
+// off, every round runs the full mesh (nil live set). Otherwise the health
+// tracker decides between a full round, a degraded round over the survivors,
+// and — empty live set — terminal-local fallback. The partition scheme is not
+// planned here: each join slices its own prompt (joinScheme).
+func (b *batcher) plan() []int {
 	c := b.c
-	cur, curGen := c.schemeSnapshot()
 	if c.opts.MaxRetries == 0 {
-		return nil, cur, curGen, false, nil
+		return nil
 	}
-	hl := c.health.live(time.Now())
-	if len(hl) == c.k {
-		return nil, cur, curGen, false, nil
+	if hl := c.health.live(time.Now()); len(hl) < c.k {
+		return hl
 	}
-	if len(hl) == 0 {
-		return []int{}, nil, curGen, true, nil
-	}
-	s, err := c.degradedScheme(hl)
-	if err != nil {
-		return nil, nil, curGen, false, err
-	}
-	return hl, s, curGen, true, nil
-}
-
-// failPending resolves every pending sequence with a planning error and
-// retires the run.
-func (b *batcher) failPending(err error) {
-	b.mu.Lock()
-	pending := b.pending
-	b.pending = nil
-	b.running = false
-	b.mu.Unlock()
-	for _, s := range pending {
-		s.finish(err)
-	}
+	return nil
 }
 
 // adjudicate decides each parked sequence's fate after a batch round died:
@@ -462,15 +489,7 @@ func (b *batcher) fallbackSeq(s *batchSeq) {
 	if !s.parkedAt.IsZero() {
 		s.trace.Add(c.terminalRank(), -1, trace.PhaseRecover, time.Since(s.parkedAt))
 		c.metrics.phase(trace.PhaseRecover, time.Since(s.parkedAt))
-		if s.adaptPark {
-			// Migration-parked, but the mesh died before the new scheme
-			// could host it: the local resume is a migration, not a fault
-			// recovery.
-			s.adaptPark = false
-			c.metrics.batchSeqMigrated()
-		} else {
-			c.metrics.batchSeqResumed()
-		}
+		c.metrics.batchSeqResumed()
 		s.parkedAt = time.Time{}
 	}
 	s.res.Degraded = true
@@ -541,13 +560,17 @@ func (batchRunner) worker(ctx context.Context, c *Cluster, p comm.Peer, ex *comm
 
 // terminal drives the batch from the terminal device: join, produce, fused
 // step, repeat until the batch drains. Degraded rounds run over the
-// request's live ranks only; the lowest live rank reports the fused rows.
+// request's live ranks only.
 func (b *batcher) terminal(ctx context.Context, p comm.Peer, ex *comm.Exchange, req *request) error {
 	c := b.c
 	m := c.models[0] // pre/post-processing replica
 	maxBatch := c.maxBatch()
 	ranks := req.liveRanks(c)
 	var live []*batchSeq
+	// Per-round scratch: rows[r] lists the positions in live of the
+	// sequences rank r owns, owners the ranks with any, ascending.
+	rows := make([][]int, c.k)
+	owners := make([]int, 0, len(ranks))
 	// fail tears the round down on a mesh fault: sequences whose callers
 	// are gone resolve with their own context error, the rest park for the
 	// next round's resumption — adjudicate (run loop) then blames the rank
@@ -569,38 +592,6 @@ func (b *batcher) terminal(ctx context.Context, p comm.Peer, ex *comm.Exchange, 
 	}
 	first := true
 	for {
-		// Migration boundary: when the adaptive controller installed a new
-		// scheme since this round was planned, retire the round here — a
-		// step boundary, where no partition math is in flight — park every
-		// live sequence, and release the workers with clean shutdown
-		// frames. The run loop re-plans under the new scheme and resumes
-		// each sequence by re-prefilling its committed prefix, so the
-		// migration is invisible in the token streams. Degraded rounds are
-		// exempt: the health path owns their re-planning, and its next
-		// full-strength round picks the new scheme up anyway.
-		if !req.degraded {
-			if _, gen := c.schemeSnapshot(); gen != req.schemeGen {
-				var parked []*batchSeq
-				for _, s := range live {
-					if cerr := s.ctx.Err(); cerr != nil {
-						b.leaveLocked(req, s, cerr)
-						continue
-					}
-					ps := b.park(req, s)
-					ps.adaptPark = true
-					parked = append(parked, ps)
-				}
-				b.requeue(parked)
-				live = nil
-				c.flight.Eventf("repartition", -1, "batch migrating to scheme generation %d: %d sequences parked for re-prefill", gen, len(parked))
-				for _, r := range ranks {
-					if err := p.Send(ctx, r, []byte{}); err != nil {
-						return err
-					}
-				}
-				return nil
-			}
-		}
 		// Join boundary. The first take is unconditional so a generate
 		// burst is never starved; afterwards joins pause while other
 		// requests wait in the admission queue, so the exclusive fence
@@ -608,7 +599,7 @@ func (b *batcher) terminal(ctx context.Context, p comm.Peer, ex *comm.Exchange, 
 		if want := maxBatch - len(live); want > 0 && (first || len(c.queue) == 0) {
 			taken := b.take(want)
 			for i, s := range taken {
-				joined, err := b.join(ctx, p, ex, req, s)
+				joined, err := b.join(ctx, p, ex, req, s, live)
 				if err != nil {
 					// Park or resolve the failed joiner and the not-yet-
 					// joined remainder along with the live batch.
@@ -657,29 +648,44 @@ func (b *batcher) terminal(ctx context.Context, p comm.Peer, ex *comm.Exchange, 
 			continue // maybe joiners arrived while producing
 		}
 
-		// Fused step: one frame out, one fused hidden matrix back from the
-		// lowest live rank.
-		frame := c.stepFrame(live)
+		// Fused step, sharded by sequence: every owner gets its own rows in
+		// one frame and advances them while the others advance theirs; the
+		// terminal gathers the replies and scatters each row back.
+		for r := range rows {
+			rows[r] = rows[r][:0]
+		}
+		owners = owners[:0]
+		for i, s := range live {
+			rows[s.owner] = append(rows[s.owner], i)
+		}
 		for _, r := range ranks {
-			if err := p.Send(ctx, r, frame); err != nil {
+			if len(rows[r]) > 0 {
+				owners = append(owners, r)
+			}
+		}
+		round := c.stepRound.Add(1)
+		for _, r := range owners {
+			if err := p.Send(ctx, r, stepFrame(round, len(owners), live, rows[r])); err != nil {
 				return fail(err)
 			}
 		}
-		got, err := p.Recv(ctx, ranks[0])
-		if err != nil {
-			return fail(err)
-		}
-		rows, _, err := tensor.Decode(got)
-		if err != nil {
-			return fail(err)
-		}
-		comm.ReleaseBuffer(got)
-		if rows.Rows() != len(live) {
-			return fail(fmt.Errorf("fused step returned %d rows for %d sequences", rows.Rows(), len(live)))
-		}
-		for i, s := range live {
-			if s.last, err = rows.RowSlice(i, i+1); err != nil {
+		for _, r := range owners {
+			got, err := p.Recv(ctx, r)
+			if err != nil {
 				return fail(err)
+			}
+			out, _, err := tensor.Decode(got)
+			if err != nil {
+				return fail(err)
+			}
+			comm.ReleaseBuffer(got)
+			if out.Rows() != len(rows[r]) {
+				return fail(fmt.Errorf("rank %d returned %d rows for %d sequences", r, out.Rows(), len(rows[r])))
+			}
+			for j, i := range rows[r] {
+				if live[i].last, err = out.RowSlice(j, j+1); err != nil {
+					return fail(err)
+				}
 			}
 		}
 		c.metrics.observeBatchStep(len(live))
@@ -696,9 +702,7 @@ func (b *batcher) produce(m *model.Model, s *batchSeq) error {
 	next := model.Argmax(logits)
 	s.tokens = append(s.tokens, next)
 	s.produced++
-	if s.onToken != nil {
-		s.onToken(next)
-	}
+	s.emit(next)
 	return nil
 }
 
@@ -708,14 +712,16 @@ func (s *batchSeq) exhausted(c *Cluster) bool {
 	return s.produced >= s.steps || len(s.tokens) >= c.cfg.MaxSeq
 }
 
-// join admits one pending sequence into the batch: its prompt — or, when
-// resuming after a batch fault, its committed prompt+generated prefix —
-// prefills through Algorithm 2 (building caches on every live worker) while
-// the rest of the batch waits at the step boundary. Prefills of a burst run
+// join admits one pending sequence into the batch: the terminal slices its
+// prompt — or, when resuming after a batch fault, its committed
+// prompt+generated prefix — under the scheme installed right now, places it
+// on the least-loaded live rank given the sequences already live, and the
+// prefill runs through Algorithm 2 (the owner building the caches) while the
+// rest of the batch waits at the step boundary. Prefills of a burst run
 // back-to-back, each its own Algorithm-2 round, so the partition math is
 // untouched. Returns joined=false for sequence-local failures (resolved or
 // re-parked here); a non-nil error is a mesh fault, fatal for the round.
-func (b *batcher) join(ctx context.Context, p comm.Peer, ex *comm.Exchange, req *request, s *batchSeq) (bool, error) {
+func (b *batcher) join(ctx context.Context, p comm.Peer, ex *comm.Exchange, req *request, s *batchSeq, live []*batchSeq) (bool, error) {
 	c := b.c
 	resuming := !s.parkedAt.IsZero()
 	if !resuming {
@@ -741,22 +747,24 @@ func (b *batcher) join(ctx context.Context, p comm.Peer, ex *comm.Exchange, req 
 		b.leaveLocked(req, s, err)
 		return false, nil
 	}
-	if resuming && s.adaptPark {
-		// Re-prefill forced by a scheme migration, not a fault: it costs
-		// no retry budget (attempts unchanged) and counts as a migration.
-		s.adaptPark = false
+	ranks := req.liveRanks(c)
+	scheme, err := c.joinScheme(req)
+	if err != nil {
+		b.leaveLocked(req, s, err)
+		return false, nil
+	}
+	ranges, err := scheme.Ranges(x.Rows())
+	if err != nil {
+		b.leaveLocked(req, s, err)
+		return false, nil
+	}
+	s.owner = pickOwner(ranks, scheme.Ratios(), live, b.lastOwner)
+	s.attempts++
+	if resuming {
 		s.trace.Add(c.terminalRank(), -1, trace.PhaseRecover, time.Since(s.parkedAt))
 		c.metrics.phase(trace.PhaseRecover, time.Since(s.parkedAt))
-		c.metrics.batchSeqMigrated()
+		c.metrics.batchSeqResumed()
 		s.parkedAt = time.Time{}
-	} else {
-		s.attempts++
-		if resuming {
-			s.trace.Add(c.terminalRank(), -1, trace.PhaseRecover, time.Since(s.parkedAt))
-			c.metrics.phase(trace.PhaseRecover, time.Since(s.parkedAt))
-			c.metrics.batchSeqResumed()
-			s.parkedAt = time.Time{}
-		}
 	}
 	s.joinStats = make([]comm.Stats, len(req.scopes))
 	for r, sc := range req.scopes {
@@ -764,13 +772,10 @@ func (b *batcher) join(ctx context.Context, p comm.Peer, ex *comm.Exchange, req 
 	}
 	c.metrics.batchJoin()
 	start := time.Now()
-	var hdr [5]byte
-	hdr[0] = opPrefill
-	binary.LittleEndian.PutUint32(hdr[1:], s.id)
+	hdr := prefillFrame(s.id, s.owner, ranges)
 	blob := ex.Encode(x)
-	ranks := req.liveRanks(c)
 	for _, r := range ranks {
-		if err := p.Send(ctx, r, hdr[:]); err != nil {
+		if err := p.Send(ctx, r, hdr); err != nil {
 			return false, err
 		}
 		if err := p.Send(ctx, r, blob); err != nil {
@@ -783,10 +788,10 @@ func (b *batcher) join(ctx context.Context, p comm.Peer, ex *comm.Exchange, req 
 	}
 	if seqErr != nil {
 		// Every live rank delivered (the corrupt partition was consumed, so
-		// the streams stay aligned) and every worker holds the new caches:
+		// the streams stay aligned) and the owner holds the new caches:
 		// drop them and retire or re-park this joiner alone — the rest of
 		// the batch never stops.
-		if lerr := b.dropSeq(ctx, p, ranks, s); lerr != nil {
+		if lerr := b.dropSeq(ctx, p, s); lerr != nil {
 			return false, lerr
 		}
 		b.retireJoin(req, s, seqErr)
@@ -802,7 +807,99 @@ func (b *batcher) join(ctx context.Context, p comm.Peer, ex *comm.Exchange, req 
 		return false, err
 	}
 	s.decodeStart = time.Now()
+	b.lastOwner = s.owner
 	return true, nil
+}
+
+// joinScheme is the scheme a joining sequence's rows are sliced under and
+// its owner is weighed by: the installed scheme on a full round — read at
+// each join, so an install reaches the next joiner while live sequences keep
+// decoding — and its re-slice over the round's survivors on a degraded one.
+func (c *Cluster) joinScheme(req *request) (*partition.Scheme, error) {
+	if req.degraded {
+		return c.degradedScheme(req.live)
+	}
+	return c.currentScheme(), nil
+}
+
+// pickOwner places a joining sequence on the least-loaded of the round's
+// ranks: load is the number of live sequences a rank already owns divided by
+// its share of the scheme (shares[i] belongs to ranks[i]), so owned counts
+// follow the installed ratios. Ties take turns — the first tied rank after
+// `last`, the owner of the last sequence to join, wrapping round — so a batch
+// narrower than the mesh still visits every rank with a share and each keeps
+// feeding the step-time profile the controller reads. A rank with no share is
+// passed over.
+func pickOwner(ranks []int, shares []float64, live []*batchSeq, last int) int {
+	first := 0 // scan from the first rank after last
+	for first < len(ranks) && ranks[first] <= last {
+		first++
+	}
+	best, bestLoad := ranks[0], math.Inf(1)
+	for j := range ranks {
+		i := (first + j) % len(ranks)
+		if shares[i] <= 0 {
+			continue
+		}
+		owned := 0
+		for _, s := range live {
+			if s.owner == ranks[i] {
+				owned++
+			}
+		}
+		if load := float64(owned) / shares[i]; load < bestLoad {
+			best, bestLoad = ranks[i], load
+		}
+	}
+	return best
+}
+
+// prefillFrame encodes an opPrefill header (see the frame table above).
+func prefillFrame(id uint32, owner int, ranges []partition.Range) []byte {
+	buf := make([]byte, 9+8*len(ranges))
+	buf[0] = opPrefill
+	binary.LittleEndian.PutUint32(buf[1:], id)
+	binary.LittleEndian.PutUint16(buf[5:], uint16(owner))
+	binary.LittleEndian.PutUint16(buf[7:], uint16(len(ranges)))
+	for i, r := range ranges {
+		binary.LittleEndian.PutUint32(buf[9+8*i:], uint32(r.From))
+		binary.LittleEndian.PutUint32(buf[13+8*i:], uint32(r.To))
+	}
+	return buf
+}
+
+// parsePrefillFrame validates an opPrefill header against the round's live
+// ranks: exact length, one range per live rank, an owner in the live set,
+// and ranges contiguous from row 0. That they end at the prompt's last row
+// is checked once the blob that follows has been decoded (prefillWorker).
+func parsePrefillFrame(frame []byte, live []int) (id uint32, owner int, ranges []partition.Range, err error) {
+	if len(frame) < 9 {
+		return 0, 0, nil, fmt.Errorf("%w: prefill frame of %d bytes", errBadFrame, len(frame))
+	}
+	id = binary.LittleEndian.Uint32(frame[1:])
+	owner = int(binary.LittleEndian.Uint16(frame[5:]))
+	n := int(binary.LittleEndian.Uint16(frame[7:]))
+	if n != len(live) || len(frame) != 9+8*n {
+		return 0, 0, nil, fmt.Errorf("%w: prefill frame of %d bytes with %d ranges for %d live ranks", errBadFrame, len(frame), n, len(live))
+	}
+	owned := false
+	for _, r := range live {
+		owned = owned || r == owner
+	}
+	if !owned {
+		return 0, 0, nil, fmt.Errorf("%w: prefill owner %d outside live ranks %v", errBadFrame, owner, live)
+	}
+	ranges = make([]partition.Range, n)
+	next := 0
+	for i := range ranges {
+		from := int(binary.LittleEndian.Uint32(frame[9+8*i:]))
+		to := int(binary.LittleEndian.Uint32(frame[13+8*i:]))
+		if from != next || to < from {
+			return 0, 0, nil, fmt.Errorf("%w: prefill range %d is [%d,%d), want it to start at row %d", errBadFrame, i, from, to, next)
+		}
+		ranges[i], next = partition.Range{From: from, To: to}, to
+	}
+	return id, owner, ranges, nil
 }
 
 // collectJoin receives one prefill partition from every live rank, draining
@@ -887,27 +984,22 @@ func (b *batcher) park(req *request, s *batchSeq) *batchSeq {
 	return s
 }
 
-// leave removes a resolved sequence from the batch, telling the workers to
+// leave removes a resolved sequence from the batch, telling its owner to
 // drop its caches. cause nil is normal completion. The returned error is a
 // mesh fault encountered while notifying (the sequence itself is resolved
 // either way).
 func (b *batcher) leave(ctx context.Context, p comm.Peer, req *request, s *batchSeq, cause error) error {
-	sendErr := b.dropSeq(ctx, p, req.liveRanks(b.c), s)
+	sendErr := b.dropSeq(ctx, p, s)
 	b.leaveLocked(req, s, cause)
 	return sendErr
 }
 
-// dropSeq tells every live worker to discard one sequence's caches.
-func (b *batcher) dropSeq(ctx context.Context, p comm.Peer, ranks []int, s *batchSeq) error {
+// dropSeq tells the sequence's owner to discard its caches.
+func (b *batcher) dropSeq(ctx context.Context, p comm.Peer, s *batchSeq) error {
 	var frame [5]byte
 	frame[0] = opLeave
 	binary.LittleEndian.PutUint32(frame[1:], s.id)
-	for _, r := range ranks {
-		if err := p.Send(ctx, r, frame[:]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return p.Send(ctx, s.owner, frame[:])
 }
 
 // leaveLocked finalizes a live sequence's result and accounting without
@@ -964,40 +1056,58 @@ func (b *batcher) accumulate(req *request, s *batchSeq) {
 	c.metrics.batchLeave()
 }
 
-// stepFrame encodes one fused decode step: a cluster-global round number
-// (so every rank's step time lands in the same skew-detector round, stable
-// across degraded transitions), then every live sequence's id and newest
-// token, in batch order.
-func (c *Cluster) stepFrame(live []*batchSeq) []byte {
-	buf := make([]byte, 7+8*len(live))
+// stepFrame encodes one owner's share of a fused decode step: the
+// cluster-global round number (so every owner's step time lands in the same
+// skew-detector round, stable across degraded transitions), how many owners
+// the round has (the detector closes the round on that many reports), then
+// the id and newest token of each sequence in idx — positions in live of the
+// sequences this owner holds, in batch order.
+func stepFrame(round uint32, owners int, live []*batchSeq, idx []int) []byte {
+	buf := make([]byte, 9+8*len(idx))
 	buf[0] = opStep
-	binary.LittleEndian.PutUint32(buf[1:5], c.stepRound.Add(1))
-	binary.LittleEndian.PutUint16(buf[5:7], uint16(len(live)))
-	off := 7
-	for _, s := range live {
-		binary.LittleEndian.PutUint32(buf[off:], s.id)
-		binary.LittleEndian.PutUint32(buf[off+4:], uint32(s.tokens[len(s.tokens)-1]))
-		off += 8
+	binary.LittleEndian.PutUint32(buf[1:], round)
+	binary.LittleEndian.PutUint16(buf[5:], uint16(owners))
+	binary.LittleEndian.PutUint16(buf[7:], uint16(len(idx)))
+	for j, i := range idx {
+		s := live[i]
+		binary.LittleEndian.PutUint32(buf[9+8*j:], s.id)
+		binary.LittleEndian.PutUint32(buf[13+8*j:], uint32(s.tokens[len(s.tokens)-1]))
 	}
 	return buf
 }
 
-// batchWorker serves one device's side of the batch: sequences prefill into
-// a cache table, fused step frames advance every listed cache with one
-// batched matmul per weight per layer, and leave frames drop caches. Frame
-// order on the FIFO link from the terminal is the protocol. Ranks excluded
-// from a degraded round idle through the whole request; the lowest live
-// rank reports the fused rows.
+// batchWorker serves one device's side of the batch: every sequence's
+// prefill runs its Algorithm-2 partition here, the sequences this rank owns
+// keep their caches in a table, step frames advance the listed caches with
+// one batched matmul per weight per layer and are answered with their rows,
+// and leave frames drop caches. Frame order on the FIFO link from the
+// terminal is the protocol. Ranks excluded from a degraded round idle
+// through the whole request.
 func (c *Cluster) batchWorker(ctx context.Context, p comm.Peer, ex *comm.Exchange, rank int, req *request) error {
-	me := req.liveIndex(c, rank)
-	if me < 0 {
+	if req.liveIndex(c, rank) < 0 {
 		return nil // excluded from this degraded round
 	}
+	ranks := req.liveRanks(c)
 	term := c.terminalRank()
 	m := c.models[rank]
 	states := make(map[uint32]*model.DecodeState)
+	defer c.metrics.kvCache(rank, nil)
+	// Per-step scratch, reused across frames.
+	var (
+		sts       []*model.DecodeState
+		ids       []int
+		positions []int
+	)
 	for {
-		frame, err := p.Recv(ctx, term)
+		c.metrics.kvCache(rank, states)
+		// A rank owning nothing may hear nothing until the next join: that
+		// wait is not the watchdog's business (req.idle). An owner is due a
+		// frame every round and stays watched.
+		wait := ctx
+		if len(states) == 0 {
+			wait = req.idle
+		}
+		frame, err := p.Recv(wait, term)
 		if err != nil {
 			return err
 		}
@@ -1006,71 +1116,74 @@ func (c *Cluster) batchWorker(ctx context.Context, p comm.Peer, ex *comm.Exchang
 		}
 		switch frame[0] {
 		case opPrefill:
-			if len(frame) != 5 {
-				return fmt.Errorf("cluster: prefill frame of %d bytes", len(frame))
-			}
-			id := binary.LittleEndian.Uint32(frame[1:])
-			comm.ReleaseBuffer(frame)
-			state, err := c.prefillWorker(ctx, p, ex, rank, req)
+			id, owner, ranges, err := parsePrefillFrame(frame, ranks)
 			if err != nil {
 				return err
 			}
-			states[id] = state
+			comm.ReleaseBuffer(frame)
+			state, err := c.prefillWorker(ctx, p, ex, rank, req, ranges, owner == rank)
+			if err != nil {
+				return err
+			}
+			if state != nil {
+				states[id] = state
+			}
 		case opStep:
-			if len(frame) < 7 {
-				return fmt.Errorf("cluster: step frame of %d bytes", len(frame))
+			if len(frame) < 9 {
+				return fmt.Errorf("%w: step frame of %d bytes", errBadFrame, len(frame))
 			}
-			round := binary.LittleEndian.Uint32(frame[1:5])
-			n := int(binary.LittleEndian.Uint16(frame[5:7]))
-			if len(frame) != 7+8*n {
-				return fmt.Errorf("cluster: step frame of %d bytes for %d sequences", len(frame), n)
+			round := binary.LittleEndian.Uint32(frame[1:])
+			owners := int(binary.LittleEndian.Uint16(frame[5:]))
+			n := int(binary.LittleEndian.Uint16(frame[7:]))
+			if n == 0 || len(frame) != 9+8*n || owners < 1 || owners > len(ranks) {
+				return fmt.Errorf("%w: step frame of %d bytes for %d sequences on %d owners", errBadFrame, len(frame), n, owners)
 			}
-			sts := make([]*model.DecodeState, n)
-			ids := make([]int, n)
+			sts, ids, positions = sts[:0], ids[:0], positions[:0]
 			for i := 0; i < n; i++ {
-				off := 7 + 8*i
+				off := 9 + 8*i
 				id := binary.LittleEndian.Uint32(frame[off:])
 				st, ok := states[id]
 				if !ok {
-					return fmt.Errorf("cluster: step for unknown sequence %d", id)
+					return fmt.Errorf("%w: step for sequence %d, which rank %d does not own", errBadFrame, id, rank)
 				}
-				sts[i] = st
-				ids[i] = int(binary.LittleEndian.Uint32(frame[off+4:]))
+				sts = append(sts, st)
+				ids = append(ids, int(binary.LittleEndian.Uint32(frame[off+4:])))
 			}
 			comm.ReleaseBuffer(frame)
 			start := time.Now()
-			rows, err := m.DecodeStepBatch(sts, ids)
+			out, err := m.DecodeStepBatch(sts, ids)
 			if err != nil {
 				return err
 			}
-			// One paced interval for the whole fused step: the summed Γ of
-			// the solo steps it replaces (fusion changes latency, not MACs).
-			positions := make([]int, n)
-			for i, st := range sts {
-				positions[i] = st.Pos
+			host := time.Since(start)
+			// One paced interval for this rank's share of the fused step:
+			// the summed Γ of the solo steps it replaces (fusion changes
+			// latency, not MACs).
+			for _, st := range sts {
+				positions = append(positions, st.Pos)
 			}
-			if err := c.paceRank(ctx, rank, start, decodeStepCost(m, positions...)); err != nil {
+			cost := decodeStepCost(m, positions...)
+			if err := c.paceRank(ctx, rank, start, cost); err != nil {
 				return err
 			}
-			// Pace-inclusive elapsed time is this rank's emulated device time
-			// for the fused step — exactly what the skew detector compares.
 			elapsed := time.Since(start)
 			c.recordPhase(req, rank, -1, trace.PhaseCompute, elapsed)
 			c.metrics.observeStepDur(elapsed)
-			c.obs.RecordRound(uint64(round), rank, len(req.liveRanks(c)), elapsed)
-			if me == 0 {
-				if err := p.Send(ctx, term, ex.Encode(rows)); err != nil {
-					return err
-				}
+			// The skew detector compares the owners per MAC, since they carry
+			// different shares of the round: it gets the device's time for
+			// these rows without the timer slack of the paced sleep.
+			c.obs.RecordRound(uint64(round), rank, owners, c.deviceTime(rank, host, cost), cost)
+			if err := p.Send(ctx, term, ex.Encode(out)); err != nil {
+				return err
 			}
 		case opLeave:
 			if len(frame) != 5 {
-				return fmt.Errorf("cluster: leave frame of %d bytes", len(frame))
+				return fmt.Errorf("%w: leave frame of %d bytes", errBadFrame, len(frame))
 			}
 			delete(states, binary.LittleEndian.Uint32(frame[1:]))
 			comm.ReleaseBuffer(frame)
 		default:
-			return fmt.Errorf("cluster: unknown batch opcode %d", frame[0])
+			return fmt.Errorf("%w: unknown batch opcode %d", errBadFrame, frame[0])
 		}
 	}
 }

@@ -34,12 +34,13 @@ func runBatch(c *Cluster, prompts [][]int, steps int) ([]*GenerateResult, []erro
 }
 
 func TestBatchedGenerateWorkerKilledMidBatchResumes(t *testing.T) {
-	// Rank 1 dies mid-batch: its receive stream is cut after the co-batched
-	// prefills have landed (4 joins × 4 receives each, then one receive per
-	// fused step frame), killing a fused round under 4 live sequences. The
-	// batcher must blame rank 1, re-slice the partition over ranks {0,2},
-	// and resume every survivor from its committed prefix — all four token
-	// streams stay bit-identical to solo runs.
+	// Rank 1 — owner of the second of four sequences — dies mid-batch: its
+	// receive stream is cut after the co-batched prefills have landed
+	// (4 joins × 4 receives each, then one receive per round it owns rows
+	// in), killing a fused round under 4 live sequences. The batcher must
+	// blame rank 1, re-slice the partition over ranks {0,2}, and resume
+	// every sequence, whoever owned it, from its committed prefix on a
+	// fresh owner — all four token streams stay bit-identical to solo runs.
 	c := newTinyDecoder(t, 3, Options{
 		MaxBatch: 4, BatchWindow: 60 * time.Millisecond, MaxRetries: 2,
 		WrapTransport: wrapRank(1, func(p comm.Peer) comm.Peer {
@@ -128,15 +129,18 @@ func TestBatchedGenerateZeroSurvivorsFallsBackLocally(t *testing.T) {
 }
 
 func TestBatchedGenerateCorruptJoinRetiresOneSequence(t *testing.T) {
-	// Rank 1's 4th send is the second joiner's prefill partition, corrupted
-	// on the wire. The frame checksum blames the sender, and the blast
-	// radius must stay sequence-local: the victim alone re-parks and
-	// resumes at the next step boundary while the first sequence keeps
-	// decoding — no batch recovery round at all.
-	c := newTinyDecoder(t, 2, Options{
+	// Rank 2 sends three frames per prefill (its All-Gather share to both
+	// peers, then its partition to the terminal) and, owning neither
+	// sequence (they land on ranks 0 and 1), nothing in between: its 6th
+	// send is the second joiner's prefill partition, corrupted on the wire,
+	// and its 12th is never reached. The frame checksum blames the sender,
+	// and the blast radius must stay sequence-local: the victim alone
+	// re-parks and resumes at the next step boundary while the first
+	// sequence keeps decoding — no batch recovery round at all.
+	c := newTinyDecoder(t, 3, Options{
 		MaxBatch: 2, BatchWindow: 50 * time.Millisecond, MaxRetries: 1,
-		WrapTransport: wrapRank(1, func(p comm.Peer) comm.Peer {
-			return &comm.FlakyPeer{Inner: p, CorruptEvery: 4}
+		WrapTransport: wrapRank(2, func(p comm.Peer) comm.Peer {
+			return &comm.FlakyPeer{Inner: p, CorruptEvery: 6}
 		}),
 	})
 	defer c.Close()
@@ -160,11 +164,11 @@ func TestBatchedGenerateCorruptJoinRetiresOneSequence(t *testing.T) {
 	if retried != 1 {
 		t.Errorf("%d streams retried, want exactly the corrupted joiner", retried)
 	}
-	// Rank 1 was blamed for the corrupt frame, but the retry round it
+	// Rank 2 was blamed for the corrupt frame, but the retry round it
 	// participated in succeeded — recordSuccess may already have recovered
 	// it by the time the streams resolve. The blame itself is durable.
-	if h := c.Health()[1]; h.Failures < 1 || !errors.Is(h.LastErr, comm.ErrCorrupt) {
-		t.Errorf("rank 1 health = %+v, want >=1 failure with ErrCorrupt", h)
+	if h := c.Health()[2]; h.Failures < 1 || !errors.Is(h.LastErr, comm.ErrCorrupt) {
+		t.Errorf("rank 2 health = %+v, want >=1 failure with ErrCorrupt", h)
 	}
 	snap := c.Metrics()
 	if got := snap.Counter(`voltage_batch_recoveries_total{cause="corrupt"}`); got != 0 {
@@ -175,6 +179,45 @@ func TestBatchedGenerateCorruptJoinRetiresOneSequence(t *testing.T) {
 	}
 	if joins, leaves := snap.Counter("voltage_batch_joins_total"), snap.Counter("voltage_batch_leaves_total"); joins != 3 || leaves != 3 {
 		t.Errorf("joins/leaves = %v/%v, want 3/3 (one rejoin)", joins, leaves)
+	}
+}
+
+func TestBatchWindowHoldsForUncancellableCallers(t *testing.T) {
+	// context.Background() has no Done channel. The window must still run
+	// out for such a caller, so a second one arriving inside it joins before
+	// the first decode step: every fused round is two sequences wide, and
+	// the first caller's batch wait is the window, not zero.
+	const window = 200 * time.Millisecond
+	c := newTinyDecoder(t, 2, Options{MaxBatch: 4, BatchWindow: window})
+	defer c.Close()
+	const steps = 4
+	prompts := batchPrompts[:2]
+	want := soloReference(t, prompts, steps)
+	results := make([]*GenerateResult, len(prompts))
+	errs := make([]error, len(prompts))
+	var wg sync.WaitGroup
+	for i := range prompts {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = c.GenerateVoltage(context.Background(), prompts[i], steps)
+		}(i)
+		time.Sleep(20 * time.Millisecond) // the second arrives inside the window
+	}
+	wg.Wait()
+	for i := range prompts {
+		if errs[i] != nil {
+			t.Fatalf("stream %d: %v", i, errs[i])
+		}
+		if !equalTokens(results[i].Tokens, want[i]) {
+			t.Errorf("stream %d: tokens %v != solo %v", i, results[i].Tokens, want[i])
+		}
+	}
+	if wait := results[0].BatchWait; wait < window/2 {
+		t.Errorf("first caller waited %v to join, want the %v window", wait, window)
+	}
+	if h := c.Metrics().Histograms["voltage_batch_size"]; h.Count != steps-1 || h.Sum != 2*float64(h.Count) {
+		t.Errorf("%d fused rounds, summed width %v, want %d rounds of both sequences", h.Count, h.Sum, steps-1)
 	}
 }
 

@@ -1,0 +1,545 @@
+package cluster
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"voltage/internal/adapt"
+	"voltage/internal/comm"
+	"voltage/internal/partition"
+	"voltage/internal/tensor"
+)
+
+// Tests for decode sharded by sequence: placement (one owner rank and one
+// KV cache per live sequence), the faults particular to it (an owner dying,
+// a rank that owns nothing dying, idle ranks under the per-op watchdog), and
+// validation of the opPrefill header that carries owner and row ranges.
+
+// placementPrompts is eight sequences of distinct lengths (2..9).
+func placementPrompts() [][]int {
+	prompts := make([][]int, 8)
+	for i := range prompts {
+		p := make([]int, i+2)
+		for j := range p {
+			p[j] = (7*i + 3*j + 1) % 100
+		}
+		prompts[i] = p
+	}
+	return prompts
+}
+
+// kvResidency reads the per-rank cache gauges: sequences owned and
+// positions cached, by worker rank.
+func kvResidency(c *Cluster) (seqs, positions []int) {
+	snap := c.Metrics()
+	for r := 0; r < c.K(); r++ {
+		seqs = append(seqs, int(snap.Gauge(fmt.Sprintf("voltage_kv_cache_sequences{rank=%q}", fmt.Sprint(r)))))
+		positions = append(positions, int(snap.Gauge(fmt.Sprintf("voltage_kv_cache_positions{rank=%q}", fmt.Sprint(r)))))
+	}
+	return seqs, positions
+}
+
+func sum(xs []int) int {
+	t := 0
+	for _, x := range xs {
+		t += x
+	}
+	return t
+}
+
+// heldBatch joins every prompt into one batch and holds the terminal at the
+// first token callback — every prefill done, no decode step taken — until
+// release is called; wait then collects the streams.
+func heldBatch(t *testing.T, c *Cluster, prompts [][]int, steps int) (release func(), wait func() []*GenerateResult) {
+	t.Helper()
+	gate := make(chan struct{})
+	results := make([]*GenerateResult, len(prompts))
+	errs := make([]error, len(prompts))
+	var wg sync.WaitGroup
+	for i, p := range prompts {
+		wg.Add(1)
+		go func(i int, p []int) {
+			defer wg.Done()
+			results[i], errs[i] = c.GenerateVoltageStream(context.Background(), p, steps, func(int) { <-gate })
+		}(i, p)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if seqs, _ := kvResidency(c); sum(seqs) == len(prompts) {
+			break
+		}
+		if time.Now().After(deadline) {
+			close(gate)
+			seqs, _ := kvResidency(c)
+			t.Fatalf("caches for %d of %d sequences after 10s (per rank %v)", sum(seqs), len(prompts), seqs)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(release)
+	wait = func() []*GenerateResult {
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("stream %d: %v", i, err)
+			}
+		}
+		return results
+	}
+	return release, wait
+}
+
+func TestOwnerPlacementOneCachePerSequence(t *testing.T) {
+	prompts := placementPrompts()
+	total := 0
+	for _, p := range prompts {
+		total += len(p)
+	}
+	const steps = 5
+	want := soloReference(t, prompts, steps)
+	c := newTinyDecoder(t, 3, Options{MaxBatch: len(prompts), BatchWindow: 200 * time.Millisecond})
+
+	release, wait := heldBatch(t, c, prompts, steps)
+	seqs, positions := kvResidency(c)
+	// B = 8 over K = 3 even shares: every sequence cached on exactly one
+	// rank, owned counts 3·3·2.
+	if sum(seqs) != len(prompts) {
+		t.Errorf("caches held = %v, want %d in total (one rank per sequence)", seqs, len(prompts))
+	}
+	for _, n := range seqs {
+		if n < len(prompts)/3 || n > (len(prompts)+2)/3 {
+			t.Errorf("owned counts %v differ by more than one under even shares", seqs)
+			break
+		}
+	}
+	// Replicated decode cached every position on every rank (K × total);
+	// owners cache each once, so a rank holds about 1/K of that.
+	if sum(positions) != total {
+		t.Errorf("cached positions %v sum to %d, want the %d prompt positions once", positions, sum(positions), total)
+	}
+	for r, n := range positions {
+		if n > total/2 {
+			t.Errorf("rank %d caches %d of %d positions; the replicated path cached all of them on every rank", r, n, total)
+		}
+	}
+	release()
+	results := wait()
+	for i := range prompts {
+		if !equalTokens(results[i].Tokens, want[i]) {
+			t.Errorf("stream %d: tokens %v != solo %v", i, results[i].Tokens, want[i])
+		}
+	}
+	// Leaving drops the cache on the owner; nothing stays resident.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		seqs, positions := kvResidency(c)
+		if sum(seqs) == 0 && sum(positions) == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("residency after the batch drained: sequences %v positions %v, want none", seqs, positions)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+func TestOwnerPlacementFollowsInstalledRatios(t *testing.T) {
+	prompts := placementPrompts()[:6]
+	const steps = 4
+	want := soloReference(t, prompts, steps)
+	c := newTinyDecoder(t, 3, Options{MaxBatch: len(prompts), BatchWindow: 200 * time.Millisecond})
+	target, err := partition.Weighted([]float64{3, 2, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.InstallScheme(target, adapt.CauseManual, 0); err != nil {
+		t.Fatal(err)
+	}
+	release, wait := heldBatch(t, c, prompts, steps)
+	if seqs, _ := kvResidency(c); seqs[0] != 3 || seqs[1] != 2 || seqs[2] != 1 {
+		t.Errorf("owned counts %v under shares 3:2:1, want [3 2 1]", seqs)
+	}
+	release()
+	for i, res := range wait() {
+		if !equalTokens(res.Tokens, want[i]) {
+			t.Errorf("stream %d: tokens %v != solo %v", i, res.Tokens, want[i])
+		}
+	}
+}
+
+func TestPickOwner(t *testing.T) {
+	live := func(owners ...int) []*batchSeq {
+		var out []*batchSeq
+		for _, o := range owners {
+			out = append(out, &batchSeq{owner: o})
+		}
+		return out
+	}
+	third := 1.0 / 3
+	cases := []struct {
+		name   string
+		ranks  []int
+		shares []float64
+		owned  []int // owners of the sequences already live
+		last   int   // owner of the last sequence to join, -1 for none
+		want   int
+	}{
+		{"the first placement starts at the lowest rank", []int{0, 1, 2}, []float64{third, third, third}, nil, -1, 0},
+		{"fills the empty rank", []int{0, 1, 2}, []float64{third, third, third}, []int{0, 1}, 1, 2},
+		{"even again wraps round", []int{0, 1, 2}, []float64{third, third, third}, []int{0, 1, 2}, 2, 0},
+		{"lone sequences take turns", []int{0, 1, 2}, []float64{third, third, third}, nil, 0, 1},
+		{"a squeezed rank keeps its turn", []int{0, 1, 2}, []float64{4. / 9, 4. / 9, 1. / 9}, nil, 1, 2},
+		{"the turn only breaks ties", []int{0, 1, 2}, []float64{third, third, third}, []int{1, 2}, 0, 0},
+		{"a departure's slot is refilled", []int{0, 1, 2}, []float64{third, third, third}, []int{0, 0, 2, 2}, 2, 1},
+		{"load is owned over share", []int{0, 1, 2}, []float64{0.5, 0.25, 0.25}, []int{0, 1, 2}, 2, 0},
+		{"a rank without share is passed over", []int{0, 1, 2}, []float64{0, 0.5, 0.5}, nil, -1, 1},
+		{"degraded round indexes shares by live position", []int{0, 2}, []float64{0.25, 0.75}, []int{0}, 0, 2},
+		{"the turn skips a rank outside the round", []int{0, 2}, []float64{0.5, 0.5}, nil, 1, 2},
+	}
+	for _, tc := range cases {
+		if got := pickOwner(tc.ranks, tc.shares, live(tc.owned...), tc.last); got != tc.want {
+			t.Errorf("%s: owner %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestLoneSequencesVisitEveryRank: a batch narrower than the mesh must not
+// leave the higher ranks unobserved. One stream at a time on three ranks,
+// placement ties take turns, so after three streams every rank has owned one
+// and fed step times to the profile the re-partitioning controller reads —
+// including a rank an installed scheme has squeezed, which is how it can win
+// its share back.
+func TestLoneSequencesVisitEveryRank(t *testing.T) {
+	const steps = 5
+	want := soloReference(t, batchPrompts[:3], steps)
+	c := newTinyDecoder(t, 3, Options{MaxBatch: 4})
+	squeezed, err := partition.Weighted([]float64{4, 4, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.InstallScheme(squeezed, adapt.CauseManual, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range batchPrompts[:3] {
+		res, err := c.GenerateVoltage(context.Background(), p, steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !equalTokens(res.Tokens, want[i]) {
+			t.Errorf("stream %d: tokens %v != solo %v", i, res.Tokens, want[i])
+		}
+	}
+	for _, r := range c.Profile().Ranks[:3] {
+		if r.StepSamples != steps-1 {
+			t.Errorf("rank %d fed %d step samples, want %d (one stream each)", r.Rank, r.StepSamples, steps-1)
+		}
+	}
+}
+
+func TestBatchedGenerateIdleRankKilledMidBatchResumes(t *testing.T) {
+	// Two sequences land on ranks 0 and 1; rank 2 owns nothing, so after the
+	// two prefills (4 receives each) its next receive is the idle wait for
+	// the next join — which dies while the owners are decoding. The round
+	// must fail, blame rank 2, and resume both streams over ranks {0,1},
+	// bit-identical to solo.
+	c := newTinyDecoder(t, 3, Options{
+		MaxBatch: 2, BatchWindow: 60 * time.Millisecond, MaxRetries: 2,
+		WrapTransport: wrapRank(2, func(p comm.Peer) comm.Peer {
+			return &comm.FlakyPeer{Inner: p, FailRecvAfter: 9}
+		}),
+	})
+	const steps = 8
+	prompts := batchPrompts[:2]
+	want := soloReference(t, prompts, steps)
+	results, errs := runBatch(c, prompts, steps)
+	for i := range prompts {
+		if errs[i] != nil {
+			t.Fatalf("stream %d: %v", i, errs[i])
+		}
+		if !equalTokens(results[i].Tokens, want[i]) {
+			t.Errorf("stream %d: tokens %v != solo %v", i, results[i].Tokens, want[i])
+		}
+		if results[i].Attempts != 2 || !results[i].Degraded {
+			t.Errorf("stream %d: attempts %d degraded %v, want one resume on the survivors", i, results[i].Attempts, results[i].Degraded)
+		}
+	}
+	if h := c.Health()[2]; h.State != Unhealthy || !errors.Is(h.LastErr, comm.ErrInjected) {
+		t.Errorf("rank 2 health = %v (%v), want Unhealthy with ErrInjected", h.State, h.LastErr)
+	}
+	for r := 0; r < 2; r++ {
+		if h := c.Health()[r]; h.Failures != 0 {
+			t.Errorf("owner rank %d blamed %d times for the idle rank's death", r, h.Failures)
+		}
+	}
+	if got := c.Metrics().Counter(`voltage_batch_recoveries_total{cause="injected"}`); got != 1 {
+		t.Errorf("injected recoveries = %v, want 1", got)
+	}
+}
+
+func TestBatchedGenerateIdleRanksOutliveOpTimeout(t *testing.T) {
+	// One paced sequence decodes on rank 0 for many watchdog periods while
+	// ranks 1 and 2 own nothing and hear nothing. Their silence is not a
+	// fault: no timeout fires, nothing is retried. (The watchdog is loose
+	// enough that the owner, which is watched, never waits it out for its
+	// next frame on a loaded host.)
+	const opTimeout = 100 * time.Millisecond
+	c := newTinyDecoder(t, 3, Options{
+		MaxBatch: 1, DeviceFlops: 1e6, // ~17 ms of paced compute per decode step
+		OpTimeout: opTimeout, MaxRetries: 1,
+	})
+	const steps = 24
+	want := soloReference(t, batchPrompts[:1], steps)
+	res, err := c.GenerateVoltage(context.Background(), batchPrompts[0], steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !equalTokens(res.Tokens, want[0]) {
+		t.Errorf("tokens %v != solo %v", res.Tokens, want[0])
+	}
+	if res.Attempts != 1 || res.Degraded {
+		t.Errorf("attempts %d degraded %v, want an undisturbed run", res.Attempts, res.Degraded)
+	}
+	if res.DecodeLatency < 3*opTimeout {
+		t.Fatalf("decode took %v: too short to outlast the watchdog, the test proves nothing", res.DecodeLatency)
+	}
+	if n := c.Metrics().Counter("voltage_op_timeouts_total"); n != 0 {
+		t.Errorf("%v watchdog expiries on idle ranks, want 0", n)
+	}
+}
+
+func TestBatchedGenerateOwnerKilledReleasesIdleRanksUnderWatchdog(t *testing.T) {
+	// With a per-op watchdog a failed fenced round is not canceled: every
+	// blocked role must resolve by its own means so the votes stay
+	// attributed. Ranks 1 and 2 wait unwatched (they own nothing), so the
+	// abort itself has to release them — or the round never resolves. Rank 0
+	// dies on its 7th receive: 4 for the prefill, then its 3rd step frame.
+	c := newTinyDecoder(t, 3, Options{
+		MaxBatch: 1, OpTimeout: 150 * time.Millisecond, MaxRetries: 1,
+		WrapTransport: wrapRank(0, func(p comm.Peer) comm.Peer {
+			return &comm.FlakyPeer{Inner: p, FailRecvAfter: 7}
+		}),
+	})
+	const steps = 8
+	want := soloReference(t, batchPrompts[:1], steps)
+	type outcome struct {
+		res *GenerateResult
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := c.GenerateVoltage(context.Background(), batchPrompts[0], steps)
+		done <- outcome{res, err}
+	}()
+	var out outcome
+	select {
+	case out = <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("stream never resolved: idle ranks were not released from the failed round")
+	}
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	if !equalTokens(out.res.Tokens, want[0]) {
+		t.Errorf("tokens %v != solo %v", out.res.Tokens, want[0])
+	}
+	if out.res.Attempts != 2 || !out.res.Degraded {
+		t.Errorf("attempts %d degraded %v, want one resume on the survivors", out.res.Attempts, out.res.Degraded)
+	}
+	if h := c.Health()[0]; h.State != Unhealthy || !errors.Is(h.LastErr, comm.ErrInjected) {
+		t.Errorf("rank 0 health = %v (%v), want Unhealthy with ErrInjected", h.State, h.LastErr)
+	}
+	for r := 1; r < 3; r++ {
+		if h := c.Health()[r]; h.Failures != 0 {
+			t.Errorf("idle rank %d blamed %d times for the owner's death", r, h.Failures)
+		}
+	}
+}
+
+// --- opPrefill header validation -------------------------------------------
+
+// rawPrefill builds an opPrefill header without the encoder's guarantees.
+func rawPrefill(owner, count int, bounds ...int) []byte {
+	ranges := make([]partition.Range, len(bounds)/2)
+	for i := range ranges {
+		ranges[i] = partition.Range{From: bounds[2*i], To: bounds[2*i+1]}
+	}
+	frame := prefillFrame(77, owner, ranges)
+	frame[7], frame[8] = byte(count), byte(count>>8)
+	return frame
+}
+
+// badPrefillHeaders are malformed headers for a two-rank live set {0,1} and
+// a five-row prompt.
+var badPrefillHeaders = []struct {
+	name  string
+	frame []byte
+}{
+	{"opcode only", []byte{opPrefill}},
+	{"short frame", rawPrefill(0, 2, 0, 3, 3, 5)[:8]},
+	{"truncated range", rawPrefill(0, 2, 0, 3, 3, 5)[:21]},
+	{"trailing bytes", append(rawPrefill(0, 2, 0, 3, 3, 5), 0, 0, 0, 0)},
+	{"one range for two live ranks", rawPrefill(0, 1, 0, 5)},
+	{"three ranges for two live ranks", rawPrefill(0, 3, 0, 2, 2, 4, 4, 5)},
+	{"count disagrees with length", rawPrefill(0, 3, 0, 3, 3, 5)},
+	{"owner is the terminal", rawPrefill(2, 2, 0, 3, 3, 5)},
+	{"owner outside the mesh", rawPrefill(900, 2, 0, 3, 3, 5)},
+	{"ranges overlap", rawPrefill(0, 2, 0, 3, 2, 5)},
+	{"ranges leave a gap", rawPrefill(0, 2, 0, 3, 4, 5)},
+	{"range runs backwards", rawPrefill(0, 2, 0, 3, 3, 2)},
+	{"ranges start past row 0", rawPrefill(0, 2, 1, 3, 3, 5)},
+	{"ranges stop short of the prompt", rawPrefill(0, 2, 0, 2, 2, 4)},
+	{"ranges run past the prompt", rawPrefill(0, 2, 0, 3, 3, 9)},
+}
+
+func TestParsePrefillFrame(t *testing.T) {
+	live := []int{0, 1}
+	for _, tc := range badPrefillHeaders {
+		_, _, ranges, err := parsePrefillFrame(tc.frame, live)
+		if err == nil && ranges[len(ranges)-1].To == 5 {
+			t.Errorf("%s: accepted as owner and ranges %v", tc.name, ranges)
+		}
+		if err != nil && !errors.Is(err, errBadFrame) {
+			t.Errorf("%s: error %v is not errBadFrame", tc.name, err)
+		}
+	}
+	// A degraded round's live set is not a prefix of the ranks: the owner
+	// must be one of its members, and there is one range per member.
+	if _, _, _, err := parsePrefillFrame(rawPrefill(1, 2, 0, 3, 3, 5), []int{0, 2}); !errors.Is(err, errBadFrame) {
+		t.Errorf("owner 1 accepted for live ranks [0 2]: %v", err)
+	}
+	id, owner, ranges, err := parsePrefillFrame(rawPrefill(2, 2, 0, 0, 0, 5), []int{0, 2})
+	if err != nil || id != 77 || owner != 2 || len(ranges) != 2 || !ranges[0].Empty() || ranges[1] != (partition.Range{From: 0, To: 5}) {
+		t.Errorf("valid degraded header parsed as id %d owner %d ranges %v err %v", id, owner, ranges, err)
+	}
+}
+
+func FuzzParsePrefillFrame(f *testing.F) {
+	for _, tc := range badPrefillHeaders {
+		f.Add(tc.frame)
+	}
+	f.Add(rawPrefill(1, 2, 0, 3, 3, 5))
+	live := []int{0, 1}
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		id, owner, ranges, err := parsePrefillFrame(frame, live)
+		if err != nil {
+			if !errors.Is(err, errBadFrame) {
+				t.Fatalf("error %v is not errBadFrame", err)
+			}
+			return
+		}
+		if owner != 0 && owner != 1 {
+			t.Fatalf("accepted owner %d outside live ranks %v", owner, live)
+		}
+		if len(ranges) != len(live) || ranges[0].From != 0 {
+			t.Fatalf("accepted ranges %v for live ranks %v", ranges, live)
+		}
+		for i, r := range ranges {
+			if r.To < r.From || (i > 0 && r.From != ranges[i-1].To) {
+				t.Fatalf("accepted non-contiguous ranges %v", ranges)
+			}
+		}
+		if again := prefillFrame(id, owner, ranges); string(again) != string(frame) {
+			t.Fatalf("accepted frame %x re-encodes as %x", frame, again)
+		}
+	})
+}
+
+// workerRound runs batchWorker on every rank of c for one hand-fed batch
+// request; stop ends it the way a failed round ends (abort, then flush) and
+// returns each rank's result.
+func workerRound(c *Cluster) (req *request, stop func() []error) {
+	req = &request{}
+	req.ctx, req.cancel = context.WithCancel(context.Background())
+	req.idle, req.stopIdle = context.WithCancel(comm.Unwatched(req.ctx))
+	errs := make([]error, c.k)
+	var wg sync.WaitGroup
+	for r := 0; r < c.k; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			errs[r] = c.batchWorker(req.ctx, c.peers[r], comm.NewExchange(c.pool), r, req)
+		}(r)
+	}
+	return req, func() []error {
+		wg.Wait()
+		req.cancel()
+		c.flushResidue()
+		return errs
+	}
+}
+
+func TestBatchWorkerRejectsMalformedPrefillHeader(t *testing.T) {
+	c := newTinyDecoder(t, 2, Options{})
+	ctx := context.Background()
+	term := c.peers[c.terminalRank()]
+	ex := comm.NewExchange(c.pool)
+	x, err := c.Model(0).Embed.EmbedTokens([]int{4, 8, 15, 16, 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := ex.Encode(x)
+	send := func(hdr []byte) {
+		t.Helper()
+		for r := 0; r < c.k; r++ {
+			if err := term.Send(ctx, r, hdr); err != nil {
+				t.Fatal(err)
+			}
+			if err := term.Send(ctx, r, blob); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, tc := range badPrefillHeaders {
+		_, stop := workerRound(c)
+		send(tc.frame)
+		for r, err := range stop() {
+			if !errors.Is(err, errBadFrame) {
+				t.Errorf("%s: rank %d returned %v, want errBadFrame", tc.name, r, err)
+			}
+		}
+	}
+	// Whatever each rejected header left unread was flushed with its round:
+	// on the same links a well-formed round runs prefill, a decode step on
+	// the owner, and a clean shutdown.
+	_, stop := workerRound(c)
+	send(prefillFrame(5, 1, []partition.Range{{From: 0, To: 3}, {From: 3, To: 5}}))
+	for r := 0; r < c.k; r++ {
+		got, err := term.Recv(ctx, r)
+		if err != nil {
+			t.Fatalf("prefill partition from rank %d: %v", r, err)
+		}
+		comm.ReleaseBuffer(got)
+	}
+	step := stepFrame(1, 1, []*batchSeq{{id: 5, tokens: []int{42}}}, []int{0})
+	if err := term.Send(ctx, 1, step); err != nil {
+		t.Fatal(err)
+	}
+	got, err := term.Recv(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, _, err := tensor.Decode(got)
+	if err != nil || row.Rows() != 1 || row.Cols() != c.cfg.F {
+		t.Fatalf("owner's step reply: %v, err %v; want one hidden row", row, err)
+	}
+	// Rank 0 holds no cache for sequence 5: a step addressed to it is
+	// rejected, not served from a replica.
+	if err := term.Send(ctx, 0, step); err != nil {
+		t.Fatal(err)
+	}
+	if err := term.Send(ctx, 1, []byte{}); err != nil {
+		t.Fatal(err)
+	}
+	errs := stop()
+	if !errors.Is(errs[0], errBadFrame) {
+		t.Errorf("rank 0 served a step for a sequence it does not own: %v", errs[0])
+	}
+	if errs[1] != nil {
+		t.Errorf("owner rank 1 ended with %v, want a clean shutdown", errs[1])
+	}
+}

@@ -260,10 +260,9 @@ type Cluster struct {
 
 	// The serving partition scheme. It starts as Options.Scheme (or even)
 	// and is swapped by InstallScheme — the adaptive controller's actuator
-	// — at safe boundaries only: requests pin the scheme at submit, batch
-	// rounds pin it at plan, and the fused decode loop migrates to a newer
-	// generation at its next step boundary. schemeGen counts installs so
-	// readers can detect staleness without comparing ratio vectors.
+	// — at safe boundaries only: requests pin the scheme at submit, and the
+	// decode batch reads it at each join (live sequences never re-slice).
+	// schemeGen counts installs: zero means never re-partitioned.
 	schemeMu  sync.RWMutex
 	scheme    *partition.Scheme
 	schemeGen uint64
@@ -425,7 +424,7 @@ func NewMem(cfg model.Config, k int, opts Options) (*Cluster, error) {
 		cm.healthTransition(rank, from, to)
 		c.flight.Eventf("health", rank, "rank %d: %s -> %s", rank, from, to)
 	}
-	c.batcher = &batcher{c: c}
+	c.batcher = &batcher{c: c, lastOwner: -1}
 	for r := range c.admitCh {
 		c.admitCh[r] = make(chan *request, depthOr(opts.AdmitDepth, defaultAdmitDepth))
 	}
@@ -708,12 +707,31 @@ func (c *Cluster) pace(ctx context.Context, start time.Time, flops int64) error 
 
 // paceRank is pace with worker rank's own rate.
 func (c *Cluster) paceRank(ctx context.Context, rank int, start time.Time, flops int64) error {
-	rate := c.deviceRate(rank)
-	if rate <= 0 {
+	budget := c.paceBudget(rank, flops)
+	if budget <= 0 {
 		return nil
 	}
-	target := time.Duration(float64(flops) / rate * float64(time.Second))
-	return netem.SleepUntil(ctx, start.Add(target))
+	return netem.SleepUntil(ctx, start.Add(budget))
+}
+
+// paceBudget is the time worker rank's emulated device takes over flops
+// (0 = unpaced).
+func (c *Cluster) paceBudget(rank int, flops int64) time.Duration {
+	rate := c.deviceRate(rank)
+	if rate <= 0 {
+		return 0
+	}
+	return time.Duration(float64(flops) / rate * float64(time.Second))
+}
+
+// deviceTime is what rank's device is charged for flops the host computed in
+// host: the paced budget, or the host's own time where that ran over it. A
+// paced sleep wakes late by the host timer's slack — a cost of the emulation,
+// not of the device, and a constant per step, so it weighs heavier per MAC on
+// a rank with fewer rows. The sensing feed compares ranks per MAC and reads
+// this instead of the wall clock.
+func (c *Cluster) deviceTime(rank int, host time.Duration, flops int64) time.Duration {
+	return max(host, c.paceBudget(rank, flops))
 }
 
 // workerGroup returns the collective group over p restricted to the given

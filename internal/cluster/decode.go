@@ -7,26 +7,30 @@ import (
 
 	"voltage/internal/comm"
 	"voltage/internal/model"
+	"voltage/internal/partition"
 	"voltage/internal/tensor"
 	"voltage/internal/trace"
 )
 
-// Distributed KV-cached generation: the prompt prefill runs under
-// Algorithm 2 (position-wise partitions + All-Gather), during which every
-// worker also builds a full K/V cache for every layer — it already holds
-// each layer's complete input, so the cache costs no extra communication.
-// Each decode step then moves only token ids to the workers and one
-// F-vector per sequence back: communication per generated token drops from
-// L·(K−1)·N·F/K floats to F floats.
+// Distributed KV-cached generation. The paper splits a layer by position
+// because positions are independent given the gathered input; in KV-cached
+// decode the independent unit is the sequence, so the two phases are
+// distributed along different axes:
 //
-// Decode-step math is replicated on every worker (it is O(N·F) per layer —
-// negligible next to prefill) so the cache stays consistent everywhere and
-// any worker could serve the output.
+//   - prefill runs under Algorithm 2 (position-wise partitions +
+//     All-Gather) over every live rank. The sequence's owner rank — chosen
+//     by the terminal at join — also builds the K/V cache of every layer
+//     from the complete layer input it already holds after each All-Gather,
+//     so the cache costs no extra communication and exists on exactly one
+//     device;
+//   - each decode step moves only the token id to the owner and one
+//     F-vector back: communication per generated token drops from
+//     L·(K−1)·N·F/K floats to F floats, with no per-layer collective.
 //
-// Generation is continuously batched (batch.go): concurrent sequences fuse
-// their decode steps into one matmul per layer per step, joining and
-// leaving the shared batch between steps. A lone request runs as the
-// degenerate batch of one, bit-identical to the old serial protocol.
+// Generation is continuously batched (batch.go): the sequences a rank owns
+// fuse their decode steps into one matmul per layer per step, and the K
+// owners advance their shares of the batch in parallel. A lone request runs
+// as the degenerate batch of one on one owner, bit-identical to a solo run.
 
 // GenerateResult reports a distributed generation run.
 type GenerateResult struct {
@@ -72,7 +76,10 @@ func (c *Cluster) GenerateVoltage(ctx context.Context, prompt []int, steps int) 
 // it is decoded, before the next decode step is issued — the serving
 // gateway streams these straight to the client. The callback runs on the
 // serving runtime's collector goroutine while the batch owns the mesh, so
-// it must not block indefinitely; a canceled request stops calling it.
+// it must not block indefinitely. No call to it begins after
+// GenerateVoltageStream has returned, and every call made happens before
+// the return: a caller may touch what the callback touched without further
+// synchronisation, whichever way the stream ended.
 //
 // The sequence executes inside the shared continuous batch: it joins at
 // the next step boundary (immediately when the mesh is idle), fuses its
@@ -113,11 +120,14 @@ func (c *Cluster) GenerateVoltageStream(ctx context.Context, prompt []int, steps
 		select {
 		case <-seq.done: // resolution raced the shutdown; prefer it
 		default:
+			seq.closeStream()
 			return nil, errServingStopped
 		}
 	case <-ctx.Done():
 		// The sequence leaves the batch at its next step boundary; the
-		// caller need not wait for that housekeeping.
+		// caller need not wait for that housekeeping — only for a token
+		// callback already in flight.
+		seq.closeStream()
 		return nil, ctx.Err()
 	}
 	if seq.err != nil {
@@ -133,13 +143,15 @@ func (c *Cluster) GenerateVoltageStream(ctx context.Context, prompt []int, steps
 }
 
 // prefillWorker runs the worker side of one sequence's prefill: Algorithm 2
-// with cache building. The worker caches every layer's K/V from the layer
-// input it holds after each All-Gather. (Activations are not recycled here:
-// the prefill state outlives the layer loop.) The partition and gather
-// group come from the request, so a degraded batch round — re-sliced over
-// the survivors after a device failure — prefills over exactly its live
-// ranks.
-func (c *Cluster) prefillWorker(ctx context.Context, p comm.Peer, ex *comm.Exchange, rank int, req *request) (*model.DecodeState, error) {
+// over the row ranges the terminal computed at join (one per live rank, in
+// live-set order — so a degraded round, re-sliced over the survivors after a
+// device failure, prefills over exactly its live ranks, and a scheme
+// installed mid-batch reaches the next joiner without touching live
+// sequences). The owner also caches every layer's K/V from the layer input
+// it holds after each All-Gather and returns the decode state; every other
+// rank returns nil. (Activations are not recycled here: the prefill state
+// outlives the layer loop.)
+func (c *Cluster) prefillWorker(ctx context.Context, p comm.Peer, ex *comm.Exchange, rank int, req *request, ranges []partition.Range, owner bool) (*model.DecodeState, error) {
 	term := c.terminalRank()
 	m := c.models[rank]
 	me := req.liveIndex(c, rank)
@@ -152,34 +164,42 @@ func (c *Cluster) prefillWorker(ctx context.Context, p comm.Peer, ex *comm.Excha
 		return nil, err
 	}
 	comm.ReleaseBuffer(blob)
-	ranges, err := req.partitionScheme(c).Ranges(x.Rows())
-	if err != nil {
-		return nil, err
+	if covered := ranges[len(ranges)-1].To; covered != x.Rows() {
+		return nil, fmt.Errorf("%w: prefill ranges cover %d of the prompt's %d rows", errBadFrame, covered, x.Rows())
 	}
 	group, err := c.workerGroup(p, req.liveRanks(c))
 	if err != nil {
 		return nil, err
 	}
-	state := &model.DecodeState{Layers: make([]*model.LayerState, len(m.Layers)), Pos: x.Rows()}
+	var state *model.DecodeState
+	if owner {
+		state = &model.DecodeState{Layers: make([]*model.LayerState, len(m.Layers)), Pos: x.Rows()}
+	}
 	for li, layer := range m.Layers {
 		start := time.Now()
-		ls, err := layer.PrefillState(x)
-		if err != nil {
-			return nil, fmt.Errorf("layer %d prefill: %w", li, err)
+		var cost int64
+		if owner {
+			ls, err := layer.PrefillState(x)
+			if err != nil {
+				return nil, fmt.Errorf("layer %d prefill: %w", li, err)
+			}
+			state.Layers[li] = ls
+			// Cache building adds the K/V projections over the full
+			// sequence: 2·N·F·FH per head.
+			cost = 2 * int64(x.Rows()) * int64(layer.F()) * int64(layer.Attn.FH()) * int64(layer.Attn.H())
 		}
-		state.Layers[li] = ls
 		part, _, err := layer.ForwardPartition(x, ranges[me])
 		if err != nil {
 			return nil, fmt.Errorf("layer %d: %w", li, err)
 		}
 		if pl := ranges[me].Len(); pl > 0 {
-			cost, err := layer.Cost(x.Rows(), pl)
+			pc, err := layer.Cost(x.Rows(), pl)
 			if err != nil {
 				return nil, err
 			}
-			// Cache building adds the K/V projections over the full
-			// sequence: 2·N·F·FH per head.
-			cost += 2 * int64(x.Rows()) * int64(layer.F()) * int64(layer.Attn.FH()) * int64(layer.Attn.H())
+			cost += pc
+		}
+		if cost > 0 {
 			if err := c.paceRank(ctx, rank, start, cost); err != nil {
 				return nil, err
 			}
@@ -201,8 +221,8 @@ func (c *Cluster) prefillWorker(ctx context.Context, p comm.Peer, ex *comm.Excha
 	return state, nil
 }
 
-// decodeStepCost is the analytic Γ of one fused KV-cached decode step over
-// the whole stack, summed across the batched sequences' cache lengths ts
+// decodeStepCost is the analytic Γ of one rank's fused KV-cached decode
+// step over the whole stack, summed across its sequences' cache lengths ts
 // (each t is a sequence's position after its token was appended): per layer
 // and sequence, H heads at 3·F·FH + 2·t·FH each, the WO projection, the FFN
 // and the layer norms. Fusing the batch does not change the MAC count —

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"context"
+	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -153,5 +155,50 @@ func TestGenerateVoltageContextCancel(t *testing.T) {
 	defer cancel()
 	if _, err := c.GenerateVoltage(ctx, []int{1, 2, 3, 4, 5, 6, 7, 8}, 3); err == nil {
 		t.Fatal("want error from cancelled generation")
+	}
+}
+
+// TestGenerateVoltageStreamNoCallbackAfterReturn cancels streams mid-decode
+// from a third goroutine. Once GenerateVoltageStream has returned, the
+// caller owns whatever the token callback touched: no callback may begin,
+// and none may still be running. The callback and the caller share a plain
+// counter, so under -race a late or in-flight callback is a reported data
+// race; the flag catches a late one without the detector too.
+func TestGenerateVoltageStreamNoCallbackAfterReturn(t *testing.T) {
+	c := newTinyDecoder(t, 2, Options{MaxBatch: 2})
+	prompt := []int{4, 8, 15}
+	for i := 0; i < 120; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		var returned atomic.Bool
+		seen := 0
+		// Sweep the cancel across the first few decode rounds.
+		delay := time.Duration(i%40) * 50 * time.Microsecond
+		go func() {
+			time.Sleep(delay)
+			cancel()
+		}()
+		_, err := c.GenerateVoltageStream(ctx, prompt, 40, func(int) {
+			if returned.Load() {
+				t.Error("token callback began after GenerateVoltageStream returned")
+			}
+			time.Sleep(50 * time.Microsecond) // a write to a slow client
+			seen++
+		})
+		returned.Store(true)
+		seen++
+		cancel()
+		if err != nil && !errors.Is(err, context.Canceled) {
+			t.Fatalf("iteration %d: %v", i, err)
+		}
+	}
+	// The abandoned sequences left at step boundaries; the batcher still
+	// serves exact streams.
+	want := soloReference(t, [][]int{prompt}, 6)
+	res, err := c.GenerateVoltage(context.Background(), prompt, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !equalTokens(res.Tokens, want[0]) {
+		t.Errorf("tokens after the cancel sweep %v != solo %v", res.Tokens, want[0])
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"voltage/internal/comm"
 	"voltage/internal/metrics"
+	"voltage/internal/model"
 	"voltage/internal/trace"
 )
 
@@ -60,8 +61,15 @@ type clusterMetrics struct {
 	batchWait   *metrics.Histogram
 	stepDur     *metrics.Histogram
 
-	// Straggler/skew detection: per-fused-round compute-time skew (max/mean
-	// across live ranks) and the per-rank persistent-straggler flags.
+	// KV-cache residency per worker rank: sequences whose caches the rank
+	// holds (it owns them) and the positions cached across them — the
+	// memory that sharding decode by sequence divides between the ranks.
+	kvSeqs      []*metrics.Gauge
+	kvPositions []*metrics.Gauge
+
+	// Straggler/skew detection: per-fused-round skew of step time per owned
+	// MAC (max/mean across the round's owners) and the per-rank
+	// persistent-straggler flags.
 	roundSkew      *metrics.Gauge
 	roundSkewEWMA  *metrics.Gauge
 	stragglerRanks []*metrics.Gauge
@@ -80,16 +88,14 @@ type clusterMetrics struct {
 	seqsResumed *metrics.Counter
 
 	// Adaptive re-partitioning: installed moves by controller cause, the
-	// currently serving per-rank ratios, the promised vs. measured
-	// round-time improvement per move, and sequences re-prefilled to
-	// migrate a live batch onto a new scheme.
+	// currently serving per-rank ratios, and the promised vs. measured
+	// round-time improvement per move.
 	repartStraggler *metrics.Counter
 	repartSkew      *metrics.Counter
 	repartManual    *metrics.Counter
 	partitionRatio  []*metrics.Gauge
 	gainPredicted   *metrics.Histogram
 	gainRealized    *metrics.Histogram
-	seqsMigrated    *metrics.Counter
 
 	queueLen *metrics.Gauge
 	inflight *metrics.Gauge
@@ -186,12 +192,22 @@ func newClusterMetrics(k int) *clusterMetrics {
 	m.batchWait = reg.Histogram("voltage_batch_wait_seconds",
 		"Time each generate sequence waited before joining a decode batch.",
 		metrics.LatencyBuckets)
+	kvSeqs := reg.GaugeVec("voltage_kv_cache_sequences",
+		"Live sequences whose KV caches a worker rank holds (it is their owner).", "rank")
+	kvPos := reg.GaugeVec("voltage_kv_cache_positions",
+		"Positions held in a worker rank's KV caches, summed over the sequences it owns.", "rank")
+	m.kvSeqs = make([]*metrics.Gauge, k)
+	m.kvPositions = make([]*metrics.Gauge, k)
+	for r := 0; r < k; r++ {
+		m.kvSeqs[r] = kvSeqs.With(rankLabel(r, k))
+		m.kvPositions[r] = kvPos.With(rankLabel(r, k))
+	}
 	m.stepDur = reg.Histogram("voltage_fused_step_seconds",
 		"Per-rank fused decode-step time (pace-inclusive emulated device time).",
 		metrics.StepBuckets)
 
 	m.roundSkew = reg.Gauge("voltage_round_skew",
-		"Last fused round's compute-time skew: max/mean across live ranks (1.0 = balanced).")
+		"Last fused round's skew of step time per owned MAC: max/mean across the round's owner ranks (1.0 = equal devices).")
 	m.roundSkewEWMA = reg.Gauge("voltage_round_skew_ewma",
 		"Rolling average of per-round compute-time skew.")
 	stragglers := reg.GaugeVec("voltage_straggler",
@@ -232,8 +248,6 @@ func newClusterMetrics(k int) *clusterMetrics {
 		"Fractional round-time improvement the controller predicted at each install.", gainBuckets)
 	m.gainRealized = reg.Histogram("voltage_repartition_realized_gain",
 		"Fractional improvement measured after each move settled (negative = the move hurt).", gainBuckets)
-	m.seqsMigrated = reg.Counter("voltage_batch_migrations_total",
-		"Live sequences parked and re-prefilled to migrate onto a newly installed scheme.")
 
 	m.queueLen = reg.Gauge("voltage_queue_length",
 		"Requests currently waiting in the admission queue.")
@@ -373,6 +387,20 @@ func (m *clusterMetrics) observeBatchStep(width int) {
 	m.fusedSteps.Inc()
 }
 
+// kvCache mirrors one worker's cache table: how many sequences it owns and
+// the positions cached across them.
+func (m *clusterMetrics) kvCache(rank int, states map[uint32]*model.DecodeState) {
+	if m == nil {
+		return
+	}
+	positions := 0
+	for _, st := range states {
+		positions += st.Pos
+	}
+	m.kvSeqs[rank].Set(float64(len(states)))
+	m.kvPositions[rank].Set(float64(positions))
+}
+
 // observeStepDur records one rank's fused decode-step time.
 func (m *clusterMetrics) observeStepDur(d time.Duration) {
 	if m == nil {
@@ -453,14 +481,6 @@ func (m *clusterMetrics) batchSeqResumed() {
 		return
 	}
 	m.seqsResumed.Inc()
-}
-
-// batchSeqMigrated counts a sequence re-prefilled across a scheme install.
-func (m *clusterMetrics) batchSeqMigrated() {
-	if m == nil {
-		return
-	}
-	m.seqsMigrated.Inc()
 }
 
 // gainBuckets resolve the predicted/realized improvement histograms:

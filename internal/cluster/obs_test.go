@@ -19,8 +19,9 @@ import (
 // pull the per-rank fused-step and compute-phase EWMAs apart.
 func TestProfileSkewConvergesOnSlowRank(t *testing.T) {
 	c := newTinyDecoder(t, 3, Options{
-		// Rank 2 emulates a device 4x slower: fused-step times ~[1,1,4]x,
-		// so per-round skew = max/mean = 4/2 = 2.0, above the 1.5 default.
+		// Rank 2 emulates a device 4x slower: each rank owns one sequence,
+		// and per MAC of its own row the fused-step times are ~[1,1,4]x, so
+		// per-round skew = max/mean = 4/2 = 2.0, above the 1.5 default.
 		// Rates are low enough that the paced interval dominates the real
 		// (wall-clock) matmul time, keeping the contrast deterministic.
 		HeteroDeviceFlops: []float64{7.5e6, 7.5e6, 1.875e6},
@@ -40,10 +41,9 @@ func TestProfileSkewConvergesOnSlowRank(t *testing.T) {
 	}
 	wg.Wait()
 
-	// The sequences are done, but the slow rank is still draining its
-	// FIFO backlog of fused-step frames (the terminal only waits for the
-	// reporting rank), and rounds finalize as the last rank reports — poll
-	// until enough rounds close.
+	// Each rank owns one of the three sequences, so every round has three
+	// owners and closes when the slow one reports — before the terminal can
+	// move on. The poll only covers the store's bookkeeping.
 	p := c.Profile()
 	for deadline := time.Now().Add(10 * time.Second); p.Rounds < 15; p = c.Profile() {
 		if time.Now().After(deadline) {

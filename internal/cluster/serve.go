@@ -94,10 +94,6 @@ type request struct {
 	attempts int
 	degraded bool
 	fenced   bool
-	// schemeGen is the scheme generation a batch round was planned under;
-	// the fused decode loop migrates at a step boundary when the installed
-	// generation moves past it (see adapt.go).
-	schemeGen uint64
 	// supervised attempts are counted as requests by their supervisor, not
 	// by collect (which counts each as an attempt only).
 	supervised bool
@@ -106,9 +102,16 @@ type request struct {
 	trace *trace.RequestTrace
 
 	// ctx governs the whole request; cancel releases every role on the
-	// first error so no goroutine blocks on a dead request.
-	ctx    context.Context
-	cancel context.CancelFunc
+	// first error so no goroutine blocks on a dead request. idle, set on
+	// batched-generate requests only, is the context a batch worker owning
+	// no sequence waits for its next frame under: exempt from the per-op
+	// watchdog (silence is not a fault there) and released by every abort —
+	// including the fenced, watchdog-carrying ones that skip cancel, whose
+	// idle ranks no watchdog would otherwise release.
+	ctx      context.Context
+	cancel   context.CancelFunc
+	idle     context.Context
+	stopIdle context.CancelFunc
 
 	start      time.Time
 	output     *tensor.Matrix
@@ -185,6 +188,9 @@ func (req *request) partitionScheme(c *Cluster) *partition.Scheme {
 // the faulty rank's own, blaming an innocent peer) decide the vote alone.
 // finish still cancels once the request resolves, so nothing outlives it.
 func (c *Cluster) abort(req *request) {
+	if req.stopIdle != nil {
+		req.stopIdle()
+	}
 	if req.fenced && c.opts.OpTimeout > 0 {
 		return
 	}
@@ -290,7 +296,7 @@ func (c *Cluster) submit(ctx context.Context, req *request) (*Pending, error) {
 		// rank partitions identically, and an adaptive install mid-flight
 		// only affects work admitted after it (the between-requests safe
 		// boundary). Degraded attempts arrive with their own re-slice.
-		req.scheme, req.schemeGen = c.schemeSnapshot()
+		req.scheme = c.currentScheme()
 	}
 	req.id = c.nextID.Add(1)
 	if c.opts.TraceRequests {
@@ -310,6 +316,9 @@ func (c *Cluster) submit(ctx context.Context, req *request) (*Pending, error) {
 		req.cancel = func() { inner(); deadlineCancel() }
 	} else {
 		req.ctx, req.cancel = context.WithCancel(ctx)
+	}
+	if _, batch := req.runner.(batchRunner); batch {
+		req.idle, req.stopIdle = context.WithCancel(comm.Unwatched(req.ctx))
 	}
 	req.workers.Add(c.k)
 	// Deterministic fast-fail: a select with a ready queue slot could

@@ -35,6 +35,19 @@ func WithOpTimeout(base Peer, d time.Duration, taps ...FaultTap) Peer {
 	return &TimeoutPeer{base: base, d: d, taps: nonNilTaps(taps)}
 }
 
+// unwatchedKey marks a context whose operations a TimeoutPeer leaves
+// unbounded.
+type unwatchedKey struct{}
+
+// Unwatched returns a context under which a TimeoutPeer applies no per-op
+// deadline: for a wait on a link that may legitimately stay silent (a
+// device with no work this round awaiting its next command), where an
+// expiry would report a fault that did not happen. The caller's own
+// cancellation is then the only thing that ends the wait.
+func Unwatched(ctx context.Context) context.Context {
+	return context.WithValue(ctx, unwatchedKey{}, true)
+}
+
 // Rank implements Peer.
 func (p *TimeoutPeer) Rank() int { return p.base.Rank() }
 
@@ -54,6 +67,9 @@ func (p *TimeoutPeer) Send(ctx context.Context, to int, data []byte) error {
 // Recv implements Peer under the per-op deadline. A timeout blames the
 // source rank: the expected message never arrived.
 func (p *TimeoutPeer) Recv(ctx context.Context, from int) ([]byte, error) {
+	if ctx.Value(unwatchedKey{}) != nil {
+		return p.base.Recv(ctx, from)
+	}
 	opCtx, cancel := context.WithTimeout(ctx, p.d)
 	defer cancel()
 	blob, err := p.base.Recv(opCtx, from)

@@ -92,3 +92,28 @@ func TestOpTimeoutOverFlakyDelay(t *testing.T) {
 		t.Fatalf("delay past deadline: want ErrTimeout, got %v", err)
 	}
 }
+
+func TestOpTimeoutUnwatchedRecvOutlivesDeadline(t *testing.T) {
+	// An Unwatched wait is not a fault however long the link stays silent:
+	// it sits out several deadlines, fires no tap, and still delivers; the
+	// caller's cancellation ends it with the caller's error.
+	peers := memPair(t, 2, netem.Unlimited)
+	taps := 0
+	receiver := WithOpTimeout(peers[1], 10*time.Millisecond, func(FaultKind, int) { taps++ })
+	go func() {
+		time.Sleep(50 * time.Millisecond)
+		_ = peers[0].Send(context.Background(), 1, []byte("late"))
+	}()
+	got, err := receiver.Recv(Unwatched(context.Background()), 0)
+	if err != nil || string(got) != "late" {
+		t.Fatalf("unwatched recv = %q, %v; want the late message", got, err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := receiver.Recv(Unwatched(ctx), 0); !errors.Is(err, context.Canceled) || errors.Is(err, ErrTimeout) {
+		t.Fatalf("canceled unwatched recv: %v, want context.Canceled", err)
+	}
+	if taps != 0 {
+		t.Fatalf("%d watchdog taps fired on unwatched waits", taps)
+	}
+}

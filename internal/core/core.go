@@ -194,7 +194,8 @@ func (e *Engine) GenerateCached(ctx context.Context, prompt []int, steps int) (*
 // called with each generated token id as soon as it is decoded, before the
 // next decode step runs — the serving gateway's streaming endpoint rides on
 // this. The callback runs on the serving runtime's collector goroutine and
-// must not block indefinitely.
+// must not block indefinitely; no call to it begins after GenerateStream
+// returns, however the stream ended.
 func (e *Engine) GenerateStream(ctx context.Context, prompt []int, steps int, onToken func(tok int)) (*cluster.GenerateResult, error) {
 	return e.cluster.GenerateVoltageStream(ctx, prompt, steps, onToken)
 }

@@ -66,14 +66,14 @@ func TestRecordRoundSkewAndStraggler(t *testing.T) {
 	round := uint64(0)
 	slowRound := func() {
 		round++
-		s.RecordRound(round, 0, 3, time.Millisecond)
-		s.RecordRound(round, 1, 3, time.Millisecond)
-		s.RecordRound(round, 2, 3, 4*time.Millisecond)
+		s.RecordRound(round, 0, 3, time.Millisecond, 1000)
+		s.RecordRound(round, 1, 3, time.Millisecond, 1000)
+		s.RecordRound(round, 2, 3, 4*time.Millisecond, 1000)
 	}
 	evenRound := func() {
 		round++
 		for r := 0; r < 3; r++ {
-			s.RecordRound(round, r, 3, time.Millisecond)
+			s.RecordRound(round, r, 3, time.Millisecond, 1000)
 		}
 	}
 	slowRound()
@@ -112,20 +112,146 @@ func TestRecordRoundSkewAndStraggler(t *testing.T) {
 	}
 }
 
+// TestRecordRoundNormalisesUnequalShares: owners advance different numbers
+// of sequences, so raw step times differ without any rank being slow. Four
+// sequences over three ranks (2·1·1 rows) take [2,1,1] ms on equal devices —
+// raw max/mean 1.5, which the threshold would flag — but per unit of work
+// the round is even. A rank that is 4x slow on a single row still stands out
+// although its raw time only matches the two-row rank's doubled.
+func TestRecordRoundNormalisesUnequalShares(t *testing.T) {
+	const row = 1000 // work units per owned row
+	s := NewStore(StoreOptions{K: 3, SkewThreshold: 1.5, StragglerRounds: 3})
+	for round := uint64(1); round <= 6; round++ {
+		s.RecordRound(round, 0, 3, 2*time.Millisecond, 2*row)
+		s.RecordRound(round, 1, 3, time.Millisecond, row)
+		s.RecordRound(round, 2, 3, time.Millisecond, row)
+	}
+	p := s.Profile()
+	if p.Rounds != 6 || p.Skew > 1.01 || p.SkewEWMA > 1.01 {
+		t.Fatalf("even devices, 2·1·1 rows: rounds=%d skew=%g ewma=%g, want skew 1.0", p.Rounds, p.Skew, p.SkewEWMA)
+	}
+	for _, r := range p.Ranks {
+		if r.Straggler {
+			t.Fatalf("rank %d flagged on an even round", r.Rank)
+		}
+	}
+	if ss := p.StepSkew(); ss > 1.01 {
+		t.Errorf("StepSkew %g, want 1.0", ss)
+	}
+	for round := uint64(7); round <= 12; round++ {
+		s.RecordRound(round, 0, 3, 2*time.Millisecond, 2*row)
+		s.RecordRound(round, 1, 3, time.Millisecond, row)
+		s.RecordRound(round, 2, 3, 4*time.Millisecond, row) // 4x slow on one row
+	}
+	p = s.Profile()
+	if p.Skew < 1.99 || !p.Ranks[2].Straggler || p.Ranks[0].Straggler || p.Ranks[1].Straggler {
+		t.Fatalf("4x-slow rank 2: skew=%g flags=%v/%v/%v, want skew 2.0 and only rank 2 flagged",
+			p.Skew, p.Ranks[0].Straggler, p.Ranks[1].Straggler, p.Ranks[2].Straggler)
+	}
+	// Rounds only two ranks take part in close on those two reports.
+	s.RecordRound(13, 0, 2, time.Millisecond, row)
+	s.RecordRound(13, 1, 2, time.Millisecond, row)
+	if got := s.Profile().Rounds; got != 13 {
+		t.Fatalf("rounds=%d, want 13 (a two-owner round closes at two reports)", got)
+	}
+	// A report without work carries no rate and is dropped.
+	s.RecordRound(14, 0, 1, time.Millisecond, 0)
+	if got := s.Profile().Rounds; got != 13 {
+		t.Fatalf("rounds=%d after a zero-work report, want 13", got)
+	}
+}
+
+// TestRecordRoundLearnsFixedStepCost: a step costs a constant on top of its
+// rows, so on equal devices a one-row rank reads slower per unit of work than
+// a two-row rank. While ownership stands still (2·1·1 throughout) nothing
+// separates the constant from the device, and the store compares d/work; once
+// sequences come and go and each rank has owned one row and two, it reads the
+// constant off the ranks' lines and the comparison turns even — with a rank
+// that really is 4x slow, rows and constant alike, still standing out.
+func TestRecordRoundLearnsFixedStepCost(t *testing.T) {
+	const (
+		row   = 1000             // work units per owned row
+		unit  = time.Microsecond // equal devices: time per work unit
+		fixed = 300 * unit       // per step, whatever the rows
+	)
+	s := NewStore(StoreOptions{K: 3, SkewThreshold: 1.5, StragglerRounds: 3})
+	round := uint64(0)
+	// play runs one round with the given rows per rank; slow multiplies rank
+	// 2's time. Step times wobble ±3 % on a fixed pattern.
+	play := func(rows [3]int, slow int) {
+		round++
+		for r, n := range rows {
+			d := fixed + time.Duration(n*row)*unit
+			d += d * time.Duration(int(round+uint64(r))%7-3) / 100
+			if r == 2 {
+				d *= time.Duration(slow)
+			}
+			s.RecordRound(round, r, 3, d, int64(n*row))
+		}
+	}
+	spread := func() float64 {
+		p := s.Profile()
+		lo, hi := p.Ranks[0].StepEWMASeconds, p.Ranks[0].StepEWMASeconds
+		for _, r := range p.Ranks[1:3] {
+			lo, hi = min(lo, r.StepEWMASeconds), max(hi, r.StepEWMASeconds)
+		}
+		return hi / lo
+	}
+	for i := 0; i < 40; i++ {
+		play([3]int{2, 1, 1}, 1)
+	}
+	if p := s.Profile(); p.StepFixedWork != 0 {
+		t.Fatalf("fixed work %g read off ranks whose work never varied", p.StepFixedWork)
+	}
+	if got := spread(); got < 1.08 || got > 1.2 {
+		t.Fatalf("static 2·1·1 with a fixed cost: per-unit spread %.3f, want the uncorrected ~1.13", got)
+	}
+	// Ownership rotates: every rank owns two rows for a while, one otherwise.
+	for i := 0; i < 120; i++ {
+		rows := [3]int{1, 1, 1}
+		rows[i/8%3] = 2
+		play(rows, 1)
+	}
+	p := s.Profile()
+	if want := float64(fixed / unit); p.StepFixedWork < 0.8*want || p.StepFixedWork > 1.2*want {
+		t.Fatalf("fixed work %.0f units, want ~%.0f", p.StepFixedWork, want)
+	}
+	for i := 0; i < 12; i++ {
+		play([3]int{2, 1, 1}, 1)
+	}
+	p = s.Profile()
+	if got := spread(); got > 1.05 || p.SkewEWMA > 1.05 {
+		t.Fatalf("2·1·1 on equal devices after learning the fixed cost: per-unit spread %.3f, skew EWMA %.3f, want ~1.0", got, p.SkewEWMA)
+	}
+	for _, r := range p.Ranks {
+		if r.Straggler {
+			t.Fatalf("rank %d flagged on equal devices", r.Rank)
+		}
+	}
+	for i := 0; i < 6; i++ {
+		play([3]int{2, 1, 1}, 4)
+	}
+	p = s.Profile()
+	if p.Skew < 1.9 || !p.Ranks[2].Straggler || p.Ranks[0].Straggler || p.Ranks[1].Straggler {
+		t.Fatalf("4x-slow rank 2: skew=%g flags=%v/%v/%v, want ~2.0 and only rank 2 flagged",
+			p.Skew, p.Ranks[0].Straggler, p.Ranks[1].Straggler, p.Ranks[2].Straggler)
+	}
+}
+
 func TestRecordRoundPartialEviction(t *testing.T) {
 	s := NewStore(StoreOptions{K: 2})
 	// Open far more partial rounds than the store retains; none finalize.
 	for r := uint64(1); r <= 3*maxPartialRounds; r++ {
-		s.RecordRound(r, 0, 3, time.Millisecond)
+		s.RecordRound(r, 0, 3, time.Millisecond, 1000)
 	}
 	if p := s.Profile(); p.Rounds != 0 {
 		t.Fatalf("rounds=%d, want 0 (no round fully reported)", p.Rounds)
 	}
 	// A fresh round still finalizes normally after the churn.
 	id := uint64(10_000)
-	s.RecordRound(id, 0, 3, time.Millisecond)
-	s.RecordRound(id, 1, 3, time.Millisecond)
-	s.RecordRound(id, 2, 3, time.Millisecond)
+	s.RecordRound(id, 0, 3, time.Millisecond, 1000)
+	s.RecordRound(id, 1, 3, time.Millisecond, 1000)
+	s.RecordRound(id, 2, 3, time.Millisecond, 1000)
 	if p := s.Profile(); p.Rounds != 1 {
 		t.Fatalf("rounds=%d after complete round, want 1", p.Rounds)
 	}
@@ -136,8 +262,8 @@ func TestRecordRoundPartialEviction(t *testing.T) {
 // forever for a report that will never come.
 func TestRecordRoundShrinkingLiveSet(t *testing.T) {
 	s := NewStore(StoreOptions{K: 2})
-	s.RecordRound(7, 0, 3, time.Millisecond)
-	s.RecordRound(7, 1, 2, time.Millisecond) // rank 2 died; live is now 2
+	s.RecordRound(7, 0, 3, time.Millisecond, 1000)
+	s.RecordRound(7, 1, 2, time.Millisecond, 1000) // rank 2 died; live is now 2
 	if p := s.Profile(); p.Rounds != 1 {
 		t.Fatalf("rounds=%d, want 1 (round should close at live=2)", p.Rounds)
 	}

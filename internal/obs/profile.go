@@ -21,8 +21,8 @@ import (
 const (
 	// DefaultAlpha is the EWMA weight given to each new sample.
 	DefaultAlpha = 0.25
-	// DefaultSkewThreshold is the per-round max/mean compute-time ratio a
-	// rank must exceed to count toward straggler detection.
+	// DefaultSkewThreshold is the per-round ratio of a rank's per-work-unit
+	// step time to the round's mean that counts toward straggler detection.
 	DefaultSkewThreshold = 1.5
 	// DefaultStragglerRounds is how many consecutive qualifying (or
 	// recovered) rounds flip the straggler flag on (or off).
@@ -31,6 +31,14 @@ const (
 	// maxPartialRounds bounds the number of in-flight (not yet fully
 	// reported) fused rounds the store tracks; older partials are dropped.
 	maxPartialRounds = 64
+
+	// The fixed-cost fit (stepFit) forgets slowly — a step's fixed part is a
+	// property of the device and the protocol, not of the moment — and reads
+	// a rank's line only once it has fitMinSamples samples whose work spreads
+	// (standard deviation) over at least fitMinSpread of its mean.
+	fitAlpha      = 1.0 / 32
+	fitMinSamples = 16
+	fitMinSpread  = 0.1
 )
 
 // StoreOptions configures a profile Store.
@@ -59,22 +67,65 @@ type phaseEst struct {
 }
 
 func (e *phaseEst) observe(d time.Duration, alpha float64) {
-	s := d.Seconds()
+	e.observeSeconds(d.Seconds(), alpha)
+	e.total += d
+}
+
+func (e *phaseEst) observeSeconds(s, alpha float64) {
 	if e.samples == 0 {
 		e.ewma = s
 	} else {
 		e.ewma += alpha * (s - e.ewma)
 	}
-	e.total += d
 	e.samples++
 }
 
-// partialRound collects per-rank fused-step times for one round until all
-// live ranks have reported.
+// stepFit is one rank's least-squares line through its (work, step time)
+// samples, recent ones weighing more: the rolling means of both, of work²
+// and of their product.
+type stepFit struct {
+	n            int
+	w, d, ww, wd float64
+}
+
+func (f *stepFit) add(w, d float64) {
+	if f.n == 0 {
+		f.w, f.d, f.ww, f.wd = w, d, w*w, w*d
+	} else {
+		f.w += fitAlpha * (w - f.w)
+		f.d += fitAlpha * (d - f.d)
+		f.ww += fitAlpha * (w*w - f.ww)
+		f.wd += fitAlpha * (w*d - f.wd)
+	}
+	f.n++
+}
+
+// fixedWork reads the line's intercept in work units: the work that takes
+// the rank as long as the part of a step that does not grow with its rows.
+// A device k times slower is k times slower on both parts, so the figure is
+// comparable across ranks. ok is false while the rank's work has not varied
+// enough to tell the parts apart (it has owned the same rows all along), or
+// the samples do not lie on a rising line with a credible intercept — a
+// fixed part beyond half the mean work is noise, not a matmul-bound step.
+func (f *stepFit) fixedWork() (fixed float64, ok bool) {
+	varW := f.ww - f.w*f.w
+	cov := f.wd - f.w*f.d
+	if f.n < fitMinSamples || varW < fitMinSpread*fitMinSpread*f.w*f.w || cov <= 0 {
+		return 0, false
+	}
+	fixed = f.d*varW/cov - f.w // intercept ÷ slope
+	if fixed > f.w/2 {
+		return 0, false
+	}
+	return max(fixed, 0), true
+}
+
+// partialRound collects per-rank fused-step times (seconds per unit of the
+// rank's work) for one round until every participating rank has reported.
 type partialRound struct {
 	round uint64
 	want  int
-	times map[int]time.Duration
+	times map[int]float64
 }
 
 // Store is the rolling per-rank profile: per-phase EWMA timings, scoped
@@ -86,7 +137,10 @@ type Store struct {
 
 	mu     sync.Mutex
 	phases [][]phaseEst // [rank][phase-1]
-	steps  []phaseEst   // per-rank fused decode step
+	steps  []phaseEst   // per-rank fused decode step, seconds per work unit
+	fits   []stepFit    // per-rank step time against work
+	fixed  float64      // a step's fixed cost in work units, pooled over fits
+	fitted bool         // fixed has been read off at least one rank's line
 	sent   []int64      // comm bytes per rank
 	recv   []int64
 
@@ -116,6 +170,7 @@ func NewStore(opts StoreOptions) *Store {
 		opts:      opts,
 		phases:    make([][]phaseEst, n),
 		steps:     make([]phaseEst, n),
+		fits:      make([]stepFit, n),
 		sent:      make([]int64, n),
 		recv:      make([]int64, n),
 		above:     make([]int, n),
@@ -153,18 +208,30 @@ func (s *Store) RecordComm(rank int, sent, recv int64) {
 	s.mu.Unlock()
 }
 
-// RecordRound reports rank's compute time for fused round `round`, which
-// `live` ranks participate in. When the last participant reports, the
-// round finalizes: skew (max/mean) is computed, per-rank step estimates
-// update, and the straggler detector advances. Rounds interleave freely —
-// a bounded set of partial rounds is kept and stale ones are dropped.
-func (s *Store) RecordRound(round uint64, rank, live int, d time.Duration) {
-	if s == nil || rank < 0 || rank >= len(s.steps) || live <= 0 {
+// RecordRound reports that rank spent d on `work` units of fused round
+// `round`, in which `live` ranks took part. Ranks do unequal shares of a
+// round (each advances only the sequences it owns), so every comparison —
+// the per-rank step estimate, the round's skew, the straggler detector —
+// is per unit of work; the cluster passes the analytic MAC count of the
+// rank's rows. A step also has a part that does not grow with its rows
+// (weights are streamed once however many rows ride the matmul), which
+// weighs heavier per unit on a rank with fewer rows: the store learns it
+// from how each rank's step time moves with its work (stepFit), pools the
+// ranks' readings, and divides d by work plus that fixed share. Until some
+// rank's work has varied the share is zero and the comparison is d/work.
+// When the last participant reports, the round finalizes: skew (max/mean) is
+// computed and the straggler detector advances. Rounds interleave freely — a
+// bounded set of partial rounds is kept and stale ones are dropped.
+func (s *Store) RecordRound(round uint64, rank, live int, d time.Duration, work int64) {
+	if s == nil || rank < 0 || rank >= len(s.steps) || live <= 0 || work <= 0 {
 		return
 	}
 	var fire []func()
 	s.mu.Lock()
-	s.steps[rank].observe(d, s.opts.Alpha)
+	s.fits[rank].add(float64(work), d.Seconds())
+	s.poolFixedLocked()
+	unit := d.Seconds() / (float64(work) + s.fixed)
+	s.steps[rank].observeSeconds(unit, s.opts.Alpha)
 	pi := -1
 	for i := range s.partial {
 		if s.partial[i].round == round {
@@ -176,14 +243,14 @@ func (s *Store) RecordRound(round uint64, rank, live int, d time.Duration) {
 		if len(s.partial) >= maxPartialRounds {
 			s.partial = s.partial[1:]
 		}
-		s.partial = append(s.partial, partialRound{round: round, want: live, times: make(map[int]time.Duration, live)})
+		s.partial = append(s.partial, partialRound{round: round, want: live, times: make(map[int]float64, live)})
 		pi = len(s.partial) - 1
 	}
 	p := &s.partial[pi]
 	if live < p.want {
 		p.want = live // a rank died mid-round: settle for the smaller live set
 	}
-	p.times[rank] = d
+	p.times[rank] = unit
 	if len(p.times) >= p.want {
 		fire = s.finalizeLocked(p)
 		s.partial = append(s.partial[:pi], s.partial[pi+1:]...)
@@ -194,21 +261,41 @@ func (s *Store) RecordRound(round uint64, rank, live int, d time.Duration) {
 	}
 }
 
+// poolFixedLocked moves the store's fixed-work estimate toward the mean of
+// the ranks' current readings, keeping it when no rank has one.
+func (s *Store) poolFixedLocked() {
+	var sum float64
+	n := 0
+	for i := range s.fits {
+		if f, ok := s.fits[i].fixedWork(); ok {
+			sum += f
+			n++
+		}
+	}
+	switch {
+	case n == 0:
+	case !s.fitted:
+		s.fixed, s.fitted = sum/float64(n), true
+	default:
+		s.fixed += fitAlpha * (sum/float64(n) - s.fixed)
+	}
+}
+
 // finalizeLocked closes one fully-reported round and returns the callbacks
 // to fire after the lock is released.
 func (s *Store) finalizeLocked(p *partialRound) []func() {
-	var max, sum time.Duration
+	var max, sum float64
 	for _, d := range p.times {
 		sum += d
 		if d > max {
 			max = d
 		}
 	}
-	mean := float64(sum) / float64(len(p.times))
+	mean := sum / float64(len(p.times))
 	if mean <= 0 {
 		return nil
 	}
-	skew := float64(max) / mean
+	skew := max / mean
 	s.rounds++
 	s.lastSkew = skew
 	if s.rounds == 1 {
@@ -223,7 +310,7 @@ func (s *Store) finalizeLocked(p *partialRound) []func() {
 		fire = append(fire, func() { f(round, skew, ewma) })
 	}
 	for rank, d := range p.times {
-		ratio := float64(d) / mean
+		ratio := d / mean
 		if ratio >= s.opts.SkewThreshold {
 			s.above[rank]++
 			s.below[rank] = 0
@@ -268,8 +355,11 @@ type RankProfile struct {
 	// Phases maps phase name ("compute", "comm", ...) to its estimates;
 	// phases never observed are omitted.
 	Phases map[string]PhaseStats `json:"phases,omitempty"`
-	// StepEWMASeconds is the rolling fused-decode-step time — the primary
-	// skew signal for re-partitioning.
+	// StepEWMASeconds is the rolling fused-decode-step time per unit of the
+	// rank's own work (seconds per MAC in the cluster's feed, the step's
+	// fixed cost counted as Profile.StepFixedWork more units) — the primary
+	// skew signal for re-partitioning, comparable across ranks however the
+	// round's sequences were split between them.
 	StepEWMASeconds float64 `json:"step_ewma_seconds,omitempty"`
 	StepSamples     uint64  `json:"step_samples,omitempty"`
 	BytesSent       int64   `json:"bytes_sent,omitempty"`
@@ -284,11 +374,15 @@ type Profile struct {
 	K int `json:"k"`
 	// Rounds counts completed fused decode rounds.
 	Rounds uint64 `json:"rounds"`
-	// Skew is the last round's max/mean compute-time ratio across live
-	// ranks; SkewEWMA is its rolling average.
-	Skew     float64       `json:"skew,omitempty"`
-	SkewEWMA float64       `json:"skew_ewma,omitempty"`
-	Ranks    []RankProfile `json:"ranks"`
+	// Skew is the last round's max/mean ratio of per-work-unit step time
+	// across the ranks that took part; SkewEWMA is its rolling average.
+	Skew     float64 `json:"skew,omitempty"`
+	SkewEWMA float64 `json:"skew_ewma,omitempty"`
+	// StepFixedWork is the learned fixed cost of a fused step in work units
+	// (see RecordRound); every rank's step time is compared per unit of its
+	// work plus this. Zero until some rank's work has varied.
+	StepFixedWork float64       `json:"step_fixed_work,omitempty"`
+	Ranks         []RankProfile `json:"ranks"`
 }
 
 // StepSkew is the converged skew estimate: max/mean of the per-rank fused
@@ -321,11 +415,12 @@ func (s *Store) Profile() Profile {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	p := Profile{
-		K:        s.opts.K,
-		Rounds:   s.rounds,
-		Skew:     s.lastSkew,
-		SkewEWMA: s.skewEWMA,
-		Ranks:    make([]RankProfile, len(s.phases)),
+		K:             s.opts.K,
+		Rounds:        s.rounds,
+		Skew:          s.lastSkew,
+		SkewEWMA:      s.skewEWMA,
+		StepFixedWork: s.fixed,
+		Ranks:         make([]RankProfile, len(s.phases)),
 	}
 	for r := range s.phases {
 		rp := RankProfile{

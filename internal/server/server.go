@@ -49,9 +49,13 @@ type Backend interface {
 	// ClassifyTokens serves one classification request.
 	ClassifyTokens(ctx context.Context, strategy cluster.Strategy, ids []int) (*core.Prediction, error)
 	// GenerateStream decodes steps tokens, calling onToken as each is
-	// produced. Backends without generation support return an error. A
-	// mid-stream failure may return a non-nil partial result alongside
-	// the error, carrying the accounting accumulated before the failure.
+	// produced. No onToken call may begin after GenerateStream returns —
+	// also when ctx is canceled mid-stream — and every call made must
+	// happen before the return: the handler writes the response from the
+	// callback and, afterwards, from its own goroutine. Backends without
+	// generation support return an error. A mid-stream failure may return
+	// a non-nil partial result alongside the error, carrying the
+	// accounting accumulated before the failure.
 	GenerateStream(ctx context.Context, prompt []int, steps int, onToken func(tok int)) (*cluster.GenerateResult, error)
 	// Health reports per-worker serving eligibility (empty when the
 	// backend has no health tracking).

@@ -791,3 +791,35 @@ func TestDebugEndpointsAndShedEvents(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 }
+
+// TestGenerateCancelMidStreamLeavesResponseToHandler cancels /v1/generate
+// requests at points swept across the decode. Once ServeHTTP has returned
+// the ResponseWriter belongs to the server again: the engine must not run a
+// token callback — which writes a chunk — after that. The recorder is not
+// synchronised, so under -race a late callback is a reported data race with
+// the read below.
+func TestGenerateCancelMidStreamLeavesResponseToHandler(t *testing.T) {
+	eng := newEngine(t, model.TinyDecoder(), 2)
+	s, err := New(eng, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	h := s.Handler()
+	for i := 0; i < 80; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		req := httptest.NewRequest(http.MethodPost, "/v1/generate",
+			strings.NewReader(`{"prompt":[1,2,3],"steps":40}`)).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		delay := time.Duration(i%40) * 75 * time.Microsecond
+		go func() {
+			time.Sleep(delay)
+			cancel()
+		}()
+		h.ServeHTTP(rec, req)
+		if n := rec.Body.Len(); rec.Code == http.StatusOK && n == 0 {
+			t.Errorf("iteration %d: 200 with an empty body", i)
+		}
+		cancel()
+	}
+}

@@ -101,6 +101,20 @@ func (m *Matrix) SetRowSlice(from int, src *Matrix) error {
 	return nil
 }
 
+// AppendRow grows m by one row in place. The backing slice grows
+// geometrically (Go's append), so a matrix extended one row at a time — a
+// KV cache gaining a position per decoded token — copies its contents
+// O(log n) times instead of once per row. Slices previously returned by Row
+// or Data may alias the old backing array afterwards.
+func (m *Matrix) AppendRow(row []float32) error {
+	if len(row) != m.cols {
+		return fmt.Errorf("%w: append row of %d to %dx%d", ErrShape, len(row), m.rows, m.cols)
+	}
+	m.data = append(m.data, row...)
+	m.rows++
+	return nil
+}
+
 // T returns the transpose as a new matrix.
 func (m *Matrix) T() *Matrix {
 	out := New(m.cols, m.rows)

@@ -113,6 +113,37 @@ func TestRowSliceSetRowSliceRoundTrip(t *testing.T) {
 	}
 }
 
+func TestAppendRowGrowsInPlaceAmortised(t *testing.T) {
+	m := New(0, 3)
+	want := New(64, 3)
+	grows := 0
+	for i := 0; i < 64; i++ {
+		row := []float32{float32(i), float32(2 * i), float32(3 * i)}
+		copy(want.Row(i), row)
+		before := cap(m.data)
+		if err := m.AppendRow(row); err != nil {
+			t.Fatal(err)
+		}
+		if cap(m.data) != before {
+			grows++
+		}
+	}
+	if !m.Equal(want) {
+		t.Fatalf("appended matrix %v differs from row-by-row reference", m)
+	}
+	// Geometric capacity: 64 appends reallocate a logarithmic number of
+	// times, not once per row.
+	if grows > 12 {
+		t.Errorf("%d reallocations over 64 appends, want amortised growth", grows)
+	}
+	if err := m.AppendRow([]float32{1, 2}); !errors.Is(err, ErrShape) {
+		t.Errorf("short row: err = %v, want ErrShape", err)
+	}
+	if m.Rows() != 64 {
+		t.Errorf("failed append changed rows to %d", m.Rows())
+	}
+}
+
 func TestTranspose(t *testing.T) {
 	m, _ := NewFromData(2, 3, []float32{1, 2, 3, 4, 5, 6})
 	mt := m.T()

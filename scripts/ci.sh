@@ -22,8 +22,8 @@ go build ./cmd/...
 echo "== go test ./..."
 go test ./...
 
-echo "== go test -race ./internal/cluster/... ./internal/comm/... ./internal/trace/... ./internal/obs/... ./internal/adapt/... ./internal/balance/..."
-go test -race ./internal/cluster/... ./internal/comm/... ./internal/trace/... ./internal/obs/... ./internal/adapt/... ./internal/balance/...
+echo "== go test -race ./internal/cluster/... ./internal/comm/... ./internal/trace/... ./internal/obs/... ./internal/adapt/... ./internal/balance/... ./internal/server/..."
+go test -race ./internal/cluster/... ./internal/comm/... ./internal/trace/... ./internal/obs/... ./internal/adapt/... ./internal/balance/... ./internal/server/...
 
 echo "== chaos: go test -race -count=2 (fault-injection suite)"
 go test -race -count=2 -run \
@@ -35,6 +35,14 @@ echo "== chaos: go test -race -count=3 (batched recovery suite)"
 # the co-batched survivors and resumes them bit-identically — are
 # scheduling-dependent; run them three times under the race detector.
 go test -race -count=3 -run 'TestBatchedGenerate|TestBatchWindow' ./internal/cluster/
+
+echo "== benchmark: go test + quick smoke of all four workloads"
+# The repository benchmark is its own module (benchmark/go.mod), so the
+# tier-1 `go test ./...` above does not reach it. Its tests include a smoke
+# run; -quick then drives the built binary the way the benchmark driver
+# does (1 s windows, numbers meaningless, output oracle on).
+(cd benchmark && go test .)
+bash benchmark/run.sh -quick
 
 echo "== admin smoke: worker -local serves /metrics and /healthz"
 # Start an in-process engine with the admin listener, serve two requests,
@@ -208,11 +216,17 @@ kill "$BD_PID" 2>/dev/null || true
 wait "$BD_PID" 2>/dev/null || true
 
 echo "== batched-chaos smoke: worker killed mid-batch, streams still complete"
-# Same concurrent-generate workload, but rank 1's transport dies after 21
-# receives — past the 4 co-batched prefills (4 receives each), into the
-# fused decode steps (1 receive per step). With -retries 2 the batcher must
-# blame rank 1, re-slice over the survivors, and resume: every stream still
-# finishes cleanly and /metrics records the recovery.
+# Same concurrent-generate workload, but rank 1's transport dies on its 21st
+# receive. Every rank takes part in each of the 4 co-batched prefills (4
+# receives each: header, prompt, two All-Gather shares — 16 in all), but
+# decode is sharded by sequence: least-loaded placement puts the four
+# streams on ranks 0,1,2,0, so rank 1 then receives one step frame per round
+# only for the one stream it owns — 7 for steps=8, receives 17..23 — and
+# nothing for the other three. Receive 21 is that stream's 5th step frame:
+# inside decode, with rounds to spare either side. With -retries 2 the
+# batcher must blame rank 1, re-slice over the survivors, and resume every
+# stream (whoever owned it): all finish cleanly and /metrics records the
+# recovery.
 BC_ADDR="127.0.0.1:19158"
 BC_LOG="$(mktemp)"
 go run ./cmd/voltage-server -local 3 -model tiny-decoder -listen "$BC_ADDR" \
@@ -438,8 +452,11 @@ awk '
             exit 1
         }
     }' <<<"$AD_METRICS"
-grep -qF 'voltage_batch_migrations_total' <<<"$AD_METRICS" || {
-    echo "adapt smoke: /metrics missing voltage_batch_migrations_total" >&2
+# An install reaches the next joiner; it never parks a live sequence for a
+# re-prefill.
+grep -qE '^voltage_batch_seqs_resumed_total 0$' <<<"$AD_METRICS" || {
+    echo "adapt smoke: an install re-prefilled live sequences" >&2
+    grep -F 'voltage_batch_seqs_resumed_total' <<<"$AD_METRICS" >&2 || true
     exit 1
 }
 kill "$AD_PID" 2>/dev/null || true
