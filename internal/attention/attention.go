@@ -14,7 +14,6 @@ package attention
 
 import (
 	"fmt"
-	"math"
 
 	"voltage/internal/flopcount"
 	"voltage/internal/tensor"
@@ -63,17 +62,7 @@ func (h *HeadWeights) ensureFused() *tensor.Matrix {
 // xp must be a row slice of x for the result to be meaningful; the function
 // does not verify the aliasing, only the shapes.
 func Compute(h *HeadWeights, x, xp *tensor.Matrix, order flopcount.Order) (*tensor.Matrix, error) {
-	if x.Cols() != h.F() || xp.Cols() != h.F() {
-		return nil, fmt.Errorf("%w: input cols %d/%d vs F %d",
-			tensor.ErrShape, x.Cols(), xp.Cols(), h.F())
-	}
-	scores, err := scoreMatrix(h, x, xp, order)
-	if err != nil {
-		return nil, err
-	}
-	tensor.ScaleInPlace(scores, float32(1/math.Sqrt(float64(h.FH()))))
-	tensor.SoftmaxRowsInPlace(scores)
-	return valueProduct(h, x, scores, order)
+	return ComputeWithOptions(h, x, xp, Options{Order: order})
 }
 
 // scoreMatrix computes the raw P×N score matrix x_p·WQ·WKᵀ·xᵀ under the
@@ -211,14 +200,12 @@ func (m *MultiHead) FH() int { return m.Heads[0].FH() }
 // arguments with order OrderNaive for the classic full (single-device)
 // multi-head attention.
 func (m *MultiHead) Forward(x, xp *tensor.Matrix, order flopcount.Order) (*tensor.Matrix, error) {
-	outs := make([]*tensor.Matrix, len(m.Heads))
-	for i, h := range m.Heads {
-		o, err := Compute(h, x, xp, order)
-		if err != nil {
-			return nil, fmt.Errorf("head %d: %w", i, err)
-		}
-		outs[i] = o
-	}
+	return m.ForwardWithOptions(x, xp, Options{Order: order})
+}
+
+// project concatenates the per-head outputs and applies the output
+// projection: Concat(outs)·WO + BO.
+func (m *MultiHead) project(outs []*tensor.Matrix) (*tensor.Matrix, error) {
 	cat, err := tensor.ConcatCols(outs...)
 	if err != nil {
 		return nil, err

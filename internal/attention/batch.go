@@ -84,16 +84,5 @@ func (m *MultiHead) StepBatch(states []*MultiHeadState, xNew *tensor.Matrix) (*t
 		}
 		headOuts[hi] = out
 	}
-	cat, err := tensor.ConcatCols(headOuts...)
-	if err != nil {
-		return nil, err
-	}
-	proj, err := tensor.MatMul(cat, m.WO)
-	if err != nil {
-		return nil, err
-	}
-	if err := tensor.AddBiasInPlace(proj, m.BO); err != nil {
-		return nil, err
-	}
-	return proj, nil
+	return m.project(headOuts)
 }

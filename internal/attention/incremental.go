@@ -75,15 +75,25 @@ func StepHead(h *HeadWeights, s *HeadState, xNew *tensor.Matrix) (*tensor.Matrix
 	if s.V, err = appendRow(s.V, vNew.Row(0)); err != nil {
 		return nil, err
 	}
-	q, err := tensor.MatMul(xNew, h.WQ)
+	return attend(h, s, xNew, false, 0)
+}
+
+// attend computes softmax(xp·WQ·Kᵀ/√FH)·V against the cached K and V: the
+// naive association (Eq. 3) with K = x·WK and V = x·WV already materialised.
+// With causal set, row i of xp is position rowOffset+i of the cached input.
+func attend(h *HeadWeights, s *HeadState, xp *tensor.Matrix, causal bool, rowOffset int) (*tensor.Matrix, error) {
+	q, err := tensor.MatMul(xp, h.WQ)
 	if err != nil {
 		return nil, err
 	}
-	scores, err := tensor.MatMulT(q, s.K) // 1×t
+	scores, err := tensor.MatMulT(q, s.K) // P×t
 	if err != nil {
 		return nil, err
 	}
 	tensor.ScaleInPlace(scores, float32(1/math.Sqrt(float64(h.FH()))))
+	if causal {
+		maskCausal(scores, rowOffset)
+	}
 	tensor.SoftmaxRowsInPlace(scores)
 	return tensor.MatMul(scores, s.V)
 }
@@ -114,6 +124,39 @@ func (m *MultiHead) Prefill(x *tensor.Matrix) (*MultiHeadState, error) {
 	return &MultiHeadState{Heads: heads}, nil
 }
 
+// ForwardCached computes the block's output for the partition xp of the full
+// layer input x (row i of xp is position rowOffset+i) and returns with it the
+// block's decode cache over x. The cache is the K = x·WK, V = x·WV the naive
+// association materialises anyway, so a prefill that wants both pays for the
+// projections once. Theorem 2's test does not apply here: the reordered
+// association saves exactly these two products, and a caller that keeps them
+// has to compute them regardless. The partition rows are bit-identical to
+// ForwardWithOptions under OrderNaive. xp may have no rows (an owner whose
+// partition is empty): the result is then the cache and a 0×F partition.
+func (m *MultiHead) ForwardCached(x, xp *tensor.Matrix, causal bool, rowOffset int) (*tensor.Matrix, *MultiHeadState, error) {
+	if x.Cols() != m.F() || xp.Cols() != m.F() {
+		return nil, nil, fmt.Errorf("%w: input cols %d/%d vs F %d", tensor.ErrShape, x.Cols(), xp.Cols(), m.F())
+	}
+	if causal && (rowOffset < 0 || rowOffset+xp.Rows() > x.Rows()) {
+		return nil, nil, fmt.Errorf("%w: row offset %d + P %d outside N %d", tensor.ErrShape, rowOffset, xp.Rows(), x.Rows())
+	}
+	state, err := m.Prefill(x)
+	if err != nil {
+		return nil, nil, err
+	}
+	if xp.Rows() == 0 {
+		return tensor.New(0, m.F()), state, nil
+	}
+	outs := make([]*tensor.Matrix, len(m.Heads))
+	for i, h := range m.Heads {
+		if outs[i], err = attend(h, state.Heads[i], xp, causal, rowOffset); err != nil {
+			return nil, nil, fmt.Errorf("head %d: %w", i, err)
+		}
+	}
+	out, err := m.project(outs)
+	return out, state, err
+}
+
 // Step computes the multi-head attention output (1×F, after the WO
 // projection and bias) for one new position, appending to the cache.
 func (m *MultiHead) Step(s *MultiHeadState, xNew *tensor.Matrix) (*tensor.Matrix, error) {
@@ -129,16 +172,5 @@ func (m *MultiHead) Step(s *MultiHeadState, xNew *tensor.Matrix) (*tensor.Matrix
 		}
 		outs[i] = o
 	}
-	cat, err := tensor.ConcatCols(outs...)
-	if err != nil {
-		return nil, err
-	}
-	proj, err := tensor.MatMul(cat, m.WO)
-	if err != nil {
-		return nil, err
-	}
-	if err := tensor.AddBiasInPlace(proj, m.BO); err != nil {
-		return nil, err
-	}
-	return proj, nil
+	return m.project(outs)
 }

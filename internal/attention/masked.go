@@ -73,16 +73,5 @@ func (m *MultiHead) ForwardWithOptions(x, xp *tensor.Matrix, opts Options) (*ten
 		}
 		outs[i] = o
 	}
-	cat, err := tensor.ConcatCols(outs...)
-	if err != nil {
-		return nil, err
-	}
-	proj, err := tensor.MatMul(cat, m.WO)
-	if err != nil {
-		return nil, err
-	}
-	if err := tensor.AddBiasInPlace(proj, m.BO); err != nil {
-		return nil, err
-	}
-	return proj, nil
+	return m.project(outs)
 }

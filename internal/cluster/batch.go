@@ -22,12 +22,14 @@ import (
 // sequences into a single long-lived "batched-generate" request whose
 // terminal loop alternates three boundaries —
 //
-//	join:    queued sequences prefill (each an Algorithm-2 round over every
-//	         live rank), up to MaxBatch live. The terminal gives each joiner
-//	         one owner rank — the least-loaded live rank, load being owned
-//	         sequences ÷ the rank's share of the installed partition scheme,
-//	         ties taking turns from the lowest rank up — and only the owner
-//	         builds its K/V caches. A sequence never moves while it is live;
+//	join:    queued sequences prefill, up to MaxBatch live. The terminal
+//	         gives each joiner one owner rank — the least-loaded live rank,
+//	         load being owned sequences ÷ the rank's share of the installed
+//	         partition scheme, ties taking turns from the lowest rank up — and
+//	         ships the prefix as token ids; the live ranks run Algorithm 2 up
+//	         to the last layer, the owner keeping its attention's K/V as the
+//	         caches, and the owner alone computes the last layer's newest row
+//	         (decode.go). A sequence never moves while it is live;
 //	produce: each live sequence's next token is decoded from its last
 //	         hidden row; finished or canceled sequences leave;
 //	step:    the round is sharded by sequence. Each owner gets one frame
@@ -67,10 +69,12 @@ import (
 //
 // Terminal→worker frames (FIFO links; first byte is the opcode, integers
 // little-endian). R is the round's live-rank count; ranges are in live-set
-// order, contiguous from row 0 and cover the prompt blob's rows:
+// order, contiguous from row 0 and cover the prefix's N positions:
 //
 //	opPrefill  [1][seqID u32][owner u16][R u16][R×(from u32, to u32)]
-//	           then the embedded prompt blob; to every live rank
+//	           then the prefix in its own frame, [N×token u32], ids in the
+//	           vocabulary, 1 ≤ N ≤ MaxSeq; to every live rank, which answers
+//	           with a partition: the owner's last hidden row 1×F, else 0×F
 //	opStep     [2][round u32][owners u16][n u16][n×(seqID u32, token u32)]
 //	           to each of the round's `owners` ranks, its own n ≥ 1 rows
 //	opLeave    [3][seqID u32]            to the owner
@@ -716,9 +720,9 @@ func (s *batchSeq) exhausted(c *Cluster) bool {
 // prompt — or, when resuming after a batch fault, its committed
 // prompt+generated prefix — under the scheme installed right now, places it
 // on the least-loaded live rank given the sequences already live, and the
-// prefill runs through Algorithm 2 (the owner building the caches) while the
-// rest of the batch waits at the step boundary. Prefills of a burst run
-// back-to-back, each its own Algorithm-2 round, so the partition math is
+// prefill runs on the workers (token ids out, the owner's last hidden row
+// back) while the rest of the batch waits at the step boundary. Prefills of a
+// burst run back-to-back, each its own round, so the partition math is
 // untouched. Returns joined=false for sequence-local failures (resolved or
 // re-parked here); a non-nil error is a mesh fault, fatal for the round.
 func (b *batcher) join(ctx context.Context, p comm.Peer, ex *comm.Exchange, req *request, s *batchSeq, live []*batchSeq) (bool, error) {
@@ -742,8 +746,7 @@ func (b *batcher) join(ctx context.Context, p comm.Peer, ex *comm.Exchange, req 
 	if len(s.tokens) > 0 {
 		prefix = s.tokens // resume from the committed prefix
 	}
-	x, err := c.models[0].Embed.EmbedTokens(prefix)
-	if err != nil {
+	if err := c.models[0].Embed.CheckTokens(prefix); err != nil {
 		b.leaveLocked(req, s, err)
 		return false, nil
 	}
@@ -753,7 +756,7 @@ func (b *batcher) join(ctx context.Context, p comm.Peer, ex *comm.Exchange, req 
 		b.leaveLocked(req, s, err)
 		return false, nil
 	}
-	ranges, err := scheme.Ranges(x.Rows())
+	ranges, err := scheme.Ranges(len(prefix))
 	if err != nil {
 		b.leaveLocked(req, s, err)
 		return false, nil
@@ -772,17 +775,16 @@ func (b *batcher) join(ctx context.Context, p comm.Peer, ex *comm.Exchange, req 
 	}
 	c.metrics.batchJoin()
 	start := time.Now()
-	hdr := prefillFrame(s.id, s.owner, ranges)
-	blob := ex.Encode(x)
+	hdr, ids := prefillFrame(s.id, s.owner, ranges), prefillTokens(prefix)
 	for _, r := range ranks {
 		if err := p.Send(ctx, r, hdr); err != nil {
 			return false, err
 		}
-		if err := p.Send(ctx, r, blob); err != nil {
+		if err := p.Send(ctx, r, ids); err != nil {
 			return false, err
 		}
 	}
-	out, seqErr, err := b.collectJoin(ctx, p, ex, ranks, x.Rows())
+	last, seqErr, err := b.collectJoin(ctx, p, ex, ranks)
 	if err != nil {
 		return false, err
 	}
@@ -803,9 +805,7 @@ func (b *batcher) join(ctx context.Context, p comm.Peer, ex *comm.Exchange, req 
 		s.tokens = make([]int, len(s.prompt), len(s.prompt)+s.steps)
 		copy(s.tokens, s.prompt)
 	}
-	if s.last, err = out.RowSlice(out.Rows()-1, out.Rows()); err != nil {
-		return false, err
-	}
+	s.last = last
 	s.decodeStart = time.Now()
 	b.lastOwner = s.owner
 	return true, nil
@@ -869,11 +869,11 @@ func prefillFrame(id uint32, owner int, ranges []partition.Range) []byte {
 }
 
 // parsePrefillFrame validates an opPrefill header against the round's live
-// ranks: exact length, one range per live rank, an owner in the live set,
-// and ranges contiguous from row 0. That they end at the prompt's last row
-// is checked once the blob that follows has been decoded (prefillWorker).
+// ranks: opcode, exact length, one range per live rank, an owner in the live
+// set, and ranges contiguous from row 0. That they end at the prefix's last
+// position is checked against the token frame that follows.
 func parsePrefillFrame(frame []byte, live []int) (id uint32, owner int, ranges []partition.Range, err error) {
-	if len(frame) < 9 {
+	if len(frame) < 9 || frame[0] != opPrefill {
 		return 0, 0, nil, fmt.Errorf("%w: prefill frame of %d bytes", errBadFrame, len(frame))
 	}
 	id = binary.LittleEndian.Uint32(frame[1:])
@@ -902,12 +902,39 @@ func parsePrefillFrame(frame []byte, live []int) (id uint32, owner int, ranges [
 	return id, owner, ranges, nil
 }
 
-// collectJoin receives one prefill partition from every live rank, draining
-// all of them even after a failure so the FIFO streams stay aligned for the
-// rest of the batch. A corrupt or undecodable partition — attributed to its
-// sender by the frame checksum — is returned as the sequence-local seqErr;
-// any other receive failure is a mesh fault (err), fatal for the round.
-func (b *batcher) collectJoin(ctx context.Context, p comm.Peer, ex *comm.Exchange, ranks []int, n int) (*tensor.Matrix, error, error) {
+// prefillTokens encodes the token frame that follows an opPrefill header.
+func prefillTokens(prefix []int) []byte {
+	buf := make([]byte, 4*len(prefix))
+	for i, id := range prefix {
+		binary.LittleEndian.PutUint32(buf[4*i:], uint32(id))
+	}
+	return buf
+}
+
+// parsePrefillTokens validates the token frame that follows an opPrefill
+// header whose ranges cover n positions: exactly n ids, and a sequence the
+// embedding accepts (1 ≤ n ≤ MaxSeq, every id in the vocabulary).
+func parsePrefillTokens(frame []byte, n int, e *model.Embedding) ([]int, error) {
+	if len(frame) != 4*n {
+		return nil, fmt.Errorf("%w: %d bytes of token ids for the %d positions the prefill ranges cover", errBadFrame, len(frame), n)
+	}
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = int(binary.LittleEndian.Uint32(frame[4*i:]))
+	}
+	if err := e.CheckTokens(ids); err != nil {
+		return nil, fmt.Errorf("%w: %v", errBadFrame, err)
+	}
+	return ids, nil
+}
+
+// collectJoin receives one prefill partition from every live rank — between
+// them the one row a join returns, the owner's — draining all of them even
+// after a failure so the FIFO streams stay aligned for the rest of the batch.
+// A corrupt or undecodable partition — attributed to its sender by the frame
+// checksum — is returned as the sequence-local seqErr; any other receive
+// failure is a mesh fault (err), fatal for the round.
+func (b *batcher) collectJoin(ctx context.Context, p comm.Peer, ex *comm.Exchange, ranks []int) (*tensor.Matrix, error, error) {
 	pool := ex.Pool()
 	parts := make([]*tensor.Matrix, 0, len(ranks))
 	var seqErr, meshErr error
@@ -946,8 +973,8 @@ func (b *batcher) collectJoin(ctx context.Context, p comm.Peer, ex *comm.Exchang
 	for _, part := range parts {
 		pool.Put(part)
 	}
-	if out.Rows() != n {
-		return nil, nil, fmt.Errorf("cluster: assembled %d rows, want %d", out.Rows(), n)
+	if out.Rows() != 1 {
+		return nil, nil, fmt.Errorf("cluster: join replies hold %d rows, want the owner's one", out.Rows())
 	}
 	return out, nil, nil
 }

@@ -10,6 +10,7 @@ import (
 
 	"voltage/internal/adapt"
 	"voltage/internal/comm"
+	"voltage/internal/model"
 	"voltage/internal/partition"
 	"voltage/internal/tensor"
 )
@@ -360,7 +361,7 @@ func TestBatchedGenerateOwnerKilledReleasesIdleRanksUnderWatchdog(t *testing.T) 
 	}
 }
 
-// --- opPrefill header validation -------------------------------------------
+// --- opPrefill frame validation ---------------------------------------------
 
 // rawPrefill builds an opPrefill header without the encoder's guarantees.
 func rawPrefill(owner, count int, bounds ...int) []byte {
@@ -373,37 +374,72 @@ func rawPrefill(owner, count int, bounds ...int) []byte {
 	return frame
 }
 
-// badPrefillHeaders are malformed headers for a two-rank live set {0,1} and
-// a five-row prompt.
-var badPrefillHeaders = []struct {
-	name  string
-	frame []byte
+// fiveTokens is the well-formed token frame of a five-position prefix; ids(n)
+// is one of n positions.
+var fiveTokens = prefillTokens([]int{4, 8, 15, 16, 23})
+
+func ids(n int) []byte {
+	prefix := make([]int, n)
+	for i := range prefix {
+		prefix[i] = i % 100
+	}
+	return prefillTokens(prefix)
+}
+
+// badPrefillFrames are malformed opPrefill header + token frame pairs for a
+// two-rank live set {0,1} on the tiny decoder (vocabulary 100, MaxSeq 64).
+var badPrefillFrames = []struct {
+	name   string
+	header []byte
+	tokens []byte
 }{
-	{"opcode only", []byte{opPrefill}},
-	{"short frame", rawPrefill(0, 2, 0, 3, 3, 5)[:8]},
-	{"truncated range", rawPrefill(0, 2, 0, 3, 3, 5)[:21]},
-	{"trailing bytes", append(rawPrefill(0, 2, 0, 3, 3, 5), 0, 0, 0, 0)},
-	{"one range for two live ranks", rawPrefill(0, 1, 0, 5)},
-	{"three ranges for two live ranks", rawPrefill(0, 3, 0, 2, 2, 4, 4, 5)},
-	{"count disagrees with length", rawPrefill(0, 3, 0, 3, 3, 5)},
-	{"owner is the terminal", rawPrefill(2, 2, 0, 3, 3, 5)},
-	{"owner outside the mesh", rawPrefill(900, 2, 0, 3, 3, 5)},
-	{"ranges overlap", rawPrefill(0, 2, 0, 3, 2, 5)},
-	{"ranges leave a gap", rawPrefill(0, 2, 0, 3, 4, 5)},
-	{"range runs backwards", rawPrefill(0, 2, 0, 3, 3, 2)},
-	{"ranges start past row 0", rawPrefill(0, 2, 1, 3, 3, 5)},
-	{"ranges stop short of the prompt", rawPrefill(0, 2, 0, 2, 2, 4)},
-	{"ranges run past the prompt", rawPrefill(0, 2, 0, 3, 3, 9)},
+	{"opcode only", []byte{opPrefill}, fiveTokens},
+	{"another opcode", append([]byte{opStep}, rawPrefill(0, 2, 0, 3, 3, 5)[1:]...), fiveTokens},
+	{"short frame", rawPrefill(0, 2, 0, 3, 3, 5)[:8], fiveTokens},
+	{"truncated range", rawPrefill(0, 2, 0, 3, 3, 5)[:21], fiveTokens},
+	{"trailing bytes", append(rawPrefill(0, 2, 0, 3, 3, 5), 0, 0, 0, 0), fiveTokens},
+	{"one range for two live ranks", rawPrefill(0, 1, 0, 5), fiveTokens},
+	{"three ranges for two live ranks", rawPrefill(0, 3, 0, 2, 2, 4, 4, 5), fiveTokens},
+	{"count disagrees with length", rawPrefill(0, 3, 0, 3, 3, 5), fiveTokens},
+	{"owner is the terminal", rawPrefill(2, 2, 0, 3, 3, 5), fiveTokens},
+	{"owner outside the mesh", rawPrefill(900, 2, 0, 3, 3, 5), fiveTokens},
+	{"ranges overlap", rawPrefill(0, 2, 0, 3, 2, 5), fiveTokens},
+	{"ranges leave a gap", rawPrefill(0, 2, 0, 3, 4, 5), fiveTokens},
+	{"range runs backwards", rawPrefill(0, 2, 0, 3, 3, 2), fiveTokens},
+	{"ranges start past row 0", rawPrefill(0, 2, 1, 3, 3, 5), fiveTokens},
+	{"ranges stop short of the prefix", rawPrefill(0, 2, 0, 2, 2, 4), fiveTokens},
+	{"ranges run past the prefix", rawPrefill(0, 2, 0, 3, 3, 9), fiveTokens},
+	{"no token ids", rawPrefill(0, 2, 0, 3, 3, 5), []byte{}},
+	{"no positions and no token ids", rawPrefill(0, 2, 0, 0, 0, 0), []byte{}},
+	{"token bytes not a multiple of four", rawPrefill(0, 2, 0, 3, 3, 5), fiveTokens[:19]},
+	{"a byte past the last id", rawPrefill(0, 2, 0, 3, 3, 5), append(ids(5), 7)},
+	{"an embedded matrix where the ids belong", rawPrefill(0, 2, 0, 3, 3, 5), tensor.Encode(nil, tensor.New(5, 32))},
+	{"id outside the vocabulary", rawPrefill(0, 2, 0, 3, 3, 5), prefillTokens([]int{4, 8, 100, 16, 23})},
+	{"id with the sign bit set", rawPrefill(0, 2, 0, 3, 3, 5), prefillTokens([]int{4, 8, -1, 16, 23})},
+	{"more positions than MaxSeq", rawPrefill(0, 2, 0, 30, 30, 65), ids(65)},
+}
+
+func tinyEmbedding(t testing.TB) *model.Embedding {
+	t.Helper()
+	m, err := model.NewRandom(model.TinyDecoder(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.Embed
 }
 
 func TestParsePrefillFrame(t *testing.T) {
 	live := []int{0, 1}
-	for _, tc := range badPrefillHeaders {
-		_, _, ranges, err := parsePrefillFrame(tc.frame, live)
-		if err == nil && ranges[len(ranges)-1].To == 5 {
-			t.Errorf("%s: accepted as owner and ranges %v", tc.name, ranges)
+	embed := tinyEmbedding(t)
+	for _, tc := range badPrefillFrames {
+		_, _, ranges, err := parsePrefillFrame(tc.header, live)
+		if err == nil {
+			var got []int
+			if got, err = parsePrefillTokens(tc.tokens, ranges[len(ranges)-1].To, embed); err == nil {
+				t.Errorf("%s: accepted as ranges %v and ids %v", tc.name, ranges, got)
+			}
 		}
-		if err != nil && !errors.Is(err, errBadFrame) {
+		if !errors.Is(err, errBadFrame) {
 			t.Errorf("%s: error %v is not errBadFrame", tc.name, err)
 		}
 	}
@@ -416,15 +452,23 @@ func TestParsePrefillFrame(t *testing.T) {
 	if err != nil || id != 77 || owner != 2 || len(ranges) != 2 || !ranges[0].Empty() || ranges[1] != (partition.Range{From: 0, To: 5}) {
 		t.Errorf("valid degraded header parsed as id %d owner %d ranges %v err %v", id, owner, ranges, err)
 	}
+	if got, err := parsePrefillTokens(fiveTokens, 5, embed); err != nil || !equalTokens(got, []int{4, 8, 15, 16, 23}) {
+		t.Errorf("valid token frame parsed as %v, err %v", got, err)
+	}
+	if _, err := parsePrefillTokens(ids(64), 64, embed); err != nil {
+		t.Errorf("a MaxSeq-long prefix was rejected: %v", err)
+	}
 }
 
 func FuzzParsePrefillFrame(f *testing.F) {
-	for _, tc := range badPrefillHeaders {
-		f.Add(tc.frame)
+	for _, tc := range badPrefillFrames {
+		f.Add(tc.header, tc.tokens)
 	}
-	f.Add(rawPrefill(1, 2, 0, 3, 3, 5))
+	f.Add(rawPrefill(1, 2, 0, 3, 3, 5), fiveTokens)
 	live := []int{0, 1}
-	f.Fuzz(func(t *testing.T, frame []byte) {
+	embed := tinyEmbedding(f)
+	cfg := model.TinyDecoder()
+	f.Fuzz(func(t *testing.T, frame, tokens []byte) {
 		id, owner, ranges, err := parsePrefillFrame(frame, live)
 		if err != nil {
 			if !errors.Is(err, errBadFrame) {
@@ -445,6 +489,25 @@ func FuzzParsePrefillFrame(f *testing.F) {
 		}
 		if again := prefillFrame(id, owner, ranges); string(again) != string(frame) {
 			t.Fatalf("accepted frame %x re-encodes as %x", frame, again)
+		}
+		n := ranges[len(ranges)-1].To
+		got, err := parsePrefillTokens(tokens, n, embed)
+		if err != nil {
+			if !errors.Is(err, errBadFrame) {
+				t.Fatalf("token frame error %v is not errBadFrame", err)
+			}
+			return
+		}
+		if len(got) != n || n < 1 || n > cfg.MaxSeq {
+			t.Fatalf("accepted %d ids for ranges covering %d of at most %d positions", len(got), n, cfg.MaxSeq)
+		}
+		for _, id := range got {
+			if id < 0 || id >= cfg.VocabSize {
+				t.Fatalf("accepted id %d outside the vocabulary of %d", id, cfg.VocabSize)
+			}
+		}
+		if again := prefillTokens(got); string(again) != string(tokens) {
+			t.Fatalf("accepted token frame %x re-encodes as %x", tokens, again)
 		}
 	})
 }
@@ -477,41 +540,41 @@ func TestBatchWorkerRejectsMalformedPrefillHeader(t *testing.T) {
 	c := newTinyDecoder(t, 2, Options{})
 	ctx := context.Background()
 	term := c.peers[c.terminalRank()]
-	ex := comm.NewExchange(c.pool)
-	x, err := c.Model(0).Embed.EmbedTokens([]int{4, 8, 15, 16, 23})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob := ex.Encode(x)
-	send := func(hdr []byte) {
+	send := func(hdr, tokens []byte) {
 		t.Helper()
 		for r := 0; r < c.k; r++ {
 			if err := term.Send(ctx, r, hdr); err != nil {
 				t.Fatal(err)
 			}
-			if err := term.Send(ctx, r, blob); err != nil {
+			if err := term.Send(ctx, r, tokens); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	for _, tc := range badPrefillHeaders {
+	for _, tc := range badPrefillFrames {
 		_, stop := workerRound(c)
-		send(tc.frame)
+		send(tc.header, tc.tokens)
 		for r, err := range stop() {
 			if !errors.Is(err, errBadFrame) {
 				t.Errorf("%s: rank %d returned %v, want errBadFrame", tc.name, r, err)
 			}
 		}
 	}
-	// Whatever each rejected header left unread was flushed with its round:
+	// Whatever each rejected frame left unread was flushed with its round:
 	// on the same links a well-formed round runs prefill, a decode step on
 	// the owner, and a clean shutdown.
 	_, stop := workerRound(c)
-	send(prefillFrame(5, 1, []partition.Range{{From: 0, To: 3}, {From: 3, To: 5}}))
+	send(prefillFrame(5, 1, []partition.Range{{From: 0, To: 3}, {From: 3, To: 5}}), fiveTokens)
 	for r := 0; r < c.k; r++ {
 		got, err := term.Recv(ctx, r)
 		if err != nil {
 			t.Fatalf("prefill partition from rank %d: %v", r, err)
+		}
+		// The owner answers with the newest position's row, the rest with
+		// none.
+		part, _, err := tensor.Decode(got)
+		if want := r; err != nil || part.Rows() != want || part.Cols() != c.cfg.F {
+			t.Fatalf("prefill reply from rank %d: %v, err %v; want %d rows", r, part, err, want)
 		}
 		comm.ReleaseBuffer(got)
 	}

@@ -1,0 +1,353 @@
+package cluster
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"voltage/internal/comm"
+	"voltage/internal/flopcount"
+	"voltage/internal/model"
+	"voltage/internal/partition"
+	"voltage/internal/tensor"
+)
+
+// Tests for the join prefill that does only what generation reads: token ids
+// on the wire, the owner's attention K/V kept as its cache, the last layer
+// reduced to the newest row.
+
+// prefillCfg is a decoder with the benchmark model's attention shape
+// (F = 128, FH = 32), where Theorem 2's test flips between the two orders
+// inside the lengths tested: at K = 3 an even slice of N ≤ 85 runs reordered
+// on a non-owner and naive from N = 86 on.
+func prefillCfg(layers int) model.Config {
+	return model.Config{
+		Name: "prefill-decoder", Kind: model.KindDecoder,
+		Layers: layers, F: 128, Heads: 4, FFN: 256, Act: tensor.GELU,
+		VocabSize: 200, MaxSeq: 96, NumClasses: 2,
+	}
+}
+
+func prefillPrompt(n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = (11*i + 3*n + 5) % 200
+	}
+	return p
+}
+
+// drivePrefill runs one join prefill by hand — prefillWorker on every live
+// rank, the terminal's token frame and reply collection here — and returns
+// the row the terminal got back and the owner's decode state.
+func drivePrefill(t *testing.T, c *Cluster, live []int, ranges []partition.Range, owner int, prefix []int) (*tensor.Matrix, *model.DecodeState) {
+	t.Helper()
+	req := &request{live: live}
+	ranks := req.liveRanks(c)
+	ctx := context.Background()
+	states := make([]*model.DecodeState, c.k)
+	errs := make([]error, c.k)
+	var wg sync.WaitGroup
+	for _, r := range ranks {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			states[r], errs[r] = c.prefillWorker(ctx, c.peers[r], comm.NewExchange(c.pool), r, req, ranges, r == owner)
+		}(r)
+	}
+	term := c.peers[c.terminalRank()]
+	for _, r := range ranks {
+		if err := term.Send(ctx, r, prefillTokens(prefix)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	last, seqErr, err := c.batcher.collectJoin(ctx, term, comm.NewExchange(c.pool), ranks)
+	wg.Wait()
+	if err != nil || seqErr != nil {
+		t.Fatalf("collecting the join: %v / %v", err, seqErr)
+	}
+	for _, r := range ranks {
+		if errs[r] != nil {
+			t.Fatalf("rank %d: %v", r, errs[r])
+		}
+		if (states[r] != nil) != (r == owner) {
+			t.Fatalf("rank %d holds a cache: %v, owner is %d", r, states[r] != nil, owner)
+		}
+	}
+	return last, states[owner]
+}
+
+// naiveEverywhere reports whether every non-owner slice ran the naive
+// association, so that every row of every layer input is the solo run's bit
+// for bit. (A reordered slice is the same mathematics rounded differently.)
+func naiveEverywhere(cfg model.Config, ranges []partition.Range, ownerIndex int) bool {
+	n := ranges[len(ranges)-1].To
+	for i, r := range ranges {
+		if i == ownerIndex || r.Empty() {
+			continue
+		}
+		if flopcount.SelectOrder(flopcount.Shape{N: n, P: r.Len(), F: cfg.F, FH: cfg.FH()}) != flopcount.OrderNaive {
+			return false
+		}
+	}
+	return true
+}
+
+// checkOwnerCache compares the owner's state and returned row with the solo
+// prefill's: layer 0's K/V always bit-identical (its input is the embedding),
+// every layer's and the row whenever exact holds, and to rounding otherwise.
+func checkOwnerCache(t *testing.T, name string, ref *model.Model, prefix []int, last *tensor.Matrix, got *model.DecodeState, exact bool) {
+	t.Helper()
+	x, err := ref.Embed.EmbedTokens(prefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLast, want, err := ref.Prefill(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(what string, a, b *tensor.Matrix, exact bool) {
+		d, err := a.MaxAbsDiff(b)
+		if err != nil || (exact && d != 0) || d > 1e-4 {
+			t.Errorf("%s: %s differs from the solo prefill's by %v (err %v, exact %v)", name, what, d, err, exact)
+		}
+	}
+	if got.Pos != len(prefix) || len(got.Layers) != len(want.Layers) {
+		t.Fatalf("%s: cache at position %d over %d layers, want %d over %d", name, got.Pos, len(got.Layers), len(prefix), len(want.Layers))
+	}
+	for li, ls := range got.Layers {
+		for h, hs := range ls.Attn.Heads {
+			ws := want.Layers[li].Attn.Heads[h]
+			same(fmt.Sprintf("layer %d head %d K", li, h), hs.K, ws.K, exact || li == 0)
+			same(fmt.Sprintf("layer %d head %d V", li, h), hs.V, ws.V, exact || li == 0)
+		}
+	}
+	same("last hidden row", last, wantLast, exact)
+}
+
+// TestJoinPrefillMatchesSolo: over K × L × N — one and two positions (ranks
+// with nothing to compute, owners among them), N = K and K+1, both sides of
+// the Theorem-2 crossover and a full context — the streamed tokens equal
+// GenerateIncremental's and the owner's per-layer cache equals the solo
+// prefill's.
+func TestJoinPrefillMatchesSolo(t *testing.T) {
+	const steps = 3
+	for _, layers := range []int{1, 2, 4} {
+		cfg := prefillCfg(layers)
+		ref, err := model.NewRandom(cfg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{1, 2, 3} {
+			c, err := NewMem(cfg, k, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Close)
+			// The joins driven by hand get a mesh no batch request ever ran
+			// on: a retiring batch worker would race them for the frames.
+			byHand, err := NewMem(cfg, k, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(byHand.Close)
+			for _, n := range []int{1, 2, k, k + 1, 85, 86, cfg.MaxSeq - 1} {
+				name := fmt.Sprintf("K=%d L=%d N=%d", k, layers, n)
+				prompt := prefillPrompt(n)
+				want, err := ref.GenerateIncremental(prompt, steps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := c.GenerateVoltage(context.Background(), prompt, steps)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !equalTokens(res.Tokens, want) {
+					t.Errorf("%s: tokens %v != solo %v", name, res.Tokens, want)
+				}
+				ranges, err := c.currentScheme().Ranges(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				owner := n % k
+				last, state := drivePrefill(t, byHand, nil, ranges, owner, prompt)
+				checkOwnerCache(t, name, ref, prompt, last, state, naiveEverywhere(cfg, ranges, owner))
+			}
+		}
+	}
+}
+
+// TestJoinPrefillOwnerWithoutRowsAndDegradedRound: the two slicings the grid
+// above does not reach — an installed scheme that gives the owner no rows at
+// any length, and a degraded round re-sliced over survivors {0, 2}.
+func TestJoinPrefillOwnerWithoutRowsAndDegradedRound(t *testing.T) {
+	cfg := prefillCfg(2)
+	ref, err := model.NewRandom(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewMem(cfg, 3, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	for _, n := range []int{5, 90} {
+		prompt := prefillPrompt(n)
+		starved, err := partition.Weighted([]float64{0, 1, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranges, err := starved.Ranges(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ranges[0].Empty() {
+			t.Fatalf("weights 0:1:1 gave rank 0 rows %v", ranges[0])
+		}
+		last, state := drivePrefill(t, c, nil, ranges, 0, prompt)
+		checkOwnerCache(t, fmt.Sprintf("owner without rows, N=%d", n), ref, prompt, last, state, naiveEverywhere(cfg, ranges, 0))
+
+		live := []int{0, 2}
+		resliced, err := c.degradedScheme(live)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ranges, err = resliced.Ranges(n); err != nil {
+			t.Fatal(err)
+		}
+		last, state = drivePrefill(t, c, live, ranges, 2, prompt)
+		checkOwnerCache(t, fmt.Sprintf("degraded round, N=%d", n), ref, prompt, last, state, naiveEverywhere(cfg, ranges, 1))
+	}
+}
+
+// TestJoinPrefillTraffic: a join moves K·(header + 4N) bytes of token ids
+// out, L−1 All-Gathers between the workers, and one F-row plus K−1 empty
+// partitions back — nothing else.
+func TestJoinPrefillTraffic(t *testing.T) {
+	const k, n = 3, 8
+	c := newTinyDecoder(t, k, Options{})
+	cfg := c.Config()
+	// One token: join, produce, leave — no decode step.
+	res, err := c.GenerateVoltage(context.Background(), []int{2, 4, 6, 8, 10, 12, 14, 16}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranges, err := c.currentScheme().Ranges(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := func(rows int) int64 { return int64(len(tensor.Encode(nil, tensor.New(rows, cfg.F)))) }
+	if enc(1)-enc(0) != int64(4*cfg.F) {
+		t.Fatalf("a hidden row encodes to %d bytes over an empty partition, want 4F", enc(1)-enc(0))
+	}
+	const owner, leave = 0, 5 // the first joiner lands on rank 0; opLeave is 5 bytes
+	header := int64(9 + 8*k)
+	term := res.PerDevice[k]
+	if want := k*(header+4*n) + leave; term.BytesSent != want || term.MsgsSent != 2*k+1 {
+		t.Errorf("terminal sent %d bytes in %d messages, want %d in %d (K headers, K token frames, one leave)", term.BytesSent, term.MsgsSent, want, 2*k+1)
+	}
+	if want := enc(1) + (k-1)*enc(0); term.BytesRecv != want {
+		t.Errorf("terminal received %d bytes, want %d (one hidden row, %d empty partitions)", term.BytesRecv, want, k-1)
+	}
+	gathers := int64(cfg.Layers - 1)
+	for r := 0; r < k; r++ {
+		reply := enc(0)
+		if r == owner {
+			reply = enc(1)
+		}
+		if want := gathers*(k-1)*enc(ranges[r].Len()) + reply; res.PerDevice[r].BytesSent != want {
+			t.Errorf("rank %d sent %d bytes, want %d (%d All-Gathers of its %d rows to %d peers, then its reply)", r, res.PerDevice[r].BytesSent, want, gathers, ranges[r].Len(), k-1)
+		}
+	}
+}
+
+// TestPrefillWorkMatchesFlopcount: what a rank is paced for at each layer of
+// a join is the analytic Γ of exactly what it executes there.
+func TestPrefillWorkMatchesFlopcount(t *testing.T) {
+	cfg := prefillCfg(2)
+	m, err := model.NewRandom(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layer := m.Layers[0]
+	const n = 60
+	layerCost := func(p int, o flopcount.Order) int64 {
+		cost, err := flopcount.LayerCost(flopcount.Shape{N: n, P: p, F: cfg.F, FH: cfg.FH()}, cfg.Heads, cfg.FFN, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cost
+	}
+	kv := 2 * int64(cfg.Heads) * flopcount.MatMulCost(n, cfg.F, cfg.FH())
+	mine := partition.Range{From: 20, To: 40}
+	lastRow := partition.Range{From: n - 1, To: n}
+	if flopcount.SelectOrder(flopcount.Shape{N: n, P: mine.Len(), F: cfg.F, FH: cfg.FH()}) != flopcount.OrderReordered {
+		t.Fatal("the test shape should sit on the reordered side of Theorem 2")
+	}
+	cases := []struct {
+		name      string
+		last      bool
+		mine      partition.Range
+		owner     bool
+		wantRange partition.Range
+		wantCost  int64
+	}{
+		{"owner: naive order, its K/V are the cache", false, mine, true, mine, layerCost(mine.Len(), flopcount.OrderNaive)},
+		{"owner without rows: the two projections", false, partition.Range{}, true, partition.Range{}, kv},
+		{"non-owner: Algorithm 1's order", false, mine, false, mine, layerCost(mine.Len(), flopcount.OrderReordered)},
+		{"non-owner without rows: nothing", false, partition.Range{}, false, partition.Range{}, 0},
+		{"last layer, owner: cache and the newest row", true, mine, true, lastRow, layerCost(1, flopcount.OrderNaive)},
+		{"last layer, owner without rows: the same", true, partition.Range{}, true, lastRow, layerCost(1, flopcount.OrderNaive)},
+		{"last layer, non-owner: nothing", true, mine, false, partition.Range{From: n, To: n}, 0},
+	}
+	for _, tc := range cases {
+		r, cost, err := prefillWork(layer, tc.last, n, tc.mine, tc.owner)
+		if err != nil || r != tc.wantRange || cost != tc.wantCost {
+			t.Errorf("%s: range %v cost %d err %v, want %v and %d", tc.name, r, cost, err, tc.wantRange, tc.wantCost)
+		}
+	}
+	// Keeping K/V never costs the owner more than the reordered partition
+	// plus a separate cache build did.
+	for p := 1; p <= n; p++ {
+		shared, err := layer.CachedCost(n, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		selected, err := layer.Cost(n, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shared > selected+kv {
+			t.Errorf("P=%d: shared-K/V cost %d exceeds selected order + cache build %d", p, shared, selected+kv)
+		}
+	}
+}
+
+// TestJoinPrefillPacedForItsWork: on a paced device a join takes at least the
+// owner's budget — embedding, every layer in the naive order, one row at the
+// last. (A lower bound only: a paced sleep never wakes early.)
+func TestJoinPrefillPacedForItsWork(t *testing.T) {
+	const n, deviceFlops = 48, 4e8
+	cfg := prefillCfg(2)
+	c, err := NewMem(cfg, 1, Options{DeviceFlops: deviceFlops})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	res, err := c.GenerateVoltage(context.Background(), prefillPrompt(n), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	work := flopcount.EmbedCost(n, cfg.F)
+	for _, p := range []int{n, 1} {
+		cost, err := flopcount.LayerCost(flopcount.Shape{N: n, P: p, F: cfg.F, FH: cfg.FH()}, cfg.Heads, cfg.FFN, flopcount.OrderNaive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		work += cost
+	}
+	if budget := time.Duration(float64(work) / deviceFlops * float64(time.Second)); res.PrefillLatency < budget {
+		t.Errorf("prefill took %v, under the %v its %d MACs are paced for", res.PrefillLatency, budget, work)
+	}
+}

@@ -42,13 +42,19 @@ func TestOpTimeoutPassesCleanTraffic(t *testing.T) {
 	a := WithOpTimeout(peers[0], time.Second)
 	b := WithOpTimeout(peers[1], time.Second)
 	ctx := context.Background()
-	go func() { _ = a.Send(ctx, 1, []byte("on time")) }()
+	sent := make(chan error, 1)
+	go func() { sent <- a.Send(ctx, 1, []byte("on time")) }()
 	got, err := b.Recv(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != "on time" {
 		t.Fatalf("got %q", got)
+	}
+	// The receiver can hold the message before Send has returned and been
+	// counted: read the sender's stats only once it has.
+	if err := <-sent; err != nil {
+		t.Fatal(err)
 	}
 	if a.Stats().BytesSent != int64(len("on time")) {
 		t.Fatal("stats not delegated through the watchdog")

@@ -288,3 +288,10 @@ func LayerCost(s Shape, heads, dff int, o Order) (int64, error) {
 	rest := 4 * p * f // residuals + two layer norms, linear terms
 	return int64(heads)*headCost + proj + ffn + rest, nil
 }
+
+// EmbedCost is the Γ of embedding n token ids into n×F features: the
+// token + position sum and one layer norm, linear terms counted as LayerCost
+// counts its residuals and layer norms (2·N·F).
+func EmbedCost(n, f int) int64 {
+	return 2 * int64(n) * int64(f)
+}

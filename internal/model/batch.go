@@ -29,21 +29,7 @@ func (l *Layer) ForwardIncrementalBatch(states []*LayerState, xNew *tensor.Matri
 	if err != nil {
 		return nil, err
 	}
-	if err := tensor.AddInPlace(attnOut, xNew); err != nil {
-		return nil, err
-	}
-	y, err := tensor.LayerNorm(attnOut, l.LN1Gain, l.LN1Bias, l.Eps)
-	if err != nil {
-		return nil, err
-	}
-	f, err := l.ffn(y)
-	if err != nil {
-		return nil, err
-	}
-	if err := tensor.AddInPlace(f, y); err != nil {
-		return nil, err
-	}
-	return tensor.LayerNorm(f, l.LN2Gain, l.LN2Bias, l.Eps)
+	return l.finish(attnOut, xNew)
 }
 
 // DecodeStepBatch pushes one token through the cached stack for each of B

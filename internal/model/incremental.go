@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"voltage/internal/attention"
+	"voltage/internal/partition"
 	"voltage/internal/tensor"
 )
 
@@ -25,15 +26,6 @@ type DecodeState struct {
 	Pos int
 }
 
-// PrefillState builds a layer's cache from its full prefill input x.
-func (l *Layer) PrefillState(x *tensor.Matrix) (*LayerState, error) {
-	s, err := l.Attn.Prefill(x)
-	if err != nil {
-		return nil, err
-	}
-	return &LayerState{Attn: s}, nil
-}
-
 // ForwardIncremental computes the layer output for one new position (1×F)
 // given the cache, appending the position to the cache.
 func (l *Layer) ForwardIncremental(s *LayerState, xNew *tensor.Matrix) (*tensor.Matrix, error) {
@@ -41,42 +33,32 @@ func (l *Layer) ForwardIncremental(s *LayerState, xNew *tensor.Matrix) (*tensor.
 	if err != nil {
 		return nil, err
 	}
-	if err := tensor.AddInPlace(attnOut, xNew); err != nil {
-		return nil, err
-	}
-	y, err := tensor.LayerNorm(attnOut, l.LN1Gain, l.LN1Bias, l.Eps)
-	if err != nil {
-		return nil, err
-	}
-	f, err := l.ffn(y)
-	if err != nil {
-		return nil, err
-	}
-	if err := tensor.AddInPlace(f, y); err != nil {
-		return nil, err
-	}
-	return tensor.LayerNorm(f, l.LN2Gain, l.LN2Bias, l.Eps)
+	return l.finish(attnOut, xNew)
 }
 
-// Prefill runs the full stack over the embedded prompt x, returning the
-// final hidden states and a decode cache holding every layer's K/V.
+// Prefill runs the full stack over the embedded prompt x and returns what
+// generation reads of it: the final hidden state of the last position (1×F,
+// the row the first token decodes from) and a decode cache holding every
+// layer's K/V. Each layer projects K and V once, for its attention and its
+// cache alike (ForwardPartitionCached), and the last layer computes only the
+// last row — no later layer reads the others.
 func (m *Model) Prefill(x *tensor.Matrix) (*tensor.Matrix, *DecodeState, error) {
 	if m.Cfg.Kind != KindDecoder {
 		return nil, nil, fmt.Errorf("model: %s is not a decoder", m.Cfg.Name)
 	}
-	state := &DecodeState{Layers: make([]*LayerState, len(m.Layers)), Pos: x.Rows()}
+	n := x.Rows()
+	state := &DecodeState{Layers: make([]*LayerState, len(m.Layers)), Pos: n}
 	cur := x
 	for i, l := range m.Layers {
-		ls, err := l.PrefillState(cur)
-		if err != nil {
-			return nil, nil, fmt.Errorf("layer %d prefill: %w", i, err)
+		r := partition.Range{From: 0, To: n}
+		if i == len(m.Layers)-1 {
+			r.From = n - 1
 		}
-		state.Layers[i] = ls
-		out, err := l.Forward(cur)
+		out, ls, err := l.ForwardPartitionCached(cur, r)
 		if err != nil {
 			return nil, nil, fmt.Errorf("layer %d: %w", i, err)
 		}
-		cur = out
+		state.Layers[i], cur = ls, out
 	}
 	return cur, state, nil
 }
@@ -141,15 +123,7 @@ func (m *Model) ResumeState(tokens []int) (*tensor.Matrix, *DecodeState, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	hidden, state, err := m.Prefill(x)
-	if err != nil {
-		return nil, nil, err
-	}
-	last, err := hidden.RowSlice(hidden.Rows()-1, hidden.Rows())
-	if err != nil {
-		return nil, nil, err
-	}
-	return last, state, nil
+	return m.Prefill(x)
 }
 
 // GenerateIncremental decodes steps tokens greedily with the KV cache,
@@ -163,17 +137,13 @@ func (m *Model) GenerateIncremental(prompt []int, steps int) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	hidden, state, err := m.Prefill(x)
+	// The first next-token decodes from the prefill's last row.
+	last, state, err := m.Prefill(x)
 	if err != nil {
 		return nil, err
 	}
 	tokens := make([]int, len(prompt), len(prompt)+steps)
 	copy(tokens, prompt)
-	// First next-token from the prefill output.
-	last, err := hidden.RowSlice(hidden.Rows()-1, hidden.Rows())
-	if err != nil {
-		return nil, err
-	}
 	for i := 0; i < steps; i++ {
 		if len(tokens) >= m.Cfg.MaxSeq {
 			break

@@ -1,10 +1,86 @@
 package model
 
 import (
+	"errors"
 	"testing"
 
+	"voltage/internal/flopcount"
+	"voltage/internal/partition"
 	"voltage/internal/tensor"
 )
+
+// sameBits reports whether two matrices are equal element for element.
+func sameBits(a, b *tensor.Matrix) bool {
+	d, err := a.MaxAbsDiff(b)
+	return err == nil && d == 0
+}
+
+// TestForwardPartitionCachedSharesKV: the partition is the naive order's, bit
+// for bit, and the cache is the K/V a separate projection of x would build —
+// for a full, an interior, a last-row and an empty range.
+func TestForwardPartitionCachedSharesKV(t *testing.T) {
+	l, err := NewRandomLayer(TinyDecoder(), tensor.NewRNG(21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.NewRNG(22).Normal(11, l.F(), 1)
+	wantState, err := l.Attn.Prefill(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []partition.Range{{From: 0, To: 11}, {From: 3, To: 7}, {From: 10, To: 11}, {From: 5, To: 5}} {
+		part, state, err := l.ForwardPartitionCached(x, r)
+		if err != nil {
+			t.Fatalf("%v: %v", r, err)
+		}
+		want, err := l.ForwardPartitionFixedOrder(x, r, flopcount.OrderNaive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if part.Rows() != r.Len() || !sameBits(part, want) {
+			t.Errorf("%v: partition differs from the naive order's", r)
+		}
+		for h, hs := range state.Attn.Heads {
+			if !sameBits(hs.K, wantState.Heads[h].K) || !sameBits(hs.V, wantState.Heads[h].V) {
+				t.Errorf("%v: head %d cache differs from x·WK, x·WV", r, h)
+			}
+		}
+	}
+	if _, _, err := l.ForwardPartitionCached(x, partition.Range{From: 9, To: 12}); !errors.Is(err, tensor.ErrShape) {
+		t.Errorf("range past the input: %v, want ErrShape", err)
+	}
+}
+
+// TestPrefillReturnsLastRowOfFullForward: computing only the last row at the
+// last layer changes nothing about it.
+func TestPrefillReturnsLastRowOfFullForward(t *testing.T) {
+	for _, layers := range []int{1, 2, 3} {
+		cfg := TinyDecoder()
+		cfg.Layers = layers
+		m, err := NewRandom(cfg, 23)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{1, 2, 9} {
+			x := tensor.NewRNG(24).Normal(n, cfg.F, 1)
+			last, state, err := m.Prefill(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := m.ForwardFeatures(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := full.RowSlice(n-1, n)
+			if last.Rows() != 1 || !sameBits(last, want) {
+				t.Errorf("L=%d N=%d: prefill row differs from the full forward's last row", layers, n)
+			}
+			if state.Pos != n || len(state.Layers) != layers || state.Layers[layers-1].Attn.Len() != n {
+				t.Errorf("L=%d N=%d: cache pos %d over %d layers", layers, n, state.Pos, len(state.Layers))
+			}
+		}
+	}
+}
 
 func TestLayerIncrementalMatchesFullCausal(t *testing.T) {
 	l, err := NewRandomLayer(TinyDecoder(), tensor.NewRNG(1))
@@ -18,9 +94,13 @@ func TestLayerIncrementalMatchesFullCausal(t *testing.T) {
 		t.Fatal(err)
 	}
 	prefix, _ := x.RowSlice(0, 4)
-	state, err := l.PrefillState(prefix)
+	// An empty range asks for the cache alone.
+	part, state, err := l.ForwardPartitionCached(prefix, partition.Range{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if part.Rows() != 0 || part.Cols() != l.F() {
+		t.Fatalf("empty range returned a %dx%d partition", part.Rows(), part.Cols())
 	}
 	for pos := 4; pos < 9; pos++ {
 		row, _ := x.RowSlice(pos, pos+1)

@@ -1,8 +1,6 @@
 package model
 
 import (
-	"fmt"
-
 	"voltage/internal/attention"
 	"voltage/internal/flopcount"
 	"voltage/internal/partition"
@@ -79,86 +77,10 @@ func (l *Layer) ffn(m *tensor.Matrix) (*tensor.Matrix, error) {
 	return out, nil
 }
 
-// Forward computes the full layer output T(x) for all positions (the
-// single-device path).
-func (l *Layer) Forward(x *tensor.Matrix) (*tensor.Matrix, error) {
-	out, _, err := l.ForwardPartition(x, partition.Range{From: 0, To: x.Rows()})
-	return out, err
-}
-
-// ForwardPartition implements Algorithm 1: it computes the layer output
-// partition T_p(x) for the position range r, choosing the self-attention
-// computation order by Theorem 2, and returns the order used.
-func (l *Layer) ForwardPartition(x *tensor.Matrix, r partition.Range) (*tensor.Matrix, flopcount.Order, error) {
-	if r.From < 0 || r.To > x.Rows() || r.From > r.To {
-		return nil, 0, fmt.Errorf("%w: partition %v of %d rows", tensor.ErrShape, r, x.Rows())
-	}
-	if r.Empty() {
-		return tensor.New(0, x.Cols()), flopcount.OrderNaive, nil
-	}
-	xp, err := x.RowSlice(r.From, r.To)
-	if err != nil {
-		return nil, 0, err
-	}
-
-	// Line 3 of Algorithm 1: the Theorem 2 test. All heads share the same
-	// shape so one selection covers every head.
-	shape := flopcount.Shape{N: x.Rows(), P: r.Len(), F: l.Attn.F(), FH: l.Attn.FH()}
-	order := flopcount.SelectOrder(shape)
-
-	// Lines 2–9: per-head attention in the selected order, concatenated
-	// and projected by WO.
-	attnOut, err := l.Attn.ForwardWithOptions(x, xp, attention.Options{
-		Order: order, Causal: l.Causal, RowOffset: r.From,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-
-	// Line 10: Y ← LayerNorm(R + x_p).
-	if err := tensor.AddInPlace(attnOut, xp); err != nil {
-		return nil, 0, err
-	}
-	y, err := tensor.LayerNorm(attnOut, l.LN1Gain, l.LN1Bias, l.Eps)
-	if err != nil {
-		return nil, 0, err
-	}
-
-	// Line 11: T_p(x) ← LayerNorm(Y + FFN(Y)).
-	f, err := l.ffn(y)
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := tensor.AddInPlace(f, y); err != nil {
-		return nil, 0, err
-	}
-	out, err := tensor.LayerNorm(f, l.LN2Gain, l.LN2Bias, l.Eps)
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, order, nil
-}
-
-// ForwardPartitionFixedOrder is ForwardPartition with the attention
-// computation order forced (used by the naive-partition baseline in the
-// Fig. 6 experiment and by ablations).
-func (l *Layer) ForwardPartitionFixedOrder(x *tensor.Matrix, r partition.Range, order flopcount.Order) (*tensor.Matrix, error) {
-	if r.From < 0 || r.To > x.Rows() || r.From > r.To {
-		return nil, fmt.Errorf("%w: partition %v of %d rows", tensor.ErrShape, r, x.Rows())
-	}
-	if r.Empty() {
-		return tensor.New(0, x.Cols()), nil
-	}
-	xp, err := x.RowSlice(r.From, r.To)
-	if err != nil {
-		return nil, err
-	}
-	attnOut, err := l.Attn.ForwardWithOptions(x, xp, attention.Options{
-		Order: order, Causal: l.Causal, RowOffset: r.From,
-	})
-	if err != nil {
-		return nil, err
-	}
+// finish applies everything after the attention block to its output for the
+// rows xp (Algorithm 1, lines 10–11): Y ← LayerNorm(R + x_p), then
+// T_p(x) ← LayerNorm(Y + FFN(Y)). attnOut is consumed.
+func (l *Layer) finish(attnOut, xp *tensor.Matrix) (*tensor.Matrix, error) {
 	if err := tensor.AddInPlace(attnOut, xp); err != nil {
 		return nil, err
 	}
@@ -176,9 +98,85 @@ func (l *Layer) ForwardPartitionFixedOrder(x *tensor.Matrix, r partition.Range, 
 	return tensor.LayerNorm(f, l.LN2Gain, l.LN2Bias, l.Eps)
 }
 
+// Forward computes the full layer output T(x) for all positions (the
+// single-device path).
+func (l *Layer) Forward(x *tensor.Matrix) (*tensor.Matrix, error) {
+	out, _, err := l.ForwardPartition(x, partition.Range{From: 0, To: x.Rows()})
+	return out, err
+}
+
+// ForwardPartition implements Algorithm 1: it computes the layer output
+// partition T_p(x) for the position range r, choosing the self-attention
+// computation order by Theorem 2 (line 3; all heads share one shape, so one
+// selection covers every head), and returns the order used.
+func (l *Layer) ForwardPartition(x *tensor.Matrix, r partition.Range) (*tensor.Matrix, flopcount.Order, error) {
+	order := flopcount.OrderNaive
+	if !r.Empty() {
+		order = flopcount.SelectOrder(flopcount.Shape{N: x.Rows(), P: r.Len(), F: l.Attn.F(), FH: l.Attn.FH()})
+	}
+	out, err := l.ForwardPartitionFixedOrder(x, r, order)
+	return out, order, err
+}
+
+// ForwardPartitionFixedOrder is ForwardPartition with the attention
+// computation order forced (used by the naive-partition baseline in the
+// Fig. 6 experiment and by ablations).
+func (l *Layer) ForwardPartitionFixedOrder(x *tensor.Matrix, r partition.Range, order flopcount.Order) (*tensor.Matrix, error) {
+	xp, err := x.RowSlice(r.From, r.To) // also checks r against x
+	if err != nil {
+		return nil, err
+	}
+	if r.Empty() {
+		return tensor.New(0, x.Cols()), nil
+	}
+	// Lines 2–9: per-head attention in the given order, concatenated and
+	// projected by WO.
+	attnOut, err := l.Attn.ForwardWithOptions(x, xp, attention.Options{
+		Order: order, Causal: l.Causal, RowOffset: r.From,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return l.finish(attnOut, xp)
+}
+
+// ForwardPartitionCached computes the partition T_p(x) for r in the naive
+// association and returns with it the layer's decode cache over x — the K and
+// V that association materialises (attention.MultiHead.ForwardCached), so a
+// prefill projects them once. r may be empty: the cache is then all the
+// caller gets. The partition rows are bit-identical to
+// ForwardPartitionFixedOrder under OrderNaive.
+func (l *Layer) ForwardPartitionCached(x *tensor.Matrix, r partition.Range) (*tensor.Matrix, *LayerState, error) {
+	xp, err := x.RowSlice(r.From, r.To) // also checks r against x
+	if err != nil {
+		return nil, nil, err
+	}
+	attnOut, attn, err := l.Attn.ForwardCached(x, xp, l.Causal, r.From)
+	if err != nil {
+		return nil, nil, err
+	}
+	state := &LayerState{Attn: attn}
+	if r.Empty() {
+		return attnOut, state, nil
+	}
+	out, err := l.finish(attnOut, xp)
+	return out, state, err
+}
+
 // Cost returns the analytic Γ of computing a partition of length p of this
 // layer for input length n under Algorithm 1's selected order.
 func (l *Layer) Cost(n, p int) (int64, error) {
 	shape := flopcount.Shape{N: n, P: p, F: l.Attn.F(), FH: l.Attn.FH()}
 	return flopcount.LayerCost(shape, l.Attn.H(), l.W1.Cols(), flopcount.SelectOrder(shape))
+}
+
+// CachedCost is the analytic Γ of ForwardPartitionCached for input length n
+// and partition length p: the naive-order layer cost, whose 2·N·F·FH per head
+// are the cache. With p = 0 only those projections run.
+func (l *Layer) CachedCost(n, p int) (int64, error) {
+	if p == 0 {
+		return 2 * int64(l.Attn.H()) * flopcount.MatMulCost(n, l.Attn.F(), l.Attn.FH()), nil
+	}
+	shape := flopcount.Shape{N: n, P: p, F: l.Attn.F(), FH: l.Attn.FH()}
+	return flopcount.LayerCost(shape, l.Attn.H(), l.W1.Cols(), flopcount.OrderNaive)
 }

@@ -36,6 +36,11 @@ echo "== chaos: go test -race -count=3 (batched recovery suite)"
 # scheduling-dependent; run them three times under the race detector.
 go test -race -count=3 -run 'TestBatchedGenerate|TestBatchWindow' ./internal/cluster/
 
+echo "== fuzz: 5 s of FuzzParsePrefillFrame (opPrefill header + token frame)"
+# The join frames are the one place a worker parses bytes it did not
+# produce; the seed corpus is the malformed-frame table, 5 s mutates it.
+go test -run '^$' -fuzz FuzzParsePrefillFrame -fuzztime 5s ./internal/cluster
+
 echo "== benchmark: go test + quick smoke of all four workloads"
 # The repository benchmark is its own module (benchmark/go.mod), so the
 # tier-1 `go test ./...` above does not reach it. Its tests include a smoke
@@ -218,7 +223,10 @@ wait "$BD_PID" 2>/dev/null || true
 echo "== batched-chaos smoke: worker killed mid-batch, streams still complete"
 # Same concurrent-generate workload, but rank 1's transport dies on its 21st
 # receive. Every rank takes part in each of the 4 co-batched prefills (4
-# receives each: header, prompt, two All-Gather shares — 16 in all), but
+# receives each: header, token ids, two All-Gather shares — 16 in all; the
+# count did not move when the prompt frame became ids and the last layer
+# became the owner's alone: every rank still gets both frames and still
+# gathers after layer 0, tiny-decoder having two layers), but
 # decode is sharded by sequence: least-loaded placement puts the four
 # streams on ranks 0,1,2,0, so rank 1 then receives one step frame per round
 # only for the one stream it owns — 7 for steps=8, receives 17..23 — and
