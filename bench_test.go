@@ -17,7 +17,6 @@ package voltage_test
 import (
 	"context"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -424,66 +423,6 @@ func BenchmarkExtCachedDecode(b *testing.B) {
 	})
 }
 
-// BenchmarkBatchedGenerate measures aggregate decode throughput for
-// concurrent generate streams, serial (MaxBatch=1: one sequence holds the
-// mesh until it finishes) vs continuously batched (streams join the fused
-// decode batch and each step is one matmul round for the whole batch).
-// Fusion does not reduce MACs — the paced compute per token is identical —
-// so the win is amortizing the per-step frame exchange and scheduling over
-// the batch width. Reported as aggregate tok/s across all streams.
-func BenchmarkBatchedGenerate(b *testing.B) {
-	prev := voltage.SetComputeWorkers(1)
-	defer voltage.SetComputeWorkers(prev)
-	cfg := model.TinyDecoder()
-	cfg.MaxSeq = 4096
-	const (
-		k       = 3
-		streams = 8
-		steps   = 16
-	)
-	prompts := make([][]int, streams)
-	for s := range prompts {
-		p := make([]int, 12+s) // staggered lengths: varied cache positions
-		for i := range p {
-			p[i] = (i*13 + s*7 + 5) % cfg.VocabSize
-		}
-		prompts[s] = p
-	}
-	run := func(b *testing.B, opts cluster.Options) {
-		opts.Profile = netem.Profile{BandwidthMbps: 500, Latency: 2 * time.Millisecond}
-		c, err := cluster.NewMem(cfg, k, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer c.Close()
-		c.Serve()
-		ctx := context.Background()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var wg sync.WaitGroup
-			errs := make([]error, streams)
-			for s := 0; s < streams; s++ {
-				wg.Add(1)
-				go func(s int) {
-					defer wg.Done()
-					_, errs[s] = c.GenerateVoltage(ctx, prompts[s], steps)
-				}(s)
-			}
-			wg.Wait()
-			for _, err := range errs {
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		b.ReportMetric(float64(b.N*streams*steps)/b.Elapsed().Seconds(), "tok/s")
-	}
-	b.Run("serial", func(b *testing.B) { run(b, cluster.Options{MaxBatch: 1}) })
-	b.Run("batched", func(b *testing.B) {
-		run(b, cluster.Options{MaxBatch: streams, BatchWindow: 2 * time.Millisecond})
-	})
-}
-
 // BenchmarkExtQuantizedComm measures exact vs int8 All-Gather inference at
 // a constrained bandwidth (low enough that the 4× payload reduction beats
 // the quantize/dequantize CPU cost).
@@ -575,100 +514,4 @@ func BenchmarkExtPipelineBatch(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkServeThroughput measures the serving runtime's gain over
-// back-to-back blocking calls at K=3 on the Tiny model: "blocking" issues
-// Infer calls sequentially (each pays broadcast, All-Gather and collect
-// propagation delays in series), while "serve-*" keeps a window of
-// outstanding Submits so the dispatcher broadcasts request i+1 while the
-// workers compute request i and the collector drains request i−1. The
-// pooled/unpooled pair isolates the matrix- and buffer-pool savings in
-// allocs/op.
-func BenchmarkServeThroughput(b *testing.B) {
-	prev := voltage.SetComputeWorkers(1)
-	defer voltage.SetComputeWorkers(prev)
-	const (
-		k      = 3
-		seqLen = 48
-		window = 8
-	)
-	profile := netem.Profile{BandwidthMbps: 500, Latency: 5 * time.Millisecond}
-	newServeCluster := func(b *testing.B, opts cluster.Options) *cluster.Cluster {
-		b.Helper()
-		opts.Profile = profile
-		c, err := cluster.NewMem(model.Tiny(), k, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(c.Close)
-		return c
-	}
-	serveInput := func(b *testing.B, c *cluster.Cluster) *tensor.Matrix {
-		b.Helper()
-		ids := make([]int, seqLen)
-		for i := range ids {
-			ids[i] = (i*13 + 5) % c.Config().VocabSize
-		}
-		x, err := c.Model(0).Embed.EmbedTokens(ids)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return x
-	}
-	reportRate := func(b *testing.B) {
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
-	}
-
-	b.Run("blocking", func(b *testing.B) {
-		c := newServeCluster(b, cluster.Options{})
-		x := serveInput(b, c)
-		ctx := context.Background()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := c.Infer(ctx, cluster.StrategyVoltage, x); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportRate(b)
-	})
-
-	serve := func(b *testing.B, opts cluster.Options) {
-		c := newServeCluster(b, opts)
-		c.Serve()
-		x := serveInput(b, c)
-		ctx := context.Background()
-		b.ReportAllocs()
-		b.ResetTimer()
-		inflight := make([]*cluster.Pending, window)
-		for i := 0; i < b.N; i++ {
-			if pend := inflight[i%window]; pend != nil {
-				if _, err := pend.Wait(ctx); err != nil {
-					b.Fatal(err)
-				}
-			}
-			pend, err := c.Submit(ctx, cluster.StrategyVoltage, x)
-			if err != nil {
-				b.Fatal(err)
-			}
-			inflight[i%window] = pend
-		}
-		for _, pend := range inflight {
-			if pend == nil {
-				continue
-			}
-			if _, err := pend.Wait(ctx); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportRate(b)
-	}
-	b.Run("serve-pooled", func(b *testing.B) { serve(b, cluster.Options{}) })
-	b.Run("serve-unpooled", func(b *testing.B) { serve(b, cluster.Options{NoPooling: true}) })
-	// The metrics-disabled variant bounds the observability layer's cost:
-	// serve-pooled (metrics on, the default) must stay within noise of it —
-	// the instruments are pre-resolved atomics, nothing on the data path
-	// takes a lock or allocates.
-	b.Run("serve-nometrics", func(b *testing.B) { serve(b, cluster.Options{NoMetrics: true}) })
 }

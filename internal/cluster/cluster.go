@@ -76,9 +76,6 @@ type Options struct {
 	// synchronization (default naive direct exchange, as in the paper's
 	// accounting).
 	RingAllGather bool
-	// NaiveAllReduce downgrades tensor parallelism to the naive All-Reduce
-	// (default ring, matching the Megatron figures the paper cites).
-	NaiveAllReduce bool
 	// Seed derives the replicated model weights (default 1).
 	Seed int64
 	// DeviceFlops paces every emulated device at this sustained MAC/s
@@ -99,35 +96,19 @@ type Options struct {
 	// existing synchronization point, so the adjustment costs a few bytes
 	// per layer.
 	DynamicScheme bool
-	// Recorder, when non-nil, accumulates per-device compute/comm phase
-	// timings for breakdown reporting.
-	Recorder *trace.Recorder
 	// QuantizedComm int8-quantizes Voltage's All-Gather payloads (≈¼ the
 	// traffic) at the cost of a bounded per-layer quantization error —
 	// the communication optimization the paper's conclusion points to.
 	QuantizedComm bool
-	// NoPooling disables the matrix pool on the per-layer hot path, so
-	// every activation is freshly allocated (the pre-serving behaviour;
-	// kept for A/B benchmarking).
-	NoPooling bool
 
-	// Serving-runtime queue sizing. Zero keeps the defaults; negative
-	// values are rejected. An inference gateway that maintains its own
-	// per-class admission queues (internal/sched) should set QueueDepth
-	// low so requests wait in the gateway — where they can be shed, re-
-	// ordered by deadline, and withdrawn on cancel — instead of double-
-	// buffering in the engine's FIFO.
-
-	// QueueDepth bounds the admission queue (default 64): Submit blocks —
-	// or fails its context — once this many requests are waiting.
+	// QueueDepth bounds the admission queue (default 64; negative values
+	// are rejected): Submit blocks — or fails its context — once this many
+	// requests are waiting. An inference gateway that maintains its own
+	// per-class admission queues (internal/sched) should set it low so
+	// requests wait in the gateway — where they can be shed, re-ordered by
+	// deadline, and withdrawn on cancel — instead of double-buffering in
+	// the engine's FIFO.
 	QueueDepth int
-	// InflightDepth bounds how many dispatched requests may occupy the
-	// mesh at once (default 8), which keeps per-link queues well under the
-	// transport's limits.
-	InflightDepth int
-	// AdmitDepth bounds how far each worker loop may lag the dispatcher
-	// without blocking it (default 16).
-	AdmitDepth int
 
 	// Continuous batching (see DESIGN.md "Continuous batching"). Concurrent
 	// generate requests share forward passes: queued prefills coalesce and
@@ -180,10 +161,6 @@ type Options struct {
 	// data path: the serving loops record through pre-resolved atomic
 	// instruments, a few loads/adds per request.
 
-	// NoMetrics disables the metrics registry entirely. Metrics() then
-	// returns an empty snapshot and an admin listener serves no series;
-	// kept for A/B benchmarking of the instrumentation itself.
-	NoMetrics bool
 	// TraceRequests attaches a span trace to every request, surfaced on
 	// Result.Trace: one span per (device, layer, phase) step, so a single
 	// slow request can be decomposed without the lifetime aggregates.
@@ -198,14 +175,8 @@ type Options struct {
 
 	// Continuous profiling (see DESIGN.md "Continuous profiling &
 	// diagnostics"). The profile store and flight recorder are always on —
-	// they are bounded, lock-cheap, and independent of NoMetrics.
+	// they are bounded and lock-cheap.
 
-	// SkewThreshold is the per-fused-round max/mean compute-time ratio a
-	// rank must sustain to be flagged a persistent straggler (default 1.5);
-	// StragglerRounds is how many consecutive rounds over (or back under)
-	// the threshold flip the flag (default 4).
-	SkewThreshold   float64
-	StragglerRounds int
 	// FlightSink, when non-nil, receives an automatic flight-recorder dump
 	// (JSON) whenever a request resolves with a non-cancellation error, rate-
 	// limited to one dump per 30s. voltage-server wires stderr; the library
@@ -268,12 +239,11 @@ type Cluster struct {
 	schemeGen uint64
 	adaptCtl  *adapt.Controller // nil unless Options.Adapt
 
-	// Observability. metrics is nil under Options.NoMetrics — every
-	// clusterMetrics method is nil-receiver-safe, so record sites need no
-	// guards. admin is nil unless Options.AdminAddr was set. The profile
-	// store and flight recorder are always on (bounded, lock-cheap);
-	// stepRound numbers fused decode rounds cluster-wide so workers can
-	// correlate their per-round step times across degraded transitions.
+	// Observability. admin is nil unless Options.AdminAddr was set. The
+	// profile store and flight recorder are always on (bounded,
+	// lock-cheap); stepRound numbers fused decode rounds cluster-wide so
+	// workers can correlate their per-round step times across degraded
+	// transitions.
 	metrics   *clusterMetrics
 	admin     *metrics.AdminServer
 	obs       *obs.Store
@@ -281,8 +251,8 @@ type Cluster struct {
 	stepRound atomic.Uint32
 
 	// Serving runtime state.
-	batcher     *batcher           // continuous-batching manager for generation
-	pool        *tensor.MatrixPool // nil when Options.NoPooling
+	batcher     *batcher // continuous-batching manager for generation
+	pool        *tensor.MatrixPool
 	serveOnce   sync.Once
 	serveCtx    context.Context
 	serveCancel context.CancelFunc
@@ -324,9 +294,8 @@ func NewMem(cfg model.Config, k int, opts Options) (*Cluster, error) {
 	if opts.MaxRetries < 0 {
 		return nil, fmt.Errorf("cluster: negative MaxRetries %d", opts.MaxRetries)
 	}
-	if opts.QueueDepth < 0 || opts.InflightDepth < 0 || opts.AdmitDepth < 0 {
-		return nil, fmt.Errorf("cluster: negative queue depth (queue %d, inflight %d, admit %d)",
-			opts.QueueDepth, opts.InflightDepth, opts.AdmitDepth)
+	if opts.QueueDepth < 0 {
+		return nil, fmt.Errorf("cluster: negative queue depth %d", opts.QueueDepth)
 	}
 	if opts.MaxBatch < 0 || opts.BatchWindow < 0 {
 		return nil, fmt.Errorf("cluster: negative batching knob (max batch %d, window %s)",
@@ -346,16 +315,15 @@ func NewMem(cfg model.Config, k int, opts Options) (*Cluster, error) {
 			return nil, fmt.Errorf("cluster: chaos slow rank needs pacing (DeviceFlops or HeteroDeviceFlops)")
 		}
 	}
+	queueDepth := opts.QueueDepth
+	if queueDepth == 0 {
+		queueDepth = defaultQueueDepth
+	}
 	mesh, err := comm.NewMemMesh(k+1, opts.Profile)
 	if err != nil {
 		return nil, err
 	}
-	var cm *clusterMetrics
-	var tap comm.FaultTap
-	if !opts.NoMetrics {
-		cm = newClusterMetrics(k)
-		tap = cm.fault
-	}
+	cm := newClusterMetrics(k)
 	// Every payload crossing the mesh is integrity-checked: fault injection
 	// (when configured) sits between the raw transport and the frame layer,
 	// so injected corruption is caught by the receiver's CRC; the per-op
@@ -368,8 +336,8 @@ func NewMem(cfg model.Config, k int, opts Options) (*Cluster, error) {
 		if opts.WrapTransport != nil {
 			p = opts.WrapTransport(r, p)
 		}
-		p = comm.NewFramed(p, tap)
-		peers[r] = comm.WithOpTimeout(p, opts.OpTimeout, tap)
+		p = comm.NewFramed(p, cm.fault)
+		peers[r] = comm.WithOpTimeout(p, opts.OpTimeout, cm.fault)
 	}
 	// Every worker materializes the same weights from the shared seed —
 	// Voltage replicates the model instead of shipping weights.
@@ -395,19 +363,17 @@ func NewMem(cfg model.Config, k int, opts Options) (*Cluster, error) {
 		scheme: scheme, opts: opts,
 		health:    newHealthTracker(k, opts.ProbeAfter),
 		metrics:   cm,
-		queue:     make(chan *request, depthOr(opts.QueueDepth, defaultQueueDepth)),
-		collectCh: make(chan *request, depthOr(opts.InflightDepth, defaultInflightDepth)),
+		pool:      &tensor.MatrixPool{},
+		queue:     make(chan *request, queueDepth),
+		collectCh: make(chan *request, inflightDepth),
 		admitCh:   make([]chan *request, k),
 	}
 	// The flight recorder and profile store are always on; skew rounds and
-	// straggler flips mirror into gauges (nil-receiver-safe under NoMetrics)
-	// and the flight-recorder event log.
+	// straggler flips mirror into gauges and the flight-recorder event log.
 	c.flight = obs.NewFlightRecorder(0, 0)
 	c.obs = obs.NewStore(obs.StoreOptions{
-		K:               k,
-		SkewThreshold:   opts.SkewThreshold,
-		StragglerRounds: opts.StragglerRounds,
-		OnRound:         func(_ uint64, skew, ewma float64) { cm.observeSkew(skew, ewma) },
+		K:       k,
+		OnRound: func(_ uint64, skew, ewma float64) { cm.observeSkew(skew, ewma) },
 		OnStraggler: func(rank int, flagged bool) {
 			cm.stragglerFlag(rank, flagged)
 			state := "flagged as persistent straggler"
@@ -426,10 +392,7 @@ func NewMem(cfg model.Config, k int, opts Options) (*Cluster, error) {
 	}
 	c.batcher = &batcher{c: c, lastOwner: -1}
 	for r := range c.admitCh {
-		c.admitCh[r] = make(chan *request, depthOr(opts.AdmitDepth, defaultAdmitDepth))
-	}
-	if !opts.NoPooling {
-		c.pool = &tensor.MatrixPool{}
+		c.admitCh[r] = make(chan *request, admitDepth)
 	}
 	c.serveCtx, c.serveCancel = context.WithCancel(context.Background())
 	cm.setPartitionRatios(scheme.Ratios())
@@ -449,7 +412,7 @@ func NewMem(cfg model.Config, k int, opts Options) (*Cluster, error) {
 		go c.adaptLoop()
 	}
 	if opts.AdminAddr != "" {
-		admin, err := metrics.StartAdmin(opts.AdminAddr, cm.registry(), c.healthCheck,
+		admin, err := metrics.StartAdmin(opts.AdminAddr, cm.reg, c.healthCheck,
 			metrics.Endpoint{Path: "/debug/flight", Handler: c.flightHandler()},
 			metrics.Endpoint{Path: "/debug/trace", Handler: c.traceHandler()})
 		if err != nil {
@@ -487,16 +450,15 @@ func (c *Cluster) healthCheck() metrics.Health {
 	return metrics.Health{OK: ok, Detail: detail}
 }
 
-// Metrics returns a point-in-time snapshot of every registered series
-// (empty under Options.NoMetrics).
+// Metrics returns a point-in-time snapshot of every registered series.
 func (c *Cluster) Metrics() metrics.Snapshot {
-	return c.metrics.registry().Snapshot()
+	return c.metrics.reg.Snapshot()
 }
 
 // MetricsRegistry exposes the cluster's registry so an embedding process
-// can mount it on its own admin surface (nil under Options.NoMetrics).
+// can mount it on its own admin surface.
 func (c *Cluster) MetricsRegistry() *metrics.Registry {
-	return c.metrics.registry()
+	return c.metrics.reg
 }
 
 // AdminAddr returns the admin listener's bound address ("" when none was

@@ -96,23 +96,6 @@ func TestVoltageRingAllGatherAgrees(t *testing.T) {
 	}
 }
 
-func TestNaiveAllReduceAgrees(t *testing.T) {
-	c := newTiny(t, 2, Options{NaiveAllReduce: true})
-	x := embedTiny(t, c, 8)
-	ctx := context.Background()
-	single, err := c.Infer(ctx, StrategySingle, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp, err := c.Infer(ctx, StrategyTensorParallel, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tp.Output.AlmostEqual(single.Output, 1e-2) {
-		t.Fatal("naive all-reduce TP result differs")
-	}
-}
-
 func TestK1Degenerate(t *testing.T) {
 	c := newTiny(t, 1, Options{})
 	x := embedTiny(t, c, 6)

@@ -16,24 +16,14 @@ import (
 // exclusive-fence metering.
 
 func TestConfigurableChannelDepths(t *testing.T) {
-	c := newTiny(t, 2, Options{QueueDepth: 1, InflightDepth: 2, AdmitDepth: 3})
+	c := newTiny(t, 2, Options{QueueDepth: 1})
 	if got := cap(c.queue); got != 1 {
 		t.Errorf("queue cap = %d, want 1", got)
 	}
-	if got := cap(c.collectCh); got != 2 {
-		t.Errorf("collect cap = %d, want 2", got)
-	}
-	for r, ch := range c.admitCh {
-		if got := cap(ch); got != 3 {
-			t.Errorf("admit cap rank %d = %d, want 3", r, got)
-		}
-	}
-	// Defaults preserved when unset.
+	// Default preserved when unset.
 	d := newTiny(t, 2, Options{})
-	if cap(d.queue) != defaultQueueDepth || cap(d.collectCh) != defaultInflightDepth || cap(d.admitCh[0]) != defaultAdmitDepth {
-		t.Errorf("default caps = %d/%d/%d, want %d/%d/%d",
-			cap(d.queue), cap(d.collectCh), cap(d.admitCh[0]),
-			defaultQueueDepth, defaultInflightDepth, defaultAdmitDepth)
+	if got := cap(d.queue); got != defaultQueueDepth {
+		t.Errorf("default queue cap = %d, want %d", got, defaultQueueDepth)
 	}
 	// The sized cluster still serves.
 	if _, err := c.Infer(context.Background(), StrategyVoltage, embedTiny(t, c, 4)); err != nil {
@@ -42,10 +32,8 @@ func TestConfigurableChannelDepths(t *testing.T) {
 }
 
 func TestNegativeChannelDepthRejected(t *testing.T) {
-	for _, opts := range []Options{{QueueDepth: -1}, {InflightDepth: -1}, {AdmitDepth: -1}} {
-		if _, err := NewMem(model.Tiny(), 2, opts); err == nil {
-			t.Errorf("NewMem(%+v) accepted a negative depth", opts)
-		}
+	if _, err := NewMem(model.Tiny(), 2, Options{QueueDepth: -1}); err == nil {
+		t.Error("NewMem accepted a negative QueueDepth")
 	}
 }
 

@@ -15,10 +15,7 @@ import (
 // Observability wiring (see DESIGN.md "Observability"). clusterMetrics
 // resolves every instrument once at construction, so the serving loops
 // record with plain atomic operations — no label lookups, no locks, no
-// allocation on the data path. Every method is nil-receiver-safe:
-// Options.NoMetrics leaves c.metrics nil and each record site costs one
-// branch, which keeps the metrics-enabled and -disabled paths within
-// benchmark noise of each other.
+// allocation on the data path.
 //
 // Metrics observe the existing accounting (comm.Stats scopes, trace
 // phases); they never alter it, so the paper's communication-volume
@@ -310,19 +307,8 @@ func newClusterMetrics(k int) *clusterMetrics {
 	return m
 }
 
-// registry returns the backing registry (nil when metrics are disabled).
-func (m *clusterMetrics) registry() *metrics.Registry {
-	if m == nil {
-		return nil
-	}
-	return m.reg
-}
-
 // fault is the comm.FaultTap wired beneath the framing/watchdog wrappers.
 func (m *clusterMetrics) fault(kind comm.FaultKind, _ int) {
-	if m == nil {
-		return
-	}
 	switch kind {
 	case comm.FaultCorrupt:
 		m.tapCorrupt.Inc()
@@ -333,36 +319,24 @@ func (m *clusterMetrics) fault(kind comm.FaultKind, _ int) {
 
 // observeQueue records the admission queue's depth after a submit.
 func (m *clusterMetrics) observeQueue(depth int) {
-	if m == nil {
-		return
-	}
 	m.queueLen.Set(float64(depth))
 	m.queueDepth.Observe(float64(depth))
 }
 
 // dequeued tracks the queue gauge as the dispatcher drains it.
 func (m *clusterMetrics) dequeued(depth int) {
-	if m == nil {
-		return
-	}
 	m.queueLen.Set(float64(depth))
 }
 
 // canceledInQueue counts a request dropped before dispatch because its
 // context ended while it waited in the admission queue.
 func (m *clusterMetrics) canceledInQueue() {
-	if m == nil {
-		return
-	}
 	m.canceled.Inc()
 }
 
 // fenceBegin counts a queue fence starting: exclusive terminal protocols
 // (generation, pipeline) or fault-isolation fencing of supervised attempts.
 func (m *clusterMetrics) fenceBegin(exclusive bool) {
-	if m == nil {
-		return
-	}
 	if exclusive {
 		m.fenceExclusive.Inc()
 	} else {
@@ -372,17 +346,11 @@ func (m *clusterMetrics) fenceBegin(exclusive bool) {
 
 // fenceEnd records how long a fence held the mesh.
 func (m *clusterMetrics) fenceEnd(d time.Duration) {
-	if m == nil {
-		return
-	}
 	m.fenceDur.Observe(d.Seconds())
 }
 
 // observeBatchStep records one fused decode step of the given width.
 func (m *clusterMetrics) observeBatchStep(width int) {
-	if m == nil {
-		return
-	}
 	m.batchSize.Observe(float64(width))
 	m.fusedSteps.Inc()
 }
@@ -390,9 +358,6 @@ func (m *clusterMetrics) observeBatchStep(width int) {
 // kvCache mirrors one worker's cache table: how many sequences it owns and
 // the positions cached across them.
 func (m *clusterMetrics) kvCache(rank int, states map[uint32]*model.DecodeState) {
-	if m == nil {
-		return
-	}
 	positions := 0
 	for _, st := range states {
 		positions += st.Pos
@@ -403,24 +368,18 @@ func (m *clusterMetrics) kvCache(rank int, states map[uint32]*model.DecodeState)
 
 // observeStepDur records one rank's fused decode-step time.
 func (m *clusterMetrics) observeStepDur(d time.Duration) {
-	if m == nil {
-		return
-	}
 	m.stepDur.Observe(d.Seconds())
 }
 
 // observeSkew mirrors the profile store's per-round skew into gauges.
 func (m *clusterMetrics) observeSkew(skew, ewma float64) {
-	if m == nil {
-		return
-	}
 	m.roundSkew.Set(skew)
 	m.roundSkewEWMA.Set(ewma)
 }
 
 // stragglerFlag mirrors a persistent-straggler flag flip.
 func (m *clusterMetrics) stragglerFlag(rank int, flagged bool) {
-	if m == nil || rank < 0 || rank >= len(m.stragglerRanks) {
+	if rank < 0 || rank >= len(m.stragglerRanks) {
 		return
 	}
 	if flagged {
@@ -434,26 +393,17 @@ func (m *clusterMetrics) stragglerFlag(rank int, flagged bool) {
 
 // batchJoin counts a sequence joining the decode batch.
 func (m *clusterMetrics) batchJoin() {
-	if m == nil {
-		return
-	}
 	m.batchJoins.Inc()
 }
 
 // batchLeave counts a sequence leaving the decode batch.
 func (m *clusterMetrics) batchLeave() {
-	if m == nil {
-		return
-	}
 	m.batchLeaves.Inc()
 }
 
 // batchRecovery counts one failed batch round being recovered from,
 // classified by the fault's typed cause.
 func (m *clusterMetrics) batchRecovery(err error) {
-	if m == nil {
-		return
-	}
 	switch {
 	case errors.Is(err, comm.ErrTimeout) || errors.Is(err, context.DeadlineExceeded):
 		m.recTimeout.Inc()
@@ -468,18 +418,12 @@ func (m *clusterMetrics) batchRecovery(err error) {
 
 // batchSeqFailed counts a co-batched sequence resolved with a fault error.
 func (m *clusterMetrics) batchSeqFailed() {
-	if m == nil {
-		return
-	}
 	m.seqsFailed.Inc()
 }
 
 // batchSeqResumed counts a co-batched sequence parked across a fault for
 // resumption instead of being killed with the batch.
 func (m *clusterMetrics) batchSeqResumed() {
-	if m == nil {
-		return
-	}
 	m.seqsResumed.Inc()
 }
 
@@ -490,9 +434,6 @@ var gainBuckets = []float64{-0.25, -0.1, -0.05, 0, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7
 // setPartitionRatios mirrors the installed scheme into the per-rank
 // ratio gauges.
 func (m *clusterMetrics) setPartitionRatios(ratios []float64) {
-	if m == nil {
-		return
-	}
 	for r, g := range m.partitionRatio {
 		if r < len(ratios) {
 			g.Set(ratios[r])
@@ -503,9 +444,6 @@ func (m *clusterMetrics) setPartitionRatios(ratios []float64) {
 // repartition records one installed scheme: the cause counter, the new
 // ratio gauges, and the predicted improvement.
 func (m *clusterMetrics) repartition(cause string, ratios []float64, predicted float64) {
-	if m == nil {
-		return
-	}
 	switch cause {
 	case "straggler":
 		m.repartStraggler.Inc()
@@ -520,34 +458,22 @@ func (m *clusterMetrics) repartition(cause string, ratios []float64, predicted f
 
 // observeRealizedGain records a settled move's measured improvement.
 func (m *clusterMetrics) observeRealizedGain(gain float64) {
-	if m == nil {
-		return
-	}
 	m.gainRealized.Observe(gain)
 }
 
 // observeBatchWait records how long a sequence waited to join a batch.
 func (m *clusterMetrics) observeBatchWait(d time.Duration) {
-	if m == nil {
-		return
-	}
 	m.batchWait.Observe(d.Seconds())
 }
 
 // inflightAdd tracks requests occupying the mesh.
 func (m *clusterMetrics) inflightAdd(delta float64) {
-	if m == nil {
-		return
-	}
 	m.inflight.Add(delta)
 }
 
 // observeAttempt records one resolved dispatch: its latency, outcome, typed
 // cause, and the per-rank traffic it moved.
 func (m *clusterMetrics) observeAttempt(latency time.Duration, perDevice []comm.Stats, err error) {
-	if m == nil {
-		return
-	}
 	m.latency.Observe(latency.Seconds())
 	if err == nil {
 		m.attemptsOK.Inc()
@@ -568,9 +494,6 @@ func (m *clusterMetrics) observeAttempt(latency time.Duration, perDevice []comm.
 
 // observeRequest records one caller-visible resolution.
 func (m *clusterMetrics) observeRequest(attempts int, degraded bool, err error) {
-	if m == nil {
-		return
-	}
 	if err == nil {
 		m.requestsOK.Inc()
 	} else {
@@ -590,9 +513,6 @@ func (m *clusterMetrics) observeRequest(attempts int, degraded bool, err error) 
 
 // fallbackServed counts a terminal-only resolution (no surviving worker).
 func (m *clusterMetrics) fallbackServed() {
-	if m == nil {
-		return
-	}
 	m.localFallbacks.Inc()
 }
 
@@ -613,7 +533,7 @@ func (m *clusterMetrics) countCause(err error) {
 // healthTransition mirrors the health tracker's state machine into the
 // per-rank gauge and the transition counter.
 func (m *clusterMetrics) healthTransition(rank int, _, to HealthState) {
-	if m == nil || rank < 0 || rank >= len(m.healthState) {
+	if rank < 0 || rank >= len(m.healthState) {
 		return
 	}
 	m.healthState[rank].Set(float64(to))
@@ -629,7 +549,7 @@ func (m *clusterMetrics) healthTransition(rank int, _, to HealthState) {
 
 // phase accumulates execution-phase time.
 func (m *clusterMetrics) phase(ph trace.Phase, d time.Duration) {
-	if m == nil || d <= 0 {
+	if d <= 0 {
 		return
 	}
 	switch ph {

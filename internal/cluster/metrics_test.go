@@ -63,20 +63,6 @@ func TestMetricsObserveHealthyServing(t *testing.T) {
 	}
 }
 
-func TestNoMetricsServesUnobserved(t *testing.T) {
-	c := newTiny(t, 2, Options{NoMetrics: true})
-	if _, err := c.Infer(context.Background(), StrategyVoltage, embedTiny(t, c, 8)); err != nil {
-		t.Fatal(err)
-	}
-	if c.MetricsRegistry() != nil {
-		t.Fatal("NoMetrics should leave the registry nil")
-	}
-	snap := c.Metrics()
-	if n := len(snap.Counters) + len(snap.Gauges) + len(snap.Histograms); n != 0 {
-		t.Fatalf("NoMetrics snapshot has %d series, want 0", n)
-	}
-}
-
 func httpGetBody(t *testing.T, url string, wantStatus int) string {
 	t.Helper()
 	resp, err := http.Get(url)

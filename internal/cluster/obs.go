@@ -11,7 +11,7 @@ import (
 	"voltage/internal/obs"
 )
 
-// Continuous profiling & diagnostics wiring (see DESIGN.md §14). The
+// Continuous profiling & diagnostics wiring (see DESIGN.md §13). The
 // cluster feeds the always-on obs.Store and obs.FlightRecorder from its
 // existing observation points — recordPhase, fused decode rounds, health
 // transitions, batch recoveries — and exposes snapshots through Profile,

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"testing"
+	"time"
 
 	"voltage/internal/model"
 	"voltage/internal/tensor"
@@ -49,9 +50,10 @@ func TestPipelineNoLatencyBenefitAtBatchOne(t *testing.T) {
 	}
 	// The paper's argument quantified: at batch size 1, the pipelined
 	// first-request latency is no better than single-device. The paced
-	// rate is far below any plausible real compute time per layer, so the
-	// comparison stays deterministic even on loaded hosts.
-	const rate = 2e6
+	// rate is far below any plausible real compute time per layer, and each
+	// side is the minimum of three runs: host load only ever adds to a
+	// paced run, so the minimum is the one closest to the emulated time.
+	const rate = 4e6
 	cfg := model.Tiny().Scaled(6)
 	c, err := NewMem(cfg, 3, Options{DeviceFlops: rate})
 	if err != nil {
@@ -60,21 +62,28 @@ func TestPipelineNoLatencyBenefitAtBatchOne(t *testing.T) {
 	t.Cleanup(c.Close)
 	x := embedTiny(t, c, 32)
 	ctx := context.Background()
-	single, err := c.Infer(ctx, StrategySingle, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipe, err := c.InferPipeline(ctx, []*tensor.Matrix{x})
-	if err != nil {
-		t.Fatal(err)
+	var single, pipe time.Duration
+	for run := 0; run < 3; run++ {
+		s, err := c.Infer(ctx, StrategySingle, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := c.InferPipeline(ctx, []*tensor.Matrix{x})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 || s.Latency < single {
+			single = s.Latency
+		}
+		if run == 0 || p.FirstLatency < pipe {
+			pipe = p.FirstLatency
+		}
 	}
 	// Allow 5% tolerance: identical total compute + transfer overhead.
-	if float64(pipe.FirstLatency) < 0.95*float64(single.Latency) {
-		t.Fatalf("pipeline batch-1 latency %v unexpectedly beat single device %v",
-			pipe.FirstLatency, single.Latency)
+	if float64(pipe) < 0.95*float64(single) {
+		t.Fatalf("pipeline batch-1 latency %v unexpectedly beat single device %v", pipe, single)
 	}
-	t.Logf("batch-1: single=%v pipeline=%v (pipelining does not help individual latency)",
-		single.Latency, pipe.FirstLatency)
+	t.Logf("batch-1: single=%v pipeline=%v (pipelining does not help individual latency)", single, pipe)
 }
 
 func TestPipelineThroughputScalesWithBatch(t *testing.T) {

@@ -301,7 +301,8 @@ func (tpRunner) worker(ctx context.Context, c *Cluster, p comm.Peer, ex *comm.Ex
 		shard.OnComm = func(d time.Duration) {
 			c.recordPhase(req, rank, li, trace.PhaseComm, d)
 		}
-		out, err := shard.Forward(ctx, group, cur, !c.opts.NaiveAllReduce)
+		// Ring All-Reduce, matching the Megatron figures the paper cites.
+		out, err := shard.Forward(ctx, group, cur, true)
 		if err != nil {
 			return fmt.Errorf("layer %d: %w", li, err)
 		}

@@ -41,24 +41,16 @@ import (
 // cluster.
 var errServingStopped = errors.New("cluster: serving stopped")
 
-// Default queue depths: queueDepth bounds admission, inflightDepth bounds
-// how many requests may occupy the mesh at once (which in turn keeps
-// per-link queues well under the transport's limits), admitDepth lets
-// worker loops lag the dispatcher without blocking it. Options.QueueDepth/
-// InflightDepth/AdmitDepth override them.
+// Queue depths: the admission queue defaults to defaultQueueDepth
+// (Options.QueueDepth overrides it), inflightDepth bounds how many
+// requests may occupy the mesh at once (which in turn keeps per-link queues
+// well under the transport's limits), admitDepth lets worker loops lag the
+// dispatcher without blocking it.
 const (
-	defaultQueueDepth    = 64
-	defaultInflightDepth = 8
-	defaultAdmitDepth    = 16
+	defaultQueueDepth = 64
+	inflightDepth     = 8
+	admitDepth        = 16
 )
-
-// depthOr resolves a configured queue depth against its default.
-func depthOr(configured, def int) int {
-	if configured > 0 {
-		return configured
-	}
-	return def
-}
 
 // request is one in-flight unit of work flowing through the serving
 // runtime.
@@ -446,13 +438,10 @@ func (c *Cluster) flushResidue() {
 	c.mesh[0].Flush()
 }
 
-// recordPhase feeds one timed step to every observer: the lifetime
-// Recorder, the request's span trace, the phase counters, and the rolling
-// per-rank profile — each of which may individually be disabled (all four
-// sinks are nil-safe). layer is -1 for boundary work that belongs to no
-// layer.
+// recordPhase feeds one timed step to every observer: the request's span
+// trace, the phase counters, and the rolling per-rank profile (a nil trace
+// is a no-op). layer is -1 for boundary work that belongs to no layer.
 func (c *Cluster) recordPhase(req *request, rank, layer int, phase trace.Phase, d time.Duration) {
-	c.opts.Recorder.Add(rank, phase, d)
 	req.trace.Add(rank, layer, phase, d)
 	c.metrics.phase(phase, d)
 	c.obs.RecordPhase(rank, phase, d)

@@ -9,6 +9,7 @@ import (
 	"voltage/internal/comm"
 	"voltage/internal/model"
 	"voltage/internal/netem"
+	"voltage/internal/tensor"
 )
 
 // TestConcurrentSubmitsMatchSequential is the serving runtime's core
@@ -84,25 +85,40 @@ func TestConcurrentSubmitsMatchSequential(t *testing.T) {
 	}
 }
 
-// TestPooledMatchesUnpooled drives the same requests through a pooled and
-// an unpooled cluster; repeated submissions force matrix reuse, which must
-// never leak stale values into outputs.
+// TestPooledMatchesUnpooled drives the same requests repeatedly through
+// the (always pooled) cluster and checks each against Algorithm 2 computed
+// solo on Model(0), which allocates every activation fresh — bit-identical,
+// where ForwardFeatures is not: a partition picks its own matmul
+// association. Repeated submissions force matrix reuse, which must never
+// leak stale values into outputs.
 func TestPooledMatchesUnpooled(t *testing.T) {
-	pooled := newTiny(t, 3, Options{})
-	plain := newTiny(t, 3, Options{NoPooling: true})
+	c := newTiny(t, 3, Options{})
+	m := c.Model(0)
 	for round := 0; round < 3; round++ {
 		for _, n := range []int{6, 11} {
-			x := embedTiny(t, pooled, n)
-			a, err := pooled.Infer(context.Background(), StrategyVoltage, x)
+			x := embedTiny(t, c, n)
+			got, err := c.Infer(context.Background(), StrategyVoltage, x)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := plain.Infer(context.Background(), StrategyVoltage, x)
+			ranges, err := c.scheme.Ranges(n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !a.Output.Equal(b.Output) {
-				t.Fatalf("round %d n=%d: pooled output differs from unpooled", round, n)
+			want := x
+			for li := range m.Layers {
+				parts := make([]*tensor.Matrix, len(ranges))
+				for r, rg := range ranges {
+					if parts[r], err = m.ForwardLayerPartition(li, want, rg); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if want, err = tensor.ConcatRows(parts...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !got.Output.Equal(want) {
+				t.Fatalf("round %d n=%d: pooled output differs from the unpooled solo computation", round, n)
 			}
 		}
 	}

@@ -10,14 +10,25 @@ import (
 	"voltage/internal/trace"
 )
 
-func TestRecorderCapturesVoltageBreakdown(t *testing.T) {
-	rec, err := trace.NewRecorder(3)
-	if err != nil {
-		t.Fatal(err)
+// The breakdown experiment reads the per-rank profile: every worker rank
+// must have recorded compute and communication time for one inference.
+func requireWorkerBreakdown(t *testing.T, c *Cluster) {
+	t.Helper()
+	for _, r := range c.Profile().Ranks {
+		if r.Terminal {
+			continue
+		}
+		compute := r.Phases[trace.PhaseCompute.String()].TotalSeconds
+		comm := r.Phases[trace.PhaseComm.String()].TotalSeconds
+		if compute <= 0 || comm <= 0 {
+			t.Fatalf("device %d breakdown incomplete: compute %vs comm %vs", r.Rank, compute, comm)
+		}
 	}
+}
+
+func TestProfileCapturesVoltageBreakdown(t *testing.T) {
 	c, err := NewMem(model.Tiny().Scaled(4), 3, Options{
-		Profile:  netem.Profile{BandwidthMbps: 100},
-		Recorder: rec,
+		Profile: netem.Profile{BandwidthMbps: 100},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -27,50 +38,24 @@ func TestRecorderCapturesVoltageBreakdown(t *testing.T) {
 	if _, err := c.Infer(context.Background(), StrategyVoltage, x); err != nil {
 		t.Fatal(err)
 	}
-	rep := rec.Snapshot()
-	for _, d := range rep.Devices {
-		if d.Compute <= 0 {
-			t.Fatalf("device %d recorded no compute", d.Rank)
-		}
-		if d.Comm <= 0 {
-			t.Fatalf("device %d recorded no comm", d.Rank)
-		}
-	}
+	requireWorkerBreakdown(t, c)
 }
 
-func TestRecorderCapturesTPBreakdown(t *testing.T) {
-	rec, err := trace.NewRecorder(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewMem(model.Tiny(), 2, Options{Recorder: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
+func TestProfileCapturesTPBreakdown(t *testing.T) {
+	c := newTiny(t, 2, Options{})
 	x := embedTiny(t, c, 12)
 	if _, err := c.Infer(context.Background(), StrategyTensorParallel, x); err != nil {
 		t.Fatal(err)
 	}
-	rep := rec.Snapshot()
-	for _, d := range rep.Devices {
-		if d.Compute <= 0 || d.Comm <= 0 {
-			t.Fatalf("device %d breakdown incomplete: %+v", d.Rank, d)
-		}
-	}
+	requireWorkerBreakdown(t, c)
 }
 
 func TestTPCommFractionExceedsVoltage(t *testing.T) {
 	// The crux of the paper in one number: under the same bandwidth, TP
 	// spends a larger fraction of its time communicating than Voltage.
 	run := func(strategy Strategy) float64 {
-		rec, err := trace.NewRecorder(3)
-		if err != nil {
-			t.Fatal(err)
-		}
 		c, err := NewMem(model.Tiny().Scaled(4), 3, Options{
 			Profile:     netem.Profile{BandwidthMbps: 20, Latency: 200 * time.Microsecond},
-			Recorder:    rec,
 			DeviceFlops: 2e8,
 		})
 		if err != nil {
@@ -81,7 +66,10 @@ func TestTPCommFractionExceedsVoltage(t *testing.T) {
 		if _, err := c.Infer(context.Background(), strategy, x); err != nil {
 			t.Fatal(err)
 		}
-		return rec.Snapshot().Mean().CommFraction()
+		prof := c.Profile()
+		compute := prof.WorkerPhaseMean(trace.PhaseCompute)
+		comm := prof.WorkerPhaseMean(trace.PhaseComm)
+		return comm / (compute + comm)
 	}
 	v := run(StrategyVoltage)
 	tp := run(StrategyTensorParallel)

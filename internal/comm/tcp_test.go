@@ -99,8 +99,13 @@ func TestTCPEgressShaping(t *testing.T) {
 func TestTCPStats(t *testing.T) {
 	peers := tcpMesh(t, 2, netem.Unlimited)
 	ctx := context.Background()
-	go func() { _ = peers[0].Send(ctx, 1, make([]byte, 512)) }()
+	sent := make(chan error, 1)
+	go func() { sent <- peers[0].Send(ctx, 1, make([]byte, 512)) }()
 	if _, err := peers[1].Recv(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	// The receiver can hold the bytes before Send has counted them.
+	if err := <-sent; err != nil {
 		t.Fatal(err)
 	}
 	if s := peers[0].Stats(); s.BytesSent != 512 || s.MsgsSent != 1 {

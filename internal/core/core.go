@@ -49,7 +49,7 @@ func (e *Engine) Config() model.Config { return e.cluster.Config() }
 func (e *Engine) Health() []cluster.RankHealth { return e.cluster.Health() }
 
 // Metrics returns a point-in-time snapshot of every metric series the
-// serving runtime maintains (empty under ClusterOptions.NoMetrics).
+// serving runtime maintains.
 func (e *Engine) Metrics() metrics.Snapshot { return e.cluster.Metrics() }
 
 // AdminAddr returns the bound address of the engine's HTTP admin listener,

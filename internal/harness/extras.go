@@ -36,16 +36,10 @@ func BreakdownMeasured(ctx context.Context, cfg model.Config, k int, profile net
 	var outerErr error
 	singleThreaded(func() {
 		for _, strategy := range []cluster.Strategy{cluster.StrategyVoltage, cluster.StrategyTensorParallel} {
-			rec, err := trace.NewRecorder(k)
-			if err != nil {
-				outerErr = err
-				return
-			}
 			c, err := cluster.NewMem(cfg, k, cluster.Options{
 				Profile:     cal.Apply(profile),
 				Seed:        seed,
 				DeviceFlops: cal.DeviceFlops,
-				Recorder:    rec,
 			})
 			if err != nil {
 				outerErr = err
@@ -63,14 +57,17 @@ func BreakdownMeasured(ctx context.Context, cfg model.Config, k int, profile net
 				outerErr = fmt.Errorf("%v: %w", strategy, err)
 				return
 			}
-			mean := rec.Snapshot().Mean()
-			rows = append(rows, BreakdownRow{
-				Strategy:     strategy.String(),
-				ComputeSec:   mean.Compute.Seconds(),
-				CommSec:      mean.Comm.Seconds(),
-				CommFraction: mean.CommFraction(),
-				LatencySec:   res.Latency.Seconds(),
-			})
+			prof := c.Profile()
+			row := BreakdownRow{
+				Strategy:   strategy.String(),
+				ComputeSec: prof.WorkerPhaseMean(trace.PhaseCompute),
+				CommSec:    prof.WorkerPhaseMean(trace.PhaseComm),
+				LatencySec: res.Latency.Seconds(),
+			}
+			if busy := row.ComputeSec + row.CommSec; busy > 0 {
+				row.CommFraction = row.CommSec / busy
+			}
+			rows = append(rows, row)
 		}
 	})
 	return rows, outerErr

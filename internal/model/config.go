@@ -177,6 +177,28 @@ func Presets(name string) (Config, error) {
 	}
 }
 
+// CheckTokens reports why ids is not a token sequence the model embeds: a
+// vision model, no tokens, more than MaxSeq of them, or an id outside the
+// vocabulary. It needs no weights, so a gateway can run it before a request
+// is admitted.
+func (c Config) CheckTokens(ids []int) error {
+	if c.Kind == KindVision {
+		return fmt.Errorf("model: %s is a vision model; use EmbedImage", c.Name)
+	}
+	if len(ids) == 0 {
+		return fmt.Errorf("model: empty token sequence")
+	}
+	if len(ids) > c.MaxSeq {
+		return fmt.Errorf("model: sequence length %d exceeds max %d", len(ids), c.MaxSeq)
+	}
+	for _, id := range ids {
+		if id < 0 || id >= c.VocabSize {
+			return fmt.Errorf("model: token id %d outside vocab %d", id, c.VocabSize)
+		}
+	}
+	return nil
+}
+
 // Scaled returns a copy of c with the layer count replaced, used by the
 // benchmark harness to run paper-shaped models at laptop-tractable depth.
 func (c Config) Scaled(layers int) Config {

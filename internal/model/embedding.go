@@ -49,26 +49,9 @@ func NewRandomEmbedding(cfg Config, rng *tensor.RNG) (*Embedding, error) {
 	return e, nil
 }
 
-// CheckTokens reports why ids is not a sequence EmbedTokens accepts: a
-// vision model, no tokens, more than MaxSeq of them, or an id outside the
-// vocabulary. Devices run it on ids that arrive over the wire.
-func (e *Embedding) CheckTokens(ids []int) error {
-	if e.cfg.Kind == KindVision {
-		return fmt.Errorf("model: %s is a vision model; use EmbedImage", e.cfg.Name)
-	}
-	if len(ids) == 0 {
-		return fmt.Errorf("model: empty token sequence")
-	}
-	if len(ids) > e.cfg.MaxSeq {
-		return fmt.Errorf("model: sequence length %d exceeds max %d", len(ids), e.cfg.MaxSeq)
-	}
-	for _, id := range ids {
-		if id < 0 || id >= e.cfg.VocabSize {
-			return fmt.Errorf("model: token id %d outside vocab %d", id, e.cfg.VocabSize)
-		}
-	}
-	return nil
-}
+// CheckTokens reports why ids is not a sequence EmbedTokens accepts
+// (Config.CheckTokens). Devices run it on ids that arrive over the wire.
+func (e *Embedding) CheckTokens(ids []int) error { return e.cfg.CheckTokens(ids) }
 
 // EmbedTokens maps token ids to the N×F input features (token embedding +
 // position embedding, layer-normalized).

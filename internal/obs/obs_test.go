@@ -38,6 +38,14 @@ func TestStorePhaseEstimates(t *testing.T) {
 	if !p.Ranks[2].Terminal {
 		t.Errorf("rank 2 should be terminal")
 	}
+	// Worker means: (20·2 ms + 20·8 ms) ÷ 2 workers; the terminal's
+	// boundary time belongs to no worker.
+	if got := p.WorkerPhaseMean(trace.PhaseCompute); got < 0.0999 || got > 0.1001 {
+		t.Errorf("worker compute mean %g s, want 0.1", got)
+	}
+	if got := p.WorkerPhaseMean(trace.PhaseBoundary); got != 0 {
+		t.Errorf("worker boundary mean %g s, want 0 (only the terminal recorded it)", got)
+	}
 	if p.Ranks[0].BytesSent != 1024 || p.Ranks[0].BytesRecv != 516 {
 		t.Errorf("comm bytes %d/%d, want 1024/516", p.Ranks[0].BytesSent, p.Ranks[0].BytesRecv)
 	}

@@ -407,6 +407,22 @@ func (p Profile) StepSkew() float64 {
 	return max / (sum / float64(n))
 }
 
+// WorkerPhaseMean returns the lifetime seconds spent in phase, averaged
+// over the K worker ranks — the per-device compute/communication split the
+// breakdown experiment reports (0 when nothing was recorded).
+func (p Profile) WorkerPhaseMean(phase trace.Phase) float64 {
+	if p.K == 0 {
+		return 0
+	}
+	var sum float64
+	for _, r := range p.Ranks {
+		if !r.Terminal {
+			sum += r.Phases[phase.String()].TotalSeconds
+		}
+	}
+	return sum / float64(p.K)
+}
+
 // Profile returns a consistent snapshot of all rolling estimates.
 func (s *Store) Profile() Profile {
 	if s == nil {

@@ -295,6 +295,26 @@ func (s *Server) resolveTokens(tokens []int, text string) ([]int, error) {
 	}
 }
 
+// checkGenerate rejects a generate request the engine would fail — client
+// mistakes must answer 400 before admission, not 500 after spending a slot:
+// a model with no decoder, a prompt the model cannot embed or one that fills
+// MaxSeq and leaves no position to generate into, a negative step count.
+func checkGenerate(cfg model.Config, prompt []int, steps int) error {
+	if cfg.Kind != model.KindDecoder {
+		return fmt.Errorf("model: %s is not a decoder", cfg.Name)
+	}
+	if err := cfg.CheckTokens(prompt); err != nil {
+		return err
+	}
+	if len(prompt) >= cfg.MaxSeq {
+		return fmt.Errorf("prompt length %d leaves no position to generate within max sequence %d", len(prompt), cfg.MaxSeq)
+	}
+	if steps < 0 {
+		return fmt.Errorf("negative steps %d", steps)
+	}
+	return nil
+}
+
 // parseStrategy maps the wire strategy name (default voltage).
 func parseStrategy(name string) (cluster.Strategy, error) {
 	switch name {
@@ -329,6 +349,9 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ids, err := s.resolveTokens(req.Tokens, req.Text)
+	if err == nil {
+		err = s.backend.Config().CheckTokens(ids)
+	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -428,12 +451,15 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	prompt, err := s.resolveTokens(req.Prompt, req.Text)
+	if err == nil {
+		err = checkGenerate(s.backend.Config(), prompt, req.Steps)
+	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	steps := req.Steps
-	if steps <= 0 {
+	if steps == 0 {
 		steps = s.opts.DefaultSteps
 	}
 	if steps > s.opts.MaxSteps {

@@ -209,7 +209,7 @@ type fakeBackend struct {
 }
 
 func newFakeBackend() *fakeBackend {
-	return &fakeBackend{cfg: model.Tiny(), enter: make(chan struct{}, 64)}
+	return &fakeBackend{cfg: model.TinyDecoder(), enter: make(chan struct{}, 64)}
 }
 
 func (f *fakeBackend) Config() model.Config { return f.cfg }
@@ -685,6 +685,76 @@ func TestBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("oversized steps = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestClientMistakesAnswer400BeforeAdmission: a request the served model
+// cannot run is the client's mistake — 400 from the gateway, never admitted
+// and never shown to the backend — not the 500 the engine's own failure
+// would map to. A valid request beside them still serves.
+func TestClientMistakesAnswer400BeforeAdmission(t *testing.T) {
+	encoder, decoder := newFakeBackend(), newFakeBackend()
+	encoder.cfg = model.Tiny() // VocabSize 100, MaxSeq 64, as TinyDecoder
+	encGW, encTS := newGateway(t, encoder, Options{})
+	decGW, decTS := newGateway(t, decoder, Options{})
+	seq := func(n int) []int {
+		ids := make([]int, n)
+		for i := range ids {
+			ids[i] = i % 100
+		}
+		return ids
+	}
+	cases := []struct {
+		name string
+		url  string
+		body map[string]any
+		want string // substring of the response body
+	}{
+		{"classify id beyond vocab", encTS.URL + "/v1/classify", map[string]any{"tokens": []int{1, 2, 9999}}, "token id 9999 outside vocab 100"},
+		{"classify negative id", encTS.URL + "/v1/classify", map[string]any{"tokens": []int{1, -2, 3}}, "token id -2 outside vocab 100"},
+		{"classify beyond MaxSeq", encTS.URL + "/v1/classify", map[string]any{"tokens": seq(70)}, "sequence length 70 exceeds max 64"},
+		{"generate on an encoder", encTS.URL + "/v1/generate", map[string]any{"prompt": []int{1, 2, 3}, "steps": 2}, "tiny is not a decoder"},
+		{"generate id beyond vocab", decTS.URL + "/v1/generate", map[string]any{"prompt": []int{1, 100}, "steps": 2}, "token id 100 outside vocab 100"},
+		{"generate prompt fills MaxSeq", decTS.URL + "/v1/generate", map[string]any{"prompt": seq(64), "steps": 2}, "leaves no position to generate"},
+		{"generate negative steps", decTS.URL + "/v1/generate", map[string]any{"prompt": []int{1, 2, 3}, "steps": -1}, "negative steps -1"},
+	}
+	for _, tc := range cases {
+		resp := postJSON(t, tc.url, tc.body)
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), tc.want) {
+			t.Errorf("%s: %d %q, want 400 mentioning %q", tc.name, resp.StatusCode, body, tc.want)
+		}
+	}
+	admitted := func(gw *Server) (n uint64) {
+		for _, cs := range gw.Scheduler().Stats().Classes {
+			n += cs.Admitted
+		}
+		return n
+	}
+	if a, b := admitted(encGW), admitted(decGW); a != 0 || b != 0 {
+		t.Fatalf("malformed requests were admitted: %d on the encoder gateway, %d on the decoder's", a, b)
+	}
+	if len(encoder.enter)+len(decoder.enter) != 0 {
+		t.Fatal("a malformed request reached the backend")
+	}
+
+	for _, ok := range []struct {
+		url  string
+		body map[string]any
+	}{
+		{encTS.URL + "/v1/classify", map[string]any{"tokens": seq(64)}},
+		{decTS.URL + "/v1/generate", map[string]any{"prompt": seq(63), "steps": 1}},
+	} {
+		resp := postJSON(t, ok.url, ok.body)
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("valid request to %s = %d, want 200", ok.url, resp.StatusCode)
+		}
+	}
+	if a, b := admitted(encGW), admitted(decGW); a != 1 || b != 1 {
+		t.Errorf("valid requests admitted %d + %d, want 1 + 1", a, b)
 	}
 }
 

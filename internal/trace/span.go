@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// Per-request tracing. A Recorder aggregates phase time across the life of
+// Per-request tracing. obs.Store aggregates phase time across the life of
 // a cluster; a RequestTrace records the individual per-device, per-layer
 // spans of one request, so an operator can see where a single slow request
 // spent its time (which layer, which device, compute or comm) instead of
@@ -110,7 +110,7 @@ func (t *RequestTrace) Spans() []Span {
 }
 
 // PhaseTotals sums the recorded spans by phase — the request-local
-// equivalent of a Recorder breakdown.
+// equivalent of the per-rank profile's phase totals.
 func (t *RequestTrace) PhaseTotals() map[Phase]time.Duration {
 	totals := make(map[Phase]time.Duration, 3)
 	if t == nil {

@@ -1,15 +1,10 @@
-// Package trace records per-device, per-phase timings during distributed
-// inference, splitting each run into compute, communication and boundary
-// time. The breakdown experiment uses it to validate the analytic cost
-// model's compute:comm split against real execution — the quantity that
-// decides every comparison in the paper.
+// Package trace names the phases a distributed inference splits into —
+// compute, communication, boundary, and the serving waits around them — and
+// records them per request as spans (RequestTrace). The lifetime per-rank
+// totals live in internal/obs, fed with the same Phase values.
 package trace
 
-import (
-	"fmt"
-	"sync"
-	"time"
-)
+import "fmt"
 
 // Phase classifies where a span of time went.
 type Phase int
@@ -53,126 +48,5 @@ func (p Phase) String() string {
 		return "recover"
 	default:
 		return fmt.Sprintf("Phase(%d)", int(p))
-	}
-}
-
-// Recorder accumulates phase durations per device. It is safe for
-// concurrent use; the zero value is not valid — use NewRecorder.
-type Recorder struct {
-	mu     sync.Mutex
-	k      int
-	totals []map[Phase]time.Duration
-}
-
-// NewRecorder returns a recorder for k devices (ranks 0..k-1).
-func NewRecorder(k int) (*Recorder, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("trace: k = %d", k)
-	}
-	totals := make([]map[Phase]time.Duration, k)
-	for i := range totals {
-		totals[i] = make(map[Phase]time.Duration, 3)
-	}
-	return &Recorder{k: k, totals: totals}, nil
-}
-
-// Add records d under (rank, phase). Out-of-range ranks are ignored so
-// instrumentation can never break an inference.
-func (r *Recorder) Add(rank int, phase Phase, d time.Duration) {
-	if r == nil || rank < 0 || rank >= r.k || d < 0 {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.totals[rank][phase] += d
-}
-
-// Reset zeroes all accumulated durations.
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := range r.totals {
-		r.totals[i] = make(map[Phase]time.Duration, 3)
-	}
-}
-
-// DeviceBreakdown is one device's accumulated phase times.
-type DeviceBreakdown struct {
-	Rank     int
-	Compute  time.Duration
-	Comm     time.Duration
-	Boundary time.Duration
-}
-
-// Total returns the sum of the phases.
-func (d DeviceBreakdown) Total() time.Duration { return d.Compute + d.Comm + d.Boundary }
-
-// CommFraction returns comm/(compute+comm), the balance the paper's
-// comparisons hinge on (0 when nothing recorded).
-func (d DeviceBreakdown) CommFraction() float64 {
-	denom := d.Compute + d.Comm
-	if denom <= 0 {
-		return 0
-	}
-	return float64(d.Comm) / float64(denom)
-}
-
-// Report is a snapshot of all devices.
-type Report struct {
-	Devices []DeviceBreakdown
-}
-
-// Snapshot returns the current per-device breakdowns.
-func (r *Recorder) Snapshot() Report {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	rep := Report{Devices: make([]DeviceBreakdown, r.k)}
-	for i, m := range r.totals {
-		rep.Devices[i] = DeviceBreakdown{
-			Rank:     i,
-			Compute:  m[PhaseCompute],
-			Comm:     m[PhaseComm],
-			Boundary: m[PhaseBoundary],
-		}
-	}
-	return rep
-}
-
-// MaxDevice returns the breakdown of the device with the largest total —
-// the critical path of a synchronized run. Ties break deterministically
-// toward the lowest rank (the devices are interchangeable replicas, so any
-// tied device is an equally valid critical path; picking the lowest keeps
-// reports stable across runs). When no device recorded any time, ok is
-// false and the returned breakdown carries Rank -1, so an empty report can
-// never misattribute the critical path to rank 0.
-func (rep Report) MaxDevice() (DeviceBreakdown, bool) {
-	best, ok := DeviceBreakdown{Rank: -1}, false
-	for _, d := range rep.Devices {
-		if d.Total() <= 0 {
-			continue
-		}
-		if !ok || d.Total() > best.Total() {
-			best, ok = d, true
-		}
-	}
-	return best, ok
-}
-
-// Mean returns the average breakdown across devices.
-func (rep Report) Mean() DeviceBreakdown {
-	var sum DeviceBreakdown
-	if len(rep.Devices) == 0 {
-		return sum
-	}
-	for _, d := range rep.Devices {
-		sum.Compute += d.Compute
-		sum.Comm += d.Comm
-		sum.Boundary += d.Boundary
-	}
-	n := time.Duration(len(rep.Devices))
-	return DeviceBreakdown{
-		Compute:  sum.Compute / n,
-		Comm:     sum.Comm / n,
-		Boundary: sum.Boundary / n,
 	}
 }

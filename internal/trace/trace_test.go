@@ -6,117 +6,6 @@ import (
 	"time"
 )
 
-func TestNewRecorderValidation(t *testing.T) {
-	if _, err := NewRecorder(0); err == nil {
-		t.Fatal("want error for k=0")
-	}
-}
-
-func TestAddAndSnapshot(t *testing.T) {
-	r, err := NewRecorder(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Add(0, PhaseCompute, 10*time.Millisecond)
-	r.Add(0, PhaseCompute, 5*time.Millisecond)
-	r.Add(0, PhaseComm, 3*time.Millisecond)
-	r.Add(1, PhaseBoundary, 7*time.Millisecond)
-	rep := r.Snapshot()
-	if rep.Devices[0].Compute != 15*time.Millisecond {
-		t.Fatalf("compute %v", rep.Devices[0].Compute)
-	}
-	if rep.Devices[0].Comm != 3*time.Millisecond {
-		t.Fatalf("comm %v", rep.Devices[0].Comm)
-	}
-	if rep.Devices[1].Boundary != 7*time.Millisecond {
-		t.Fatalf("boundary %v", rep.Devices[1].Boundary)
-	}
-	if rep.Devices[0].Total() != 18*time.Millisecond {
-		t.Fatalf("total %v", rep.Devices[0].Total())
-	}
-}
-
-func TestAddIgnoresBadInput(t *testing.T) {
-	r, _ := NewRecorder(1)
-	r.Add(-1, PhaseCompute, time.Second)
-	r.Add(5, PhaseCompute, time.Second)
-	r.Add(0, PhaseCompute, -time.Second)
-	var nilRec *Recorder
-	nilRec.Add(0, PhaseCompute, time.Second) // must not panic
-	if r.Snapshot().Devices[0].Compute != 0 {
-		t.Fatal("bad input recorded")
-	}
-}
-
-func TestReset(t *testing.T) {
-	r, _ := NewRecorder(1)
-	r.Add(0, PhaseCompute, time.Second)
-	r.Reset()
-	if r.Snapshot().Devices[0].Compute != 0 {
-		t.Fatal("Reset did not clear")
-	}
-}
-
-func TestCommFraction(t *testing.T) {
-	d := DeviceBreakdown{Compute: 3 * time.Second, Comm: time.Second}
-	if got := d.CommFraction(); got != 0.25 {
-		t.Fatalf("CommFraction = %v", got)
-	}
-	if (DeviceBreakdown{}).CommFraction() != 0 {
-		t.Fatal("empty CommFraction")
-	}
-}
-
-func TestMaxDeviceAndMean(t *testing.T) {
-	rep := Report{Devices: []DeviceBreakdown{
-		{Rank: 0, Compute: time.Second},
-		{Rank: 1, Compute: 3 * time.Second, Comm: time.Second},
-	}}
-	if got, ok := rep.MaxDevice(); !ok || got.Rank != 1 {
-		t.Fatalf("MaxDevice rank %d ok %v", got.Rank, ok)
-	}
-	mean := rep.Mean()
-	if mean.Compute != 2*time.Second || mean.Comm != 500*time.Millisecond {
-		t.Fatalf("Mean %+v", mean)
-	}
-	if (Report{}).Mean().Compute != 0 {
-		t.Fatal("empty Mean")
-	}
-}
-
-// TestMaxDeviceTiesAndEmpty pins the MaxDevice bugfix: an all-zero report
-// used to return the zero-value DeviceBreakdown{Rank: 0}, misreporting
-// rank 0 as the critical path; ties were decided by slice order accident.
-func TestMaxDeviceTiesAndEmpty(t *testing.T) {
-	s := time.Second
-	cases := []struct {
-		name     string
-		devices  []DeviceBreakdown
-		wantRank int
-		wantOK   bool
-	}{
-		{"empty report", nil, -1, false},
-		{"all zero totals", []DeviceBreakdown{{Rank: 0}, {Rank: 1}, {Rank: 2}}, -1, false},
-		{"single device", []DeviceBreakdown{{Rank: 0, Compute: s}}, 0, true},
-		{"clear winner", []DeviceBreakdown{{Rank: 0, Compute: s}, {Rank: 1, Comm: 2 * s}}, 1, true},
-		{"two-way tie picks lowest rank",
-			[]DeviceBreakdown{{Rank: 0, Compute: 2 * s}, {Rank: 1, Comm: 2 * s}}, 0, true},
-		{"tie among later ranks picks lowest of them",
-			[]DeviceBreakdown{{Rank: 0, Compute: s}, {Rank: 1, Comm: 3 * s}, {Rank: 2, Boundary: 3 * s}}, 1, true},
-		{"zero-total rank 0 never wins",
-			[]DeviceBreakdown{{Rank: 0}, {Rank: 1, Compute: s}}, 1, true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got, ok := Report{Devices: tc.devices}.MaxDevice()
-			if ok != tc.wantOK || got.Rank != tc.wantRank {
-				t.Fatalf("MaxDevice = rank %d ok %v, want rank %d ok %v",
-					got.Rank, ok, tc.wantRank, tc.wantOK)
-			}
-		})
-	}
-}
-
 func TestRequestTraceSpans(t *testing.T) {
 	tr := NewRequestTrace()
 	tr.SetID(42)
@@ -224,26 +113,6 @@ func TestRequestTraceConcurrentReadersAndWriters(t *testing.T) {
 	nilTr.SetID(7)
 	if nilTr.Spans() != nil || nilTr.ID() != 0 {
 		t.Fatal("nil RequestTrace not inert")
-	}
-}
-
-func TestConcurrentAdd(t *testing.T) {
-	r, _ := NewRecorder(4)
-	var wg sync.WaitGroup
-	for i := 0; i < 100; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r.Add(i%4, PhaseComm, time.Millisecond)
-		}(i)
-	}
-	wg.Wait()
-	var total time.Duration
-	for _, d := range r.Snapshot().Devices {
-		total += d.Comm
-	}
-	if total != 100*time.Millisecond {
-		t.Fatalf("concurrent total %v", total)
 	}
 }
 

@@ -7,6 +7,25 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every background server and temp path a smoke stage creates is registered
+# here once; whichever way the script exits, all of them are reaped.
+PIDS=()
+TMPFILES=()
+cleanup() {
+    for pid in "${PIDS[@]}"; do
+        kill "$pid" 2>/dev/null || true
+    done
+    rm -rf "${TMPFILES[@]}"
+}
+trap cleanup EXIT
+
+# benchmark/ is the only measurement instrument; the load generator it
+# replaced must not come back as a package.
+if go list ./... | grep -E 'loadgen|voltage-load'; then
+    echo "retired load-generator packages are back in the module" >&2
+    exit 1
+fi
+
 echo "== go vet ./..."
 go vet ./...
 
@@ -49,16 +68,23 @@ echo "== benchmark: go test + quick smoke of all four workloads"
 (cd benchmark && go test .)
 bash benchmark/run.sh -quick
 
+# The smoke stages run built binaries, not `go run`: killing `go run` leaves
+# the server it started alive until its -hold expires.
+BIN="$(mktemp -d)"
+TMPFILES+=("$BIN")
+go build -o "$BIN/" ./cmd/voltage-worker ./cmd/voltage-server
+
 echo "== admin smoke: worker -local serves /metrics and /healthz"
 # Start an in-process engine with the admin listener, serve two requests,
 # and hold; scrape the listener while it holds and require the serving
 # metric families the dashboards depend on.
 ADMIN_ADDR="127.0.0.1:19155"
 ADMIN_LOG="$(mktemp)"
-go run ./cmd/voltage-worker -local 2 -model tiny -requests 2 -words 8 \
+TMPFILES+=("$ADMIN_LOG")
+"$BIN/voltage-worker" -local 2 -model tiny -requests 2 -words 8 \
     -admin "$ADMIN_ADDR" -hold 30s -timeout 2m >"$ADMIN_LOG" 2>&1 &
 ADMIN_PID=$!
-trap 'kill "$ADMIN_PID" 2>/dev/null || true; rm -f "$ADMIN_LOG"' EXIT
+PIDS+=("$ADMIN_PID")
 METRICS=""
 for _ in $(seq 1 100); do
     if METRICS="$(curl -fsS "http://$ADMIN_ADDR/metrics" 2>/dev/null)" \
@@ -98,11 +124,12 @@ echo "== gateway smoke: voltage-server -local serves /v1/classify, /metrics, and
 # typed 429 shed plus the gateway metric families.
 GW_ADDR="127.0.0.1:19156"
 GW_LOG="$(mktemp)"
-go run ./cmd/voltage-server -local 3 -model tiny -layers 1 -listen "$GW_ADDR" \
+TMPFILES+=("$GW_LOG")
+"$BIN/voltage-server" -local 3 -model tiny -layers 1 -listen "$GW_ADDR" \
     -queue-interactive 1 -gateway-workers 1 -device-flops 2e4 \
     -hold 60s -drain-timeout 5s >"$GW_LOG" 2>&1 &
 GW_PID=$!
-trap 'kill "$ADMIN_PID" "$GW_PID" 2>/dev/null || true; rm -f "$ADMIN_LOG" "$GW_LOG"' EXIT
+PIDS+=("$GW_PID")
 CLASSIFY=""
 for _ in $(seq 1 100); do
     if CLASSIFY="$(curl -fsS -X POST "http://$GW_ADDR/v1/classify" \
@@ -148,18 +175,22 @@ curl -fsS "http://$GW_ADDR/v1/queue" | grep -q '"interactive"' || {
 kill "$GW_PID" 2>/dev/null || true
 wait "$GW_PID" 2>/dev/null || true
 
-echo "== batched-decode smoke: concurrent /v1/generate streams fuse into one batch"
-# Start the gateway over a decoder engine with continuous batching on and a
-# generous coalescing window, fire 4 concurrent streaming generates, require
-# every stream to complete, then require the batch metrics to show fused
-# steps at width > 1 (the streams actually co-batched, not serialized).
+echo "== batched-decode smoke: concurrent /v1/generate streams fuse into one batch; /debug/trace and /debug/flight answer"
+# Start the gateway over a decoder engine with continuous batching on, a
+# generous coalescing window and request tracing, fire 4 concurrent
+# streaming generates with two classifies beside them, require every stream
+# and classify to complete, then require the batch metrics to show fused
+# steps at width > 1 (the streams actually co-batched, not serialized) and
+# the diagnostics surface to answer: the Chrome trace export carries spans,
+# the flight recorder carries events and the profile.
 BD_ADDR="127.0.0.1:19157"
 BD_LOG="$(mktemp)"
-go run ./cmd/voltage-server -local 3 -model tiny-decoder -listen "$BD_ADDR" \
-    -gateway-workers 4 -max-batch 8 -batch-window 200ms \
+TMPFILES+=("$BD_LOG")
+"$BIN/voltage-server" -local 3 -model tiny-decoder -listen "$BD_ADDR" \
+    -gateway-workers 4 -max-batch 8 -batch-window 200ms -trace \
     -hold 60s -drain-timeout 5s >"$BD_LOG" 2>&1 &
 BD_PID=$!
-trap 'kill "$ADMIN_PID" "$GW_PID" "$BD_PID" 2>/dev/null || true; rm -f "$ADMIN_LOG" "$GW_LOG" "$BD_LOG"' EXIT
+PIDS+=("$BD_PID")
 BD_READY=""
 for _ in $(seq 1 100); do
     if curl -fsS "http://$BD_ADDR/healthz" 2>/dev/null | grep -q '"ok":true'; then
@@ -174,14 +205,26 @@ if [ -z "$BD_READY" ]; then
     exit 1
 fi
 BD_DIR="$(mktemp -d)"
+TMPFILES+=("$BD_DIR")
 (
     for i in 1 2 3 4; do
         curl -sN -X POST "http://$BD_ADDR/v1/generate" \
             -d "{\"prompt\":[$i,$((i+3)),$((i+7))],\"steps\":8}" \
             >"$BD_DIR/stream$i" &
     done
+    for i in 1 2; do
+        curl -s -X POST "http://$BD_ADDR/v1/classify" \
+            -d "{\"tokens\":[$i,2,3,4]}" >"$BD_DIR/classify$i" &
+    done
     wait
 )
+for i in 1 2; do
+    grep -q '"logits"' "$BD_DIR/classify$i" || {
+        echo "batched-decode smoke: classify $i beside the streams failed" >&2
+        cat "$BD_DIR/classify$i" "$BD_LOG" >&2
+        exit 1
+    }
+done
 for i in 1 2 3 4; do
     grep -q '"done":true' "$BD_DIR/stream$i" || {
         echo "batched-decode smoke: stream $i never completed" >&2
@@ -217,6 +260,22 @@ awk '
             exit 1
         }
     }' <<<"$BD_METRICS"
+BD_TRACE="$(curl -fsS "http://$BD_ADDR/debug/trace")"
+for want in '"traceEvents"' '"ph":"X"'; do
+    grep -qF "$want" <<<"$BD_TRACE" || {
+        echo "batched-decode smoke: /debug/trace export missing $want" >&2
+        head -c 500 <<<"$BD_TRACE" >&2
+        exit 1
+    }
+done
+BD_FLIGHT="$(curl -fsS "http://$BD_ADDR/debug/flight")"
+for want in '"kind"' '"profile"'; do
+    grep -qF "$want" <<<"$BD_FLIGHT" || {
+        echo "batched-decode smoke: /debug/flight dump missing $want" >&2
+        head -c 500 <<<"$BD_FLIGHT" >&2
+        exit 1
+    }
+done
 kill "$BD_PID" 2>/dev/null || true
 wait "$BD_PID" 2>/dev/null || true
 
@@ -237,12 +296,13 @@ echo "== batched-chaos smoke: worker killed mid-batch, streams still complete"
 # recovery.
 BC_ADDR="127.0.0.1:19158"
 BC_LOG="$(mktemp)"
-go run ./cmd/voltage-server -local 3 -model tiny-decoder -listen "$BC_ADDR" \
+TMPFILES+=("$BC_LOG")
+"$BIN/voltage-server" -local 3 -model tiny-decoder -listen "$BC_ADDR" \
     -gateway-workers 4 -max-batch 8 -batch-window 200ms -retries 2 \
     -chaos-kill-rank 1 -chaos-kill-after 21 \
     -hold 60s -drain-timeout 5s >"$BC_LOG" 2>&1 &
 BC_PID=$!
-trap 'kill "$ADMIN_PID" "$GW_PID" "$BD_PID" "$BC_PID" 2>/dev/null || true; rm -f "$ADMIN_LOG" "$GW_LOG" "$BD_LOG" "$BC_LOG"' EXIT
+PIDS+=("$BC_PID")
 BC_READY=""
 for _ in $(seq 1 100); do
     if curl -fsS "http://$BC_ADDR/healthz" 2>/dev/null | grep -q '"ok":true'; then
@@ -257,6 +317,7 @@ if [ -z "$BC_READY" ]; then
     exit 1
 fi
 BC_DIR="$(mktemp -d)"
+TMPFILES+=("$BC_DIR")
 (
     for i in 1 2 3 4; do
         curl -sN -X POST "http://$BC_ADDR/v1/generate" \
@@ -297,105 +358,6 @@ done
 kill "$BC_PID" 2>/dev/null || true
 wait "$BC_PID" 2>/dev/null || true
 
-echo "== load smoke: voltage-load replays a seeded mixed trace, summary schema-checked"
-# Start a batching gateway, replay the checked-in 2-second mixed-class
-# trace with the load harness, and gate on the harness's own checks:
-# -require-served fails unless both classes completed requests, and -check
-# validates the summary JSON against the harness schema (the same Go
-# helper that guards BENCH_<pr>.json files — no external deps).
-LS_ADDR="127.0.0.1:19159"
-LS_LOG="$(mktemp)"
-LS_SUM="$(mktemp)"
-go run ./cmd/voltage-server -local 3 -model tiny-decoder -listen "$LS_ADDR" \
-    -gateway-workers 8 -max-batch 8 -batch-window 2ms \
-    -hold 120s -drain-timeout 5s >"$LS_LOG" 2>&1 &
-LS_PID=$!
-trap 'kill "$ADMIN_PID" "$GW_PID" "$BD_PID" "$BC_PID" "$LS_PID" 2>/dev/null || true; rm -f "$ADMIN_LOG" "$GW_LOG" "$BD_LOG" "$BC_LOG" "$LS_LOG" "$LS_SUM"' EXIT
-LS_READY=""
-for _ in $(seq 1 100); do
-    if curl -fsS "http://$LS_ADDR/healthz" 2>/dev/null | grep -q '"ok":true'; then
-        LS_READY=1
-        break
-    fi
-    sleep 0.3
-done
-if [ -z "$LS_READY" ]; then
-    echo "load smoke: gateway never became healthy" >&2
-    cat "$LS_LOG" >&2
-    exit 1
-fi
-go run ./cmd/voltage-load -trace scripts/bench/trace-smoke.json \
-    -target "http://$LS_ADDR" -out "$LS_SUM" -require-served || {
-    echo "load smoke: harness run failed" >&2
-    cat "$LS_LOG" >&2
-    exit 1
-}
-go run ./cmd/voltage-load -check "$LS_SUM" || {
-    echo "load smoke: summary JSON failed the schema check" >&2
-    cat "$LS_SUM" >&2
-    exit 1
-}
-kill "$LS_PID" 2>/dev/null || true
-wait "$LS_PID" 2>/dev/null || true
-
-echo "== obs smoke: flight recorder and Chrome trace export over a live gateway"
-# Boot a batching gateway with request tracing on, replay the seeded smoke
-# trace, then require the diagnostics surface: /debug/flight answers with
-# recorded events, and the harness downloads a Chrome trace export that
-# validates as trace JSON (-trace-out fails unless the document carries a
-# traceEvents array).
-OBS_ADDR="127.0.0.1:19160"
-OBS_LOG="$(mktemp)"
-OBS_SUM="$(mktemp)"
-OBS_TRACE="$(mktemp)"
-go run ./cmd/voltage-server -local 3 -model tiny-decoder -listen "$OBS_ADDR" \
-    -gateway-workers 8 -max-batch 8 -batch-window 2ms -trace \
-    -hold 120s -drain-timeout 5s >"$OBS_LOG" 2>&1 &
-OBS_PID=$!
-trap 'kill "$ADMIN_PID" "$GW_PID" "$BD_PID" "$BC_PID" "$LS_PID" "$OBS_PID" 2>/dev/null || true; rm -f "$ADMIN_LOG" "$GW_LOG" "$BD_LOG" "$BC_LOG" "$LS_LOG" "$LS_SUM" "$OBS_LOG" "$OBS_SUM" "$OBS_TRACE"' EXIT
-OBS_READY=""
-for _ in $(seq 1 100); do
-    if curl -fsS "http://$OBS_ADDR/healthz" 2>/dev/null | grep -q '"ok":true'; then
-        OBS_READY=1
-        break
-    fi
-    sleep 0.3
-done
-if [ -z "$OBS_READY" ]; then
-    echo "obs smoke: gateway never became healthy" >&2
-    cat "$OBS_LOG" >&2
-    exit 1
-fi
-go run ./cmd/voltage-load -trace scripts/bench/trace-smoke.json \
-    -target "http://$OBS_ADDR" -out "$OBS_SUM" -require-served \
-    -trace-out "$OBS_TRACE" || {
-    echo "obs smoke: harness run or trace export failed" >&2
-    cat "$OBS_LOG" >&2
-    exit 1
-}
-grep -q '"traceEvents"' "$OBS_TRACE" || {
-    echo "obs smoke: exported Chrome trace missing traceEvents" >&2
-    head -c 500 "$OBS_TRACE" >&2
-    exit 1
-}
-grep -q '"ph":"X"' "$OBS_TRACE" || {
-    echo "obs smoke: exported Chrome trace carries no spans" >&2
-    head -c 500 "$OBS_TRACE" >&2
-    exit 1
-}
-OBS_FLIGHT="$(curl -fsS "http://$OBS_ADDR/debug/flight")"
-grep -q '"kind"' <<<"$OBS_FLIGHT" || {
-    echo "obs smoke: /debug/flight returned no events" >&2
-    echo "$OBS_FLIGHT" >&2
-    exit 1
-}
-grep -q '"profile"' <<<"$OBS_FLIGHT" || {
-    echo "obs smoke: /debug/flight dump missing profile" >&2
-    exit 1
-}
-kill "$OBS_PID" 2>/dev/null || true
-wait "$OBS_PID" 2>/dev/null || true
-
 echo "== adapt smoke: controller re-slices the partition around a throttled rank"
 # Boot a paced 3-worker engine with rank 2 throttled 4x and the adaptive
 # controller on a fast evaluation cadence, drive two rounds of concurrent
@@ -404,13 +366,14 @@ echo "== adapt smoke: controller re-slices the partition around a throttled rank
 # installed partition share shrank well below its even third.
 AD_ADDR="127.0.0.1:19161"
 AD_LOG="$(mktemp)"
-go run ./cmd/voltage-server -local 3 -model tiny-decoder -listen "$AD_ADDR" \
+TMPFILES+=("$AD_LOG")
+"$BIN/voltage-server" -local 3 -model tiny-decoder -listen "$AD_ADDR" \
     -gateway-workers 8 -max-batch 8 -batch-window 2ms \
     -device-flops 4e6 -chaos-slow-rank 2 -chaos-slow-factor 4 \
     -adapt -adapt-interval 25ms -adapt-evals 2 -adapt-cooldown 250ms \
     -hold 120s -drain-timeout 5s >"$AD_LOG" 2>&1 &
 AD_PID=$!
-trap 'kill "$ADMIN_PID" "$GW_PID" "$BD_PID" "$BC_PID" "$LS_PID" "$OBS_PID" "$AD_PID" 2>/dev/null || true; rm -f "$ADMIN_LOG" "$GW_LOG" "$BD_LOG" "$BC_LOG" "$LS_LOG" "$LS_SUM" "$OBS_LOG" "$OBS_SUM" "$OBS_TRACE" "$AD_LOG"' EXIT
+PIDS+=("$AD_PID")
 AD_READY=""
 for _ in $(seq 1 100); do
     if curl -fsS "http://$AD_ADDR/healthz" 2>/dev/null | grep -q '"ok":true'; then
@@ -470,4 +433,4 @@ grep -qE '^voltage_batch_seqs_resumed_total 0$' <<<"$AD_METRICS" || {
 kill "$AD_PID" 2>/dev/null || true
 wait "$AD_PID" 2>/dev/null || true
 
-echo "CI OK"
+echo "CI OK (wall ${SECONDS}s)"
