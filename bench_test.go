@@ -455,38 +455,6 @@ func BenchmarkExtQuantizedComm(b *testing.B) {
 	}
 }
 
-// BenchmarkExtDynamicScheme measures even vs dynamic partitioning on a
-// heterogeneous (one slow device) cluster.
-func BenchmarkExtDynamicScheme(b *testing.B) {
-	prev := voltage.SetComputeWorkers(1)
-	defer voltage.SetComputeWorkers(prev)
-	base := 2e9
-	for _, dynamic := range []bool{false, true} {
-		name := "even"
-		if dynamic {
-			name = "dynamic"
-		}
-		b.Run(name, func(b *testing.B) {
-			c, err := cluster.NewMem(benchCfg(), 3, cluster.Options{
-				HeteroDeviceFlops: []float64{base, base, base / 4},
-				DynamicScheme:     dynamic,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer c.Close()
-			x := benchInput(b, c)
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.Infer(ctx, cluster.StrategyVoltage, x); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkExtPipelineBatch measures the pipeline baseline's makespan per
 // batch size (throughput is its only win; first-request latency never
 // improves).

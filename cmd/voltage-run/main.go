@@ -56,7 +56,7 @@ func run(args []string, w io.Writer) error {
 	if *layers > 0 {
 		cfg = cfg.Scaled(*layers)
 	}
-	strategy, err := parseStrategy(*strategyName)
+	strategy, err := voltage.ParseStrategy(*strategyName)
 	if err != nil {
 		return err
 	}
@@ -88,19 +88,6 @@ func run(args []string, w io.Writer) error {
 		return nil
 	}
 	return serveOne(ctx, w, engine, strategy, cfg, *text, *words, *generate)
-}
-
-func parseStrategy(s string) (voltage.Strategy, error) {
-	switch s {
-	case "voltage":
-		return voltage.StrategyVoltage, nil
-	case "tensor-parallel", "tp":
-		return voltage.StrategyTensorParallel, nil
-	case "single":
-		return voltage.StrategySingle, nil
-	default:
-		return 0, fmt.Errorf("unknown strategy %q", s)
-	}
 }
 
 func serveOne(ctx context.Context, w io.Writer, engine *voltage.Engine, strategy voltage.Strategy,

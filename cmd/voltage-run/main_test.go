@@ -74,17 +74,6 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-func TestParseStrategy(t *testing.T) {
-	for _, name := range []string{"voltage", "tensor-parallel", "tp", "single"} {
-		if _, err := parseStrategy(name); err != nil {
-			t.Errorf("parseStrategy(%q): %v", name, err)
-		}
-	}
-	if _, err := parseStrategy("nope"); err == nil {
-		t.Fatal("want error")
-	}
-}
-
 func TestRunWordClamping(t *testing.T) {
 	// tiny's MaxSeq is 64; -words 500 must be clamped, not fail.
 	var sb strings.Builder

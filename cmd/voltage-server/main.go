@@ -47,6 +47,7 @@ import (
 	"voltage/internal/model"
 	"voltage/internal/netem"
 	"voltage/internal/partition"
+	"voltage/internal/positionwise"
 	"voltage/internal/sched"
 	"voltage/internal/server"
 	"voltage/internal/tensor"
@@ -262,18 +263,17 @@ type meshBackend struct {
 	peer     comm.Peer
 	m        *model.Model
 	scheme   *partition.Scheme
-	k        int
-	strategy string
+	ranks    []int // the worker ranks [0, k)
+	strategy cluster.Strategy
 	nextID   atomic.Uint64
 
 	mu sync.Mutex // one request on the mesh at a time
 }
 
 func newMeshBackend(ctx context.Context, cfg model.Config, addrs []string, strategy string, seed int64, bandwidth float64, opTimeout time.Duration) (*meshBackend, error) {
-	switch strategy {
-	case "voltage", "single", "tensor-parallel", "tp":
-	default:
-		return nil, fmt.Errorf("unknown mesh strategy %q", strategy)
+	strat, err := cluster.ParseStrategy(strategy)
+	if err != nil {
+		return nil, err
 	}
 	k := len(addrs) - 1
 	m, err := model.NewRandom(cfg, seed)
@@ -288,9 +288,13 @@ func newMeshBackend(ctx context.Context, cfg model.Config, addrs []string, strat
 	if err != nil {
 		return nil, err
 	}
+	ranks := make([]int, k)
+	for i := range ranks {
+		ranks[i] = i
+	}
 	peer := comm.WithOpTimeout(comm.NewFramed(mesh), opTimeout)
 	return &meshBackend{
-		cfg: cfg, peer: peer, m: m, scheme: scheme, k: k, strategy: strategy,
+		cfg: cfg, peer: peer, m: m, scheme: scheme, ranks: ranks, strategy: strat,
 	}, nil
 }
 
@@ -301,7 +305,7 @@ func (b *meshBackend) close() {
 	defer b.mu.Unlock()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	for r := 0; r < b.k; r++ {
+	for _, r := range b.ranks {
 		_ = b.peer.Send(ctx, r, []byte{})
 	}
 	_ = b.peer.Close()
@@ -317,16 +321,13 @@ func (b *meshBackend) GenerateStream(context.Context, []int, int, func(int)) (*c
 	return nil, fmt.Errorf("voltage-server: generation requires the -local engine (mesh workers serve classification)")
 }
 
-// ClassifyTokens runs one request through the mesh: embed, broadcast,
-// collect per the fleet's strategy, classify. The deployment's workers
-// must have been started with the matching -strategy.
+// ClassifyTokens runs one request through the mesh: embed, scatter, collect
+// per the fleet's strategy — Voltage's terminal half is package positionwise
+// — classify. The deployment's workers must have been started with the
+// matching -strategy.
 func (b *meshBackend) ClassifyTokens(ctx context.Context, strategy cluster.Strategy, ids []int) (*core.Prediction, error) {
-	want, err := parseMeshStrategy(b.strategy)
-	if err != nil {
-		return nil, err
-	}
-	if strategy != want {
-		return nil, fmt.Errorf("voltage-server: mesh fleet runs %v, request asked %v", want, strategy)
+	if strategy != b.strategy {
+		return nil, fmt.Errorf("voltage-server: mesh fleet runs %v, request asked %v", b.strategy, strategy)
 	}
 	x, err := b.m.Embed.EmbedTokens(ids)
 	if err != nil {
@@ -335,15 +336,20 @@ func (b *meshBackend) ClassifyTokens(ctx context.Context, strategy cluster.Strat
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	start := time.Now()
-	blob := tensor.Encode(nil, x)
-	for r := 0; r < b.k; r++ {
-		if err := b.peer.Send(ctx, r, blob); err != nil {
-			return nil, err
-		}
+	if err := positionwise.Scatter(ctx, b.peer, b.ranks, tensor.Encode(nil, x)); err != nil {
+		return nil, err
 	}
 	var out *tensor.Matrix
 	switch b.strategy {
-	case "single", "tensor-parallel", "tp":
+	case cluster.StrategyVoltage:
+		ranges, err := b.scheme.Ranges(x.Rows())
+		if err != nil {
+			return nil, err
+		}
+		if out, err = positionwise.Assemble(ctx, b.peer, nil, b.ranks, ranges); err != nil {
+			return nil, err
+		}
+	default: // a single reporter (worker 0) returns the full output
 		got, err := b.peer.Recv(ctx, 0)
 		if err != nil {
 			return nil, err
@@ -352,29 +358,6 @@ func (b *meshBackend) ClassifyTokens(ctx context.Context, strategy cluster.Strat
 			return nil, err
 		}
 		comm.ReleaseBuffer(got)
-	default: // voltage: assemble partitions in rank order
-		ranges, err := b.scheme.Ranges(x.Rows())
-		if err != nil {
-			return nil, err
-		}
-		out = tensor.New(x.Rows(), x.Cols())
-		for r := 0; r < b.k; r++ {
-			got, err := b.peer.Recv(ctx, r)
-			if err != nil {
-				return nil, err
-			}
-			part, _, err := tensor.Decode(got)
-			if err != nil {
-				return nil, err
-			}
-			comm.ReleaseBuffer(got)
-			if ranges[r].Empty() {
-				continue
-			}
-			if err := out.SetRowSlice(ranges[r].From, part); err != nil {
-				return nil, err
-			}
-		}
 	}
 	latency := time.Since(start)
 	logits, err := b.m.Classifier.Logits(out)
@@ -388,7 +371,7 @@ func (b *meshBackend) ClassifyTokens(ctx context.Context, strategy cluster.Strat
 			ID:       b.nextID.Add(1),
 			Output:   out,
 			Latency:  latency,
-			Strategy: want,
+			Strategy: b.strategy,
 			Attempts: 1,
 		},
 	}, nil
@@ -407,19 +390,5 @@ func chaosWrap(rank int, after int64) func(int, comm.Peer) comm.Peer {
 			return p
 		}
 		return &comm.FlakyPeer{Inner: p, FailRecvAfter: after}
-	}
-}
-
-// parseMeshStrategy maps the fleet strategy flag to the cluster enum.
-func parseMeshStrategy(s string) (cluster.Strategy, error) {
-	switch s {
-	case "voltage", "":
-		return cluster.StrategyVoltage, nil
-	case "single":
-		return cluster.StrategySingle, nil
-	case "tensor-parallel", "tp":
-		return cluster.StrategyTensorParallel, nil
-	default:
-		return 0, fmt.Errorf("unknown strategy %q", s)
 	}
 }

@@ -33,6 +33,7 @@ import (
 	"voltage/internal/model"
 	"voltage/internal/netem"
 	"voltage/internal/partition"
+	"voltage/internal/positionwise"
 	"voltage/internal/tensor"
 	"voltage/internal/tokenizer"
 	"voltage/internal/tparallel"
@@ -73,13 +74,17 @@ func run(args []string, w io.Writer) error {
 	if *layers > 0 {
 		cfg = cfg.Scaled(*layers)
 	}
+	strat, err := cluster.ParseStrategy(*strategy)
+	if err != nil {
+		return err
+	}
 	tensor.SetWorkers(1) // single-CPU device emulation
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
 	if *local > 0 {
 		return runLocal(ctx, w, cfg, *local, localOptions{
-			strategy: *strategy, seed: *seed, text: *text, words: *words,
+			strategy: strat, seed: *seed, text: *text, words: *words,
 			requests: *requests, bandwidth: *bandwidth, opTimeout: *opTimeout,
 			admin: *admin, hold: *hold,
 		})
@@ -120,9 +125,9 @@ func run(args []string, w io.Writer) error {
 
 	k := len(addrs) - 1
 	if *terminal {
-		return runTerminal(ctx, w, peer, cfg, k, *strategy, *seed, *text, *words, *requests)
+		return runTerminal(ctx, w, peer, cfg, k, strat, *seed, *text, *words, *requests)
 	}
-	return runWorker(ctx, w, peer, cfg, k, *rank, *strategy, *seed)
+	return runWorker(ctx, w, peer, cfg, k, *rank, strat, *seed)
 }
 
 // peerHolder hands the admin listener a peer that does not exist yet when
@@ -171,14 +176,6 @@ func startMeshAdmin(addr string, rank int, holder *peerHolder) (*metrics.AdminSe
 	reg.CounterFunc("voltage_comm_msgs_recv_total",
 		"Messages received by this process.",
 		func() float64 { return float64(holder.stats().MsgsRecv) })
-	reg.GaugeFunc("voltage_mesh_formed",
-		"1 once this process's TCP mesh is connected.",
-		func() float64 {
-			if holder.formed() {
-				return 1
-			}
-			return 0
-		})
 	health := func() metrics.Health {
 		return metrics.Health{OK: true, Detail: map[string]any{
 			"rank": rank, "mesh_formed": holder.formed(),
@@ -189,7 +186,7 @@ func startMeshAdmin(addr string, rank int, holder *peerHolder) (*metrics.AdminSe
 
 // localOptions bundles runLocal's knobs.
 type localOptions struct {
-	strategy  string
+	strategy  cluster.Strategy
 	seed      int64
 	text      string
 	words     int
@@ -200,29 +197,11 @@ type localOptions struct {
 	hold      time.Duration
 }
 
-// parseStrategy maps the -strategy flag to a cluster strategy.
-func parseStrategy(s string) (cluster.Strategy, error) {
-	switch s {
-	case "single":
-		return cluster.StrategySingle, nil
-	case "tensor-parallel", "tp":
-		return cluster.StrategyTensorParallel, nil
-	case "voltage", "":
-		return cluster.StrategyVoltage, nil
-	default:
-		return 0, fmt.Errorf("unknown strategy %q", s)
-	}
-}
-
 // runLocal serves requests on an in-process engine — the emulated cluster
 // with its full serving runtime, so the admin listener exposes the real
 // serving metrics (request latency, per-rank traffic, health states). This
 // is the smoke-test mode scripts/ci.sh drives.
 func runLocal(ctx context.Context, w io.Writer, cfg model.Config, k int, lo localOptions) error {
-	strat, err := parseStrategy(lo.strategy)
-	if err != nil {
-		return err
-	}
 	eng, err := core.New(cfg, k, cluster.Options{
 		Profile:   netem.Profile{BandwidthMbps: lo.bandwidth},
 		OpTimeout: lo.opTimeout,
@@ -251,7 +230,7 @@ func runLocal(ctx context.Context, w io.Writer, cfg model.Config, k int, lo loca
 		ids = tok.EncodeWords(n, 7)
 	}
 	for req := 0; req < lo.requests; req++ {
-		pred, err := eng.ClassifyTokens(ctx, strat, ids)
+		pred, err := eng.ClassifyTokens(ctx, lo.strategy, ids)
 		if err != nil {
 			return err
 		}
@@ -269,8 +248,9 @@ func runLocal(ctx context.Context, w io.Writer, cfg model.Config, k int, lo loca
 }
 
 // runWorker serves layer computations under the chosen strategy until the
-// terminal sends an empty shutdown frame.
-func runWorker(ctx context.Context, w io.Writer, peer comm.Peer, cfg model.Config, k, rank int, strategy string, seed int64) error {
+// terminal sends an empty shutdown frame. Voltage is the device code the
+// emulated cluster runs (package positionwise), unpaced and unobserved.
+func runWorker(ctx context.Context, w io.Writer, peer comm.Peer, cfg model.Config, k, rank int, strategy cluster.Strategy, seed int64) error {
 	m, err := model.NewRandom(cfg, seed)
 	if err != nil {
 		return err
@@ -279,21 +259,18 @@ func runWorker(ctx context.Context, w io.Writer, peer comm.Peer, cfg model.Confi
 	if err != nil {
 		return err
 	}
-	members := make([]int, k)
-	for i := range members {
-		members[i] = i
-	}
-	group, err := comm.NewSubgroup(peer, members)
+	group, err := comm.NewSubgroup(peer, workerRanks(k))
 	if err != nil {
 		return err
 	}
 	var shards []*tparallel.ShardedLayer
-	if strategy == "tensor-parallel" || strategy == "tp" {
+	if strategy == cluster.StrategyTensorParallel {
 		if shards, err = tparallel.ShardModel(m, rank, k); err != nil {
 			return err
 		}
 	}
 	term := k
+	dev := &positionwise.Device{Model: m, Peer: peer, Terminal: term, Group: group, Ex: comm.NewExchange(nil)}
 	fmt.Fprintf(w, "worker %d ready (%s, %d layers, %s)\n", rank, cfg.Name, cfg.Layers, strategy)
 	for {
 		blob, err := peer.Recv(ctx, term)
@@ -309,7 +286,7 @@ func runWorker(ctx context.Context, w io.Writer, peer comm.Peer, cfg model.Confi
 			return err
 		}
 		switch strategy {
-		case "single":
+		case cluster.StrategySingle:
 			if rank != 0 {
 				continue
 			}
@@ -320,7 +297,7 @@ func runWorker(ctx context.Context, w io.Writer, peer comm.Peer, cfg model.Confi
 			if err := peer.Send(ctx, term, tensor.Encode(nil, out)); err != nil {
 				return err
 			}
-		case "tensor-parallel", "tp":
+		case cluster.StrategyTensorParallel:
 			cur := x
 			for li, shard := range shards {
 				out, err := shard.Forward(ctx, group, cur, true)
@@ -339,29 +316,25 @@ func runWorker(ctx context.Context, w io.Writer, peer comm.Peer, cfg model.Confi
 			if err != nil {
 				return err
 			}
-			for li, layer := range m.Layers {
-				part, _, err := layer.ForwardPartition(x, ranges[rank])
-				if err != nil {
-					return fmt.Errorf("layer %d: %w", li, err)
-				}
-				if li == len(m.Layers)-1 {
-					if err := peer.Send(ctx, term, tensor.Encode(nil, part)); err != nil {
-						return err
-					}
-					break
-				}
-				x, err = comm.AllGatherMatrix(ctx, group, part, ranges, false)
-				if err != nil {
-					return fmt.Errorf("layer %d allgather: %w", li, err)
-				}
+			if err := dev.Classify(ctx, x, ranges); err != nil {
+				return err
 			}
 		}
 	}
 }
 
+// workerRanks lists the worker ranks [0, k); the terminal is rank k.
+func workerRanks(k int) []int {
+	ranks := make([]int, k)
+	for i := range ranks {
+		ranks[i] = i
+	}
+	return ranks
+}
+
 // runTerminal drives requests: pre-process, broadcast, collect, classify.
 func runTerminal(ctx context.Context, w io.Writer, peer comm.Peer, cfg model.Config,
-	k int, strategy string, seed int64, text string, words, requests int) error {
+	k int, strategy cluster.Strategy, seed int64, text string, words, requests int) error {
 	m, err := model.NewRandom(cfg, seed)
 	if err != nil {
 		return err
@@ -384,50 +357,33 @@ func runTerminal(ctx context.Context, w io.Writer, peer comm.Peer, cfg model.Con
 		}
 		ids = tok.EncodeWords(n, 7)
 	}
+	ranks := workerRanks(k)
 	for req := 0; req < requests; req++ {
 		x, err := m.Embed.EmbedTokens(ids)
 		if err != nil {
 			return err
 		}
 		start := time.Now()
-		blob := tensor.Encode(nil, x)
-		for r := 0; r < k; r++ {
-			if err := peer.Send(ctx, r, blob); err != nil {
-				return err
-			}
+		if err := positionwise.Scatter(ctx, peer, ranks, tensor.Encode(nil, x)); err != nil {
+			return err
 		}
 		var out *tensor.Matrix
 		switch strategy {
-		case "single", "tensor-parallel", "tp":
-			// A single reporter (worker 0) returns the full output.
+		case cluster.StrategyVoltage:
+			ranges, err := scheme.Ranges(x.Rows())
+			if err != nil {
+				return err
+			}
+			if out, err = positionwise.Assemble(ctx, peer, nil, ranks, ranges); err != nil {
+				return err
+			}
+		default: // a single reporter (worker 0) returns the full output
 			got, err := peer.Recv(ctx, 0)
 			if err != nil {
 				return err
 			}
 			if out, _, err = tensor.Decode(got); err != nil {
 				return err
-			}
-		default: // voltage: assemble partitions in rank order
-			ranges, err := scheme.Ranges(x.Rows())
-			if err != nil {
-				return err
-			}
-			out = tensor.New(x.Rows(), x.Cols())
-			for r := 0; r < k; r++ {
-				got, err := peer.Recv(ctx, r)
-				if err != nil {
-					return err
-				}
-				part, _, err := tensor.Decode(got)
-				if err != nil {
-					return err
-				}
-				if ranges[r].Empty() {
-					continue
-				}
-				if err := out.SetRowSlice(ranges[r].From, part); err != nil {
-					return err
-				}
 			}
 		}
 		latency := time.Since(start)
@@ -439,10 +395,5 @@ func runTerminal(ctx context.Context, w io.Writer, peer comm.Peer, cfg model.Con
 			req, class, latency.Round(time.Millisecond), x.Rows(), k)
 	}
 	// Shutdown: empty frame to every worker.
-	for r := 0; r < k; r++ {
-		if err := peer.Send(ctx, r, []byte{}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return positionwise.Scatter(ctx, peer, ranks, []byte{})
 }

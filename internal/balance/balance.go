@@ -5,14 +5,12 @@
 //
 // A Tracker keeps an exponentially weighted estimate of every device's
 // seconds-per-position and derives the scheme that equalizes predicted
-// finish times (ratios proportional to device speed). Workers feed it with
-// timings exchanged at the existing synchronization point; because every
-// worker applies identical updates to identical state, all devices derive
-// the same scheme deterministically with no extra coordination round.
+// finish times (ratios proportional to device speed). The adaptive
+// controller (internal/adapt) feeds it from the cluster's persistent per-rank
+// profile and installs the scheme it derives between requests.
 package balance
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -120,25 +118,4 @@ func (t *Tracker) Imputed() []float64 {
 		est[r] = pp
 	}
 	return est
-}
-
-// EncodeObservation serializes one device's seconds-per-position for the
-// timing exchange (8 bytes, little-endian float64 bits).
-func EncodeObservation(secPerPos float64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(secPerPos))
-	return b[:]
-}
-
-// DecodeObservation parses an exchanged observation; malformed frames
-// decode as "no observation" so one corrupt peer cannot poison the scheme.
-func DecodeObservation(b []byte) float64 {
-	if len(b) != 8 {
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(b))
-	if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0
-	}
-	return v
 }

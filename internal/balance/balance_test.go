@@ -3,7 +3,6 @@ package balance
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewTrackerValidation(t *testing.T) {
@@ -112,32 +111,6 @@ func TestSchemeColdStartImputesMeanPerPosition(t *testing.T) {
 		if math.Abs(r[i]-want[i]) > 1e-9 {
 			t.Fatalf("ratios %v, want %v", r, want)
 		}
-	}
-}
-
-func TestObservationRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		v := math.Abs(float64(seed%100000)) / 777.7
-		if v == 0 {
-			v = 1
-		}
-		got := DecodeObservation(EncodeObservation(v))
-		return got == v
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDecodeObservationMalformed(t *testing.T) {
-	if DecodeObservation([]byte{1, 2, 3}) != 0 {
-		t.Fatal("short frame should decode as no-observation")
-	}
-	if DecodeObservation(EncodeObservation(math.NaN())) != 0 {
-		t.Fatal("NaN should decode as no-observation")
-	}
-	if DecodeObservation(EncodeObservation(-1)) != 0 {
-		t.Fatal("negative should decode as no-observation")
 	}
 }
 

@@ -65,7 +65,7 @@ func (c *Cluster) InstallScheme(s *partition.Scheme, cause string, predictedGain
 	c.schemeGen++
 	gen := c.schemeGen
 	c.schemeMu.Unlock()
-	c.metrics.repartition(cause, s.Ratios(), predictedGain)
+	c.metrics.repartition(cause, s.Ratios())
 	c.flight.Eventf("repartition", -1, "scheme generation %d installed (cause %s, predicted gain %.1f%%): %.3f -> %.3f",
 		gen, cause, predictedGain*100, old.Ratios(), s.Ratios())
 	return nil
@@ -100,7 +100,6 @@ func (c *Cluster) adaptTick(now time.Time) {
 		return
 	}
 	if out := dec.Realized; out != nil {
-		c.metrics.observeRealizedGain(out.RealizedGain)
 		c.flight.Eventf("repartition", -1, "move settled: predicted gain %.1f%%, realized %.1f%%",
 			out.PredictedGain*100, out.RealizedGain*100)
 	}

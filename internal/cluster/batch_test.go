@@ -110,6 +110,39 @@ func TestBatchedGenerateConcurrentMatchesSolo(t *testing.T) {
 	}
 }
 
+// TestBatchWidthZeroAfterEveryReturn: a sequence gives its live slot back
+// before its caller is woken, so a caller that has returned — and the
+// gateway's batch-aware admission estimate, which divides by BatchWidth —
+// never sees its own finished sequence counted live. Covers the mesh path
+// and the terminal-local fallback (every worker unhealthy).
+func TestBatchWidthZeroAfterEveryReturn(t *testing.T) {
+	ctx := context.Background()
+	generate := func(c *Cluster, i int) *GenerateResult {
+		t.Helper()
+		res, err := c.GenerateVoltage(ctx, []int{1 + i%90, 2, 3}, 2)
+		if w := c.BatchWidth(); w != 0 || err != nil {
+			t.Fatalf("call %d: BatchWidth = %d after the return (err %v), want 0", i, w, err)
+		}
+		return res
+	}
+	c := newTinyDecoder(t, 2, Options{})
+	for i := 0; i < 300; i++ {
+		generate(c, i)
+	}
+	down := newTinyDecoder(t, 2, Options{MaxRetries: 1})
+	for r := 0; r < 2; r++ {
+		down.health.recordFailure(r, errors.New("rank marked down by the test"))
+	}
+	for i := 0; i < 20; i++ {
+		if res := generate(down, i); !res.Degraded {
+			t.Fatalf("call %d: served by the mesh, want the terminal-local fallback", i)
+		}
+	}
+	if got := down.Metrics().Counter("voltage_local_fallbacks_total"); got != 20 {
+		t.Errorf("local fallbacks = %v, want 20", got)
+	}
+}
+
 func TestBatchedGenerateDegenerateBatchOfOne(t *testing.T) {
 	// A lone request is the degenerate batch of one: tokens, latencies and
 	// traffic accounting must match the solo oracle with no co-batching.

@@ -1,6 +1,7 @@
 // Package cluster implements the distributed runtime of Section V: a
-// terminal device plus K worker devices executing Algorithm 2 (Voltage),
-// the tensor-parallelism baseline, or single-device inference over a
+// terminal device plus K worker devices executing Algorithm 2 (Voltage —
+// the device and terminal protocol is package positionwise), the
+// tensor-parallelism baseline, or single-device inference over a
 // bandwidth-emulated mesh.
 //
 // The emulation mirrors the paper's testbed: each worker stands in for one
@@ -24,7 +25,6 @@ import (
 	"time"
 
 	"voltage/internal/adapt"
-	"voltage/internal/balance"
 	"voltage/internal/comm"
 	"voltage/internal/metrics"
 	"voltage/internal/model"
@@ -66,16 +66,28 @@ func (s Strategy) String() string {
 	}
 }
 
+// ParseStrategy is the inverse of String, as flags and the gateway's wire
+// format spell strategies: "tp" abbreviates "tensor-parallel" and the empty
+// name means Voltage.
+func ParseStrategy(name string) (Strategy, error) {
+	switch name {
+	case "", "voltage":
+		return StrategyVoltage, nil
+	case "single":
+		return StrategySingle, nil
+	case "tensor-parallel", "tp":
+		return StrategyTensorParallel, nil
+	default:
+		return 0, fmt.Errorf("unknown strategy %q", name)
+	}
+}
+
 // Options configures a cluster.
 type Options struct {
 	// Profile shapes every link (default netem.Unlimited).
 	Profile netem.Profile
 	// Scheme is the Voltage partition scheme (default Even(k)).
 	Scheme *partition.Scheme
-	// RingAllGather selects the ring All-Gather for Voltage's layer
-	// synchronization (default naive direct exchange, as in the paper's
-	// accounting).
-	RingAllGather bool
 	// Seed derives the replicated model weights (default 1).
 	Seed int64
 	// DeviceFlops paces every emulated device at this sustained MAC/s
@@ -90,15 +102,10 @@ type Options struct {
 	// HeteroDeviceFlops[r] instead of DeviceFlops — a heterogeneous edge
 	// cluster (§V-B). Length must equal K.
 	HeteroDeviceFlops []float64
-	// DynamicScheme lets Voltage re-balance the partition scheme per layer
-	// at runtime from observed per-position compute times (the paper's
-	// §V-B flexibility). Workers exchange their timings inside the
-	// existing synchronization point, so the adjustment costs a few bytes
-	// per layer.
-	DynamicScheme bool
-	// QuantizedComm int8-quantizes Voltage's All-Gather payloads (≈¼ the
-	// traffic) at the cost of a bounded per-layer quantization error —
-	// the communication optimization the paper's conclusion points to.
+	// QuantizedComm int8-quantizes the All-Gather payloads of Voltage's
+	// classify rounds (≈¼ the traffic) at the cost of a bounded per-layer
+	// quantization error — the communication optimization the paper's
+	// conclusion points to. A generate join always gathers exactly.
 	QuantizedComm bool
 
 	// QueueDepth bounds the admission queue (default 64; negative values
@@ -583,66 +590,6 @@ func (c *Cluster) allRanks() []int {
 		ranks[i] = i
 	}
 	return ranks
-}
-
-// collectPartitions receives one final-layer partition from each of the
-// given worker ranks and stacks them in list order, verifying full
-// coverage of n rows. A degraded request passes its survivor list; the
-// healthy path passes all ranks.
-func (c *Cluster) collectPartitions(ctx context.Context, p comm.Peer, ex *comm.Exchange, ranks []int, n int) (*tensor.Matrix, error) {
-	pool := ex.Pool()
-	parts := make([]*tensor.Matrix, len(ranks))
-	for i, r := range ranks {
-		got, err := p.Recv(ctx, r)
-		if err != nil {
-			return nil, err
-		}
-		part, _, err := tensor.DecodePooled(pool, got)
-		if err != nil {
-			return nil, err
-		}
-		comm.ReleaseBuffer(got)
-		parts[i] = part
-	}
-	out, err := tensor.ConcatRows(parts...)
-	if err != nil {
-		return nil, err
-	}
-	for _, part := range parts {
-		pool.Put(part)
-	}
-	if out.Rows() != n {
-		return nil, fmt.Errorf("cluster: assembled %d rows, want %d", out.Rows(), n)
-	}
-	return out, nil
-}
-
-// rebalance exchanges per-position timings among the workers and derives
-// the next layer's partition ranges. Every worker runs identical tracker
-// updates on identical inputs, so the resulting schemes agree without any
-// extra coordination round beyond the tiny 8-byte all-gather.
-func (c *Cluster) rebalance(ctx context.Context, group comm.Peer, tracker *balance.Tracker,
-	mine partition.Range, elapsed time.Duration, n int) ([]partition.Range, error) {
-	var obs float64
-	if pl := mine.Len(); pl > 0 {
-		obs = elapsed.Seconds() / float64(pl)
-	}
-	blobs, err := comm.AllGather(ctx, group, balance.EncodeObservation(obs))
-	if err != nil {
-		return nil, err
-	}
-	times := make([]float64, group.Size())
-	for r, b := range blobs {
-		times[r] = balance.DecodeObservation(b)
-	}
-	if err := tracker.Update(times); err != nil {
-		return nil, err
-	}
-	scheme, err := tracker.Scheme()
-	if err != nil {
-		return nil, err
-	}
-	return scheme.Ranges(n)
 }
 
 // deviceRate returns worker rank's emulated compute rate (0 = unpaced).

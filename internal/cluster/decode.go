@@ -6,10 +6,8 @@ import (
 	"time"
 
 	"voltage/internal/comm"
-	"voltage/internal/flopcount"
 	"voltage/internal/model"
 	"voltage/internal/partition"
-	"voltage/internal/tensor"
 	"voltage/internal/trace"
 )
 
@@ -19,12 +17,13 @@ import (
 // distributed along different axes:
 //
 //   - prefill runs under Algorithm 2 (position-wise partitions +
-//     All-Gather) over every live rank, cut down to what generation reads
-//     (prefillWork): the prefix travels as token ids; the sequence's owner
-//     rank — chosen by the terminal at join — keeps the K/V its own
-//     attention materialises over each complete layer input as the cache,
-//     which so costs no extra communication or projection and exists on
-//     exactly one device; and the last layer is the newest row alone;
+//     All-Gather; package positionwise) over every live rank, cut down to
+//     what generation reads (positionwise.Work): the prefix travels as token
+//     ids; the sequence's owner rank — chosen by the terminal at join —
+//     keeps the K/V its own attention materialises over each complete layer
+//     input as the cache, which so costs no extra communication or
+//     projection and exists on exactly one device; and the last layer is the
+//     newest row alone;
 //   - each decode step moves only the token id to the owner and one
 //     F-vector back: communication per generated token drops from
 //     L·(K−1)·N·F/K floats to F floats, with no per-layer collective.
@@ -144,100 +143,31 @@ func (c *Cluster) GenerateVoltageStream(ctx context.Context, prompt []int, steps
 	return seq.res, nil
 }
 
-// prefillWork is the rows one rank computes at one layer of a join prefill
-// over n positions, and the Γ it is paced for. Up to the last layer that is
-// its slice mine: a non-owner in Algorithm 1's selected order, the owner in
-// the naive association, whose K = x·W_K, V = x·W_V it keeps as the layer's
-// cache — Theorem 2's reordering saves exactly those two products, so it only
-// pays where they have no other use. Of the last layer nothing is read but
-// the newest row, which the owner computes (P = 1) next to its cache.
-func prefillWork(layer *model.Layer, last bool, n int, mine partition.Range, owner bool) (partition.Range, int64, error) {
-	if last {
-		mine = partition.Range{From: n, To: n}
-		if owner {
-			mine.From = n - 1
-		}
-	}
-	cost := layer.Cost
-	if owner {
-		cost = layer.CachedCost
-	} else if mine.Empty() {
-		return mine, 0, nil
-	}
-	g, err := cost(n, mine.Len())
-	return mine, g, err
-}
-
-// prefillWorker runs the worker side of one sequence's join prefill. Every
-// rank embeds the token ids the terminal sent (charged with layer 0) and runs
-// Algorithm 2 up to the last layer over the row ranges the terminal computed
-// at join (one per live rank, in live-set order — so a degraded round,
-// re-sliced over the survivors after a device failure, prefills over exactly
-// its live ranks, and a scheme installed mid-batch reaches the next joiner
-// without touching live sequences). The owner answers the terminal with the
-// newest position's hidden row and returns the decode state; every other rank
-// answers with a 0-row partition — the terminal hears from every live rank —
-// and returns nil. (Activations go to the garbage collector, not the matrix
-// pool: nothing aliases them any more, but the pool keeps one class per N×F
-// and prompt lengths rarely repeat — recycling them measured +3–4 MB of peak
-// RSS on both generate workloads for no throughput.)
+// prefillWorker runs the worker side of one sequence's join prefill: it takes
+// the token frame that follows the opPrefill header and runs the position-wise
+// join pass (positionwise.Device.Prefill) over the row ranges the terminal
+// computed at join (one per live rank, in live-set order — so a degraded
+// round, re-sliced over the survivors after a device failure, prefills over
+// exactly its live ranks, and a scheme installed mid-batch reaches the next
+// joiner without touching live sequences). The owner answers the terminal
+// with the newest position's hidden row and returns the decode state; every
+// other rank answers with a 0-row partition — the terminal hears from every
+// live rank — and returns nil.
 func (c *Cluster) prefillWorker(ctx context.Context, p comm.Peer, ex *comm.Exchange, rank int, req *request, ranges []partition.Range, owner bool) (*model.DecodeState, error) {
-	term := c.terminalRank()
-	m := c.models[rank]
-	me := req.liveIndex(c, rank)
-	payload, err := p.Recv(ctx, term)
+	payload, err := p.Recv(ctx, c.terminalRank())
 	if err != nil {
 		return nil, err
 	}
-	n := ranges[len(ranges)-1].To
-	ids, err := parsePrefillTokens(payload, n, m.Embed)
+	ids, err := parsePrefillTokens(payload, ranges[len(ranges)-1].To, c.models[rank].Embed)
 	if err != nil {
 		return nil, err
 	}
 	comm.ReleaseBuffer(payload)
-	group, err := c.workerGroup(p, req.liveRanks(c))
+	dev, err := c.device(p, ex, rank, req)
 	if err != nil {
 		return nil, err
 	}
-	start, cost := time.Now(), flopcount.EmbedCost(n, m.Cfg.F)
-	x, err := m.Embed.EmbedTokens(ids)
-	if err != nil {
-		return nil, err
-	}
-	var state *model.DecodeState
-	if owner {
-		state = &model.DecodeState{Layers: make([]*model.LayerState, len(m.Layers)), Pos: n}
-	}
-	for li, layer := range m.Layers {
-		last := li == len(m.Layers)-1
-		r, layerCost, err := prefillWork(layer, last, n, ranges[me], owner)
-		if err != nil {
-			return nil, err
-		}
-		var part *tensor.Matrix
-		if owner {
-			part, state.Layers[li], err = layer.ForwardPartitionCached(x, r)
-		} else {
-			part, _, err = layer.ForwardPartition(x, r)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("layer %d: %w", li, err)
-		}
-		if err := c.paceRank(ctx, rank, start, cost+layerCost); err != nil {
-			return nil, err
-		}
-		c.recordPhase(req, rank, li, trace.PhaseCompute, time.Since(start))
-		if last {
-			return state, p.Send(ctx, term, ex.Encode(part))
-		}
-		commStart := time.Now()
-		if x, err = comm.AllGatherMatrix(ctx, group, part, ranges, c.opts.RingAllGather); err != nil {
-			return nil, fmt.Errorf("layer %d allgather: %w", li, err)
-		}
-		c.recordPhase(req, rank, li, trace.PhaseComm, time.Since(commStart))
-		start, cost = time.Now(), 0
-	}
-	return state, nil
+	return dev.Prefill(ctx, ids, ranges, owner)
 }
 
 // decodeStepCost is the analytic Γ of one rank's fused KV-cached decode

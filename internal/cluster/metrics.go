@@ -46,7 +46,6 @@ type clusterMetrics struct {
 	fenceDur       *metrics.Histogram
 
 	latency      *metrics.Histogram
-	queueDepth   *metrics.Histogram
 	attemptsHist *metrics.Histogram
 
 	// Continuous batching: fused decode-step widths, join/leave churn, and
@@ -56,7 +55,6 @@ type clusterMetrics struct {
 	batchJoins  *metrics.Counter
 	batchLeaves *metrics.Counter
 	batchWait   *metrics.Histogram
-	stepDur     *metrics.Histogram
 
 	// KV-cache residency per worker rank: sequences whose caches the rank
 	// holds (it owns them) and the positions cached across them — the
@@ -84,18 +82,15 @@ type clusterMetrics struct {
 	seqsFailed  *metrics.Counter
 	seqsResumed *metrics.Counter
 
-	// Adaptive re-partitioning: installed moves by controller cause, the
-	// currently serving per-rank ratios, and the promised vs. measured
-	// round-time improvement per move.
+	// Adaptive re-partitioning: installed moves by controller cause and the
+	// currently serving per-rank ratios. (Each move's promised and measured
+	// round-time improvement is a flight-recorder event.)
 	repartStraggler *metrics.Counter
 	repartSkew      *metrics.Counter
 	repartManual    *metrics.Counter
 	partitionRatio  []*metrics.Gauge
-	gainPredicted   *metrics.Histogram
-	gainRealized    *metrics.Histogram
 
 	queueLen *metrics.Gauge
-	inflight *metrics.Gauge
 
 	// Typed-error counters, both at the cause level (the error a request
 	// resolves with) and at the transport level (the comm layer's fault
@@ -172,8 +167,6 @@ func newClusterMetrics(k int) *clusterMetrics {
 	m.latency = reg.Histogram("voltage_request_latency_seconds",
 		"Terminal-observed attempt latency (input broadcast to result assembly).",
 		metrics.LatencyBuckets)
-	m.queueDepth = reg.Histogram("voltage_queue_depth",
-		"Admission-queue depth observed at each submit.", metrics.DepthBuckets)
 	m.attemptsHist = reg.Histogram("voltage_request_attempts",
 		"Dispatches needed per completed request (1 = clean first try).",
 		metrics.AttemptBuckets)
@@ -199,9 +192,6 @@ func newClusterMetrics(k int) *clusterMetrics {
 		m.kvSeqs[r] = kvSeqs.With(rankLabel(r, k))
 		m.kvPositions[r] = kvPos.With(rankLabel(r, k))
 	}
-	m.stepDur = reg.Histogram("voltage_fused_step_seconds",
-		"Per-rank fused decode-step time (pace-inclusive emulated device time).",
-		metrics.StepBuckets)
 
 	m.roundSkew = reg.Gauge("voltage_round_skew",
 		"Last fused round's skew of step time per owned MAC: max/mean across the round's owner ranks (1.0 = equal devices).")
@@ -241,15 +231,9 @@ func newClusterMetrics(k int) *clusterMetrics {
 	for r := 0; r < k; r++ {
 		m.partitionRatio[r] = ratioVec.With(rankLabel(r, k))
 	}
-	m.gainPredicted = reg.Histogram("voltage_repartition_predicted_gain",
-		"Fractional round-time improvement the controller predicted at each install.", gainBuckets)
-	m.gainRealized = reg.Histogram("voltage_repartition_realized_gain",
-		"Fractional improvement measured after each move settled (negative = the move hurt).", gainBuckets)
 
 	m.queueLen = reg.Gauge("voltage_queue_length",
 		"Requests currently waiting in the admission queue.")
-	m.inflight = reg.Gauge("voltage_inflight_requests",
-		"Requests currently occupying the mesh (dispatched, not yet resolved).")
 
 	causes := reg.CounterVec("voltage_errors_total",
 		"Requests resolved with a typed error, by cause.", "type")
@@ -317,14 +301,9 @@ func (m *clusterMetrics) fault(kind comm.FaultKind, _ int) {
 	}
 }
 
-// observeQueue records the admission queue's depth after a submit.
-func (m *clusterMetrics) observeQueue(depth int) {
-	m.queueLen.Set(float64(depth))
-	m.queueDepth.Observe(float64(depth))
-}
-
-// dequeued tracks the queue gauge as the dispatcher drains it.
-func (m *clusterMetrics) dequeued(depth int) {
+// queueLength tracks the admission queue's depth as requests are submitted
+// and the dispatcher drains them.
+func (m *clusterMetrics) queueLength(depth int) {
 	m.queueLen.Set(float64(depth))
 }
 
@@ -364,11 +343,6 @@ func (m *clusterMetrics) kvCache(rank int, states map[uint32]*model.DecodeState)
 	}
 	m.kvSeqs[rank].Set(float64(len(states)))
 	m.kvPositions[rank].Set(float64(positions))
-}
-
-// observeStepDur records one rank's fused decode-step time.
-func (m *clusterMetrics) observeStepDur(d time.Duration) {
-	m.stepDur.Observe(d.Seconds())
 }
 
 // observeSkew mirrors the profile store's per-round skew into gauges.
@@ -427,10 +401,6 @@ func (m *clusterMetrics) batchSeqResumed() {
 	m.seqsResumed.Inc()
 }
 
-// gainBuckets resolve the predicted/realized improvement histograms:
-// fractions of round time, negatives included so regressions register.
-var gainBuckets = []float64{-0.25, -0.1, -0.05, 0, 0.05, 0.1, 0.2, 0.3, 0.5, 0.75}
-
 // setPartitionRatios mirrors the installed scheme into the per-rank
 // ratio gauges.
 func (m *clusterMetrics) setPartitionRatios(ratios []float64) {
@@ -441,9 +411,9 @@ func (m *clusterMetrics) setPartitionRatios(ratios []float64) {
 	}
 }
 
-// repartition records one installed scheme: the cause counter, the new
-// ratio gauges, and the predicted improvement.
-func (m *clusterMetrics) repartition(cause string, ratios []float64, predicted float64) {
+// repartition records one installed scheme: the cause counter and the new
+// ratio gauges.
+func (m *clusterMetrics) repartition(cause string, ratios []float64) {
 	switch cause {
 	case "straggler":
 		m.repartStraggler.Inc()
@@ -453,22 +423,11 @@ func (m *clusterMetrics) repartition(cause string, ratios []float64, predicted f
 		m.repartManual.Inc()
 	}
 	m.setPartitionRatios(ratios)
-	m.gainPredicted.Observe(predicted)
-}
-
-// observeRealizedGain records a settled move's measured improvement.
-func (m *clusterMetrics) observeRealizedGain(gain float64) {
-	m.gainRealized.Observe(gain)
 }
 
 // observeBatchWait records how long a sequence waited to join a batch.
 func (m *clusterMetrics) observeBatchWait(d time.Duration) {
 	m.batchWait.Observe(d.Seconds())
-}
-
-// inflightAdd tracks requests occupying the mesh.
-func (m *clusterMetrics) inflightAdd(delta float64) {
-	m.inflight.Add(delta)
 }
 
 // observeAttempt records one resolved dispatch: its latency, outcome, typed

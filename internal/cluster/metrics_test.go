@@ -17,14 +17,14 @@ func TestMetricsObserveHealthyServing(t *testing.T) {
 	c := newTiny(t, 2, Options{})
 	x := embedTiny(t, c, 8)
 	const reqs = 3
-	var wantSent [3]float64 // per mesh rank, from the per-request stats
+	var want [3]comm.Stats // per mesh rank, from the per-request stats
 	for i := 0; i < reqs; i++ {
 		res, err := c.Infer(context.Background(), StrategyVoltage, x)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for r, s := range res.PerDevice {
-			wantSent[r] += float64(s.BytesSent)
+			want[r] = want[r].Add(s)
 		}
 	}
 	snap := c.Metrics()
@@ -46,11 +46,23 @@ func TestMetricsObserveHealthyServing(t *testing.T) {
 	}
 	// The traffic counters must observe exactly the per-request accounting —
 	// metrics ride on the existing stat scopes, never a second count.
+	var sum comm.Stats
 	for r, lbl := range []string{"0", "1", "terminal"} {
-		key := fmt.Sprintf("voltage_comm_bytes_sent_total{rank=%q}", lbl)
-		if got := snap.Counter(key); got != wantSent[r] {
-			t.Errorf("%s = %v, want %v", key, got, wantSent[r])
+		got := comm.Stats{
+			BytesSent: int64(snap.Counter(fmt.Sprintf("voltage_comm_bytes_sent_total{rank=%q}", lbl))),
+			BytesRecv: int64(snap.Counter(fmt.Sprintf("voltage_comm_bytes_recv_total{rank=%q}", lbl))),
+			MsgsSent:  int64(snap.Counter(fmt.Sprintf("voltage_comm_msgs_sent_total{rank=%q}", lbl))),
+			MsgsRecv:  int64(snap.Counter(fmt.Sprintf("voltage_comm_msgs_recv_total{rank=%q}", lbl))),
 		}
+		if got != want[r] {
+			t.Errorf("rank %s traffic counters = %+v, want %+v", lbl, got, want[r])
+		}
+		sum = sum.Add(got)
+	}
+	// Conservation: after clean requests every byte and message one rank
+	// sent, another received.
+	if sum.BytesSent == 0 || sum.BytesSent != sum.BytesRecv || sum.MsgsSent != sum.MsgsRecv {
+		t.Errorf("mesh-wide traffic %+v: sent and received do not balance", sum)
 	}
 	if got := snap.Gauge(`voltage_health_state{rank="0"}`); got != float64(Healthy) {
 		t.Errorf("health gauge rank 0 = %v, want healthy", got)

@@ -11,6 +11,7 @@ import (
 	"voltage/internal/flopcount"
 	"voltage/internal/model"
 	"voltage/internal/partition"
+	"voltage/internal/positionwise"
 	"voltage/internal/tensor"
 )
 
@@ -302,7 +303,7 @@ func TestPrefillWorkMatchesFlopcount(t *testing.T) {
 		{"last layer, non-owner: nothing", true, mine, false, partition.Range{From: n, To: n}, 0},
 	}
 	for _, tc := range cases {
-		r, cost, err := prefillWork(layer, tc.last, n, tc.mine, tc.owner)
+		r, cost, err := positionwise.Work(layer, tc.last, n, tc.mine, true, tc.owner)
 		if err != nil || r != tc.wantRange || cost != tc.wantCost {
 			t.Errorf("%s: range %v cost %d err %v, want %v and %d", tc.name, r, cost, err, tc.wantRange, tc.wantCost)
 		}

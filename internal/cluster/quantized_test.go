@@ -94,29 +94,3 @@ func TestQuantizedCommFasterAtLowBandwidth(t *testing.T) {
 	}
 	t.Logf("10 Mbps latency: exact=%.4fs quantized=%.4fs", exact, quant)
 }
-
-func TestQuantizedCommWithDynamicScheme(t *testing.T) {
-	// Extensions compose: dynamic re-balancing over quantized gathers.
-	c, err := NewMem(model.Tiny().Scaled(4), 3, Options{QuantizedComm: true, DynamicScheme: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	x := embedTiny(t, c, 24)
-	ctx := context.Background()
-	single, err := c.Infer(ctx, StrategySingle, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Infer(ctx, StrategyVoltage, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := res.Output.MaxAbsDiff(single.Output)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d > 0.8 {
-		t.Fatalf("composed extensions deviate by %v", d)
-	}
-}

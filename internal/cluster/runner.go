@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"time"
 
-	"voltage/internal/balance"
 	"voltage/internal/comm"
+	"voltage/internal/positionwise"
 	"voltage/internal/tensor"
 	"voltage/internal/trace"
 )
@@ -51,17 +51,6 @@ func runnerFor(s Strategy) (strategyRunner, error) {
 	}
 }
 
-// broadcastInput ships the request's input features to the given workers.
-func broadcastInput(ctx context.Context, p comm.Peer, ex *comm.Exchange, x *tensor.Matrix, ranks []int) error {
-	blob := ex.Encode(x)
-	for _, r := range ranks {
-		if err := p.Send(ctx, r, blob); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // recvOutput receives and decodes the final matrix reported by one worker.
 func recvOutput(ctx context.Context, p comm.Peer, from int) (*tensor.Matrix, error) {
 	got, err := p.Recv(ctx, from)
@@ -86,7 +75,7 @@ func (singleRunner) name() string    { return "single" }
 func (singleRunner) exclusive() bool { return false }
 
 func (singleRunner) admit(ctx context.Context, c *Cluster, p comm.Peer, ex *comm.Exchange, req *request) error {
-	return broadcastInput(ctx, p, ex, req.x, []int{0})
+	return positionwise.Scatter(ctx, p, []int{0}, ex.Encode(req.x))
 }
 
 func (singleRunner) collect(ctx context.Context, c *Cluster, p comm.Peer, ex *comm.Exchange, req *request) error {
@@ -142,44 +131,37 @@ func (singleRunner) worker(ctx context.Context, c *Cluster, p comm.Peer, ex *com
 // --------------------------------------------------------------- voltage
 
 // voltageRunner is the paper's position-wise partitioning with one
-// All-Gather per layer (Algorithm 2).
+// All-Gather per layer (Algorithm 2); the protocol itself is package
+// positionwise.
 type voltageRunner struct{}
 
 func (voltageRunner) name() string    { return "voltage" }
 func (voltageRunner) exclusive() bool { return false }
 
 func (voltageRunner) admit(ctx context.Context, c *Cluster, p comm.Peer, ex *comm.Exchange, req *request) error {
-	return broadcastInput(ctx, p, ex, req.x, req.liveRanks(c))
+	return positionwise.Scatter(ctx, p, req.liveRanks(c), ex.Encode(req.x))
 }
 
 func (voltageRunner) collect(ctx context.Context, c *Cluster, p comm.Peer, ex *comm.Exchange, req *request) error {
-	// Collect final-layer partitions from every live worker (Algorithm 2,
-	// line 8) and assemble by rank order. Assembly is driven by the
-	// received row counts rather than the static scheme so dynamic
-	// per-layer re-balancing needs no extra coordination.
-	out, err := c.collectPartitions(ctx, p, ex, req.liveRanks(c), req.x.Rows())
+	ranges, err := req.partitionScheme(c).Ranges(req.x.Rows())
 	if err != nil {
 		return err
 	}
-	req.output = out
-	return nil
+	req.output, err = positionwise.Assemble(ctx, p, ex.Pool(), req.liveRanks(c), ranges)
+	return err
 }
 
-// worker is Algorithm 2, lines 4–15, for one device. Ranks outside the
-// request's live set (excluded from a degraded attempt) idle through it.
+// worker runs one device's classify pass. Ranks outside the request's live
+// set (excluded from a degraded attempt) idle through it.
 func (voltageRunner) worker(ctx context.Context, c *Cluster, p comm.Peer, ex *comm.Exchange, rank int, req *request) error {
-	me := req.liveIndex(c, rank)
-	if me < 0 {
+	if req.liveIndex(c, rank) < 0 {
 		return nil // idle: this rank is excluded from the degraded attempt
 	}
-	live := req.liveRanks(c)
-	term := c.terminalRank()
-	blob, err := p.Recv(ctx, term)
+	blob, err := p.Recv(ctx, c.terminalRank())
 	if err != nil {
 		return err
 	}
-	pool := ex.Pool()
-	x, _, err := tensor.DecodePooled(pool, blob)
+	x, _, err := tensor.DecodePooled(ex.Pool(), blob)
 	if err != nil {
 		return err
 	}
@@ -188,69 +170,37 @@ func (voltageRunner) worker(ctx context.Context, c *Cluster, p comm.Peer, ex *co
 	if err != nil {
 		return err
 	}
-	group, err := c.workerGroup(p, live)
+	dev, err := c.device(p, ex, rank, req)
 	if err != nil {
 		return err
 	}
-	var tracker *balance.Tracker
-	if c.opts.DynamicScheme {
-		if tracker, err = balance.NewTracker(len(live), 0); err != nil {
-			return err
-		}
+	if c.opts.QuantizedComm {
+		dev.Gather = positionwise.Quantized
 	}
-	m := c.models[rank]
-	for li, layer := range m.Layers {
-		start := time.Now()
-		part, _, err := layer.ForwardPartition(x, ranges[me])
-		if err != nil {
-			return fmt.Errorf("layer %d: %w", li, err)
-		}
-		if pl := ranges[me].Len(); pl > 0 {
-			cost, err := layer.Cost(x.Rows(), pl)
-			if err != nil {
+	return dev.Classify(ctx, x, ranges)
+}
+
+// device is worker rank's side of the position-wise protocol for one request,
+// over the request's live ranks — the one place a pass is paced at the rank's
+// emulated rate and its compute and All-Gather spans are reported.
+func (c *Cluster) device(p comm.Peer, ex *comm.Exchange, rank int, req *request) (*positionwise.Device, error) {
+	group, err := c.workerGroup(p, req.liveRanks(c))
+	if err != nil {
+		return nil, err
+	}
+	return &positionwise.Device{
+		Model: c.models[rank], Peer: p, Terminal: c.terminalRank(), Group: group, Ex: ex,
+		Pace: func(ctx context.Context, layer int, start time.Time, flops int64) error {
+			if err := c.paceRank(ctx, rank, start, flops); err != nil {
 				return err
 			}
-			if err := c.paceRank(ctx, rank, start, cost); err != nil {
-				return err
-			}
-		}
-		elapsed := time.Since(start)
-		c.recordPhase(req, rank, li, trace.PhaseCompute, elapsed)
-		if li == len(m.Layers)-1 {
-			// Final layer: ship the partition to the terminal.
-			if err := p.Send(ctx, term, ex.Encode(part)); err != nil {
-				return err
-			}
-			pool.Put(part)
-			pool.Put(x)
+			c.recordPhase(req, rank, layer, trace.PhaseCompute, time.Since(start))
 			return nil
-		}
-		commStart := time.Now()
-		var next *tensor.Matrix
-		if c.opts.QuantizedComm {
-			next, err = comm.AllGatherMatrixQ(ctx, group, part, ranges, c.opts.RingAllGather)
-		} else {
-			next, err = ex.AllGatherMatrix(ctx, group, part, ranges, c.opts.RingAllGather)
-		}
-		if err != nil {
-			return fmt.Errorf("layer %d allgather: %w", li, err)
-		}
-		c.recordPhase(req, rank, li, trace.PhaseComm, time.Since(commStart))
-		// The gather copied the local partition into the assembled matrix
-		// and ForwardPartition never retains its input, so both the
-		// partition and the previous activation recycle here — the per-layer
-		// steady state allocates nothing.
-		pool.Put(part)
-		pool.Put(x)
-		x = next
-		if tracker != nil {
-			ranges, err = c.rebalance(ctx, group, tracker, ranges[me], elapsed, x.Rows())
-			if err != nil {
-				return fmt.Errorf("layer %d rebalance: %w", li, err)
-			}
-		}
-	}
-	return nil
+		},
+		OnComm: func(layer int, d time.Duration) {
+			c.recordPhase(req, rank, layer, trace.PhaseComm, d)
+		},
+	}, nil
 }
 
 // ------------------------------------------------------- tensor parallel
@@ -262,7 +212,7 @@ func (tpRunner) name() string    { return "tensor-parallel" }
 func (tpRunner) exclusive() bool { return false }
 
 func (tpRunner) admit(ctx context.Context, c *Cluster, p comm.Peer, ex *comm.Exchange, req *request) error {
-	return broadcastInput(ctx, p, ex, req.x, c.allRanks())
+	return positionwise.Scatter(ctx, p, c.allRanks(), ex.Encode(req.x))
 }
 
 func (tpRunner) collect(ctx context.Context, c *Cluster, p comm.Peer, ex *comm.Exchange, req *request) error {

@@ -321,7 +321,7 @@ func (c *Cluster) submit(ctx context.Context, req *request) (*Pending, error) {
 	}
 	select {
 	case c.queue <- req:
-		c.metrics.observeQueue(len(c.queue))
+		c.metrics.queueLength(len(c.queue))
 		return &Pending{c: c, req: req}, nil
 	case <-c.serveCtx.Done():
 		req.cancel()
@@ -338,7 +338,7 @@ func (c *Cluster) dispatchLoop() {
 	for {
 		select {
 		case req := <-c.queue:
-			c.metrics.dequeued(len(c.queue))
+			c.metrics.queueLength(len(c.queue))
 			if err := req.ctx.Err(); err != nil {
 				// The caller abandoned the request while it waited in the
 				// queue: drop it here instead of spending a mesh slot
@@ -364,13 +364,11 @@ func (c *Cluster) dispatchLoop() {
 // dispatch tags every worker loop with the request and runs the terminal's
 // admission side. Returns false when the cluster shut down mid-dispatch.
 func (c *Cluster) dispatch(req *request, ex *comm.Exchange) bool {
-	c.metrics.inflightAdd(1)
 	for r := 0; r < c.k; r++ {
 		select {
 		case c.admitCh[r] <- req:
 		case <-c.serveCtx.Done():
 			req.finish(errServingStopped)
-			c.metrics.inflightAdd(-1)
 			return false
 		}
 	}
@@ -389,7 +387,6 @@ func (c *Cluster) dispatch(req *request, ex *comm.Exchange) bool {
 	case c.collectCh <- req:
 	case <-c.serveCtx.Done():
 		req.finish(errServingStopped)
-		c.metrics.inflightAdd(-1)
 		return false
 	}
 	if req.runner.exclusive() || req.fenced {
@@ -502,7 +499,6 @@ func (c *Cluster) collectLoop() {
 				select {
 				case req := <-c.collectCh:
 					req.finish(errServingStopped)
-					c.metrics.inflightAdd(-1)
 				default:
 					return
 				}
@@ -539,7 +535,6 @@ func (c *Cluster) collect(req *request, ex *comm.Exchange) {
 		c.metrics.observeRequest(1, req.degraded, cause)
 	}
 	c.observeResolved(req, cause)
-	c.metrics.inflightAdd(-1)
 	req.finish(cause)
 }
 

@@ -145,6 +145,9 @@ func TestCorruptedFrameResolvesAsErrCorrupt(t *testing.T) {
 	if r, ok := comm.RemoteRank(err); !ok || r != 0 {
 		t.Fatalf("corruption should blame rank 0, got (%d, %v)", r, ok)
 	}
+	if got := c.Metrics().Counter("voltage_frames_corrupt_total"); got < 1 {
+		t.Errorf("voltage_frames_corrupt_total = %v after a corrupted frame, want >= 1", got)
+	}
 }
 
 func TestStalledWorkerTimesOutAndDegrades(t *testing.T) {

@@ -152,16 +152,6 @@ var LatencyBuckets = []float64{
 	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// StepBuckets is the fused-decode-step bucket layout, in seconds
-// (50µs–250ms, roughly ×2 per step). Decode steps on the emulated devices
-// complete in tens of microseconds to a few milliseconds — below
-// LatencyBuckets' 1ms floor, which would flatten every step into the
-// first bucket.
-var StepBuckets = []float64{
-	0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
-	0.01, 0.025, 0.05, 0.1, 0.25,
-}
-
 // DepthBuckets is the default queue-depth bucket layout (powers of two up
 // to the admission queue's capacity).
 var DepthBuckets = []float64{0, 1, 2, 4, 8, 16, 32, 64}

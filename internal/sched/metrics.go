@@ -12,15 +12,12 @@ import (
 // nil-receiver-safe, so a registry-less scheduler records nothing and
 // costs one branch per site.
 type gatewayMetrics struct {
-	depthGauge   [numClasses]*metrics.Gauge
-	waitHist     [numClasses]*metrics.Histogram
-	admittedCnt  [numClasses]*metrics.Counter
-	servedOK     [numClasses]*metrics.Counter
-	servedErr    [numClasses]*metrics.Counter
-	inflightG    *metrics.Gauge
-	shedByCause  map[string]*metrics.Counter
-	shedByClass  [numClasses]*metrics.Counter
-	depthHistVec [numClasses]*metrics.Histogram
+	depthGauge  [numClasses]*metrics.Gauge
+	waitHist    [numClasses]*metrics.Histogram
+	admittedCnt [numClasses]*metrics.Counter
+	servedOK    [numClasses]*metrics.Counter
+	servedErr   [numClasses]*metrics.Counter
+	shedByCause map[string]*metrics.Counter
 }
 
 // newGatewayMetrics registers the gateway families on reg (nil reg → nil
@@ -32,8 +29,6 @@ func newGatewayMetrics(reg *metrics.Registry) *gatewayMetrics {
 	m := &gatewayMetrics{shedByCause: make(map[string]*metrics.Counter)}
 	depth := reg.GaugeVec("voltage_gateway_queue_depth",
 		"Requests currently waiting in each gateway class queue.", "class")
-	depthHist := reg.HistogramVec("voltage_gateway_queue_depth_observed",
-		"Class-queue depth observed at each admission.", "class", metrics.DepthBuckets)
 	wait := reg.HistogramVec("voltage_gateway_queue_wait_seconds",
 		"Time each dispatched request spent in its gateway queue.", "class",
 		metrics.LatencyBuckets)
@@ -46,23 +41,17 @@ func newGatewayMetrics(reg *metrics.Registry) *gatewayMetrics {
 	shedCause := reg.CounterVec("voltage_gateway_shed_total",
 		"Requests shed by the gateway, by cause (queue_full, deadline, degraded, draining, canceled).",
 		"cause")
-	shedClass := reg.CounterVec("voltage_gateway_shed_by_class_total",
-		"Requests shed by the gateway, by class.", "class")
 	for c := Class(0); c < numClasses; c++ {
 		lbl := c.String()
 		m.depthGauge[c] = depth.With(lbl)
-		m.depthHistVec[c] = depthHist.With(lbl)
 		m.waitHist[c] = wait.With(lbl)
 		m.admittedCnt[c] = admitted.With(lbl)
 		m.servedOK[c] = served.With(lbl)
 		m.servedErr[c] = failedV.With(lbl)
-		m.shedByClass[c] = shedClass.With(lbl)
 	}
 	for _, cause := range []string{shedFull, shedDeadline, shedDegraded, shedDraining, shedCanceled} {
 		m.shedByCause[cause] = shedCause.With(cause)
 	}
-	m.inflightG = reg.Gauge("voltage_gateway_inflight",
-		"Requests the gateway currently has in service against the engine.")
 	return m
 }
 
@@ -73,7 +62,6 @@ func (m *gatewayMetrics) admitted(c Class, depth int) {
 	}
 	m.admittedCnt[c].Inc()
 	m.depthGauge[c].Set(float64(depth))
-	m.depthHistVec[c].Observe(float64(depth))
 }
 
 // depth tracks a class queue's depth after a dequeue or withdrawal.
@@ -93,14 +81,13 @@ func (m *gatewayMetrics) waited(c Class, d time.Duration) {
 }
 
 // shed counts one shed decision.
-func (m *gatewayMetrics) shed(c Class, cause string) {
+func (m *gatewayMetrics) shed(cause string) {
 	if m == nil {
 		return
 	}
 	if cnt, ok := m.shedByCause[cause]; ok {
 		cnt.Inc()
 	}
-	m.shedByClass[c].Inc()
 }
 
 // served counts one completed run by outcome.
@@ -113,12 +100,4 @@ func (m *gatewayMetrics) served(c Class, err error) {
 	} else {
 		m.servedErr[c].Inc()
 	}
-}
-
-// inflight tracks requests in service.
-func (m *gatewayMetrics) inflight(delta float64) {
-	if m == nil {
-		return
-	}
-	m.inflightG.Add(delta)
 }

@@ -394,7 +394,7 @@ func (s *Scheduler) withdraw(it *item) bool {
 // shedLocked counts one shed decision. Callers hold s.mu.
 func (s *Scheduler) shedLocked(class Class, cause string) {
 	s.shed[cause]++
-	s.m.shed(class, cause)
+	s.m.shed(cause)
 	if s.opts.OnShed != nil {
 		s.opts.OnShed(class, cause)
 	}
@@ -412,7 +412,6 @@ func (s *Scheduler) next() *item {
 		}
 		if it := s.pickLocked(); it != nil {
 			s.inflight++
-			s.m.inflight(1)
 			return it
 		}
 		if s.draining {
@@ -473,7 +472,6 @@ func (s *Scheduler) worker() {
 		s.run(it)
 		s.mu.Lock()
 		s.inflight--
-		s.m.inflight(-1)
 		s.mu.Unlock()
 		s.cond.Broadcast() // wake Drain waiters and idle peers
 	}

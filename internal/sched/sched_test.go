@@ -474,10 +474,20 @@ func TestMetricsMirror(t *testing.T) {
 	if err := <-queuedErr; err != nil {
 		t.Fatal(err)
 	}
+	boom := errors.New("boom")
+	if err := s.Do(context.Background(), Job{Class: Batch, Run: func(context.Context, time.Duration) error { return boom }}); !errors.Is(err, boom) {
+		t.Fatalf("failing job = %v, want its own error", err)
+	}
 
 	snap := reg.Snapshot()
 	if got := snap.Counter(`voltage_gateway_admitted_total{class="interactive"}`); got != 2 {
 		t.Errorf("admitted interactive = %v, want 2", got)
+	}
+	if failed, served := snap.Counter(`voltage_gateway_failed_total{class="batch"}`), snap.Counter(`voltage_gateway_served_total{class="batch"}`); failed != 1 || served != 0 {
+		t.Errorf("batch failed = %v served = %v, want the one failing job counted failed only", failed, served)
+	}
+	if got := snap.Counter(`voltage_gateway_failed_total{class="interactive"}`); got != 0 {
+		t.Errorf("failed interactive = %v, want 0", got)
 	}
 	if got := snap.Counter(`voltage_gateway_shed_total{cause="queue_full"}`); got != 1 {
 		t.Errorf("shed queue_full = %v, want 1", got)

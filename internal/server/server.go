@@ -315,20 +315,6 @@ func checkGenerate(cfg model.Config, prompt []int, steps int) error {
 	return nil
 }
 
-// parseStrategy maps the wire strategy name (default voltage).
-func parseStrategy(name string) (cluster.Strategy, error) {
-	switch name {
-	case "", "voltage":
-		return cluster.StrategyVoltage, nil
-	case "single":
-		return cluster.StrategySingle, nil
-	case "tensor-parallel", "tp":
-		return cluster.StrategyTensorParallel, nil
-	default:
-		return 0, fmt.Errorf("unknown strategy %q", name)
-	}
-}
-
 // deadlineFor resolves a request's deadline from its timeout field.
 func deadlineFor(timeoutMS int64) time.Time {
 	if timeoutMS <= 0 {
@@ -356,7 +342,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	strat, err := parseStrategy(req.Strategy)
+	strat, err := cluster.ParseStrategy(req.Strategy)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // parallelThreshold is the minimum number of result rows per goroutine; below
@@ -47,29 +48,21 @@ func MatMulSerial(a, b *Matrix) (*Matrix, error) {
 	return out, nil
 }
 
-var (
-	workersMu sync.RWMutex
-	workers   = runtime.GOMAXPROCS(0)
-)
+// workers is the goroutine fan-out of MatMul, read on every call.
+var workers atomic.Int32
+
+func init() { workers.Store(int32(runtime.GOMAXPROCS(0))) }
 
 // SetWorkers sets the goroutine fan-out used by MatMul. n < 1 resets to
 // GOMAXPROCS. It returns the previous value.
 func SetWorkers(n int) int {
-	workersMu.Lock()
-	defer workersMu.Unlock()
-	prev := workers
 	if n < 1 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	workers = n
-	return prev
+	return int(workers.Swap(int32(n)))
 }
 
-func workerCount() int {
-	workersMu.RLock()
-	defer workersMu.RUnlock()
-	return workers
-}
+func workerCount() int { return int(workers.Load()) }
 
 func matMulInto(out, a, b *Matrix, nworkers int) {
 	rows := a.rows

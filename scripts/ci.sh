@@ -26,6 +26,13 @@ if go list ./... | grep -E 'loadgen|voltage-load'; then
     exit 1
 fi
 
+# Algorithm 2's layer loop and All-Gather live in internal/positionwise and
+# nowhere else: a copy in the cluster runtime or a binary would drift from it.
+if grep -rnE 'ForwardPartition|AllGatherMatrix' --include='*.go' internal/cluster cmd | grep -v _test.go; then
+    echo "the position-wise device protocol is called outside internal/positionwise" >&2
+    exit 1
+fi
+
 echo "== go vet ./..."
 go vet ./...
 
@@ -41,8 +48,8 @@ go build ./cmd/...
 echo "== go test ./..."
 go test ./...
 
-echo "== go test -race ./internal/cluster/... ./internal/comm/... ./internal/trace/... ./internal/obs/... ./internal/adapt/... ./internal/balance/... ./internal/server/..."
-go test -race ./internal/cluster/... ./internal/comm/... ./internal/trace/... ./internal/obs/... ./internal/adapt/... ./internal/balance/... ./internal/server/...
+echo "== go test -race ./internal/cluster/... ./internal/positionwise/... ./internal/comm/... ./internal/trace/... ./internal/obs/... ./internal/adapt/... ./internal/balance/... ./internal/server/..."
+go test -race ./internal/cluster/... ./internal/positionwise/... ./internal/comm/... ./internal/trace/... ./internal/obs/... ./internal/adapt/... ./internal/balance/... ./internal/server/...
 
 echo "== chaos: go test -race -count=2 (fault-injection suite)"
 go test -race -count=2 -run \

@@ -192,6 +192,10 @@ const (
 	StrategyTensorParallel = cluster.StrategyTensorParallel
 )
 
+// ParseStrategy resolves a strategy by name ("voltage", "single",
+// "tensor-parallel" or "tp"; the empty name is Voltage).
+func ParseStrategy(name string) (Strategy, error) { return cluster.ParseStrategy(name) }
+
 // EdgeDefaultProfile mirrors the paper's default 500 Mbps edge network.
 var EdgeDefaultProfile = netem.EdgeDefault
 
