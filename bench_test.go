@@ -46,46 +46,79 @@ func benchCfg() model.Config {
 
 const benchSeqLen = 128
 
-func benchInput(b *testing.B, c *cluster.Cluster) *tensor.Matrix {
+func benchInput(b *testing.B, m *model.Model) *tensor.Matrix {
 	b.Helper()
 	ids := make([]int, benchSeqLen)
 	for i := range ids {
-		ids[i] = (i*31 + 7) % c.Config().VocabSize
+		ids[i] = (i*31 + 7) % m.Cfg.VocabSize
 	}
-	x, err := c.Model(0).Embed.EmbedTokens(ids)
+	x, err := m.Embed.EmbedTokens(ids)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return x
 }
 
+// benchVoltage times Voltage inferences of the bench input through the
+// serving cluster — the system; at K = 1 the single-device baseline.
+func benchVoltage(b *testing.B, k int, opts cluster.Options) {
+	c, err := cluster.NewMem(benchCfg(), k, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	x := benchInput(b, c.Model(0))
+	ctx := context.Background()
+	var bytes int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := c.Infer(ctx, cluster.StrategyVoltage, x)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bytes = res.TotalBytesSent()
+	}
+	b.ReportMetric(float64(bytes), "workerB/op")
+}
+
+// benchSubject times one of the baseline subjects on the harness's one-shot
+// mesh (weight seed 1, as the cluster's default).
+func benchSubject(b *testing.B, k int, profile netem.Profile, run func(*harness.Mesh, *tensor.Matrix) (*harness.Run, error)) {
+	mesh, err := harness.NewMesh(benchCfg(), k, profile, harness.Calibration{}, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := benchInput(b, mesh.Model)
+	var bytes int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := run(mesh, x)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bytes = res.TotalBytesSent()
+	}
+	b.ReportMetric(float64(bytes), "workerB/op")
+}
+
+func tensorParallel(m *harness.Mesh, x *tensor.Matrix) (*harness.Run, error) {
+	return m.TensorParallel(context.Background(), x)
+}
+
 // BenchmarkFig4DeviceScaling measures end-to-end latency per strategy and
-// device count at the paper's default 500 Mbps (Fig. 4).
+// device count at the paper's default 500 Mbps (Fig. 4); K=1/voltage is the
+// single-device line.
 func BenchmarkFig4DeviceScaling(b *testing.B) {
 	prev := voltage.SetComputeWorkers(1)
 	defer voltage.SetComputeWorkers(prev)
+	profile := netem.Profile{BandwidthMbps: 500, Latency: 200 * time.Microsecond}
 	for _, k := range []int{1, 2, 4, 6} {
-		for _, strategy := range []cluster.Strategy{
-			cluster.StrategySingle, cluster.StrategyVoltage, cluster.StrategyTensorParallel,
-		} {
-			b.Run(fmt.Sprintf("K=%d/%s", k, strategy), func(b *testing.B) {
-				c, err := cluster.NewMem(benchCfg(), k, cluster.Options{
-					Profile: netem.Profile{BandwidthMbps: 500, Latency: 200 * time.Microsecond},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer c.Close()
-				x := benchInput(b, c)
-				ctx := context.Background()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := c.Infer(ctx, strategy, x); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("K=%d/%s", k, cluster.StrategyVoltage), func(b *testing.B) {
+			benchVoltage(b, k, cluster.Options{Profile: profile})
+		})
+		b.Run(fmt.Sprintf("K=%d/%s", k, cluster.StrategyTensorParallel), func(b *testing.B) {
+			benchSubject(b, k, profile, tensorParallel)
+		})
 	}
 }
 
@@ -96,25 +129,13 @@ func BenchmarkFig5Bandwidth(b *testing.B) {
 	defer voltage.SetComputeWorkers(prev)
 	const k = 4
 	for _, mbps := range []float64{200, 500, 1000} {
-		for _, strategy := range []cluster.Strategy{cluster.StrategyVoltage, cluster.StrategyTensorParallel} {
-			b.Run(fmt.Sprintf("bw=%.0fMbps/%s", mbps, strategy), func(b *testing.B) {
-				c, err := cluster.NewMem(benchCfg(), k, cluster.Options{
-					Profile: netem.Profile{BandwidthMbps: mbps, Latency: 200 * time.Microsecond},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer c.Close()
-				x := benchInput(b, c)
-				ctx := context.Background()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := c.Infer(ctx, strategy, x); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+		profile := netem.Profile{BandwidthMbps: mbps, Latency: 200 * time.Microsecond}
+		b.Run(fmt.Sprintf("bw=%.0fMbps/%s", mbps, cluster.StrategyVoltage), func(b *testing.B) {
+			benchVoltage(b, k, cluster.Options{Profile: profile})
+		})
+		b.Run(fmt.Sprintf("bw=%.0fMbps/%s", mbps, cluster.StrategyTensorParallel), func(b *testing.B) {
+			benchSubject(b, k, profile, tensorParallel)
+		})
 	}
 }
 
@@ -159,27 +180,12 @@ func BenchmarkFig6AttentionPartition(b *testing.B) {
 // BenchmarkTableACommVolume reports per-inference worker traffic as
 // custom metrics (Table A: Voltage vs tensor parallelism, 4× gap).
 func BenchmarkTableACommVolume(b *testing.B) {
-	for _, strategy := range []cluster.Strategy{cluster.StrategyVoltage, cluster.StrategyTensorParallel} {
-		b.Run(strategy.String(), func(b *testing.B) {
-			c, err := cluster.NewMem(benchCfg(), 4, cluster.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer c.Close()
-			x := benchInput(b, c)
-			ctx := context.Background()
-			var bytes int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := c.Infer(ctx, strategy, x)
-				if err != nil {
-					b.Fatal(err)
-				}
-				bytes = res.TotalBytesSent()
-			}
-			b.ReportMetric(float64(bytes), "workerB/op")
-		})
-	}
+	b.Run(cluster.StrategyVoltage.String(), func(b *testing.B) {
+		benchVoltage(b, 4, cluster.Options{})
+	})
+	b.Run(cluster.StrategyTensorParallel.String(), func(b *testing.B) {
+		benchSubject(b, 4, netem.Unlimited, tensorParallel)
+	})
 }
 
 // BenchmarkTableBTheoremSweep measures the exhaustive Theorem 2
@@ -350,19 +356,7 @@ func BenchmarkAblationScheme(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			c, err := cluster.NewMem(benchCfg(), k, cluster.Options{Scheme: scheme})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer c.Close()
-			x := benchInput(b, c)
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.Infer(ctx, cluster.StrategyVoltage, x); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchVoltage(b, k, cluster.Options{Scheme: scheme})
 		})
 	}
 }
@@ -380,30 +374,15 @@ func BenchmarkExtCachedDecode(b *testing.B) {
 	}
 	const steps = 8
 	b.Run("recompute", func(b *testing.B) {
-		c, err := cluster.NewMem(cfg, 3, cluster.Options{})
+		mesh, err := harness.NewMesh(cfg, 3, netem.Unlimited, harness.Calibration{}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer c.Close()
-		m := c.Model(0)
 		ctx := context.Background()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			tokens := append([]int(nil), prompt...)
-			for s := 0; s < steps; s++ {
-				x, err := m.Embed.EmbedTokens(tokens)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := c.Infer(ctx, cluster.StrategyVoltage, x)
-				if err != nil {
-					b.Fatal(err)
-				}
-				logits, err := m.LM.NextTokenLogits(res.Output)
-				if err != nil {
-					b.Fatal(err)
-				}
-				tokens = append(tokens, model.Argmax(logits))
+			if _, _, err := mesh.Recompute(ctx, prompt, steps); err != nil {
+				b.Fatal(err)
 			}
 		}
 	})
@@ -429,30 +408,15 @@ func BenchmarkExtCachedDecode(b *testing.B) {
 func BenchmarkExtQuantizedComm(b *testing.B) {
 	prev := voltage.SetComputeWorkers(1)
 	defer voltage.SetComputeWorkers(prev)
-	for _, quantized := range []bool{false, true} {
-		name := "exact"
-		if quantized {
-			name = "int8"
-		}
-		b.Run(name, func(b *testing.B) {
-			c, err := cluster.NewMem(benchCfg(), 4, cluster.Options{
-				Profile:       netem.Profile{BandwidthMbps: 10},
-				QuantizedComm: quantized,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer c.Close()
-			x := benchInput(b, c)
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.Infer(ctx, cluster.StrategyVoltage, x); err != nil {
-					b.Fatal(err)
-				}
-			}
+	profile := netem.Profile{BandwidthMbps: 10}
+	b.Run("exact", func(b *testing.B) {
+		benchVoltage(b, 4, cluster.Options{Profile: profile})
+	})
+	b.Run("int8", func(b *testing.B) {
+		benchSubject(b, 4, profile, func(m *harness.Mesh, x *tensor.Matrix) (*harness.Run, error) {
+			return m.Quantized(context.Background(), x)
 		})
-	}
+	})
 }
 
 // BenchmarkExtPipelineBatch measures the pipeline baseline's makespan per
@@ -463,23 +427,17 @@ func BenchmarkExtPipelineBatch(b *testing.B) {
 	defer voltage.SetComputeWorkers(prev)
 	for _, batch := range []int{1, 4} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			c, err := cluster.NewMem(benchCfg(), 3, cluster.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer c.Close()
-			x := benchInput(b, c)
-			xs := make([]*tensor.Matrix, batch)
-			for i := range xs {
-				xs[i] = x
-			}
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.InferPipeline(ctx, xs); err != nil {
-					b.Fatal(err)
+			benchSubject(b, 3, netem.Unlimited, func(m *harness.Mesh, x *tensor.Matrix) (*harness.Run, error) {
+				xs := make([]*tensor.Matrix, batch)
+				for i := range xs {
+					xs[i] = x
 				}
-			}
+				res, err := m.Pipeline(context.Background(), xs)
+				if err != nil {
+					return nil, err
+				}
+				return res.Run, nil
+			})
 		})
 	}
 }

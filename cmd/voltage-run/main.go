@@ -4,10 +4,13 @@
 //
 // Usage:
 //
-//	voltage-run -model bert -k 4 -strategy voltage -text "an example request"
-//	voltage-run -model vit  -k 6 -strategy tensor-parallel
-//	voltage-run -model gpt2 -k 3 -strategy voltage -generate 8 -text "a prompt"
-//	voltage-run -model bert -k 4 -words 200 -compare
+//	voltage-run -model bert -k 4 -text "an example request"
+//	voltage-run -model vit  -k 6
+//	voltage-run -model gpt2 -k 3 -generate 8 -text "a prompt"
+//	voltage-run -model bert -k 1 -words 200    # the single-device baseline
+//
+// Tensor and pipeline parallelism are measured by voltage-bench
+// (-experiment fig4,pipeline -mode measured).
 //
 // By default the model runs at a 2-layer depth so full-width models finish
 // quickly under the pure-Go kernels; -layers 0 restores the paper depth.
@@ -36,13 +39,11 @@ func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("voltage-run", flag.ContinueOnError)
 	modelName := fs.String("model", "bert", "model preset (bert | gpt2 | vit | tiny | ...)")
 	k := fs.Int("k", 4, "number of worker devices")
-	strategyName := fs.String("strategy", "voltage", "voltage | tensor-parallel | single")
 	text := fs.String("text", "", "input text (token models)")
 	words := fs.Int("words", 200, "synthetic word count when -text is empty")
 	layers := fs.Int("layers", 2, "stack depth (0 = full paper depth)")
 	bandwidth := fs.Float64("bandwidth", 500, "link bandwidth in Mbps (0 = unlimited)")
 	generate := fs.Int("generate", 0, "decode this many tokens (decoder models)")
-	compare := fs.Bool("compare", false, "run all three strategies and compare")
 	seed := fs.Int64("seed", 1, "weight seed")
 	timeout := fs.Duration("timeout", 10*time.Minute, "request time budget")
 	if err := fs.Parse(args); err != nil {
@@ -55,10 +56,6 @@ func run(args []string, w io.Writer) error {
 	}
 	if *layers > 0 {
 		cfg = cfg.Scaled(*layers)
-	}
-	strategy, err := voltage.ParseStrategy(*strategyName)
-	if err != nil {
-		return err
 	}
 
 	// Single-threaded math per emulated device, as in the paper's testbed.
@@ -79,56 +76,38 @@ func run(args []string, w io.Writer) error {
 
 	fmt.Fprintf(w, "model=%s layers=%d K=%d bandwidth=%.0fMbps\n", cfg.Name, cfg.Layers, *k, *bandwidth)
 
-	if *compare {
-		for _, s := range []voltage.Strategy{voltage.StrategySingle, voltage.StrategyVoltage, voltage.StrategyTensorParallel} {
-			if err := serveOne(ctx, w, engine, s, cfg, *text, *words, *generate); err != nil {
-				return err
-			}
+	if cfg.Kind.String() == "vision" {
+		im := voltage.RandomImage(99, cfg.Channels, cfg.ImageSize)
+		pred, err := engine.ClassifyImage(ctx, voltage.StrategyVoltage, im)
+		if err != nil {
+			return err
 		}
+		report(w, pred)
 		return nil
 	}
-	return serveOne(ctx, w, engine, strategy, cfg, *text, *words, *generate)
-}
-
-func serveOne(ctx context.Context, w io.Writer, engine *voltage.Engine, strategy voltage.Strategy,
-	cfg voltage.Config, text string, words, generate int) error {
-	switch {
-	case cfg.Kind.String() == "vision":
-		im := voltage.RandomImage(99, cfg.Channels, cfg.ImageSize)
-		pred, err := engine.ClassifyImage(ctx, strategy, im)
-		if err != nil {
-			return err
-		}
-		report(w, strategy, pred)
-	case generate > 0:
-		ids, err := encode(cfg, text, words)
-		if err != nil {
-			return err
-		}
-		gen, err := engine.Generate(ctx, strategy, ids, generate)
-		if err != nil {
-			return err
-		}
-		var total time.Duration
-		var bytes int64
-		for _, r := range gen.Runs {
-			total += r.Latency
-			bytes += r.TotalBytesSent()
-		}
-		fmt.Fprintf(w, "[%s] generated %d tokens in %v (%d worker bytes): %v\n",
-			strategy, len(gen.Tokens)-len(ids), total.Round(time.Millisecond), bytes,
-			gen.Tokens[len(ids):])
-	default:
-		ids, err := encode(cfg, text, words)
-		if err != nil {
-			return err
-		}
-		pred, err := engine.ClassifyTokens(ctx, strategy, ids)
-		if err != nil {
-			return err
-		}
-		report(w, strategy, pred)
+	ids, err := encode(cfg, *text, *words)
+	if err != nil {
+		return err
 	}
+	if *generate > 0 {
+		gen, err := engine.GenerateCached(ctx, ids, *generate)
+		if err != nil {
+			return err
+		}
+		var bytes int64
+		for _, s := range gen.PerDevice[:*k] {
+			bytes += s.BytesSent
+		}
+		fmt.Fprintf(w, "generated %d tokens in %v prefill + %v decode (%d worker bytes): %v\n",
+			len(gen.Tokens)-len(ids), gen.PrefillLatency.Round(time.Millisecond),
+			gen.DecodeLatency.Round(time.Millisecond), bytes, gen.Tokens[len(ids):])
+		return nil
+	}
+	pred, err := engine.ClassifyTokens(ctx, voltage.StrategyVoltage, ids)
+	if err != nil {
+		return err
+	}
+	report(w, pred)
 	return nil
 }
 
@@ -147,7 +126,7 @@ func encode(cfg voltage.Config, text string, words int) ([]int, error) {
 	return tok.EncodeWords(n, 7), nil
 }
 
-func report(w io.Writer, strategy voltage.Strategy, pred *voltage.Prediction) {
-	fmt.Fprintf(w, "[%s] class=%d latency=%v worker-bytes=%d\n",
-		strategy, pred.Class, pred.Run.Latency.Round(time.Millisecond), pred.Run.TotalBytesSent())
+func report(w io.Writer, pred *voltage.Prediction) {
+	fmt.Fprintf(w, "class=%d latency=%v worker-bytes=%d\n",
+		pred.Class, pred.Run.Latency.Round(time.Millisecond), pred.Run.TotalBytesSent())
 }

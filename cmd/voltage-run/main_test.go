@@ -5,36 +5,12 @@ import (
 	"testing"
 )
 
-func TestRunTinyCompare(t *testing.T) {
+func TestRunText(t *testing.T) {
 	var sb strings.Builder
-	err := run([]string{"-model", "tiny", "-k", "2", "-compare", "-words", "20"}, &sb)
-	if err != nil {
+	if err := run([]string{"-model", "tiny", "-k", "3", "-text", "hello world"}, &sb); err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
-	for _, want := range []string{"[single]", "[voltage]", "[tensor-parallel]", "class="} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestRunSingleStrategy(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{"-model", "tiny", "-k", "3", "-strategy", "voltage", "-text", "hello world"}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "[voltage]") {
-		t.Fatalf("output: %s", sb.String())
-	}
-}
-
-func TestRunTPAlias(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{"-model", "tiny", "-k", "2", "-strategy", "tp", "-words", "8"}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "[tensor-parallel]") {
+	if !strings.Contains(sb.String(), "class=") || !strings.Contains(sb.String(), "worker-bytes=") {
 		t.Fatalf("output: %s", sb.String())
 	}
 }
@@ -52,7 +28,7 @@ func TestRunGeneration(t *testing.T) {
 
 func TestRunVision(t *testing.T) {
 	var sb strings.Builder
-	err := run([]string{"-model", "tiny-vision", "-k", "2", "-strategy", "voltage"}, &sb)
+	err := run([]string{"-model", "tiny-vision", "-k", "2"}, &sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,8 +42,8 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-model", "bogus"}, &sb); err == nil {
 		t.Fatal("want error for unknown model")
 	}
-	if err := run([]string{"-model", "tiny", "-strategy", "bogus"}, &sb); err == nil {
-		t.Fatal("want error for unknown strategy")
+	if err := run([]string{"-model", "tiny", "-generate", "2"}, &sb); err == nil {
+		t.Fatal("want error for generation on an encoder")
 	}
 	if err := run([]string{"-definitely-not-a-flag"}, &sb); err == nil {
 		t.Fatal("want error for bad flag")

@@ -69,7 +69,6 @@ func run(args []string, w io.Writer) error {
 	modelName := fs.String("model", "tiny", "model preset")
 	layers := fs.Int("layers", 2, "stack depth (0 = full paper depth)")
 	seed := fs.Int64("seed", 1, "shared weight seed")
-	strategy := fs.String("strategy", "voltage", "mesh-mode strategy: voltage | tensor-parallel | single (must match the worker fleet)")
 	bandwidth := fs.Float64("bandwidth", 0, "emulated link bandwidth in Mbps (0 = unshaped)")
 	deviceFlops := fs.Float64("device-flops", 0, "emulated per-device compute rate in MAC/s (0 = unpaced)")
 	opTimeout := fs.Duration("op-timeout", 0, "per-message watchdog deadline (0 = none)")
@@ -123,7 +122,7 @@ func run(args []string, w io.Writer) error {
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), *meshTimeout)
 		defer cancel()
-		mb, err := newMeshBackend(ctx, cfg, list, *strategy, *seed, *bandwidth, *opTimeout)
+		mb, err := newMeshBackend(ctx, cfg, list, *seed, *bandwidth, *opTimeout)
 		if err != nil {
 			return err
 		}
@@ -259,22 +258,24 @@ func run(args []string, w io.Writer) error {
 // serialized; the gateway's queues still provide admission control and
 // shedding in front of it.
 type meshBackend struct {
-	cfg      model.Config
-	peer     comm.Peer
-	m        *model.Model
-	scheme   *partition.Scheme
-	ranks    []int // the worker ranks [0, k)
-	strategy cluster.Strategy
-	nextID   atomic.Uint64
+	cfg    model.Config
+	peer   comm.Peer
+	m      *model.Model
+	scheme *partition.Scheme
+	ranks  []int // the worker ranks [0, k)
+	nextID atomic.Uint64
 
 	mu sync.Mutex // one request on the mesh at a time
+	// broken is set, under mu, by the first request that fails once its
+	// scatter has begun. The workers finish such a request anyway and their
+	// partitions stay queued on the links, where the next request of the
+	// same length would assemble them as its own answer; TCP links cannot be
+	// flushed and the frames carry no request id, so the backend refuses
+	// everything from then on.
+	broken error
 }
 
-func newMeshBackend(ctx context.Context, cfg model.Config, addrs []string, strategy string, seed int64, bandwidth float64, opTimeout time.Duration) (*meshBackend, error) {
-	strat, err := cluster.ParseStrategy(strategy)
-	if err != nil {
-		return nil, err
-	}
+func newMeshBackend(ctx context.Context, cfg model.Config, addrs []string, seed int64, bandwidth float64, opTimeout time.Duration) (*meshBackend, error) {
 	k := len(addrs) - 1
 	m, err := model.NewRandom(cfg, seed)
 	if err != nil {
@@ -293,9 +294,7 @@ func newMeshBackend(ctx context.Context, cfg model.Config, addrs []string, strat
 		ranks[i] = i
 	}
 	peer := comm.WithOpTimeout(comm.NewFramed(mesh), opTimeout)
-	return &meshBackend{
-		cfg: cfg, peer: peer, m: m, scheme: scheme, ranks: ranks, strategy: strat,
-	}, nil
+	return &meshBackend{cfg: cfg, peer: peer, m: m, scheme: scheme, ranks: ranks}, nil
 }
 
 // close shuts the worker fleet down (empty frame per worker) and closes
@@ -321,43 +320,35 @@ func (b *meshBackend) GenerateStream(context.Context, []int, int, func(int)) (*c
 	return nil, fmt.Errorf("voltage-server: generation requires the -local engine (mesh workers serve classification)")
 }
 
-// ClassifyTokens runs one request through the mesh: embed, scatter, collect
-// per the fleet's strategy — Voltage's terminal half is package positionwise
-// — classify. The deployment's workers must have been started with the
-// matching -strategy.
+// ClassifyTokens runs one request through the mesh: embed, scatter, assemble
+// — the terminal half of package positionwise — classify.
 func (b *meshBackend) ClassifyTokens(ctx context.Context, strategy cluster.Strategy, ids []int) (*core.Prediction, error) {
-	if strategy != b.strategy {
-		return nil, fmt.Errorf("voltage-server: mesh fleet runs %v, request asked %v", b.strategy, strategy)
+	if err := strategy.Served(); err != nil {
+		return nil, err
 	}
 	x, err := b.m.Embed.EmbedTokens(ids)
 	if err != nil {
 		return nil, err
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	start := time.Now()
-	if err := positionwise.Scatter(ctx, b.peer, b.ranks, tensor.Encode(nil, x)); err != nil {
+	ranges, err := b.scheme.Ranges(x.Rows())
+	if err != nil {
 		return nil, err
 	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.broken != nil {
+		return nil, b.broken
+	}
+	start := time.Now()
+	err = positionwise.Scatter(ctx, b.peer, b.ranks, tensor.Encode(nil, x))
 	var out *tensor.Matrix
-	switch b.strategy {
-	case cluster.StrategyVoltage:
-		ranges, err := b.scheme.Ranges(x.Rows())
-		if err != nil {
-			return nil, err
-		}
-		if out, err = positionwise.Assemble(ctx, b.peer, nil, b.ranks, ranges); err != nil {
-			return nil, err
-		}
-	default: // a single reporter (worker 0) returns the full output
-		got, err := b.peer.Recv(ctx, 0)
-		if err != nil {
-			return nil, err
-		}
-		if out, _, err = tensor.Decode(got); err != nil {
-			return nil, err
-		}
-		comm.ReleaseBuffer(got)
+	if err == nil {
+		out, err = positionwise.Assemble(ctx, b.peer, nil, b.ranks, ranges)
+	}
+	if err != nil {
+		b.broken = fmt.Errorf("voltage-server: the mesh is out of step since a request failed mid-flight (%v); restart the fleet: %w",
+			err, sched.ErrDegraded)
+		return nil, err
 	}
 	latency := time.Since(start)
 	logits, err := b.m.Classifier.Logits(out)
@@ -371,7 +362,7 @@ func (b *meshBackend) ClassifyTokens(ctx context.Context, strategy cluster.Strat
 			ID:       b.nextID.Add(1),
 			Output:   out,
 			Latency:  latency,
-			Strategy: b.strategy,
+			Strategy: strategy,
 			Attempts: 1,
 		},
 	}, nil

@@ -2,14 +2,26 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"voltage/internal/cluster"
+	"voltage/internal/comm"
+	"voltage/internal/model"
+	"voltage/internal/netem"
+	"voltage/internal/partition"
+	"voltage/internal/positionwise"
+	"voltage/internal/server"
+	"voltage/internal/tensor"
 )
 
 type lockedBuilder struct {
@@ -246,5 +258,99 @@ func TestAdminListener(t *testing.T) {
 	resp.Body.Close()
 	if !strings.Contains(string(mb), "voltage_gateway_queue_depth") {
 		t.Errorf("admin /metrics missing gateway families:\n%.300s", mb)
+	}
+}
+
+// TestMeshBackendRefusesAfterAbandonedRequest: a request the caller abandons
+// mid-flight is still finished by the workers, and its partitions stay
+// queued on the TCP links. The next request of the same length used to
+// assemble them as its own answer — another request's output, no error. The
+// backend now refuses every request after the first mid-flight failure, with
+// an error the gateway answers 503 for.
+func TestMeshBackendRefusesAfterAbandonedRequest(t *testing.T) {
+	const k = 2
+	addrs := make([]string, k+1)
+	for i := range addrs {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = l.Addr().String()
+		l.Close()
+	}
+	cfg := model.Tiny()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	// The fleet: the device loop of voltage-worker, with rank 0 answering its
+	// second request 300 ms late.
+	var fleet sync.WaitGroup
+	for r := 0; r < k; r++ {
+		fleet.Add(1)
+		go func() {
+			defer fleet.Done()
+			mesh, err := comm.NewTCPMesh(ctx, r, addrs, netem.Profile{})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			peer := comm.NewFramed(mesh)
+			defer peer.Close()
+			m, _ := model.NewRandom(cfg, 1)
+			scheme, _ := partition.Even(k)
+			group, err := comm.NewSubgroup(peer, []int{0, 1})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			dev := &positionwise.Device{Model: m, Peer: peer, Terminal: k, Group: group, Ex: comm.NewExchange(nil)}
+			for req := 0; ; req++ {
+				blob, err := peer.Recv(ctx, k)
+				if err != nil || len(blob) == 0 {
+					return
+				}
+				x, _, err := tensor.Decode(blob)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if r == 0 && req == 1 {
+					time.Sleep(300 * time.Millisecond)
+				}
+				ranges, _ := scheme.Ranges(x.Rows())
+				if err := dev.Classify(ctx, x, ranges); err != nil {
+					return
+				}
+			}
+		}()
+	}
+	b, err := newMeshBackend(ctx, cfg, addrs, 1, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Wait()
+	defer b.close()
+
+	if _, err := b.ClassifyTokens(ctx, cluster.StrategyVoltage, []int{1, 2, 3, 4, 5, 6}); err != nil {
+		t.Fatalf("clean request: %v", err)
+	}
+	short, stop := context.WithTimeout(ctx, 50*time.Millisecond)
+	_, err = b.ClassifyTokens(short, cluster.StrategyVoltage, []int{6, 5, 4, 3, 2, 1})
+	stop()
+	if err == nil {
+		t.Fatal("abandoned request: answered within 50 ms by a rank that sleeps 300")
+	}
+	// Let the late rank finish, so the abandoned request's partitions are
+	// all queued before the next request of the same length arrives.
+	time.Sleep(400 * time.Millisecond)
+	pred, err := b.ClassifyTokens(ctx, cluster.StrategyVoltage, []int{9, 8, 7, 9, 8, 7})
+	if err == nil {
+		t.Fatalf("request after an abandoned one was answered (class %d): it assembled the abandoned request's partitions", pred.Class)
+	}
+	if got := server.StatusFor(err); got != http.StatusServiceUnavailable {
+		t.Fatalf("refusal %q maps to %d, want 503", err, got)
+	}
+	if _, err := b.ClassifyTokens(ctx, cluster.StrategyTensorParallel, []int{1}); !errors.Is(err, cluster.ErrStrategyNotServed) {
+		t.Fatalf("baseline strategy: err = %v, want ErrStrategyNotServed", err)
 	}
 }

@@ -26,9 +26,7 @@ import (
 	"sync"
 	"time"
 
-	"voltage/internal/cluster"
 	"voltage/internal/comm"
-	"voltage/internal/core"
 	"voltage/internal/metrics"
 	"voltage/internal/model"
 	"voltage/internal/netem"
@@ -36,7 +34,6 @@ import (
 	"voltage/internal/positionwise"
 	"voltage/internal/tensor"
 	"voltage/internal/tokenizer"
-	"voltage/internal/tparallel"
 )
 
 func main() {
@@ -54,7 +51,6 @@ func run(args []string, w io.Writer) error {
 	modelName := fs.String("model", "bert", "model preset")
 	layers := fs.Int("layers", 2, "stack depth (0 = full paper depth)")
 	seed := fs.Int64("seed", 1, "shared weight seed")
-	strategy := fs.String("strategy", "voltage", "voltage | tensor-parallel | single")
 	text := fs.String("text", "", "input text (terminal only)")
 	words := fs.Int("words", 200, "synthetic word count when -text is empty")
 	requests := fs.Int("requests", 1, "number of inference requests (terminal only)")
@@ -62,8 +58,6 @@ func run(args []string, w io.Writer) error {
 	timeout := fs.Duration("timeout", 10*time.Minute, "mesh formation + serving budget")
 	opTimeout := fs.Duration("op-timeout", 0, "per-message watchdog deadline (0 = none)")
 	admin := fs.String("admin", "", "HTTP admin listener address (serves /metrics, /healthz, pprof; port 0 picks a free port)")
-	local := fs.Int("local", 0, "run an in-process engine with this many emulated workers instead of joining a TCP mesh")
-	hold := fs.Duration("hold", 0, "with -local: keep the process (and its admin listener) alive this long after the requests finish")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -74,21 +68,9 @@ func run(args []string, w io.Writer) error {
 	if *layers > 0 {
 		cfg = cfg.Scaled(*layers)
 	}
-	strat, err := cluster.ParseStrategy(*strategy)
-	if err != nil {
-		return err
-	}
 	tensor.SetWorkers(1) // single-CPU device emulation
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
-
-	if *local > 0 {
-		return runLocal(ctx, w, cfg, *local, localOptions{
-			strategy: strat, seed: *seed, text: *text, words: *words,
-			requests: *requests, bandwidth: *bandwidth, opTimeout: *opTimeout,
-			admin: *admin, hold: *hold,
-		})
-	}
 
 	addrs := strings.Split(*addrList, ",")
 	if len(addrs) < 2 {
@@ -125,9 +107,9 @@ func run(args []string, w io.Writer) error {
 
 	k := len(addrs) - 1
 	if *terminal {
-		return runTerminal(ctx, w, peer, cfg, k, strat, *seed, *text, *words, *requests)
+		return runTerminal(ctx, w, peer, cfg, k, *seed, *text, *words, *requests)
 	}
-	return runWorker(ctx, w, peer, cfg, k, *rank, strat, *seed)
+	return runWorker(ctx, w, peer, cfg, k, *rank, *seed)
 }
 
 // peerHolder hands the admin listener a peer that does not exist yet when
@@ -184,73 +166,10 @@ func startMeshAdmin(addr string, rank int, holder *peerHolder) (*metrics.AdminSe
 	return metrics.StartAdmin(addr, reg, health)
 }
 
-// localOptions bundles runLocal's knobs.
-type localOptions struct {
-	strategy  cluster.Strategy
-	seed      int64
-	text      string
-	words     int
-	requests  int
-	bandwidth float64
-	opTimeout time.Duration
-	admin     string
-	hold      time.Duration
-}
-
-// runLocal serves requests on an in-process engine — the emulated cluster
-// with its full serving runtime, so the admin listener exposes the real
-// serving metrics (request latency, per-rank traffic, health states). This
-// is the smoke-test mode scripts/ci.sh drives.
-func runLocal(ctx context.Context, w io.Writer, cfg model.Config, k int, lo localOptions) error {
-	eng, err := core.New(cfg, k, cluster.Options{
-		Profile:   netem.Profile{BandwidthMbps: lo.bandwidth},
-		OpTimeout: lo.opTimeout,
-		Seed:      lo.seed,
-		AdminAddr: lo.admin,
-	})
-	if err != nil {
-		return err
-	}
-	defer eng.Close()
-	if lo.admin != "" {
-		fmt.Fprintf(w, "admin listening on %s\n", eng.AdminAddr())
-	}
-	tok, err := tokenizer.New(cfg.VocabSize)
-	if err != nil {
-		return err
-	}
-	var ids []int
-	if lo.text != "" {
-		ids = tok.Encode(lo.text)
-	} else {
-		n := lo.words
-		if n+2 > cfg.MaxSeq {
-			n = cfg.MaxSeq - 2
-		}
-		ids = tok.EncodeWords(n, 7)
-	}
-	for req := 0; req < lo.requests; req++ {
-		pred, err := eng.ClassifyTokens(ctx, lo.strategy, ids)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "request %d: class=%d latency=%v N=%d K=%d\n",
-			req, pred.Class, pred.Run.Latency.Round(time.Millisecond), len(ids), k)
-	}
-	if lo.hold > 0 {
-		fmt.Fprintf(w, "holding for %v\n", lo.hold)
-		select {
-		case <-time.After(lo.hold):
-		case <-ctx.Done():
-		}
-	}
-	return nil
-}
-
-// runWorker serves layer computations under the chosen strategy until the
-// terminal sends an empty shutdown frame. Voltage is the device code the
-// emulated cluster runs (package positionwise), unpaced and unobserved.
-func runWorker(ctx context.Context, w io.Writer, peer comm.Peer, cfg model.Config, k, rank int, strategy cluster.Strategy, seed int64) error {
+// runWorker serves position-wise passes until the terminal sends an empty
+// shutdown frame: the device code the emulated cluster runs (package
+// positionwise), unpaced and unobserved.
+func runWorker(ctx context.Context, w io.Writer, peer comm.Peer, cfg model.Config, k, rank int, seed int64) error {
 	m, err := model.NewRandom(cfg, seed)
 	if err != nil {
 		return err
@@ -263,15 +182,9 @@ func runWorker(ctx context.Context, w io.Writer, peer comm.Peer, cfg model.Confi
 	if err != nil {
 		return err
 	}
-	var shards []*tparallel.ShardedLayer
-	if strategy == cluster.StrategyTensorParallel {
-		if shards, err = tparallel.ShardModel(m, rank, k); err != nil {
-			return err
-		}
-	}
 	term := k
 	dev := &positionwise.Device{Model: m, Peer: peer, Terminal: term, Group: group, Ex: comm.NewExchange(nil)}
-	fmt.Fprintf(w, "worker %d ready (%s, %d layers, %s)\n", rank, cfg.Name, cfg.Layers, strategy)
+	fmt.Fprintf(w, "worker %d ready (%s, %d layers)\n", rank, cfg.Name, cfg.Layers)
 	for {
 		blob, err := peer.Recv(ctx, term)
 		if err != nil {
@@ -285,40 +198,12 @@ func runWorker(ctx context.Context, w io.Writer, peer comm.Peer, cfg model.Confi
 		if err != nil {
 			return err
 		}
-		switch strategy {
-		case cluster.StrategySingle:
-			if rank != 0 {
-				continue
-			}
-			out, err := m.ForwardFeatures(x)
-			if err != nil {
-				return err
-			}
-			if err := peer.Send(ctx, term, tensor.Encode(nil, out)); err != nil {
-				return err
-			}
-		case cluster.StrategyTensorParallel:
-			cur := x
-			for li, shard := range shards {
-				out, err := shard.Forward(ctx, group, cur, true)
-				if err != nil {
-					return fmt.Errorf("layer %d: %w", li, err)
-				}
-				cur = out
-			}
-			if rank == 0 {
-				if err := peer.Send(ctx, term, tensor.Encode(nil, cur)); err != nil {
-					return err
-				}
-			}
-		default: // voltage
-			ranges, err := scheme.Ranges(x.Rows())
-			if err != nil {
-				return err
-			}
-			if err := dev.Classify(ctx, x, ranges); err != nil {
-				return err
-			}
+		ranges, err := scheme.Ranges(x.Rows())
+		if err != nil {
+			return err
+		}
+		if err := dev.Classify(ctx, x, ranges); err != nil {
+			return err
 		}
 	}
 }
@@ -334,7 +219,7 @@ func workerRanks(k int) []int {
 
 // runTerminal drives requests: pre-process, broadcast, collect, classify.
 func runTerminal(ctx context.Context, w io.Writer, peer comm.Peer, cfg model.Config,
-	k int, strategy cluster.Strategy, seed int64, text string, words, requests int) error {
+	k int, seed int64, text string, words, requests int) error {
 	m, err := model.NewRandom(cfg, seed)
 	if err != nil {
 		return err
@@ -367,24 +252,13 @@ func runTerminal(ctx context.Context, w io.Writer, peer comm.Peer, cfg model.Con
 		if err := positionwise.Scatter(ctx, peer, ranks, tensor.Encode(nil, x)); err != nil {
 			return err
 		}
-		var out *tensor.Matrix
-		switch strategy {
-		case cluster.StrategyVoltage:
-			ranges, err := scheme.Ranges(x.Rows())
-			if err != nil {
-				return err
-			}
-			if out, err = positionwise.Assemble(ctx, peer, nil, ranks, ranges); err != nil {
-				return err
-			}
-		default: // a single reporter (worker 0) returns the full output
-			got, err := peer.Recv(ctx, 0)
-			if err != nil {
-				return err
-			}
-			if out, _, err = tensor.Decode(got); err != nil {
-				return err
-			}
+		ranges, err := scheme.Ranges(x.Rows())
+		if err != nil {
+			return err
+		}
+		out, err := positionwise.Assemble(ctx, peer, nil, ranks, ranges)
+		if err != nil {
+			return err
 		}
 		latency := time.Since(start)
 		class, err := m.Classifier.Predict(out)

@@ -1,13 +1,10 @@
 package main
 
 import (
-	"io"
 	"net"
-	"net/http"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // freePorts reserves n loopback addresses.
@@ -86,145 +83,4 @@ func TestWorkerEndToEndInProcess(t *testing.T) {
 
 func itoa(n int) string {
 	return string(rune('0' + n))
-}
-
-func TestWorkerTensorParallelStrategy(t *testing.T) {
-	addrs := freePorts(t, 3)
-	addrList := strings.Join(addrs, ",")
-	var wg sync.WaitGroup
-	errs := make([]error, 3)
-	outs := make([]strings.Builder, 3)
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			errs[r] = run([]string{
-				"-rank", itoa(r), "-addrs", addrList, "-model", "tiny",
-				"-strategy", "tensor-parallel", "-timeout", "30s",
-			}, &outs[r])
-		}(r)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		errs[2] = run([]string{
-			"-rank", "2", "-terminal", "-addrs", addrList, "-model", "tiny",
-			"-strategy", "tensor-parallel", "-words", "12", "-timeout", "30s",
-		}, &outs[2])
-	}()
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v\n%s", r, err, outs[r].String())
-		}
-	}
-	if !strings.Contains(outs[2].String(), "request 0: class=") {
-		t.Fatalf("terminal output:\n%s", outs[2].String())
-	}
-}
-
-func TestWorkerSingleStrategy(t *testing.T) {
-	addrs := freePorts(t, 3)
-	addrList := strings.Join(addrs, ",")
-	var wg sync.WaitGroup
-	errs := make([]error, 3)
-	outs := make([]strings.Builder, 3)
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			errs[r] = run([]string{
-				"-rank", itoa(r), "-addrs", addrList, "-model", "tiny",
-				"-strategy", "single", "-timeout", "30s",
-			}, &outs[r])
-		}(r)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		errs[2] = run([]string{
-			"-rank", "2", "-terminal", "-addrs", addrList, "-model", "tiny",
-			"-strategy", "single", "-words", "12", "-timeout", "30s",
-		}, &outs[2])
-	}()
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v\n%s", r, err, outs[r].String())
-		}
-	}
-	if !strings.Contains(outs[2].String(), "request 0: class=") {
-		t.Fatalf("terminal output:\n%s", outs[2].String())
-	}
-}
-
-// TestLocalModeServesAdminEndpoints drives the -local smoke mode the CI
-// admin stage uses: an in-process engine serves requests while the admin
-// listener exposes the serving runtime's metrics and health.
-func TestLocalModeServesAdminEndpoints(t *testing.T) {
-	addr := freePorts(t, 1)[0]
-	done := make(chan error, 1)
-	var out lockedBuilder
-	go func() {
-		done <- run([]string{
-			"-local", "2", "-model", "tiny", "-requests", "2", "-words", "8",
-			"-admin", addr, "-hold", "5s", "-timeout", "30s",
-		}, &out)
-	}()
-
-	deadline := time.Now().Add(10 * time.Second)
-	var body string
-	for time.Now().Before(deadline) {
-		resp, err := http.Get("http://" + addr + "/metrics")
-		if err == nil {
-			b, rerr := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if rerr == nil && strings.Contains(string(b), `voltage_requests_total{outcome="ok"} 2`) {
-				body = string(b)
-				break
-			}
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if body == "" {
-		t.Fatalf("admin never served both completed requests; output so far:\n%s", out.String())
-	}
-	for _, series := range []string{
-		"voltage_request_latency_seconds_bucket",
-		`voltage_comm_bytes_sent_total{rank="terminal"}`,
-		`voltage_health_state{rank="0"} 0`,
-	} {
-		if !strings.Contains(body, series) {
-			t.Errorf("/metrics missing %q", series)
-		}
-	}
-	resp, err := http.Get("http://" + addr + "/healthz")
-	if err != nil {
-		t.Fatalf("healthz: %v", err)
-	}
-	hb, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(hb), `"ok":true`) {
-		t.Fatalf("healthz = %d %q, want 200 ok", resp.StatusCode, hb)
-	}
-	// The run itself completes once the hold elapses; don't wait for it.
-}
-
-// lockedBuilder is a strings.Builder safe for the test's cross-goroutine
-// reads.
-type lockedBuilder struct {
-	mu sync.Mutex
-	sb strings.Builder
-}
-
-func (b *lockedBuilder) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.sb.Write(p)
-}
-
-func (b *lockedBuilder) String() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.sb.String()
 }

@@ -1,8 +1,9 @@
 // Bandwidth study (the paper's Fig. 5): fix the cluster at K devices and
-// sweep the emulated link bandwidth, comparing Voltage against tensor
-// parallelism and the single-device reference. At edge bandwidths tensor
-// parallelism's two All-Reduces per layer dominate; Voltage's single
-// All-Gather crosses below the single-device line much earlier.
+// sweep the emulated link bandwidth, comparing Voltage against the
+// single-device reference: its single All-Gather per layer crosses below
+// the single-device line at edge bandwidths. The figure's tensor-parallel
+// curve — two All-Reduces per layer, crossing much later — is
+// `voltage-bench -experiment fig5 -mode measured`.
 //
 // Run with:
 //
@@ -38,14 +39,20 @@ func run(k, layers int) error {
 	// Calibrate so the paper's compute:comm balance holds on this host;
 	// the printed bandwidths are paper-scale.
 	cal := voltage.Calibrate(k)
-	engine, err := voltage.NewEngine(cfg, k, voltage.ClusterOptions{
+	opts := voltage.ClusterOptions{
 		Profile:     cal.Apply(voltage.NetworkProfile{BandwidthMbps: 500, Latency: 200 * time.Microsecond}),
 		DeviceFlops: cal.DeviceFlops,
-	})
+	}
+	engine, err := voltage.NewEngine(cfg, k, opts)
 	if err != nil {
 		return err
 	}
 	defer engine.Close()
+	one, err := voltage.NewEngine(cfg, 1, opts)
+	if err != nil {
+		return err
+	}
+	defer one.Close()
 
 	tok, err := tokenizer.New(cfg.VocabSize)
 	if err != nil {
@@ -56,12 +63,12 @@ func run(k, layers int) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Minute)
 	defer cancel()
 
-	single, err := engine.ClassifyTokens(ctx, voltage.StrategySingle, ids)
+	single, err := one.ClassifyTokens(ctx, voltage.StrategyVoltage, ids)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("single-device reference: %v\n\n", single.Run.Latency.Round(time.Millisecond))
-	fmt.Printf("%-10s %-14s %-14s\n", "Mbps", "voltage", "tensor-parallel")
+	fmt.Printf("%-10s %-14s\n", "Mbps", "voltage")
 
 	for _, mbps := range []float64{200, 400, 600, 800, 1000} {
 		engine.Cluster().SetBandwidth(mbps * cal.BwScale)
@@ -69,16 +76,11 @@ func run(k, layers int) error {
 		if err != nil {
 			return err
 		}
-		tp, err := engine.ClassifyTokens(ctx, voltage.StrategyTensorParallel, ids)
-		if err != nil {
-			return err
-		}
 		mark := " "
 		if v.Run.Latency < single.Run.Latency {
 			mark = "*" // beats single device
 		}
-		fmt.Printf("%-10.0f %-14v %-14v %s\n", mbps,
-			v.Run.Latency.Round(time.Millisecond), tp.Run.Latency.Round(time.Millisecond), mark)
+		fmt.Printf("%-10.0f %-14v %s\n", mbps, v.Run.Latency.Round(time.Millisecond), mark)
 	}
 	fmt.Println("\n* = Voltage beats the single-device deployment at this bandwidth.")
 	return nil

@@ -1,8 +1,8 @@
 // Autoregressive generation at the edge: a GPT-2-shaped causal decoder
-// produces tokens one by one, each forward pass distributed across the
-// cluster with Voltage. Causal masking composes with every attention
-// computation order, so the adaptive re-ordering of Theorem 2 applies to
-// decoders unchanged.
+// produces tokens one by one with the distributed KV cache — one Voltage
+// prefill over the prompt, then each step ships a token id out and one hidden
+// row back. Causal masking composes with every attention computation order,
+// so the adaptive re-ordering of Theorem 2 applies to decoders unchanged.
 //
 // Run with:
 //
@@ -39,14 +39,6 @@ func run(layers, k, steps int) error {
 	prev := voltage.SetComputeWorkers(1)
 	defer voltage.SetComputeWorkers(prev)
 
-	engine, err := voltage.NewEngine(cfg, k, voltage.ClusterOptions{
-		Profile: voltage.EdgeDefaultProfile,
-	})
-	if err != nil {
-		return err
-	}
-	defer engine.Close()
-
 	tok, err := tokenizer.New(cfg.VocabSize)
 	if err != nil {
 		return err
@@ -58,46 +50,31 @@ func run(layers, k, steps int) error {
 
 	fmt.Printf("GPT-2 (%d layers) generating %d tokens over %d devices\n\n", cfg.Layers, steps, k)
 
-	// Distributed generation.
-	start := time.Now()
-	dist, err := engine.Generate(ctx, voltage.StrategyVoltage, prompt, steps)
-	if err != nil {
-		return err
+	// The same system over K devices and over one — the single-device
+	// reference.
+	var tokens [][]int
+	for _, devices := range []int{k, 1} {
+		engine, err := voltage.NewEngine(cfg, devices, voltage.ClusterOptions{
+			Profile: voltage.EdgeDefaultProfile,
+		})
+		if err != nil {
+			return err
+		}
+		gen, err := engine.GenerateCached(ctx, prompt, steps)
+		engine.Close()
+		if err != nil {
+			return err
+		}
+		fmt.Printf("K=%d: prefill %v + decode %v  tokens %v\n", devices,
+			gen.PrefillLatency.Round(time.Millisecond), gen.DecodeLatency.Round(time.Millisecond),
+			gen.Tokens[len(prompt):])
+		tokens = append(tokens, gen.Tokens)
 	}
-	distTime := time.Since(start)
-
-	// Single-device reference.
-	start = time.Now()
-	single, err := engine.Generate(ctx, voltage.StrategySingle, prompt, steps)
-	if err != nil {
-		return err
-	}
-	singleTime := time.Since(start)
-
-	fmt.Printf("voltage (K=%d): %v  tokens %v\n", k, distTime.Round(time.Millisecond), dist.Tokens[len(prompt):])
-	fmt.Printf("single device: %v  tokens %v\n", singleTime.Round(time.Millisecond), single.Tokens[len(prompt):])
-
-	for i := range dist.Tokens {
-		if dist.Tokens[i] != single.Tokens[i] {
+	for i := range tokens[0] {
+		if tokens[0][i] != tokens[1][i] {
 			return fmt.Errorf("decoding diverged at position %d", i)
 		}
 	}
-
-	// Distributed KV-cached decoding: one Voltage prefill, then each step
-	// ships only a token id out and one hidden row back.
-	cached, err := engine.GenerateCached(ctx, prompt, steps)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("kv-cached:     prefill %v + decode %v  tokens %v\n",
-		cached.PrefillLatency.Round(time.Millisecond),
-		cached.DecodeLatency.Round(time.Millisecond),
-		cached.Tokens[len(prompt):])
-	for i := range cached.Tokens {
-		if cached.Tokens[i] != single.Tokens[i] {
-			return fmt.Errorf("cached decoding diverged at position %d", i)
-		}
-	}
-	fmt.Println("\nAll three decodings are identical: distribution never changes model outputs.")
+	fmt.Println("\nBoth decodings are identical: distribution never changes model outputs.")
 	return nil
 }

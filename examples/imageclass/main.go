@@ -36,13 +36,18 @@ func run(layers, k int) error {
 	prev := voltage.SetComputeWorkers(1)
 	defer voltage.SetComputeWorkers(prev)
 
-	engine, err := voltage.NewEngine(cfg, k, voltage.ClusterOptions{
-		Profile: voltage.EdgeDefaultProfile,
-	})
+	opts := voltage.ClusterOptions{Profile: voltage.EdgeDefaultProfile}
+	engine, err := voltage.NewEngine(cfg, k, opts)
 	if err != nil {
 		return err
 	}
 	defer engine.Close()
+	// The single-device baseline is the same system over one device.
+	one, err := voltage.NewEngine(cfg, 1, opts)
+	if err != nil {
+		return err
+	}
+	defer one.Close()
 
 	// The paper's test input: one 224×224 image (synthetic; latency does
 	// not depend on pixel values).
@@ -54,7 +59,7 @@ func run(layers, k int) error {
 	fmt.Printf("ViT-Base/16 (%d layers) on a %dx%d image → %d positions, %d devices\n\n",
 		cfg.Layers, cfg.ImageSize, cfg.ImageSize, cfg.SeqLen(0), k)
 
-	single, err := engine.ClassifyImage(ctx, voltage.StrategySingle, img)
+	single, err := one.ClassifyImage(ctx, voltage.StrategyVoltage, img)
 	if err != nil {
 		return err
 	}

@@ -22,18 +22,12 @@ func main() {
 }
 
 func run() error {
-	// Three emulated devices on a 500 Mbps edge network, each limited to
-	// one CPU core — the paper's testbed in miniature.
+	// Emulated devices on a 500 Mbps edge network, each limited to one CPU
+	// core — the paper's testbed in miniature.
 	prev := voltage.SetComputeWorkers(1)
 	defer voltage.SetComputeWorkers(prev)
 
-	engine, err := voltage.NewEngine(voltage.Tiny(), 3, voltage.ClusterOptions{
-		Profile: voltage.EdgeDefaultProfile,
-	})
-	if err != nil {
-		return err
-	}
-	defer engine.Close()
+	opts := voltage.ClusterOptions{Profile: voltage.EdgeDefaultProfile}
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -42,17 +36,29 @@ func run() error {
 	// tokenizer; any ids below the vocab size work.
 	request := []int{2, 17, 33, 49, 5, 3}
 
-	for _, strategy := range []voltage.Strategy{voltage.StrategySingle, voltage.StrategyVoltage} {
-		pred, err := engine.ClassifyTokens(ctx, strategy, request)
+	// One device is the single-device baseline; three split every layer
+	// position-wise.
+	var classes []int
+	for _, k := range []int{1, 3} {
+		engine, err := voltage.NewEngine(voltage.Tiny(), k, opts)
 		if err != nil {
-			return fmt.Errorf("%v: %w", strategy, err)
+			return err
 		}
-		fmt.Printf("%-8v → class %d  latency %-8v  bytes moved by workers %d\n",
-			strategy, pred.Class, pred.Run.Latency.Round(time.Microsecond), pred.Run.TotalBytesSent())
+		pred, err := engine.ClassifyTokens(ctx, voltage.StrategyVoltage, request)
+		engine.Close()
+		if err != nil {
+			return fmt.Errorf("K=%d: %w", k, err)
+		}
+		fmt.Printf("K=%d → class %d  latency %-8v  bytes moved by workers %d\n",
+			k, pred.Class, pred.Run.Latency.Round(time.Microsecond), pred.Run.TotalBytesSent())
+		classes = append(classes, pred.Class)
+	}
+	if classes[0] != classes[1] {
+		return fmt.Errorf("distribution changed the prediction: %v", classes)
 	}
 
-	// The two strategies compute the same mathematical function: Voltage
+	// One device and three compute the same mathematical function: Voltage
 	// never changes model outputs, only where the math runs.
-	fmt.Println("\nBoth strategies produced identical predictions — Voltage is exact.")
+	fmt.Println("\nBoth deployments produced identical predictions — Voltage is exact.")
 	return nil
 }

@@ -47,14 +47,10 @@ func run(layers, k int) error {
 	fmt.Printf("calibration: device rate %.2f GMAC/s, emulated 500 Mbps → %.1f Mbps\n",
 		cal.DeviceFlops/1e9, 500*cal.BwScale)
 
-	engine, err := voltage.NewEngine(cfg, k, voltage.ClusterOptions{
+	opts := voltage.ClusterOptions{
 		Profile:     cal.Apply(voltage.EdgeDefaultProfile), // 500 Mbps, the paper's default
 		DeviceFlops: cal.DeviceFlops,
-	})
-	if err != nil {
-		return err
 	}
-	defer engine.Close()
 
 	// The paper's workload: a 200-word request.
 	tok, err := tokenizer.New(cfg.VocabSize)
@@ -74,21 +70,25 @@ func run(layers, k int) error {
 	fmt.Printf("BERT-Large (%d layers, F=%d, H=%d) over %d devices, N=%d\n\n",
 		cfg.Layers, cfg.F, cfg.Heads, k, len(ids))
 
+	// One device is the single-device baseline; the tensor-parallel column of
+	// Fig. 4 is `voltage-bench -experiment fig4 -mode measured`.
 	var singleLatency time.Duration
-	for _, strategy := range []voltage.Strategy{
-		voltage.StrategySingle, voltage.StrategyVoltage, voltage.StrategyTensorParallel,
-	} {
-		pred, err := engine.ClassifyTokens(ctx, strategy, ids)
+	for _, devices := range []int{1, k} {
+		engine, err := voltage.NewEngine(cfg, devices, opts)
 		if err != nil {
-			return fmt.Errorf("%v: %w", strategy, err)
+			return err
 		}
-		line := fmt.Sprintf("%-16v latency %-10v class %d  worker traffic %8d B",
-			strategy, pred.Run.Latency.Round(time.Millisecond), pred.Class, pred.Run.TotalBytesSent())
-		if strategy == voltage.StrategySingle {
+		pred, err := engine.ClassifyTokens(ctx, voltage.StrategyVoltage, ids)
+		engine.Close()
+		if err != nil {
+			return fmt.Errorf("K=%d: %w", devices, err)
+		}
+		line := fmt.Sprintf("K=%-3d latency %-10v class %d  worker traffic %8d B",
+			devices, pred.Run.Latency.Round(time.Millisecond), pred.Class, pred.Run.TotalBytesSent())
+		if devices == 1 {
 			singleLatency = pred.Run.Latency
 		} else {
-			speedup := float64(singleLatency) / float64(pred.Run.Latency)
-			line += fmt.Sprintf("  (%.2f× vs single)", speedup)
+			line += fmt.Sprintf("  (%.2f× vs single)", float64(singleLatency)/float64(pred.Run.Latency))
 		}
 		fmt.Println(line)
 	}

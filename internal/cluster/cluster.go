@@ -1,8 +1,8 @@
 // Package cluster implements the distributed runtime of Section V: a
 // terminal device plus K worker devices executing Algorithm 2 (Voltage —
-// the device and terminal protocol is package positionwise), the
-// tensor-parallelism baseline, or single-device inference over a
-// bandwidth-emulated mesh.
+// the device and terminal protocol is package positionwise) over a
+// bandwidth-emulated mesh. It serves that one strategy; the baselines the
+// paper measures it against run in package harness.
 //
 // The emulation mirrors the paper's testbed: each worker stands in for one
 // single-vCPU VM (run experiments with tensor.SetWorkers(1) so each
@@ -12,12 +12,12 @@
 //
 // The runtime is a persistent serving system (see serve.go): Submit admits
 // requests to long-lived worker loops through a dispatcher, and the
-// blocking Infer/GenerateVoltage/InferPipeline calls are thin wrappers over
-// Submit + Wait.
+// blocking Infer/GenerateVoltage calls are thin wrappers over Submit + Wait.
 package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -32,17 +32,18 @@ import (
 	"voltage/internal/obs"
 	"voltage/internal/partition"
 	"voltage/internal/tensor"
-	"voltage/internal/tparallel"
 	"voltage/internal/trace"
 )
 
-// Strategy selects how inference work is distributed.
+// Strategy names a way of distributing inference work: the vocabulary the
+// cost model, the experiment harness and voltage-bench share. The cluster
+// itself serves StrategyVoltage only.
 type Strategy int
 
-// Supported strategies.
+// The strategies the evaluation compares.
 const (
-	// StrategySingle runs the whole model on worker 0 (the paper's
-	// single-device baseline).
+	// StrategySingle runs the whole model on one device (the paper's
+	// single-device baseline; measured as Voltage on a K = 1 cluster).
 	StrategySingle Strategy = iota + 1
 	// StrategyVoltage is the paper's position-wise partitioning with one
 	// All-Gather per layer (Algorithm 2).
@@ -51,6 +52,19 @@ const (
 	// All-Reduces per layer.
 	StrategyTensorParallel
 )
+
+// ErrStrategyNotServed refuses a request for a baseline strategy: those are
+// experiment subjects of package harness, not modes of the serving runtime.
+var ErrStrategyNotServed = errors.New("cluster: only the voltage strategy is served")
+
+// Served is the one check every request path makes of a strategy it was
+// handed: nil for StrategyVoltage, ErrStrategyNotServed for anything else.
+func (s Strategy) Served() error {
+	if s != StrategyVoltage {
+		return fmt.Errorf("%w (asked %v)", ErrStrategyNotServed, s)
+	}
+	return nil
+}
 
 // String implements fmt.Stringer.
 func (s Strategy) String() string {
@@ -102,11 +116,6 @@ type Options struct {
 	// HeteroDeviceFlops[r] instead of DeviceFlops — a heterogeneous edge
 	// cluster (§V-B). Length must equal K.
 	HeteroDeviceFlops []float64
-	// QuantizedComm int8-quantizes the All-Gather payloads of Voltage's
-	// classify rounds (≈¼ the traffic) at the cost of a bounded per-layer
-	// quantization error — the communication optimization the paper's
-	// conclusion points to. A generate join always gathers exactly.
-	QuantizedComm bool
 
 	// QueueDepth bounds the admission queue (default 64; negative values
 	// are rejected): Submit blocks — or fails its context — once this many
@@ -222,8 +231,7 @@ type Options struct {
 }
 
 // Cluster is an in-process emulation of a terminal device plus K workers.
-// Every worker holds a full replica of the model (Voltage's design) and a
-// tensor-parallel shard (the baseline's design).
+// Every worker holds a full replica of the model (Voltage's design).
 //
 // Requests flow through the persistent serving runtime in serve.go.
 type Cluster struct {
@@ -232,7 +240,6 @@ type Cluster struct {
 	mesh   []*comm.MemPeer // raw transport; ranks 0..k-1 workers, rank k terminal
 	peers  []comm.Peer     // mesh wrapped with fault injection, framing, watchdog
 	models []*model.Model
-	shards [][]*tparallel.ShardedLayer
 	opts   Options
 	health *healthTracker
 
@@ -349,7 +356,6 @@ func NewMem(cfg model.Config, k int, opts Options) (*Cluster, error) {
 	// Every worker materializes the same weights from the shared seed —
 	// Voltage replicates the model instead of shipping weights.
 	models := make([]*model.Model, k)
-	shards := make([][]*tparallel.ShardedLayer, k)
 	for r := 0; r < k; r++ {
 		m, err := model.NewRandom(cfg, opts.Seed)
 		if err != nil {
@@ -357,16 +363,10 @@ func NewMem(cfg model.Config, k int, opts Options) (*Cluster, error) {
 			return nil, err
 		}
 		models[r] = m
-		sh, err := tparallel.ShardModel(m, r, k)
-		if err != nil {
-			_ = peers[0].Close()
-			return nil, err
-		}
-		shards[r] = sh
 	}
 	c := &Cluster{
 		cfg: cfg, k: k, mesh: mesh, peers: peers,
-		models: models, shards: shards,
+		models: models,
 		scheme: scheme, opts: opts,
 		health:    newHealthTracker(k, opts.ProbeAfter),
 		metrics:   cm,
@@ -539,10 +539,7 @@ type Result struct {
 	// PerDevice holds each worker's traffic during this inference
 	// (index = worker rank; the last entry is the terminal).
 	PerDevice []comm.Stats
-	// Strategy echoes the strategy requested. A degraded retry always
-	// executes Voltage's position-wise partition over the survivors (any
-	// contiguous re-slice of positions is a valid plan), regardless of the
-	// requested strategy.
+	// Strategy echoes the strategy requested — always StrategyVoltage.
 	Strategy Strategy
 	// Attempts counts dispatches of this request: 1 is a clean first-try
 	// success, more means fault-tolerant retries fired.
@@ -571,7 +568,8 @@ func (r *Result) TotalBytesSent() int64 {
 }
 
 // Infer runs one distributed inference of the embedded input x under the
-// given strategy and reports the terminal-observed latency. x is the N×F
+// given strategy (StrategyVoltage, the one served) and reports the
+// terminal-observed latency. x is the N×F
 // feature matrix produced by pre-processing (embedding). It is a blocking
 // wrapper over Submit; concurrent callers are sequenced by the serving
 // runtime.
@@ -607,14 +605,9 @@ func (c *Cluster) deviceRate(rank int) float64 {
 	return rate
 }
 
-// pace sleeps until the emulated compute duration flops/DeviceFlops has
-// elapsed since start. With DeviceFlops unset it is a no-op and latencies
-// reflect raw host math. (Homogeneous rate; per-rank pacing uses paceRank.)
-func (c *Cluster) pace(ctx context.Context, start time.Time, flops int64) error {
-	return c.paceRank(ctx, -1, start, flops)
-}
-
-// paceRank is pace with worker rank's own rate.
+// paceRank sleeps until worker rank's emulated compute duration for flops has
+// elapsed since start. Unpaced, it is a no-op and latencies reflect raw host
+// math.
 func (c *Cluster) paceRank(ctx context.Context, rank int, start time.Time, flops int64) error {
 	budget := c.paceBudget(rank, flops)
 	if budget <= 0 {

@@ -75,16 +75,11 @@ func TestWeightedSchemeHomogeneousStaysCorrect(t *testing.T) {
 	}
 	t.Cleanup(c.Close)
 	x := embedTiny(t, c, 30)
-	ctx := context.Background()
-	single, err := c.Infer(ctx, StrategySingle, x)
+	weighted, err := c.Infer(context.Background(), StrategyVoltage, x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	weighted, err := c.Infer(ctx, StrategyVoltage, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !weighted.Output.AlmostEqual(single.Output, 1e-2) {
+	if !weighted.Output.AlmostEqual(solo(t, c, x), 1e-2) {
 		t.Fatal("homogeneous weighted output differs")
 	}
 }

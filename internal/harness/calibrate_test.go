@@ -5,10 +5,10 @@ import (
 	"testing"
 	"time"
 
-	"voltage/internal/cluster"
 	"voltage/internal/costmodel"
 	"voltage/internal/model"
 	"voltage/internal/netem"
+	"voltage/internal/tensor"
 )
 
 func TestMeasureDeviceFlops(t *testing.T) {
@@ -42,8 +42,18 @@ func TestCalibratedProfile(t *testing.T) {
 	}
 }
 
+// loadProof is the calibration the paced timing tests run at: a third of what
+// Calibrate measures. Calibrate's rate is what the host sustained at that
+// moment; when the rest of the suite then takes the cores, real matmul time
+// overruns a budget cut that close and the latencies compare scheduling
+// accidents. At a third the sleeps set every latency, whatever the load.
+func loadProof(k int) Calibration {
+	d := Calibrate(k).DeviceFlops / 3
+	return Calibration{DeviceFlops: d, BwScale: BandwidthScale(d)}
+}
+
 // TestMeasuredShapeMatchesPaper is the repository's headline integration
-// test: on a real (depth-scaled) BERT-Large over six emulated devices with
+// test: on BERT-Large-shaped layers over three emulated devices with
 // calibrated bandwidth, the measured latencies must reproduce the paper's
 // Fig. 4 ordering — Voltage beats single device, tensor parallelism does
 // not.
@@ -51,52 +61,43 @@ func TestMeasuredShapeMatchesPaper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second integration experiment")
 	}
-	// K=4 and N=128 keep the suite fast on small hosts; the full K=6,
-	// N=200 run is `voltage-bench -experiment fig4 -mode measured`.
-	const k, n = 4, 128
-	cal := Calibrate(k)
-	profile := cal.Apply(netem.Profile{BandwidthMbps: 500, Latency: 200 * time.Microsecond})
-
+	if raceEnabled {
+		t.Skip("pacing-based timing comparison unreliable under -race")
+	}
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
+	// Both the compute:communication balance and the latency ratios are
+	// independent of N and of the vocabulary, so a short input and a small
+	// embedding table keep the test to seconds at the slowed rate; the full
+	// K=6, N=200 run is `voltage-bench -experiment fig4 -mode measured`.
+	const k, n = 3, 9
 	cfg := model.BERTLarge().Scaled(2)
-	var singleLat, voltageLat, tpLat time.Duration
-	var fail string
-	singleThreaded(func() {
-		c, err := cluster.NewMem(cfg, k, cluster.Options{Profile: profile, DeviceFlops: cal.DeviceFlops})
-		if err != nil {
-			fail = err.Error()
-			return
-		}
-		defer c.Close()
-		x, err := embedWorkload(c, n)
-		if err != nil {
-			fail = err.Error()
-			return
-		}
-		ctx := context.Background()
-		for _, st := range []cluster.Strategy{cluster.StrategySingle, cluster.StrategyVoltage, cluster.StrategyTensorParallel} {
-			res, err := c.Infer(ctx, st, x)
-			if err != nil {
-				fail = err.Error()
-				return
-			}
-			switch st {
-			case cluster.StrategySingle:
-				singleLat = res.Latency
-			case cluster.StrategyVoltage:
-				voltageLat = res.Latency
-			case cluster.StrategyTensorParallel:
-				tpLat = res.Latency
-			}
-		}
-	})
-	if fail != "" {
-		t.Fatal(fail)
+	cfg.VocabSize = 1000
+	mesh, err := NewMesh(cfg, k, paperLink(500), loadProof(k), 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("measured @K=%d calibrated 500Mbps: single=%v voltage=%v tp=%v", k, singleLat, voltageLat, tpLat)
-	if voltageLat >= singleLat {
-		t.Errorf("voltage (%v) did not beat single device (%v)", voltageLat, singleLat)
+	x, err := embedWorkload(mesh.Model, n)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if tpLat <= voltageLat {
-		t.Errorf("tensor parallelism (%v) unexpectedly beat voltage (%v)", tpLat, voltageLat)
+	ctx := context.Background()
+	single, err := mesh.voltage(ctx, 1, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	voltage, err := mesh.voltage(ctx, k, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp, err := mesh.TensorParallel(ctx, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("measured @K=%d calibrated 500Mbps: single=%v voltage=%v tp=%v", k, single.Latency, voltage.Latency, tp.Latency)
+	if voltage.Latency >= single.Latency {
+		t.Errorf("voltage (%v) did not beat single device (%v)", voltage.Latency, single.Latency)
+	}
+	if tp.Latency <= voltage.Latency {
+		t.Errorf("tensor parallelism (%v) unexpectedly beat voltage (%v)", tp.Latency, voltage.Latency)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"time"
 
 	"voltage/internal/cluster"
 	"voltage/internal/model"
@@ -30,47 +29,45 @@ type BreakdownRow struct {
 }
 
 // BreakdownMeasured measures the per-device mean compute and communication
-// time of Voltage and tensor parallelism on a real run.
+// time of Voltage (the serving cluster's profile) and tensor parallelism (the
+// one-shot mesh) on a real run.
 func BreakdownMeasured(ctx context.Context, cfg model.Config, k int, profile netem.Profile, cal Calibration, seed int64) ([]BreakdownRow, error) {
-	var rows []BreakdownRow
-	var outerErr error
-	singleThreaded(func() {
-		for _, strategy := range []cluster.Strategy{cluster.StrategyVoltage, cluster.StrategyTensorParallel} {
-			c, err := cluster.NewMem(cfg, k, cluster.Options{
-				Profile:     cal.Apply(profile),
-				Seed:        seed,
-				DeviceFlops: cal.DeviceFlops,
-			})
-			if err != nil {
-				outerErr = err
-				return
-			}
-			x, err := embedWorkload(c, seqLen(cfg))
-			if err != nil {
-				c.Close()
-				outerErr = err
-				return
-			}
-			res, err := c.Infer(ctx, strategy, x)
-			c.Close()
-			if err != nil {
-				outerErr = fmt.Errorf("%v: %w", strategy, err)
-				return
-			}
-			prof := c.Profile()
-			row := BreakdownRow{
-				Strategy:   strategy.String(),
-				ComputeSec: prof.WorkerPhaseMean(trace.PhaseCompute),
-				CommSec:    prof.WorkerPhaseMean(trace.PhaseComm),
-				LatencySec: res.Latency.Seconds(),
-			}
-			if busy := row.ComputeSec + row.CommSec; busy > 0 {
-				row.CommFraction = row.CommSec / busy
-			}
-			rows = append(rows, row)
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
+	mesh, x, err := subject(cfg, k, profile, cal, seed)
+	if err != nil {
+		return nil, err
+	}
+	c, err := mesh.system(k)
+	if err != nil {
+		return nil, err
+	}
+	v, err := c.Infer(ctx, cluster.StrategyVoltage, x)
+	c.Close()
+	if err != nil {
+		return nil, fmt.Errorf("voltage: %w", err)
+	}
+	tp, err := mesh.TensorParallel(ctx, x)
+	if err != nil {
+		return nil, fmt.Errorf("tensor-parallel: %w", err)
+	}
+	prof := c.Profile()
+	rows := []BreakdownRow{{
+		Strategy:   cluster.StrategyVoltage.String(),
+		ComputeSec: prof.WorkerPhaseMean(trace.PhaseCompute),
+		CommSec:    prof.WorkerPhaseMean(trace.PhaseComm),
+		LatencySec: v.Latency.Seconds(),
+	}, {
+		Strategy:   cluster.StrategyTensorParallel.String(),
+		ComputeSec: tp.Compute.Seconds() / float64(k),
+		CommSec:    tp.Comm.Seconds() / float64(k),
+		LatencySec: tp.Latency.Seconds(),
+	}}
+	for i := range rows {
+		if busy := rows[i].ComputeSec + rows[i].CommSec; busy > 0 {
+			rows[i].CommFraction = rows[i].CommSec / busy
 		}
-	})
-	return rows, outerErr
+	}
+	return rows, nil
 }
 
 // BreakdownTable formats breakdown rows.
@@ -102,57 +99,41 @@ type PipelineRow struct {
 // its throughput grows with the batch, while Voltage improves latency at
 // batch 1 directly.
 func PipelineMeasured(ctx context.Context, cfg model.Config, k int, batches []int, cal Calibration, seed int64) ([]PipelineRow, error) {
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
+	mesh, x, err := subject(cfg, k, paperLink(500), cal, seed)
+	if err != nil {
+		return nil, err
+	}
+	single, err := mesh.voltage(ctx, 1, x)
+	if err != nil {
+		return nil, err
+	}
+	voltage, err := mesh.voltage(ctx, k, x)
+	if err != nil {
+		return nil, err
+	}
 	var rows []PipelineRow
-	var outerErr error
-	singleThreaded(func() {
-		c, err := cluster.NewMem(cfg, k, cluster.Options{
-			Profile:     cal.Apply(netem.Profile{BandwidthMbps: 500, Latency: 200 * time.Microsecond}),
-			Seed:        seed,
-			DeviceFlops: cal.DeviceFlops,
+	for _, b := range batches {
+		if b < 1 {
+			continue
+		}
+		xs := make([]*tensor.Matrix, b)
+		for i := range xs {
+			xs[i] = x
+		}
+		res, err := mesh.Pipeline(ctx, xs)
+		if err != nil {
+			return nil, fmt.Errorf("batch %d: %w", b, err)
+		}
+		rows = append(rows, PipelineRow{
+			Batch:              b,
+			PipelineFirstSec:   res.FirstLatency.Seconds(),
+			PipelineThroughput: res.Throughput(),
+			SingleSec:          single.Latency.Seconds(),
+			VoltageSec:         voltage.Latency.Seconds(),
 		})
-		if err != nil {
-			outerErr = err
-			return
-		}
-		defer c.Close()
-		x, err := embedWorkload(c, seqLen(cfg))
-		if err != nil {
-			outerErr = err
-			return
-		}
-		single, err := c.Infer(ctx, cluster.StrategySingle, x)
-		if err != nil {
-			outerErr = err
-			return
-		}
-		voltage, err := c.Infer(ctx, cluster.StrategyVoltage, x)
-		if err != nil {
-			outerErr = err
-			return
-		}
-		for _, b := range batches {
-			if b < 1 {
-				continue
-			}
-			xs := make([]*tensor.Matrix, b)
-			for i := range xs {
-				xs[i] = x
-			}
-			res, err := c.InferPipeline(ctx, xs)
-			if err != nil {
-				outerErr = fmt.Errorf("batch %d: %w", b, err)
-				return
-			}
-			rows = append(rows, PipelineRow{
-				Batch:              b,
-				PipelineFirstSec:   res.FirstLatency.Seconds(),
-				PipelineThroughput: res.Throughput(),
-				SingleSec:          single.Latency.Seconds(),
-				VoltageSec:         voltage.Latency.Seconds(),
-			})
-		}
-	})
-	return rows, outerErr
+	}
+	return rows, nil
 }
 
 // PipelineTable formats pipeline rows.
@@ -182,62 +163,39 @@ type QuantRow struct {
 	MaxDeviation  float64 // max abs difference of the final hidden states
 }
 
-// QuantizedCommMeasured sweeps bandwidths comparing exact vs quantized
-// Voltage inference.
+// QuantizedCommMeasured sweeps bandwidths comparing exact vs int8
+// All-Gathers, both on the one-shot mesh so the gather is all that differs.
 func QuantizedCommMeasured(ctx context.Context, cfg model.Config, k int, bandwidths []float64, cal Calibration, seed int64) ([]QuantRow, error) {
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
+	mesh, x, err := subject(cfg, k, netem.Profile{}, cal, seed)
+	if err != nil {
+		return nil, err
+	}
 	var rows []QuantRow
-	var outerErr error
-	singleThreaded(func() {
-		bwScale := cal.BwScale
-		if cal.Zero() {
-			bwScale = 1
+	for _, bw := range bandwidths {
+		mesh.Profile = paperLink(bw)
+		exact, err := mesh.positionwise(ctx, x, nil)
+		if err != nil {
+			return nil, fmt.Errorf("bw %v exact: %w", bw, err)
 		}
-		for _, bw := range bandwidths {
-			profile := netem.Profile{BandwidthMbps: bw * bwScale, Latency: 200 * time.Microsecond}
-			var exact, quant *cluster.Result
-			for _, quantized := range []bool{false, true} {
-				c, err := cluster.NewMem(cfg, k, cluster.Options{
-					Profile: profile, Seed: seed,
-					DeviceFlops: cal.DeviceFlops, QuantizedComm: quantized,
-				})
-				if err != nil {
-					outerErr = err
-					return
-				}
-				x, err := embedWorkload(c, seqLen(cfg))
-				if err != nil {
-					c.Close()
-					outerErr = err
-					return
-				}
-				res, err := c.Infer(ctx, cluster.StrategyVoltage, x)
-				c.Close()
-				if err != nil {
-					outerErr = fmt.Errorf("bw %v quantized=%v: %w", bw, quantized, err)
-					return
-				}
-				if quantized {
-					quant = res
-				} else {
-					exact = res
-				}
-			}
-			dev, err := quant.Output.MaxAbsDiff(exact.Output)
-			if err != nil {
-				outerErr = err
-				return
-			}
-			rows = append(rows, QuantRow{
-				BandwidthMbps: bw,
-				ExactSec:      exact.Latency.Seconds(),
-				QuantSec:      quant.Latency.Seconds(),
-				ExactBytes:    exact.TotalBytesSent(),
-				QuantBytes:    quant.TotalBytesSent(),
-				MaxDeviation:  dev,
-			})
+		quant, err := mesh.Quantized(ctx, x)
+		if err != nil {
+			return nil, fmt.Errorf("bw %v int8: %w", bw, err)
 		}
-	})
-	return rows, outerErr
+		dev, err := quant.Output.MaxAbsDiff(exact.Output)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, QuantRow{
+			BandwidthMbps: bw,
+			ExactSec:      exact.Latency.Seconds(),
+			QuantSec:      quant.Latency.Seconds(),
+			ExactBytes:    exact.TotalBytesSent(),
+			QuantBytes:    quant.TotalBytesSent(),
+			MaxDeviation:  dev,
+		})
+	}
+	return rows, nil
 }
 
 // QuantTable formats quantization rows.

@@ -5,10 +5,13 @@
 //
 //   - Predicted: the analytic cost model at the paper's full scale
 //     (BERT-Large at 24 layers, etc.) — instant and deterministic.
-//   - Measured: real execution on the emulated cluster. The transformer
+//   - Measured: real execution on emulated devices. The transformer
 //     stacks run genuinely (our Go tensor kernels are slower than MKL, so
 //     measured mode uses depth-scaled models — the per-layer behaviour,
-//     which is what the figures show, is unchanged).
+//     which is what the figures show, is unchanged). Voltage is measured
+//     through the serving runtime (package cluster; one device is the
+//     single-device baseline), the baselines it is compared against on the
+//     harness's own one-shot mesh (mesh.go).
 //
 // The harness pins the tensor worker count to 1 during measured runs so
 // every emulated device computes single-threaded, as in the paper's
@@ -96,70 +99,64 @@ func Fig4Predicted(cfg model.Config, maxK int, bandwidthMbps float64) ([]Fig4Row
 	return rows, nil
 }
 
-// Fig4Measured regenerates Fig. 4 by real execution on the emulated
-// cluster. cfg should be depth-scaled (e.g. cfg.Scaled(2)) to keep pure-Go
-// compute tractable; the relative curve shapes are depth-independent.
-// profile carries the paper-scale bandwidth; cal (if non-zero) paces the
-// devices and rescales the bandwidth to this host.
+// Fig4Measured regenerates Fig. 4 by real execution. cfg should be
+// depth-scaled (e.g. cfg.Scaled(2)) to keep pure-Go compute tractable; the
+// relative curve shapes are depth-independent. profile carries the
+// paper-scale bandwidth; cal (if non-zero) paces the devices and rescales
+// the bandwidth to this host. Voltage runs through the serving cluster — at
+// K = 1 that is the single-device baseline — and tensor parallelism on the
+// one-shot mesh.
 func Fig4Measured(ctx context.Context, cfg model.Config, maxK int, profile netem.Profile, cal Calibration, seed int64) ([]Fig4Row, error) {
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
 	var rows []Fig4Row
-	var outerErr error
-	singleThreaded(func() {
-		n := seqLen(cfg)
-		for k := 1; k <= maxK; k++ {
-			c, err := cluster.NewMem(cfg, k, cluster.Options{
-				Profile:     cal.Apply(profile),
-				Seed:        seed,
-				DeviceFlops: cal.DeviceFlops,
-			})
-			if err != nil {
-				outerErr = err
-				return
-			}
-			x, err := embedWorkload(c, n)
-			if err != nil {
-				c.Close()
-				outerErr = err
-				return
-			}
-			row := Fig4Row{Model: cfg.Name, K: k}
-			for _, st := range []cluster.Strategy{cluster.StrategySingle, cluster.StrategyVoltage, cluster.StrategyTensorParallel} {
-				res, err := c.Infer(ctx, st, x)
-				if err != nil {
-					c.Close()
-					outerErr = fmt.Errorf("K=%d %v: %w", k, st, err)
-					return
-				}
-				switch st {
-				case cluster.StrategySingle:
-					row.SingleSec = res.Latency.Seconds()
-				case cluster.StrategyVoltage:
-					row.VoltageSec = res.Latency.Seconds()
-				case cluster.StrategyTensorParallel:
-					row.TPSec = res.Latency.Seconds()
-				}
-			}
-			c.Close()
-			rows = append(rows, row)
+	for k := 1; k <= maxK; k++ {
+		mesh, x, err := subject(cfg, k, profile, cal, seed)
+		if err != nil {
+			return nil, err
 		}
-	})
-	return rows, outerErr
+		v, err := mesh.voltage(ctx, k, x)
+		if err != nil {
+			return nil, fmt.Errorf("K=%d voltage: %w", k, err)
+		}
+		tp, err := mesh.TensorParallel(ctx, x)
+		if err != nil {
+			return nil, fmt.Errorf("K=%d tensor-parallel: %w", k, err)
+		}
+		rows = append(rows, Fig4Row{
+			Model: cfg.Name, K: k,
+			VoltageSec: v.Latency.Seconds(),
+			TPSec:      tp.Latency.Seconds(),
+		})
+		rows[k-1].SingleSec = rows[0].VoltageSec
+	}
+	return rows, nil
+}
+
+// subject builds the one-shot mesh of an experiment point and the paper's
+// workload embedded for it.
+func subject(cfg model.Config, k int, profile netem.Profile, cal Calibration, seed int64) (*Mesh, *tensor.Matrix, error) {
+	mesh, err := NewMesh(cfg, k, profile, cal, seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	x, err := embedWorkload(mesh.Model, seqLen(cfg))
+	return mesh, x, err
 }
 
 // embedWorkload builds the paper's synthetic request input: a random token
 // sequence for text models, a random image for vision models.
-func embedWorkload(c *cluster.Cluster, n int) (*tensor.Matrix, error) {
-	cfg := c.Config()
+func embedWorkload(m *model.Model, n int) (*tensor.Matrix, error) {
+	cfg := m.Cfg
 	if cfg.Kind == model.KindVision {
 		im := model.RandomImage(tensor.NewRNG(12345), cfg.Channels, cfg.ImageSize)
-		return c.Model(0).Embed.EmbedImage(im)
+		return m.Embed.EmbedImage(im)
 	}
 	rng := tensor.NewRNG(12345)
 	ids := make([]int, n)
 	for i := range ids {
 		ids[i] = rng.Intn(cfg.VocabSize)
 	}
-	return c.Model(0).Embed.EmbedTokens(ids)
+	return m.Embed.EmbedTokens(ids)
 }
 
 // ---------------------------------------------------------------------------
@@ -214,59 +211,44 @@ func Fig5Predicted(cfg model.Config, k int, bandwidths []float64) ([]Fig5Row, er
 }
 
 // Fig5Measured regenerates Fig. 5 by real execution, sweeping the emulated
-// bandwidth on a fixed K-device cluster. cal (if non-zero) paces the
-// devices and rescales the swept bandwidths to this host; the rows report
-// the paper-scale bandwidths.
+// bandwidth at a fixed K. cal (if non-zero) paces the devices and rescales
+// the swept bandwidths to this host; the rows report the paper-scale
+// bandwidths.
 func Fig5Measured(ctx context.Context, cfg model.Config, k int, bandwidths []float64, cal Calibration, seed int64) ([]Fig5Row, error) {
-	bwScale := cal.BwScale
-	if cal.Zero() {
-		bwScale = 1
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
+	mesh, x, err := subject(cfg, k, paperLink(500), cal, seed)
+	if err != nil {
+		return nil, err
 	}
+	single, err := mesh.voltage(ctx, 1, x)
+	if err != nil {
+		return nil, err
+	}
+	c, err := mesh.system(k)
+	if err != nil {
+		return nil, err
+	}
+	defer c.Close()
 	var rows []Fig5Row
-	var outerErr error
-	singleThreaded(func() {
-		n := seqLen(cfg)
-		c, err := cluster.NewMem(cfg, k, cluster.Options{
-			Profile:     netem.Profile{BandwidthMbps: 500 * bwScale, Latency: 200 * time.Microsecond},
-			Seed:        seed,
-			DeviceFlops: cal.DeviceFlops,
+	for _, bw := range bandwidths {
+		mesh.Profile = paperLink(bw)
+		c.SetBandwidth(cal.Apply(mesh.Profile).BandwidthMbps)
+		v, err := c.Infer(ctx, cluster.StrategyVoltage, x)
+		if err != nil {
+			return nil, fmt.Errorf("bw %v voltage: %w", bw, err)
+		}
+		tp, err := mesh.TensorParallel(ctx, x)
+		if err != nil {
+			return nil, fmt.Errorf("bw %v tp: %w", bw, err)
+		}
+		rows = append(rows, Fig5Row{
+			Model: cfg.Name, BandwidthMbps: bw,
+			SingleSec:  single.Latency.Seconds(),
+			VoltageSec: v.Latency.Seconds(),
+			TPSec:      tp.Latency.Seconds(),
 		})
-		if err != nil {
-			outerErr = err
-			return
-		}
-		defer c.Close()
-		x, err := embedWorkload(c, n)
-		if err != nil {
-			outerErr = err
-			return
-		}
-		single, err := c.Infer(ctx, cluster.StrategySingle, x)
-		if err != nil {
-			outerErr = err
-			return
-		}
-		for _, bw := range bandwidths {
-			c.SetBandwidth(bw * bwScale)
-			v, err := c.Infer(ctx, cluster.StrategyVoltage, x)
-			if err != nil {
-				outerErr = fmt.Errorf("bw %v voltage: %w", bw, err)
-				return
-			}
-			tp, err := c.Infer(ctx, cluster.StrategyTensorParallel, x)
-			if err != nil {
-				outerErr = fmt.Errorf("bw %v tp: %w", bw, err)
-				return
-			}
-			rows = append(rows, Fig5Row{
-				Model: cfg.Name, BandwidthMbps: bw,
-				SingleSec:  single.Latency.Seconds(),
-				VoltageSec: v.Latency.Seconds(),
-				TPSec:      tp.Latency.Seconds(),
-			})
-		}
-	})
-	return rows, outerErr
+	}
+	return rows, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -409,31 +391,23 @@ type CommRow struct {
 	Ratio                     float64 // TPBytes / VoltageBytes
 }
 
-// CommVolume measures Table A on a real (tiny, unshaped) cluster.
+// CommVolume measures Table A on a real (tiny, unshaped) deployment.
 func CommVolume(ctx context.Context, cfg model.Config, maxK int, seed int64) ([]CommRow, error) {
 	var rows []CommRow
 	n := seqLen(cfg)
 	for k := 2; k <= maxK; k++ {
-		c, err := cluster.NewMem(cfg, k, cluster.Options{Seed: seed})
+		mesh, x, err := subject(cfg, k, netem.Unlimited, Calibration{}, seed)
 		if err != nil {
 			return nil, err
 		}
-		x, err := embedWorkload(c, n)
+		v, err := mesh.voltage(ctx, k, x)
 		if err != nil {
-			c.Close()
 			return nil, err
 		}
-		v, err := c.Infer(ctx, cluster.StrategyVoltage, x)
+		tp, err := mesh.TensorParallel(ctx, x)
 		if err != nil {
-			c.Close()
 			return nil, err
 		}
-		tp, err := c.Infer(ctx, cluster.StrategyTensorParallel, x)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.Close()
 		sys := costmodel.System{Model: cfg, N: n, K: k, Device: costmodel.EdgeCPU}
 		rows = append(rows, CommRow{
 			K:              k,

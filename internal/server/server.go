@@ -240,8 +240,10 @@ func writeError(w http.ResponseWriter, err error) {
 // classifyRequest is the /v1/classify body. Exactly one of Tokens or Text
 // must be set.
 type classifyRequest struct {
-	Tokens    []int  `json:"tokens,omitempty"`
-	Text      string `json:"text,omitempty"`
+	Tokens []int  `json:"tokens,omitempty"`
+	Text   string `json:"text,omitempty"`
+	// Strategy accepts "" and "voltage", the one strategy served; existing
+	// clients spell it, so the field stays until they stop.
 	Strategy  string `json:"strategy,omitempty"`
 	Class     string `json:"class,omitempty"`
 	TimeoutMS int64  `json:"timeout_ms,omitempty"`
@@ -343,6 +345,9 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	strat, err := cluster.ParseStrategy(req.Strategy)
+	if err == nil {
+		err = strat.Served()
+	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

@@ -691,7 +691,9 @@ func TestBadRequests(t *testing.T) {
 // TestClientMistakesAnswer400BeforeAdmission: a request the served model
 // cannot run is the client's mistake — 400 from the gateway, never admitted
 // and never shown to the backend — not the 500 the engine's own failure
-// would map to. A valid request beside them still serves.
+// would map to — a baseline strategy included: the runtime serves Voltage
+// only. A valid request beside them still serves, the strategy field empty
+// or spelling "voltage".
 func TestClientMistakesAnswer400BeforeAdmission(t *testing.T) {
 	encoder, decoder := newFakeBackend(), newFakeBackend()
 	encoder.cfg = model.Tiny() // VocabSize 100, MaxSeq 64, as TinyDecoder
@@ -713,6 +715,8 @@ func TestClientMistakesAnswer400BeforeAdmission(t *testing.T) {
 		{"classify id beyond vocab", encTS.URL + "/v1/classify", map[string]any{"tokens": []int{1, 2, 9999}}, "token id 9999 outside vocab 100"},
 		{"classify negative id", encTS.URL + "/v1/classify", map[string]any{"tokens": []int{1, -2, 3}}, "token id -2 outside vocab 100"},
 		{"classify beyond MaxSeq", encTS.URL + "/v1/classify", map[string]any{"tokens": seq(70)}, "sequence length 70 exceeds max 64"},
+		{"classify tensor-parallel", encTS.URL + "/v1/classify", map[string]any{"tokens": []int{1, 2}, "strategy": "tp"}, "only the voltage strategy is served (asked tensor-parallel)"},
+		{"classify single", encTS.URL + "/v1/classify", map[string]any{"tokens": []int{1, 2}, "strategy": "single"}, "only the voltage strategy is served (asked single)"},
 		{"generate on an encoder", encTS.URL + "/v1/generate", map[string]any{"prompt": []int{1, 2, 3}, "steps": 2}, "tiny is not a decoder"},
 		{"generate id beyond vocab", decTS.URL + "/v1/generate", map[string]any{"prompt": []int{1, 100}, "steps": 2}, "token id 100 outside vocab 100"},
 		{"generate prompt fills MaxSeq", decTS.URL + "/v1/generate", map[string]any{"prompt": seq(64), "steps": 2}, "leaves no position to generate"},
@@ -744,6 +748,8 @@ func TestClientMistakesAnswer400BeforeAdmission(t *testing.T) {
 		body map[string]any
 	}{
 		{encTS.URL + "/v1/classify", map[string]any{"tokens": seq(64)}},
+		{encTS.URL + "/v1/classify", map[string]any{"tokens": []int{1, 2}, "strategy": ""}},
+		{encTS.URL + "/v1/classify", map[string]any{"tokens": []int{1, 2}, "strategy": "voltage"}},
 		{decTS.URL + "/v1/generate", map[string]any{"prompt": seq(63), "steps": 1}},
 	} {
 		resp := postJSON(t, ok.url, ok.body)
@@ -753,8 +759,8 @@ func TestClientMistakesAnswer400BeforeAdmission(t *testing.T) {
 			t.Errorf("valid request to %s = %d, want 200", ok.url, resp.StatusCode)
 		}
 	}
-	if a, b := admitted(encGW), admitted(decGW); a != 1 || b != 1 {
-		t.Errorf("valid requests admitted %d + %d, want 1 + 1", a, b)
+	if a, b := admitted(encGW), admitted(decGW); a != 3 || b != 1 {
+		t.Errorf("valid requests admitted %d + %d, want 3 + 1", a, b)
 	}
 }
 

@@ -33,6 +33,23 @@ if grep -rnE 'ForwardPartition|AllGatherMatrix' --include='*.go' internal/cluste
     exit 1
 fi
 
+# The serving tree executes one strategy. The baselines it is measured
+# against (tensor parallelism, pipeline, the int8 All-Gather) are experiment
+# subjects of internal/harness; importing or naming them from the runtime,
+# the engine, the gateway or a serving binary would grow a second code path.
+if grep -rnE 'voltage/internal/(tparallel|pipeline)"|Quantized' --include='*.go' \
+    internal/cluster internal/core internal/server \
+    cmd/voltage-run cmd/voltage-worker cmd/voltage-server | grep -v _test.go; then
+    echo "a baseline strategy is reachable from the serving tree" >&2
+    exit 1
+fi
+
+echo "== gofmt -l ."
+if [ -n "$(gofmt -l .)" ]; then
+    gofmt -l . >&2
+    exit 1
+fi
+
 echo "== go vet ./..."
 go vet ./...
 
@@ -48,8 +65,8 @@ go build ./cmd/...
 echo "== go test ./..."
 go test ./...
 
-echo "== go test -race ./internal/cluster/... ./internal/positionwise/... ./internal/comm/... ./internal/trace/... ./internal/obs/... ./internal/adapt/... ./internal/balance/... ./internal/server/..."
-go test -race ./internal/cluster/... ./internal/positionwise/... ./internal/comm/... ./internal/trace/... ./internal/obs/... ./internal/adapt/... ./internal/balance/... ./internal/server/...
+echo "== go test -race ./internal/cluster/... ./internal/positionwise/... ./internal/harness/... ./internal/comm/... ./internal/trace/... ./internal/obs/... ./internal/adapt/... ./internal/balance/... ./internal/server/..."
+go test -race ./internal/cluster/... ./internal/positionwise/... ./internal/harness/... ./internal/comm/... ./internal/trace/... ./internal/obs/... ./internal/adapt/... ./internal/balance/... ./internal/server/...
 
 echo "== chaos: go test -race -count=2 (fault-injection suite)"
 go test -race -count=2 -run \
@@ -79,56 +96,15 @@ bash benchmark/run.sh -quick
 # the server it started alive until its -hold expires.
 BIN="$(mktemp -d)"
 TMPFILES+=("$BIN")
-go build -o "$BIN/" ./cmd/voltage-worker ./cmd/voltage-server
+go build -o "$BIN/" ./cmd/voltage-server
 
-echo "== admin smoke: worker -local serves /metrics and /healthz"
-# Start an in-process engine with the admin listener, serve two requests,
-# and hold; scrape the listener while it holds and require the serving
-# metric families the dashboards depend on.
-ADMIN_ADDR="127.0.0.1:19155"
-ADMIN_LOG="$(mktemp)"
-TMPFILES+=("$ADMIN_LOG")
-"$BIN/voltage-worker" -local 2 -model tiny -requests 2 -words 8 \
-    -admin "$ADMIN_ADDR" -hold 30s -timeout 2m >"$ADMIN_LOG" 2>&1 &
-ADMIN_PID=$!
-PIDS+=("$ADMIN_PID")
-METRICS=""
-for _ in $(seq 1 100); do
-    if METRICS="$(curl -fsS "http://$ADMIN_ADDR/metrics" 2>/dev/null)" \
-        && grep -q 'voltage_requests_total{outcome="ok"} 2' <<<"$METRICS"; then
-        break
-    fi
-    METRICS=""
-    sleep 0.3
-done
-if [ -z "$METRICS" ]; then
-    echo "admin smoke: listener never served 2 completed requests" >&2
-    cat "$ADMIN_LOG" >&2
-    exit 1
-fi
-for family in \
-    'voltage_request_latency_seconds_bucket' \
-    'voltage_comm_bytes_sent_total{rank="terminal"}' \
-    'voltage_errors_total{type="timeout"}' \
-    'voltage_health_state{rank="0"}' \
-    'voltage_queue_length'; do
-    grep -qF "$family" <<<"$METRICS" || {
-        echo "admin smoke: /metrics missing $family" >&2
-        exit 1
-    }
-done
-curl -fsS "http://$ADMIN_ADDR/healthz" | grep -q '"ok":true' || {
-    echo "admin smoke: /healthz not ok" >&2
-    exit 1
-}
-kill "$ADMIN_PID" 2>/dev/null || true
-wait "$ADMIN_PID" 2>/dev/null || true
-
-echo "== gateway smoke: voltage-server -local serves /v1/classify, /metrics, and sheds"
+echo "== gateway smoke: voltage-server -local serves /v1/classify, /metrics, /healthz, and sheds"
 # Start the inference gateway over a 3-worker in-process engine with a
 # deliberately tiny interactive queue (cap 1, one worker, paced compute),
 # serve one classification, then fire a burst and require at least one
-# typed 429 shed plus the gateway metric families.
+# typed 429 shed plus the gateway metric families — and, from the same
+# process, the serving-runtime families the dashboards depend on and a
+# healthy /healthz.
 GW_ADDR="127.0.0.1:19156"
 GW_LOG="$(mktemp)"
 TMPFILES+=("$GW_LOG")
@@ -169,12 +145,21 @@ for family in \
     'voltage_gateway_queue_depth{class="batch"}' \
     'voltage_gateway_shed_total{cause="queue_full"}' \
     'voltage_gateway_queue_wait_seconds_bucket' \
-    'voltage_requests_total'; do
+    'voltage_requests_total' \
+    'voltage_request_latency_seconds_bucket' \
+    'voltage_comm_bytes_sent_total{rank="terminal"}' \
+    'voltage_errors_total{type="timeout"}' \
+    'voltage_health_state{rank="0"}' \
+    'voltage_queue_length'; do
     grep -qF "$family" <<<"$GW_METRICS" || {
         echo "gateway smoke: /metrics missing $family" >&2
         exit 1
     }
 done
+curl -fsS "http://$GW_ADDR/healthz" | grep -q '"ok":true' || {
+    echo "gateway smoke: /healthz not ok" >&2
+    exit 1
+}
 curl -fsS "http://$GW_ADDR/v1/queue" | grep -q '"interactive"' || {
     echo "gateway smoke: /v1/queue missing class report" >&2
     exit 1

@@ -56,13 +56,12 @@ type (
 	// PendingPrediction is an admitted classification request; Wait
 	// post-processes once the distributed run resolves.
 	PendingPrediction = core.PendingPrediction
-	// Generation is an autoregressive decoding result.
-	Generation = core.Generation
 	// Config describes a transformer architecture.
 	Config = model.Config
 	// Image is a dense input image for vision models.
 	Image = model.Image
-	// Strategy selects how inference is distributed.
+	// Strategy names a way of distributing inference; an Engine serves
+	// StrategyVoltage, the others are what CostSystem predicts against.
 	Strategy = cluster.Strategy
 	// ClusterOptions configures the emulated device cluster.
 	ClusterOptions = cluster.Options
@@ -182,7 +181,9 @@ var (
 	ErrInjected = comm.ErrInjected
 )
 
-// Inference strategies.
+// Inference strategies. An Engine refuses every one but StrategyVoltage
+// (cluster.ErrStrategyNotServed): the single-device baseline is an Engine
+// over one device, and tensor parallelism is measured by voltage-bench.
 const (
 	// StrategySingle runs the whole model on one device.
 	StrategySingle = cluster.StrategySingle

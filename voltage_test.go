@@ -19,7 +19,12 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := engine.ClassifyTokens(ctx, voltage.StrategySingle, ids)
+	single, err := voltage.NewEngine(voltage.Tiny(), 1, voltage.ClusterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	ps, err := single.ClassifyTokens(ctx, voltage.StrategyVoltage, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
