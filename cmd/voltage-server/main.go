@@ -268,8 +268,8 @@ type meshBackend struct {
 	mu sync.Mutex // one request on the mesh at a time
 	// broken is set, under mu, by the first request that fails once its
 	// scatter has begun. The workers finish such a request anyway and their
-	// partitions stay queued on the links, where the next request of the
-	// same length would assemble them as its own answer; TCP links cannot be
+	// replies stay queued on the links, where the next request read on the
+	// same rank would assemble them as its own answer; TCP links cannot be
 	// flushed and the frames carry no request id, so the backend refuses
 	// everything from then on.
 	broken error
@@ -320,30 +320,31 @@ func (b *meshBackend) GenerateStream(context.Context, []int, int, func(int)) (*c
 	return nil, fmt.Errorf("voltage-server: generation requires the -local engine (mesh workers serve classification)")
 }
 
-// ClassifyTokens runs one request through the mesh: embed, scatter, assemble
-// — the terminal half of package positionwise — classify.
+// ClassifyTokens runs one request through the mesh: scatter the token ids,
+// assemble the pooled row — the terminal half of package positionwise —
+// classify.
 func (b *meshBackend) ClassifyTokens(ctx context.Context, strategy cluster.Strategy, ids []int) (*core.Prediction, error) {
 	if err := strategy.Served(); err != nil {
 		return nil, err
 	}
-	x, err := b.m.Embed.EmbedTokens(ids)
+	if err := b.cfg.CheckTokens(ids); err != nil {
+		return nil, err
+	}
+	ranges, err := b.scheme.Ranges(len(ids))
 	if err != nil {
 		return nil, err
 	}
-	ranges, err := b.scheme.Ranges(x.Rows())
-	if err != nil {
-		return nil, err
-	}
+	read := positionwise.Pooled(b.m.Classifier, ranges)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.broken != nil {
 		return nil, b.broken
 	}
 	start := time.Now()
-	err = positionwise.Scatter(ctx, b.peer, b.ranks, tensor.Encode(nil, x))
+	err = positionwise.Scatter(ctx, b.peer, b.ranks, positionwise.TokenFrame(ids))
 	var out *tensor.Matrix
 	if err == nil {
-		out, err = positionwise.Assemble(ctx, b.peer, nil, b.ranks, ranges)
+		out, err = positionwise.Assemble(ctx, b.peer, nil, b.ranks, read.Replies(ranges))
 	}
 	if err != nil {
 		b.broken = fmt.Errorf("voltage-server: the mesh is out of step since a request failed mid-flight (%v); restart the fleet: %w",

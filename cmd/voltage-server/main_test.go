@@ -21,7 +21,6 @@ import (
 	"voltage/internal/partition"
 	"voltage/internal/positionwise"
 	"voltage/internal/server"
-	"voltage/internal/tensor"
 )
 
 type lockedBuilder struct {
@@ -309,7 +308,7 @@ func TestMeshBackendRefusesAfterAbandonedRequest(t *testing.T) {
 				if err != nil || len(blob) == 0 {
 					return
 				}
-				x, _, err := tensor.Decode(blob)
+				ids, err := positionwise.ParseTokens(blob, len(blob)/4, m.Embed)
 				if err != nil {
 					t.Error(err)
 					return
@@ -317,8 +316,9 @@ func TestMeshBackendRefusesAfterAbandonedRequest(t *testing.T) {
 				if r == 0 && req == 1 {
 					time.Sleep(300 * time.Millisecond)
 				}
-				ranges, _ := scheme.Ranges(x.Rows())
-				if err := dev.Classify(ctx, x, ranges); err != nil {
+				ranges, _ := scheme.Ranges(len(ids))
+				read := positionwise.Pooled(m.Classifier, ranges)
+				if _, err := dev.RunTokens(ctx, ids, ranges, read); err != nil {
 					return
 				}
 			}

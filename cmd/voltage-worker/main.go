@@ -166,9 +166,10 @@ func startMeshAdmin(addr string, rank int, holder *peerHolder) (*metrics.AdminSe
 	return metrics.StartAdmin(addr, reg, health)
 }
 
-// runWorker serves position-wise passes until the terminal sends an empty
+// runWorker serves token classifies until the terminal sends an empty
 // shutdown frame: the device code the emulated cluster runs (package
-// positionwise), unpaced and unobserved.
+// positionwise) — a frame of token ids in, the pass cut down to the
+// classifier's pooled row — unpaced and unobserved.
 func runWorker(ctx context.Context, w io.Writer, peer comm.Peer, cfg model.Config, k, rank int, seed int64) error {
 	m, err := model.NewRandom(cfg, seed)
 	if err != nil {
@@ -194,15 +195,16 @@ func runWorker(ctx context.Context, w io.Writer, peer comm.Peer, cfg model.Confi
 			fmt.Fprintf(w, "worker %d shutting down\n", rank)
 			return nil
 		}
-		x, _, err := tensor.Decode(blob)
+		ids, err := positionwise.ParseTokens(blob, len(blob)/4, m.Embed)
 		if err != nil {
 			return err
 		}
-		ranges, err := scheme.Ranges(x.Rows())
+		ranges, err := scheme.Ranges(len(ids))
 		if err != nil {
 			return err
 		}
-		if err := dev.Classify(ctx, x, ranges); err != nil {
+		read := positionwise.Pooled(m.Classifier, ranges)
+		if _, err := dev.RunTokens(ctx, ids, ranges, read); err != nil {
 			return err
 		}
 	}
@@ -217,7 +219,8 @@ func workerRanks(k int) []int {
 	return ranks
 }
 
-// runTerminal drives requests: pre-process, broadcast, collect, classify.
+// runTerminal drives requests: scatter the token ids, collect the pooled row,
+// classify.
 func runTerminal(ctx context.Context, w io.Writer, peer comm.Peer, cfg model.Config,
 	k int, seed int64, text string, words, requests int) error {
 	m, err := model.NewRandom(cfg, seed)
@@ -243,20 +246,20 @@ func runTerminal(ctx context.Context, w io.Writer, peer comm.Peer, cfg model.Con
 		ids = tok.EncodeWords(n, 7)
 	}
 	ranks := workerRanks(k)
+	if err := m.Embed.CheckTokens(ids); err != nil {
+		return err
+	}
+	ranges, err := scheme.Ranges(len(ids))
+	if err != nil {
+		return err
+	}
+	read := positionwise.Pooled(m.Classifier, ranges)
 	for req := 0; req < requests; req++ {
-		x, err := m.Embed.EmbedTokens(ids)
-		if err != nil {
-			return err
-		}
 		start := time.Now()
-		if err := positionwise.Scatter(ctx, peer, ranks, tensor.Encode(nil, x)); err != nil {
+		if err := positionwise.Scatter(ctx, peer, ranks, positionwise.TokenFrame(ids)); err != nil {
 			return err
 		}
-		ranges, err := scheme.Ranges(x.Rows())
-		if err != nil {
-			return err
-		}
-		out, err := positionwise.Assemble(ctx, peer, nil, ranks, ranges)
+		out, err := positionwise.Assemble(ctx, peer, nil, ranks, read.Replies(ranges))
 		if err != nil {
 			return err
 		}
@@ -266,7 +269,7 @@ func runTerminal(ctx context.Context, w io.Writer, peer comm.Peer, cfg model.Con
 			return err
 		}
 		fmt.Fprintf(w, "request %d: class=%d latency=%v N=%d K=%d\n",
-			req, class, latency.Round(time.Millisecond), x.Rows(), k)
+			req, class, latency.Round(time.Millisecond), len(ids), k)
 	}
 	// Shutdown: empty frame to every worker.
 	return positionwise.Scatter(ctx, peer, ranks, []byte{})

@@ -29,7 +29,8 @@ import (
 //	         partition scheme, ties taking turns from the lowest rank up — and
 //	         ships the prefix as token ids; the live ranks run Algorithm 2 up
 //	         to the last layer, the owner keeping its attention's K/V as the
-//	         caches, and the owner alone computes the last layer's newest row
+//	         caches; the synchronisation that feeds the last layer is a Gather
+//	         to the owner, which alone computes that layer's newest row
 //	         (decode.go). A sequence never moves while it is live;
 //	produce: each live sequence's next token is decoded from its last
 //	         hidden row; finished or canceled sequences leave;
@@ -73,9 +74,11 @@ import (
 // order, contiguous from row 0 and cover the prefix's N positions:
 //
 //	opPrefill  [1][seqID u32][owner u16][R u16][R×(from u32, to u32)]
-//	           then the prefix in its own frame, [N×token u32], ids in the
-//	           vocabulary, 1 ≤ N ≤ MaxSeq; to every live rank, which answers
-//	           with a partition: the owner's last hidden row 1×F, else 0×F
+//	           then the prefix in its own frame, [N×token u32]
+//	           (positionwise.TokenFrame — the frame a token classify scatters
+//	           with no header), ids in the vocabulary, 1 ≤ N ≤ MaxSeq; to
+//	           every live rank, which answers with a partition: the owner's
+//	           last hidden row 1×F, else 0×F
 //	opStep     [2][round u32][owners u16][n u16][n×(seqID u32, token u32)]
 //	           to each of the round's `owners` ranks, its own n ≥ 1 rows
 //	opLeave    [3][seqID u32]            to the owner
@@ -776,7 +779,7 @@ func (b *batcher) join(ctx context.Context, p comm.Peer, ex *comm.Exchange, req 
 	}
 	c.metrics.batchJoin()
 	start := time.Now()
-	hdr, ids := prefillFrame(s.id, s.owner, ranges), prefillTokens(prefix)
+	hdr, ids := prefillFrame(s.id, s.owner, ranges), positionwise.TokenFrame(prefix)
 	if err := positionwise.Scatter(ctx, p, ranks, hdr, ids); err != nil {
 		return false, err
 	}
@@ -898,27 +901,12 @@ func parsePrefillFrame(frame []byte, live []int) (id uint32, owner int, ranges [
 	return id, owner, ranges, nil
 }
 
-// prefillTokens encodes the token frame that follows an opPrefill header.
-func prefillTokens(prefix []int) []byte {
-	buf := make([]byte, 4*len(prefix))
-	for i, id := range prefix {
-		binary.LittleEndian.PutUint32(buf[4*i:], uint32(id))
-	}
-	return buf
-}
-
-// parsePrefillTokens validates the token frame that follows an opPrefill
-// header whose ranges cover n positions: exactly n ids, and a sequence the
-// embedding accepts (1 ≤ n ≤ MaxSeq, every id in the vocabulary).
+// parsePrefillTokens validates a token frame (positionwise.TokenFrame) of n
+// positions — the ones an opPrefill header's ranges cover, or for a classify's
+// headerless frame the ones its own length holds — as the embedding would.
 func parsePrefillTokens(frame []byte, n int, e *model.Embedding) ([]int, error) {
-	if len(frame) != 4*n {
-		return nil, fmt.Errorf("%w: %d bytes of token ids for the %d positions the prefill ranges cover", errBadFrame, len(frame), n)
-	}
-	ids := make([]int, n)
-	for i := range ids {
-		ids[i] = int(binary.LittleEndian.Uint32(frame[4*i:]))
-	}
-	if err := e.CheckTokens(ids); err != nil {
+	ids, err := positionwise.ParseTokens(frame, n, e)
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errBadFrame, err)
 	}
 	return ids, nil
@@ -1149,7 +1137,7 @@ func (c *Cluster) batchWorker(ctx context.Context, p comm.Peer, ex *comm.Exchang
 				return err
 			}
 			comm.ReleaseBuffer(frame)
-			state, err := c.prefillWorker(ctx, p, prefillEx, rank, req, ranges, owner == rank)
+			state, err := c.prefillWorker(ctx, p, prefillEx, rank, req, ranges, owner)
 			if err != nil {
 				return err
 			}

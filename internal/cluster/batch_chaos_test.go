@@ -35,16 +35,17 @@ func runBatch(c *Cluster, prompts [][]int, steps int) ([]*GenerateResult, []erro
 
 func TestBatchedGenerateWorkerKilledMidBatchResumes(t *testing.T) {
 	// Rank 1 — owner of the second of four sequences — dies mid-batch: its
-	// receive stream is cut after the co-batched prefills have landed
-	// (4 joins × 4 receives each, then one receive per round it owns rows
-	// in), killing a fused round under 4 live sequences. The batcher must
+	// receive stream is cut after the co-batched prefills have landed (4
+	// joins × header and token ids, plus the two Gather shares of the join it
+	// owns: 10 receives; then one receive per round it owns rows in), on its
+	// 5th step frame, killing a fused round under 4 live sequences. The batcher must
 	// blame rank 1, re-slice the partition over ranks {0,2}, and resume
 	// every sequence, whoever owned it, from its committed prefix on a
 	// fresh owner — all four token streams stay bit-identical to solo runs.
 	c := newTinyDecoder(t, 3, Options{
 		MaxBatch: 4, BatchWindow: 60 * time.Millisecond, MaxRetries: 2,
 		WrapTransport: wrapRank(1, func(p comm.Peer) comm.Peer {
-			return &comm.FlakyPeer{Inner: p, FailRecvAfter: 21}
+			return &comm.FlakyPeer{Inner: p, FailRecvAfter: 15}
 		}),
 	})
 	defer c.Close()
@@ -129,18 +130,18 @@ func TestBatchedGenerateZeroSurvivorsFallsBackLocally(t *testing.T) {
 }
 
 func TestBatchedGenerateCorruptJoinRetiresOneSequence(t *testing.T) {
-	// Rank 2 sends three frames per prefill (its All-Gather share to both
-	// peers, then its partition to the terminal) and, owning neither
-	// sequence (they land on ranks 0 and 1), nothing in between: its 6th
+	// Rank 2 sends two frames per prefill (its share of the Gather to the
+	// owner, then its partition to the terminal) and, owning neither
+	// sequence (they land on ranks 0 and 1), nothing in between: its 4th
 	// send is the second joiner's prefill partition, corrupted on the wire,
-	// and its 12th is never reached. The frame checksum blames the sender,
+	// and its 8th is never reached (the rejoin makes six). The frame checksum blames the sender,
 	// and the blast radius must stay sequence-local: the victim alone
 	// re-parks and resumes at the next step boundary while the first
 	// sequence keeps decoding — no batch recovery round at all.
 	c := newTinyDecoder(t, 3, Options{
 		MaxBatch: 2, BatchWindow: 50 * time.Millisecond, MaxRetries: 1,
 		WrapTransport: wrapRank(2, func(p comm.Peer) comm.Peer {
-			return &comm.FlakyPeer{Inner: p, CorruptEvery: 6}
+			return &comm.FlakyPeer{Inner: p, CorruptEvery: 4}
 		}),
 	})
 	defer c.Close()

@@ -12,6 +12,7 @@ import (
 	"voltage/internal/comm"
 	"voltage/internal/model"
 	"voltage/internal/partition"
+	"voltage/internal/positionwise"
 	"voltage/internal/tensor"
 )
 
@@ -247,14 +248,15 @@ func TestLoneSequencesVisitEveryRank(t *testing.T) {
 
 func TestBatchedGenerateIdleRankKilledMidBatchResumes(t *testing.T) {
 	// Two sequences land on ranks 0 and 1; rank 2 owns nothing, so after the
-	// two prefills (4 receives each) its next receive is the idle wait for
-	// the next join — which dies while the owners are decoding. The round
+	// two prefills (header and token ids each; the Gather sends to the owner
+	// and nothing comes back) its next receive, the 5th, is the idle wait
+	// for the next join — which dies while the owners are decoding. The round
 	// must fail, blame rank 2, and resume both streams over ranks {0,1},
 	// bit-identical to solo.
 	c := newTinyDecoder(t, 3, Options{
 		MaxBatch: 2, BatchWindow: 60 * time.Millisecond, MaxRetries: 2,
 		WrapTransport: wrapRank(2, func(p comm.Peer) comm.Peer {
-			return &comm.FlakyPeer{Inner: p, FailRecvAfter: 9}
+			return &comm.FlakyPeer{Inner: p, FailRecvAfter: 5}
 		}),
 	})
 	const steps = 8
@@ -379,14 +381,14 @@ func rawPrefill(owner, count int, bounds ...int) []byte {
 
 // fiveTokens is the well-formed token frame of a five-position prefix; ids(n)
 // is one of n positions.
-var fiveTokens = prefillTokens([]int{4, 8, 15, 16, 23})
+var fiveTokens = positionwise.TokenFrame([]int{4, 8, 15, 16, 23})
 
 func ids(n int) []byte {
 	prefix := make([]int, n)
 	for i := range prefix {
 		prefix[i] = i % 100
 	}
-	return prefillTokens(prefix)
+	return positionwise.TokenFrame(prefix)
 }
 
 // badPrefillFrames are malformed opPrefill header + token frame pairs for a
@@ -417,8 +419,8 @@ var badPrefillFrames = []struct {
 	{"token bytes not a multiple of four", rawPrefill(0, 2, 0, 3, 3, 5), fiveTokens[:19]},
 	{"a byte past the last id", rawPrefill(0, 2, 0, 3, 3, 5), append(ids(5), 7)},
 	{"an embedded matrix where the ids belong", rawPrefill(0, 2, 0, 3, 3, 5), tensor.Encode(nil, tensor.New(5, 32))},
-	{"id outside the vocabulary", rawPrefill(0, 2, 0, 3, 3, 5), prefillTokens([]int{4, 8, 100, 16, 23})},
-	{"id with the sign bit set", rawPrefill(0, 2, 0, 3, 3, 5), prefillTokens([]int{4, 8, -1, 16, 23})},
+	{"id outside the vocabulary", rawPrefill(0, 2, 0, 3, 3, 5), positionwise.TokenFrame([]int{4, 8, 100, 16, 23})},
+	{"id with the sign bit set", rawPrefill(0, 2, 0, 3, 3, 5), positionwise.TokenFrame([]int{4, 8, -1, 16, 23})},
 	{"more positions than MaxSeq", rawPrefill(0, 2, 0, 30, 30, 65), ids(65)},
 }
 
@@ -468,10 +470,38 @@ func FuzzParsePrefillFrame(f *testing.F) {
 		f.Add(tc.header, tc.tokens)
 	}
 	f.Add(rawPrefill(1, 2, 0, 3, 3, 5), fiveTokens)
+	// A token classify scatters the token frame with no header before it: the
+	// frame's own length is then the only word on N.
+	f.Add([]byte{}, fiveTokens)
+	f.Add([]byte{}, ids(64))
+	f.Add([]byte{}, fiveTokens[:19])
 	live := []int{0, 1}
 	embed := tinyEmbedding(f)
 	cfg := model.TinyDecoder()
+	// tokenFrame holds parsePrefillTokens to its contract for a frame said to
+	// cover n positions.
+	tokenFrame := func(t *testing.T, tokens []byte, n int) {
+		got, err := parsePrefillTokens(tokens, n, embed)
+		if err != nil {
+			if !errors.Is(err, errBadFrame) {
+				t.Fatalf("token frame error %v is not errBadFrame", err)
+			}
+			return
+		}
+		if len(got) != n || n < 1 || n > cfg.MaxSeq {
+			t.Fatalf("accepted %d ids for %d of at most %d positions", len(got), n, cfg.MaxSeq)
+		}
+		for _, id := range got {
+			if id < 0 || id >= cfg.VocabSize {
+				t.Fatalf("accepted id %d outside the vocabulary of %d", id, cfg.VocabSize)
+			}
+		}
+		if again := positionwise.TokenFrame(got); string(again) != string(tokens) {
+			t.Fatalf("accepted token frame %x re-encodes as %x", tokens, again)
+		}
+	}
 	f.Fuzz(func(t *testing.T, frame, tokens []byte) {
+		tokenFrame(t, tokens, len(tokens)/4) // as voltageRunner.worker reads a classify's
 		id, owner, ranges, err := parsePrefillFrame(frame, live)
 		if err != nil {
 			if !errors.Is(err, errBadFrame) {
@@ -493,25 +523,7 @@ func FuzzParsePrefillFrame(f *testing.F) {
 		if again := prefillFrame(id, owner, ranges); string(again) != string(frame) {
 			t.Fatalf("accepted frame %x re-encodes as %x", frame, again)
 		}
-		n := ranges[len(ranges)-1].To
-		got, err := parsePrefillTokens(tokens, n, embed)
-		if err != nil {
-			if !errors.Is(err, errBadFrame) {
-				t.Fatalf("token frame error %v is not errBadFrame", err)
-			}
-			return
-		}
-		if len(got) != n || n < 1 || n > cfg.MaxSeq {
-			t.Fatalf("accepted %d ids for ranges covering %d of at most %d positions", len(got), n, cfg.MaxSeq)
-		}
-		for _, id := range got {
-			if id < 0 || id >= cfg.VocabSize {
-				t.Fatalf("accepted id %d outside the vocabulary of %d", id, cfg.VocabSize)
-			}
-		}
-		if again := prefillTokens(got); string(again) != string(tokens) {
-			t.Fatalf("accepted token frame %x re-encodes as %x", tokens, again)
-		}
+		tokenFrame(t, tokens, ranges[len(ranges)-1].To) // as prefillWorker reads a join's
 	})
 }
 

@@ -181,13 +181,6 @@ type Options struct {
 	// Result.Trace: one span per (device, layer, phase) step, so a single
 	// slow request can be decomposed without the lifetime aggregates.
 	TraceRequests bool
-	// AdminAddr, when non-empty, starts an HTTP admin listener on this
-	// address (host:port; port 0 picks a free one — read it back with
-	// Cluster.AdminAddr) serving Prometheus text on /metrics, a health
-	// probe on /healthz, net/http/pprof, the flight recorder on
-	// /debug/flight, and Chrome trace-event export on /debug/trace. It
-	// closes with the cluster.
-	AdminAddr string
 
 	// Continuous profiling (see DESIGN.md "Continuous profiling &
 	// diagnostics"). The profile store and flight recorder are always on —
@@ -253,13 +246,11 @@ type Cluster struct {
 	schemeGen uint64
 	adaptCtl  *adapt.Controller // nil unless Options.Adapt
 
-	// Observability. admin is nil unless Options.AdminAddr was set. The
-	// profile store and flight recorder are always on (bounded,
-	// lock-cheap); stepRound numbers fused decode rounds cluster-wide so
-	// workers can correlate their per-round step times across degraded
-	// transitions.
+	// Observability. The profile store and flight recorder are always on
+	// (bounded, lock-cheap); stepRound numbers fused decode rounds
+	// cluster-wide so workers can correlate their per-round step times
+	// across degraded transitions.
 	metrics   *clusterMetrics
-	admin     *metrics.AdminServer
 	obs       *obs.Store
 	flight    *obs.FlightRecorder
 	stepRound atomic.Uint32
@@ -418,43 +409,7 @@ func NewMem(cfg model.Config, k int, opts Options) (*Cluster, error) {
 		c.adaptCtl = ctl
 		go c.adaptLoop()
 	}
-	if opts.AdminAddr != "" {
-		admin, err := metrics.StartAdmin(opts.AdminAddr, cm.reg, c.healthCheck,
-			metrics.Endpoint{Path: "/debug/flight", Handler: c.flightHandler()},
-			metrics.Endpoint{Path: "/debug/trace", Handler: c.traceHandler()})
-		if err != nil {
-			_ = peers[0].Close()
-			return nil, fmt.Errorf("cluster: admin listener: %w", err)
-		}
-		c.admin = admin
-	}
 	return c, nil
-}
-
-// healthCheck backs the admin listener's /healthz: serving (200) while at
-// least one worker rank remains eligible — a degraded cluster still serves
-// — and failing (503) only when every rank is Unhealthy. The body carries
-// the per-rank detail either way.
-func (c *Cluster) healthCheck() metrics.Health {
-	snap := c.health.snapshot()
-	type rankDetail struct {
-		Rank     int    `json:"rank"`
-		State    string `json:"state"`
-		Failures int    `json:"failures"`
-		LastErr  string `json:"last_err,omitempty"`
-	}
-	detail := make([]rankDetail, len(snap))
-	ok := false
-	for i, rh := range snap {
-		detail[i] = rankDetail{Rank: rh.Rank, State: rh.State.String(), Failures: rh.Failures}
-		if rh.LastErr != nil {
-			detail[i].LastErr = rh.LastErr.Error()
-		}
-		if rh.State != Unhealthy {
-			ok = true
-		}
-	}
-	return metrics.Health{OK: ok, Detail: detail}
 }
 
 // Metrics returns a point-in-time snapshot of every registered series.
@@ -466,15 +421,6 @@ func (c *Cluster) Metrics() metrics.Snapshot {
 // can mount it on its own admin surface.
 func (c *Cluster) MetricsRegistry() *metrics.Registry {
 	return c.metrics.reg
-}
-
-// AdminAddr returns the admin listener's bound address ("" when none was
-// requested) — useful with Options.AdminAddr port 0.
-func (c *Cluster) AdminAddr() string {
-	if c.admin == nil {
-		return ""
-	}
-	return c.admin.Addr()
 }
 
 // K returns the number of worker devices.
@@ -516,22 +462,21 @@ func (c *Cluster) SetBandwidth(mbps float64) {
 }
 
 // Close stops the serving runtime and shuts the mesh down. Every wrapped
-// peer is closed so stalled fault-injection receives unblock too, and the
-// admin listener (when one was started) stops serving.
+// peer is closed so stalled fault-injection receives unblock too.
 func (c *Cluster) Close() {
 	c.serveCancel()
 	for _, p := range c.peers {
 		_ = p.Close()
 	}
-	c.admin.Close()
 }
 
 // Result reports one distributed inference.
 type Result struct {
 	// ID is the request's cluster-unique admission id.
 	ID uint64
-	// Output is the final hidden-state matrix (N×F) as assembled at the
-	// terminal device.
+	// Output is the final hidden-state matrix as assembled at the terminal
+	// device: N×F from Submit, the classifier's pooled row (1×F) from
+	// SubmitTokens and SubmitPooled.
 	Output *tensor.Matrix
 	// Latency is the terminal-observed time from input broadcast to
 	// result assembly — the paper's measurement.

@@ -8,6 +8,7 @@ import (
 	"voltage/internal/comm"
 	"voltage/internal/model"
 	"voltage/internal/partition"
+	"voltage/internal/positionwise"
 	"voltage/internal/trace"
 )
 
@@ -18,7 +19,7 @@ import (
 //
 //   - prefill runs under Algorithm 2 (position-wise partitions +
 //     All-Gather; package positionwise) over every live rank, cut down to
-//     what generation reads (positionwise.Work): the prefix travels as token
+//     what generation reads (positionwise.Read): the prefix travels as token
 //     ids; the sequence's owner rank — chosen by the terminal at join —
 //     keeps the K/V its own attention materialises over each complete layer
 //     input as the cache, which so costs no extra communication or
@@ -145,15 +146,15 @@ func (c *Cluster) GenerateVoltageStream(ctx context.Context, prompt []int, steps
 
 // prefillWorker runs the worker side of one sequence's join prefill: it takes
 // the token frame that follows the opPrefill header and runs the position-wise
-// join pass (positionwise.Device.Prefill) over the row ranges the terminal
-// computed at join (one per live rank, in live-set order — so a degraded
-// round, re-sliced over the survivors after a device failure, prefills over
-// exactly its live ranks, and a scheme installed mid-batch reaches the next
-// joiner without touching live sequences). The owner answers the terminal
-// with the newest position's hidden row and returns the decode state; every
-// other rank answers with a 0-row partition — the terminal hears from every
-// live rank — and returns nil.
-func (c *Cluster) prefillWorker(ctx context.Context, p comm.Peer, ex *comm.Exchange, rank int, req *request, ranges []partition.Range, owner bool) (*model.DecodeState, error) {
+// pass a join is — the newest row read at the owner, which keeps its cache
+// (positionwise.Read) — over the row ranges the terminal computed at join (one
+// per live rank, in live-set order — so a degraded round, re-sliced over the
+// survivors after a device failure, prefills over exactly its live ranks, and
+// a scheme installed mid-batch reaches the next joiner without touching live
+// sequences). The owner answers the terminal with the newest position's
+// hidden row and returns the decode state; every other rank answers with a
+// 0-row partition — the terminal hears from every live rank — and returns nil.
+func (c *Cluster) prefillWorker(ctx context.Context, p comm.Peer, ex *comm.Exchange, rank int, req *request, ranges []partition.Range, owner int) (*model.DecodeState, error) {
 	payload, err := p.Recv(ctx, c.terminalRank())
 	if err != nil {
 		return nil, err
@@ -167,7 +168,7 @@ func (c *Cluster) prefillWorker(ctx context.Context, p comm.Peer, ex *comm.Excha
 	if err != nil {
 		return nil, err
 	}
-	return dev.Prefill(ctx, ids, ranges, owner)
+	return dev.RunTokens(ctx, ids, ranges, positionwise.Read{One: true, Row: len(ids) - 1, At: req.liveIndex(c, owner), Cache: true})
 }
 
 // decodeStepCost is the analytic Γ of one rank's fused KV-cached decode

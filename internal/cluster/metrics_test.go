@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"voltage/internal/comm"
+	"voltage/internal/metrics"
 	"voltage/internal/trace"
 )
 
@@ -92,15 +93,28 @@ func httpGetBody(t *testing.T, url string, wantStatus int) string {
 	return string(body)
 }
 
+// TestAdminListenerServesClusterEndpoints: the cluster's registry and health
+// snapshot on an admin listener mounted the way voltage-server mounts them
+// (metrics.StartAdmin over MetricsRegistry and Health).
 func TestAdminListenerServesClusterEndpoints(t *testing.T) {
-	c := newTiny(t, 2, Options{AdminAddr: "127.0.0.1:0"})
+	c := newTiny(t, 2, Options{})
 	if _, err := c.Infer(context.Background(), StrategyVoltage, embedTiny(t, c, 8)); err != nil {
 		t.Fatal(err)
 	}
-	addr := c.AdminAddr()
-	if addr == "" {
-		t.Fatal("AdminAddr empty after requesting a listener")
+	admin, err := metrics.StartAdmin("127.0.0.1:0", c.MetricsRegistry(), func() metrics.Health {
+		ranks := c.Health()
+		for _, rh := range ranks {
+			if rh.State != Unhealthy {
+				return metrics.Health{OK: true, Detail: ranks}
+			}
+		}
+		return metrics.Health{Detail: ranks}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer admin.Close()
+	addr := admin.Addr()
 	body := httpGetBody(t, "http://"+addr+"/metrics", http.StatusOK)
 	for _, series := range []string{
 		"# TYPE voltage_request_latency_seconds histogram",
@@ -115,10 +129,10 @@ func TestAdminListenerServesClusterEndpoints(t *testing.T) {
 		}
 	}
 	health := httpGetBody(t, "http://"+addr+"/healthz", http.StatusOK)
-	if !strings.Contains(health, `"ok":true`) || !strings.Contains(health, `"state":"healthy"`) {
+	if !strings.Contains(health, `"ok":true`) || !strings.Contains(health, `"Rank":1`) {
 		t.Errorf("/healthz body %q, want ok with per-rank detail", health)
 	}
-	c.Close()
+	_ = admin.Close()
 	if _, err := http.Get("http://" + addr + "/healthz"); err == nil {
 		t.Error("admin listener survived Close")
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
 	"time"
 
 	"voltage/internal/obs"
@@ -88,23 +87,4 @@ func (c *Cluster) maybeDumpFlight() {
 		return
 	}
 	fmt.Fprintf(w, "voltage: flight recorder dump (triggered by request failure):\n%s\n", blob)
-}
-
-// flightHandler serves /debug/flight: the flight-recorder dump as JSON.
-func (c *Cluster) flightHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(c.FlightDump())
-	})
-}
-
-// traceHandler serves /debug/trace: the Chrome trace-event export.
-func (c *Cluster) traceHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Content-Disposition", `attachment; filename="voltage-trace.json"`)
-		_, _ = w.Write(c.ChromeTrace())
-	})
 }

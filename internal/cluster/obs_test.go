@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -193,26 +192,24 @@ func TestFlightRecorderCapturesFailureAndDumps(t *testing.T) {
 	}
 }
 
-// TestDebugEndpointsOnAdmin: the admin listener serves /debug/flight and
-// /debug/trace next to /metrics.
+// TestDebugEndpointsOnAdmin: what voltage-server's gateway serves on
+// /debug/flight and /debug/trace next to /metrics — FlightDump as JSON and the
+// ChromeTrace export (server.TestDebugEndpointsAndShedEvents covers the HTTP side).
 func TestDebugEndpointsOnAdmin(t *testing.T) {
-	c := newTinyDecoder(t, 2, Options{AdminAddr: "127.0.0.1:0", TraceRequests: true})
+	c := newTinyDecoder(t, 2, Options{TraceRequests: true})
 	c.Serve()
 	if _, err := c.GenerateVoltage(context.Background(), []int{4, 8, 15}, 3); err != nil {
 		t.Fatal(err)
 	}
-	base := "http://" + c.AdminAddr()
-
-	resp, err := http.Get(base + "/debug/flight")
+	blob, err := json.Marshal(c.FlightDump())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
 	var dump struct {
 		Events  []struct{ Kind string } `json:"events"`
 		Profile *struct{ K int }        `json:"profile"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&dump); err != nil {
+	if err := json.Unmarshal(blob, &dump); err != nil {
 		t.Fatalf("/debug/flight: %v", err)
 	}
 	if len(dump.Events) == 0 {
@@ -221,16 +218,10 @@ func TestDebugEndpointsOnAdmin(t *testing.T) {
 	if dump.Profile == nil || dump.Profile.K != 2 {
 		t.Errorf("/debug/flight profile %+v, want K=2", dump.Profile)
 	}
-
-	tresp, err := http.Get(base + "/debug/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tresp.Body.Close()
 	var doc struct {
 		TraceEvents []json.RawMessage `json:"traceEvents"`
 	}
-	if err := json.NewDecoder(tresp.Body).Decode(&doc); err != nil {
+	if err := json.Unmarshal(c.ChromeTrace(), &doc); err != nil {
 		t.Fatalf("/debug/trace: %v", err)
 	}
 	if doc.TraceEvents == nil {

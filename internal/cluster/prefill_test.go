@@ -13,6 +13,7 @@ import (
 	"voltage/internal/partition"
 	"voltage/internal/positionwise"
 	"voltage/internal/tensor"
+	"voltage/internal/trace"
 )
 
 // Tests for the join prefill that does only what generation reads: token ids
@@ -54,12 +55,12 @@ func drivePrefill(t *testing.T, c *Cluster, live []int, ranges []partition.Range
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			states[r], errs[r] = c.prefillWorker(ctx, c.peers[r], comm.NewExchange(c.pool), r, req, ranges, r == owner)
+			states[r], errs[r] = c.prefillWorker(ctx, c.peers[r], comm.NewExchange(c.pool), r, req, ranges, owner)
 		}(r)
 	}
 	term := c.peers[c.terminalRank()]
 	for _, r := range ranks {
-		if err := term.Send(ctx, r, prefillTokens(prefix)); err != nil {
+		if err := term.Send(ctx, r, positionwise.TokenFrame(prefix)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -223,48 +224,73 @@ func TestJoinPrefillOwnerWithoutRowsAndDegradedRound(t *testing.T) {
 }
 
 // TestJoinPrefillTraffic: a join moves K·(header + 4N) bytes of token ids
-// out, L−1 All-Gathers between the workers, and one F-row plus K−1 empty
-// partitions back — nothing else.
+// out, L−2 All-Gathers and one Gather to the owner between the workers
+// (rankBytes), and one F-row plus K−1 empty partitions back — nothing else.
+// Two layers have the Gather alone, three one All-Gather before it.
 func TestJoinPrefillTraffic(t *testing.T) {
 	const k, n = 3, 8
-	c := newTinyDecoder(t, k, Options{})
-	cfg := c.Config()
-	// One token: join, produce, leave — no decode step.
-	res, err := c.GenerateVoltage(context.Background(), []int{2, 4, 6, 8, 10, 12, 14, 16}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ranges, err := c.currentScheme().Ranges(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := func(rows int) int64 { return int64(len(tensor.Encode(nil, tensor.New(rows, cfg.F)))) }
-	if enc(1)-enc(0) != int64(4*cfg.F) {
-		t.Fatalf("a hidden row encodes to %d bytes over an empty partition, want 4F", enc(1)-enc(0))
-	}
-	const owner, leave = 0, 5 // the first joiner lands on rank 0; opLeave is 5 bytes
-	header := int64(9 + 8*k)
-	term := res.PerDevice[k]
-	if want := k*(header+4*n) + leave; term.BytesSent != want || term.MsgsSent != 2*k+1 {
-		t.Errorf("terminal sent %d bytes in %d messages, want %d in %d (K headers, K token frames, one leave)", term.BytesSent, term.MsgsSent, want, 2*k+1)
-	}
-	if want := enc(1) + (k-1)*enc(0); term.BytesRecv != want {
-		t.Errorf("terminal received %d bytes, want %d (one hidden row, %d empty partitions)", term.BytesRecv, want, k-1)
-	}
-	gathers := int64(cfg.Layers - 1)
-	for r := 0; r < k; r++ {
-		reply := enc(0)
-		if r == owner {
-			reply = enc(1)
+	for _, layers := range []int{2, 3} {
+		cfg := model.TinyDecoder().Scaled(layers)
+		c, err := NewMem(cfg, k, Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if want := gathers*(k-1)*enc(ranges[r].Len()) + reply; res.PerDevice[r].BytesSent != want {
-			t.Errorf("rank %d sent %d bytes, want %d (%d All-Gathers of its %d rows to %d peers, then its reply)", r, res.PerDevice[r].BytesSent, want, gathers, ranges[r].Len(), k-1)
+		t.Cleanup(c.Close)
+		// One token: join, produce, leave — no decode step.
+		res, err := c.GenerateVoltage(context.Background(), []int{2, 4, 6, 8, 10, 12, 14, 16}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranges, err := c.currentScheme().Ranges(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc := func(rows int) int64 { return int64(len(tensor.Encode(nil, tensor.New(rows, cfg.F)))) }
+		const owner, leave = 0, 5 // the first joiner lands on rank 0; opLeave is 5 bytes
+		header := int64(9 + 8*k)
+		term := res.PerDevice[k]
+		if want := k*(header+4*n) + leave; term.BytesSent != want || term.MsgsSent != 2*k+1 {
+			t.Errorf("L=%d: terminal sent %d bytes in %d messages, want %d in %d (K headers, K token frames, one leave)", layers, term.BytesSent, term.MsgsSent, want, 2*k+1)
+		}
+		if want := enc(1) + (k-1)*enc(0); term.BytesRecv != want {
+			t.Errorf("L=%d: terminal received %d bytes, want %d (one hidden row, %d empty partitions)", layers, term.BytesRecv, want, k-1)
+		}
+		for r := 0; r < k; r++ {
+			if want := rankBytes(cfg, ranges, r, owner); res.PerDevice[r].BytesSent != want {
+				t.Errorf("L=%d: rank %d sent %d bytes, want %d (%d All-Gathers of its %d rows to %d peers, the Gather to rank %d, its reply)",
+					layers, r, res.PerDevice[r].BytesSent, want, layers-2, ranges[r].Len(), k-1, owner)
+			}
+		}
+	}
+}
+
+// TestJoinReportsNoComputeWhereNothingRan: a rank feeds the per-rank compute
+// profile one sample per layer it had rows at (or a cache to build) — a
+// non-owner none at the last layer, where a 0 ms sample used to drag its
+// estimate down.
+func TestJoinReportsNoComputeWhereNothingRan(t *testing.T) {
+	const k = 3
+	c := newTinyDecoder(t, k, Options{})
+	layers := uint64(c.cfg.Layers)
+	// One token: join, produce, leave — no decode step, so every compute
+	// sample is the join's. The first joiner lands on rank 0.
+	if _, err := c.GenerateVoltage(context.Background(), []int{2, 4, 6, 8, 10, 12, 14, 16}, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range c.Profile().Ranks[:k] {
+		want := layers - 1
+		if r.Rank == 0 {
+			want = layers
+		}
+		if got := r.Phases[trace.PhaseCompute.String()].Samples; got != want {
+			t.Errorf("rank %d reported %d compute samples over %d layers, want %d", r.Rank, got, layers, want)
 		}
 	}
 }
 
 // TestPrefillWorkMatchesFlopcount: what a rank is paced for at each layer of
-// a join is the analytic Γ of exactly what it executes there.
+// a join, and of a classify read at its pooled row, is the analytic Γ of
+// exactly what it executes there.
 func TestPrefillWorkMatchesFlopcount(t *testing.T) {
 	cfg := prefillCfg(2)
 	m, err := model.NewRandom(cfg, 1)
@@ -286,24 +312,34 @@ func TestPrefillWorkMatchesFlopcount(t *testing.T) {
 	if flopcount.SelectOrder(flopcount.Shape{N: n, P: mine.Len(), F: cfg.F, FH: cfg.FH()}) != flopcount.OrderReordered {
 		t.Fatal("the test shape should sit on the reordered side of Theorem 2")
 	}
+	join := positionwise.Read{One: true, Row: n - 1, Cache: true}
+	pooled := positionwise.Read{One: true}
+	firstRow := partition.Range{From: 0, To: 1}
+	nothing := partition.Range{From: n, To: n}
 	cases := []struct {
 		name      string
+		read      positionwise.Read
 		last      bool
 		mine      partition.Range
-		owner     bool
+		reader    bool
 		wantRange partition.Range
 		wantCost  int64
 	}{
-		{"owner: naive order, its K/V are the cache", false, mine, true, mine, layerCost(mine.Len(), flopcount.OrderNaive)},
-		{"owner without rows: the two projections", false, partition.Range{}, true, partition.Range{}, kv},
-		{"non-owner: Algorithm 1's order", false, mine, false, mine, layerCost(mine.Len(), flopcount.OrderReordered)},
-		{"non-owner without rows: nothing", false, partition.Range{}, false, partition.Range{}, 0},
-		{"last layer, owner: cache and the newest row", true, mine, true, lastRow, layerCost(1, flopcount.OrderNaive)},
-		{"last layer, owner without rows: the same", true, partition.Range{}, true, lastRow, layerCost(1, flopcount.OrderNaive)},
-		{"last layer, non-owner: nothing", true, mine, false, partition.Range{From: n, To: n}, 0},
+		{"owner: naive order, its K/V are the cache", join, false, mine, true, mine, layerCost(mine.Len(), flopcount.OrderNaive)},
+		{"owner without rows: the two projections", join, false, partition.Range{}, true, partition.Range{}, kv},
+		{"non-owner: Algorithm 1's order", join, false, mine, false, mine, layerCost(mine.Len(), flopcount.OrderReordered)},
+		{"non-owner without rows: nothing", join, false, partition.Range{}, false, partition.Range{}, 0},
+		{"last layer, owner: cache and the newest row", join, true, mine, true, lastRow, layerCost(1, flopcount.OrderNaive)},
+		{"last layer, owner without rows: the same", join, true, partition.Range{}, true, lastRow, layerCost(1, flopcount.OrderNaive)},
+		{"last layer, non-owner: nothing", join, true, mine, false, nothing, 0},
+		{"classify, reader: Algorithm 1's order, no cache", pooled, false, mine, true, mine, layerCost(mine.Len(), flopcount.OrderReordered)},
+		{"classify, reader without rows: nothing", pooled, false, partition.Range{}, true, partition.Range{}, 0},
+		{"classify, last layer, reader: the pooled row at P = 1", pooled, true, mine, true, firstRow, layerCost(1, flopcount.OrderReordered)},
+		{"classify, last layer, the others: nothing", pooled, true, mine, false, nothing, 0},
+		{"every row read: the slice at the last layer too", positionwise.AllRows, true, mine, false, mine, layerCost(mine.Len(), flopcount.OrderReordered)},
 	}
 	for _, tc := range cases {
-		r, cost, err := positionwise.Work(layer, tc.last, n, tc.mine, true, tc.owner)
+		r, cost, err := positionwise.Work(layer, tc.last, n, tc.mine, tc.read, tc.reader)
 		if err != nil || r != tc.wantRange || cost != tc.wantCost {
 			t.Errorf("%s: range %v cost %d err %v, want %v and %d", tc.name, r, cost, err, tc.wantRange, tc.wantCost)
 		}

@@ -7,7 +7,6 @@ import (
 
 	"voltage/internal/comm"
 	"voltage/internal/partition"
-	"voltage/internal/tensor"
 )
 
 // Degraded-mode serving. When Options.MaxRetries > 0, every Submit runs
@@ -29,9 +28,9 @@ import (
 
 // submitSupervised admits one fault-tolerant request: the returned handle
 // resolves when an attempt succeeds or the retry budget is exhausted.
-func (c *Cluster) submitSupervised(ctx context.Context, x *tensor.Matrix) (*Pending, error) {
+func (c *Cluster) submitSupervised(ctx context.Context, in input) (*Pending, error) {
 	c.Serve()
-	outer := &request{x: x, done: make(chan struct{})}
+	outer := &request{input: in, done: make(chan struct{})}
 	outer.ctx, outer.cancel = context.WithCancel(ctx)
 	if c.serveCtx.Err() != nil {
 		outer.cancel()
@@ -55,7 +54,7 @@ func (c *Cluster) supervise(ctx context.Context, outer *request) {
 			outer.finish(err)
 			return
 		}
-		inner, err := c.submitAttempt(ctx, outer.x, live)
+		inner, err := c.submitAttempt(ctx, outer.input, live)
 		if err != nil {
 			c.metrics.observeRequest(attempt, false, err)
 			outer.finish(err)
@@ -106,12 +105,12 @@ func (c *Cluster) supervise(ctx context.Context, outer *request) {
 // submitAttempt enqueues one attempt over the given live ranks. A full
 // complement runs the installed scheme; a degraded set runs the partition
 // re-sliced over the survivors.
-func (c *Cluster) submitAttempt(ctx context.Context, x *tensor.Matrix, live []int) (*Pending, error) {
+func (c *Cluster) submitAttempt(ctx context.Context, in input, live []int) (*Pending, error) {
 	// Fenced: the attempt owns the mesh exclusively so that, if it fails
 	// mid-collective, the dispatcher can flush its residual traffic before
 	// anything else enters. Fault tolerance trades mesh-level pipelining
 	// for failure isolation; the admission queue still overlaps requests.
-	req := &request{runner: voltageRunner{}, x: x, live: append([]int(nil), live...), fenced: true, supervised: true}
+	req := &request{runner: voltageRunner{}, input: in, live: append([]int(nil), live...), fenced: true, supervised: true}
 	if len(live) < c.k {
 		scheme, err := c.degradedScheme(live)
 		if err != nil {
@@ -164,12 +163,26 @@ func (c *Cluster) adaptedRatios() ([]float64, uint64) {
 
 // localFallback serves a request on the terminal alone when no worker
 // survives — the emulation's terminal holds a full model replica, so the
-// request still resolves (unpaced, with no mesh traffic).
+// request still resolves (unpaced, with no mesh traffic): it embeds token ids
+// itself and answers a pooled request with the pooled row of its forward pass.
 func (c *Cluster) localFallback(outer *request) error {
 	start := time.Now()
-	out, err := c.models[0].ForwardFeatures(outer.x)
+	m, x := c.models[0], outer.x
+	if outer.ids != nil {
+		var err error
+		if x, err = m.Embed.EmbedTokens(outer.ids); err != nil {
+			return err
+		}
+	}
+	out, err := m.ForwardFeatures(x)
 	if err != nil {
 		return err
+	}
+	if outer.pooled() {
+		row := m.Classifier.PooledRow(out.Rows())
+		if out, err = out.RowSlice(row, row+1); err != nil {
+			return err
+		}
 	}
 	outer.output = out
 	outer.latency = time.Since(start)

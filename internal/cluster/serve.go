@@ -58,10 +58,10 @@ type request struct {
 	id     uint64
 	runner strategyRunner
 
-	// x is a classify request's input. Batched generation (batch.go)
-	// carries none here: its sequences flow through the batcher and join the
-	// mesh request at step boundaries.
-	x *tensor.Matrix
+	// input is a classify request's. Batched generation (batch.go) carries
+	// none here: its sequences flow through the batcher and join the mesh
+	// request at step boundaries.
+	input
 
 	// scopes, when non-nil, pre-creates the per-rank stat scopes the
 	// serving loops would otherwise open themselves — batched generation
@@ -114,6 +114,27 @@ type request struct {
 	once    sync.Once
 	err     error
 	done    chan struct{}
+}
+
+// input is what a classify request carries, in one of three forms: token ids
+// (each device embeds them itself; the caller reads the classifier's pooled
+// row alone — a pass cut down to that row, answered with 1×F), the embedded
+// matrix x read the same way (pooledX), or x with every row read.
+type input struct {
+	x       *tensor.Matrix
+	ids     []int
+	pooledX bool // x alone: ids are always read at the pooled row
+}
+
+// pooled reports whether the caller reads the classifier's pooled row alone.
+func (in input) pooled() bool { return in.ids != nil || in.pooledX }
+
+// rows is the input's length in positions.
+func (in input) rows() int {
+	if in.ids != nil {
+		return len(in.ids)
+	}
+	return in.x.Rows()
 }
 
 // scope returns rank's stat scope for this request: the pre-created one
@@ -259,21 +280,45 @@ func (c *Cluster) Serve() {
 	})
 }
 
-// Submit admits one inference request and returns immediately with its
+// Submit admits one inference request — the paper's pass: x scattered, every
+// one of its N rows back in Result.Output — and returns immediately with its
 // handle. Requests execute in admission order; many may be in flight at
 // once, overlapping the terminal's I/O for one request with the workers'
 // compute for another.
 func (c *Cluster) Submit(ctx context.Context, strategy Strategy, x *tensor.Matrix) (*Pending, error) {
+	return c.submitInput(ctx, strategy, input{x: x})
+}
+
+// SubmitTokens admits one token classification: the pass does only what the
+// classifier reads. Token ids travel instead of the embedding, every device
+// embeds them itself, and the last layer is the pooled row alone, computed on
+// the rank whose slice holds it — Result.Output is that row, 1×F.
+func (c *Cluster) SubmitTokens(ctx context.Context, strategy Strategy, ids []int) (*Pending, error) {
+	if err := c.cfg.CheckTokens(ids); err != nil {
+		return nil, err
+	}
+	// The ids are read again at dispatch and by every retry: keep a copy.
+	return c.submitInput(ctx, strategy, input{ids: append([]int(nil), ids...)})
+}
+
+// SubmitPooled is SubmitTokens for an input only the terminal can embed (an
+// image's patches): x is scattered as in Submit, the last layer reduced to the
+// pooled row as in SubmitTokens.
+func (c *Cluster) SubmitPooled(ctx context.Context, strategy Strategy, x *tensor.Matrix) (*Pending, error) {
+	return c.submitInput(ctx, strategy, input{x: x, pooledX: true})
+}
+
+func (c *Cluster) submitInput(ctx context.Context, strategy Strategy, in input) (*Pending, error) {
 	if err := strategy.Served(); err != nil {
 		return nil, err
 	}
-	if x == nil {
+	if in.x == nil && in.ids == nil {
 		return nil, fmt.Errorf("cluster: nil input")
 	}
 	if c.opts.MaxRetries > 0 {
-		return c.submitSupervised(ctx, x)
+		return c.submitSupervised(ctx, in)
 	}
-	return c.submit(ctx, &request{runner: voltageRunner{}, x: x})
+	return c.submit(ctx, &request{runner: voltageRunner{}, input: in})
 }
 
 // submit finalizes the request's bookkeeping and enqueues it.

@@ -49,13 +49,51 @@ func (ex *Exchange) Encode(m *tensor.Matrix) []byte {
 // length, identical on every rank. When ring is true the ring all-gather is
 // used; otherwise the naive direct exchange.
 func (ex *Exchange) AllGatherMatrix(ctx context.Context, p Peer, mine *tensor.Matrix, ranges []partition.Range, ring bool) (*tensor.Matrix, error) {
+	if err := checkPartition(p, mine, ranges); err != nil {
+		return nil, err
+	}
+	gather := AllGather
+	if ring {
+		gather = RingAllGather
+	}
+	blobs, err := gather(ctx, p, ex.Encode(mine))
+	if err != nil {
+		return nil, err
+	}
+	return ex.assemble(p, mine, ranges, blobs)
+}
+
+// GatherMatrix is AllGatherMatrix for a synchronisation only one member reads:
+// every other member sends its partition to root and returns nil — K−1
+// transfers where the All-Gather makes K(K−1) — and root assembles the full
+// matrix, drawn from the exchange's pool.
+func (ex *Exchange) GatherMatrix(ctx context.Context, p Peer, root int, mine *tensor.Matrix, ranges []partition.Range) (*tensor.Matrix, error) {
+	if err := checkPartition(p, mine, ranges); err != nil {
+		return nil, err
+	}
+	blobs, err := Gather(ctx, p, root, ex.Encode(mine))
+	if err != nil || blobs == nil {
+		return nil, err
+	}
+	return ex.assemble(p, mine, ranges, blobs)
+}
+
+// checkPartition holds a collective's own contribution to its range.
+func checkPartition(p Peer, mine *tensor.Matrix, ranges []partition.Range) error {
 	if len(ranges) != p.Size() {
-		return nil, fmt.Errorf("comm: %d ranges for %d peers", len(ranges), p.Size())
+		return fmt.Errorf("comm: %d ranges for %d peers", len(ranges), p.Size())
 	}
-	r := ranges[p.Rank()]
-	if mine.Rows() != r.Len() {
-		return nil, fmt.Errorf("comm: partition has %d rows, range %v wants %d", mine.Rows(), r, r.Len())
+	if r := ranges[p.Rank()]; mine.Rows() != r.Len() {
+		return fmt.Errorf("comm: partition has %d rows, range %v wants %d", mine.Rows(), r, r.Len())
 	}
+	return nil
+}
+
+// assemble stacks the gathered partitions (blobs[p.Rank()] is mine, not
+// decoded again) into one pooled matrix. A partition that does not fit its
+// range is refused in its sender's name. Received blobs go back to the
+// transport's buffer pool and decoded partitions are recycled.
+func (ex *Exchange) assemble(p Peer, mine *tensor.Matrix, ranges []partition.Range, blobs [][]byte) (*tensor.Matrix, error) {
 	total := 0
 	cols := mine.Cols()
 	contiguous := true
@@ -64,15 +102,6 @@ func (ex *Exchange) AllGatherMatrix(ctx context.Context, p Peer, mine *tensor.Ma
 			contiguous = false
 		}
 		total += rr.Len()
-	}
-
-	gather := AllGather
-	if ring {
-		gather = RingAllGather
-	}
-	blobs, err := gather(ctx, p, ex.Encode(mine))
-	if err != nil {
-		return nil, err
 	}
 	// A pooled matrix has unspecified contents, so it is only safe when the
 	// ranges tile [0, total) exactly (which partition schemes guarantee);
@@ -85,20 +114,18 @@ func (ex *Exchange) AllGatherMatrix(ctx context.Context, p Peer, mine *tensor.Ma
 		out = tensor.New(total, cols)
 	}
 	for rank, blob := range blobs {
-		var part *tensor.Matrix
-		if rank == p.Rank() {
-			part = mine
-		} else {
+		part := mine
+		if rank != p.Rank() {
 			decoded, _, err := tensor.DecodePooled(ex.pool, blob)
 			if err != nil {
-				return nil, fmt.Errorf("comm: allgather decode from %d: %w", rank, err)
+				return nil, &RemoteError{Rank: meshRank(p, rank), Err: fmt.Errorf("comm: gather decode: %w", err)}
 			}
 			part = decoded
 		}
 		rr := ranges[rank]
 		if part.Rows() != rr.Len() || part.Cols() != cols {
-			return nil, fmt.Errorf("comm: partition from %d is %dx%d, range %v wants %dx%d",
-				rank, part.Rows(), part.Cols(), rr, rr.Len(), cols)
+			return nil, &RemoteError{Rank: meshRank(p, rank), Err: fmt.Errorf(
+				"comm: a partition of %dx%d, range %v wants %dx%d", part.Rows(), part.Cols(), rr, rr.Len(), cols)}
 		}
 		if !rr.Empty() {
 			if err := out.SetRowSlice(rr.From, part); err != nil {

@@ -57,8 +57,14 @@ func TestFramedStatsCountPayloadOnly(t *testing.T) {
 	a, b := framedPair(t)
 	ctx := context.Background()
 	payload := make([]byte, 100)
-	go func() { _ = a.Send(ctx, 1, payload) }()
+	sent := make(chan error, 1)
+	go func() { sent <- a.Send(ctx, 1, payload) }()
 	if _, err := b.Recv(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	// The sender counts the bytes once its Send returns, which the receive
+	// completing does not imply.
+	if err := <-sent; err != nil {
 		t.Fatal(err)
 	}
 	if got := a.Stats().BytesSent; got != int64(len(payload)) {

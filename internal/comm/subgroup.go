@@ -45,6 +45,15 @@ func NewSubgroup(base Peer, members []int) (*Subgroup, error) {
 	return &Subgroup{base: base, members: cp, rank: self}, nil
 }
 
+// meshRank is the rank by which the mesh under p knows p's member rank: the
+// name a RemoteError must carry, since blame is kept by mesh rank.
+func meshRank(p Peer, rank int) int {
+	if s, ok := p.(*Subgroup); ok && rank >= 0 && rank < len(s.members) {
+		return meshRank(s.base, s.members[rank])
+	}
+	return rank
+}
+
 // Rank implements Peer (subgroup-local rank).
 func (s *Subgroup) Rank() int { return s.rank }
 

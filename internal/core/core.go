@@ -52,11 +52,6 @@ func (e *Engine) Health() []cluster.RankHealth { return e.cluster.Health() }
 // serving runtime maintains.
 func (e *Engine) Metrics() metrics.Snapshot { return e.cluster.Metrics() }
 
-// AdminAddr returns the bound address of the engine's HTTP admin listener,
-// or "" when ClusterOptions.AdminAddr did not request one. With a port-0
-// address this is how the chosen port is discovered.
-func (e *Engine) AdminAddr() string { return e.cluster.AdminAddr() }
-
 // Profile returns the continuous profiler's rolling per-rank estimates:
 // EWMA phase and fused-step times, comm bytes, round skew, and straggler
 // flags. This is the input a re-partitioning policy would consume.
@@ -116,15 +111,12 @@ func (p *PendingPrediction) Wait(ctx context.Context) (*Prediction, error) {
 	return p.eng.postprocess(res)
 }
 
-// SubmitTokens admits one text-classification request without blocking:
-// embedding runs on the terminal now, the distributed run is sequenced by
-// the dispatcher, and Wait post-processes.
+// SubmitTokens admits one text-classification request without blocking: the
+// token ids go to the devices as they are (each embeds them itself), the
+// distributed run — cut down to the pooled row the classifier reads — is
+// sequenced by the dispatcher, and Wait post-processes.
 func (e *Engine) SubmitTokens(ctx context.Context, strategy cluster.Strategy, ids []int) (*PendingPrediction, error) {
-	x, err := e.terminal.Embed.EmbedTokens(ids)
-	if err != nil {
-		return nil, fmt.Errorf("core: pre-process: %w", err)
-	}
-	pend, err := e.cluster.Submit(ctx, strategy, x)
+	pend, err := e.cluster.SubmitTokens(ctx, strategy, ids)
 	if err != nil {
 		return nil, err
 	}
@@ -132,22 +124,23 @@ func (e *Engine) SubmitTokens(ctx context.Context, strategy cluster.Strategy, id
 }
 
 // SubmitImage admits one image-classification request (ViT path) without
-// blocking.
+// blocking: the terminal embeds the patches, the run is cut down to the
+// pooled row like a token classify's.
 func (e *Engine) SubmitImage(ctx context.Context, strategy cluster.Strategy, im *model.Image) (*PendingPrediction, error) {
 	x, err := e.terminal.Embed.EmbedImage(im)
 	if err != nil {
 		return nil, fmt.Errorf("core: pre-process: %w", err)
 	}
-	pend, err := e.cluster.Submit(ctx, strategy, x)
+	pend, err := e.cluster.SubmitPooled(ctx, strategy, x)
 	if err != nil {
 		return nil, err
 	}
 	return &PendingPrediction{eng: e, pend: pend}, nil
 }
 
-// ClassifyTokens serves one text-classification request: embed on the
-// terminal, run the transformer stack distributed, classify the output.
-// It is a blocking wrapper over SubmitTokens + Wait.
+// ClassifyTokens serves one text-classification request: run the embedding
+// and the transformer stack distributed, classify the pooled row that comes
+// back. It is a blocking wrapper over SubmitTokens + Wait.
 func (e *Engine) ClassifyTokens(ctx context.Context, strategy cluster.Strategy, ids []int) (*Prediction, error) {
 	pend, err := e.SubmitTokens(ctx, strategy, ids)
 	if err != nil {

@@ -141,11 +141,8 @@ func (s System) voltage() Breakdown {
 	p := (s.N + s.K - 1) / s.K // critical path: the largest partition
 	compute := float64(s.Model.Layers) * s.layerFlopsVoltage(p) / s.Device.FlopsPerSec
 
-	// All-Gather under the half-duplex NIC: each device pushes its
-	// partition to K−1 peers and pulls K−1 partitions through the same
-	// interface → 2(K−1)·part bytes serialized, plus one propagation delay.
 	part := bytesOf(s.N, s.Model.F) / float64(s.K)
-	perGather := s.xferTime(2*float64(s.K-1)*part) + s.lat()
+	perGather := s.xferTime(allGatherParts(s.K)*part) + s.lat()
 	comm := float64(s.Model.Layers-1) * perGather
 	if s.K == 1 {
 		comm = 0 // no synchronization with a single device
@@ -160,6 +157,29 @@ func (s System) voltage() Breakdown {
 		Comm:     seconds(comm),
 		Boundary: seconds(broadcast + collect),
 	}
+}
+
+// allGatherParts is the time one All-Gather among k devices occupies the
+// emulated link, in serialisations of one partition. Each device pushes its
+// partition to k−1 peers and pulls k−1 through the same half-duplex interface
+// — 2(k−1) per NIC — and netem.Transfer holds the sender's and the receiver's
+// NIC for the whole of a transfer, so of the k(k−1) transfers at most ⌊k/2⌋
+// are in flight at once: the floor is the larger of the two, 6 at k = 3 where
+// the per-NIC count alone says 4.
+//
+// It predicts the direct exchange the system runs only at k ≤ 3, where that
+// schedule meets the floor (measured ×1.00–1.05). From k = 4 on it is a lower
+// bound, not a prediction: direct exchange there is schedule-limited and takes
+// about 9–10 partition times against a floor of 6 at k = 4 and 16 against 10
+// at k = 5 (TestAllGatherTermMatchesTheLink), so Predict's Voltage latency at
+// k ≥ 4 is what a perfect schedule would reach, below what is measured. The
+// odd/even step in the floor also makes predicted latency fall within each
+// parity of k rather than from every k to the next: k = 3 sits above k = 2.
+func allGatherParts(k int) float64 {
+	if k < 2 {
+		return 0
+	}
+	return float64(max(2*(k-1), k*(k-1)/(k/2)))
 }
 
 // tpLayerFlops is one device's math in a tensor-parallel layer: H/K heads

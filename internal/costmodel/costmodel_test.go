@@ -1,12 +1,16 @@
 package costmodel
 
 import (
+	"context"
+	"sync"
 	"testing"
 	"time"
 
 	"voltage/internal/cluster"
+	"voltage/internal/comm"
 	"voltage/internal/model"
 	"voltage/internal/netem"
+	"voltage/internal/tensor"
 )
 
 func bertSystem(k int, mbps float64) System {
@@ -48,26 +52,84 @@ func TestValidate(t *testing.T) {
 }
 
 func TestFig4ShapeVoltageScalesDown(t *testing.T) {
-	// Voltage latency must drop monotonically as K grows at 500 Mbps, and
-	// land meaningfully below single device at K=6 (paper: 27.9% for BERT).
+	// Voltage latency must drop as K grows at 500 Mbps, stay below single
+	// device from K=2 on, and land meaningfully below it at K=6 (paper: 27.9%
+	// for BERT). On the emulated link the drop is monotone within each parity
+	// of K, not across it: an All-Gather among an odd K occupies the link for
+	// 2K partitions, among an even K for 2(K−1) (allGatherParts), so K=3 sits
+	// above K=2 — as the measured column of EXPERIMENTS.md Fig. 4 does.
 	single, err := bertSystem(1, 500).Predict(cluster.StrategySingle)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := time.Duration(1<<62 - 1)
+	var total [7]time.Duration
 	for k := 1; k <= 6; k++ {
 		b, err := bertSystem(k, 500).Predict(cluster.StrategyVoltage)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b.Total() >= prev {
-			t.Fatalf("voltage latency not monotone at K=%d: %v ≥ %v", k, b.Total(), prev)
+		total[k] = b.Total()
+		if k >= 2 && total[k] >= single.Total() {
+			t.Fatalf("voltage at K=%d (%v) not below single device (%v)", k, total[k], single.Total())
 		}
-		prev = b.Total()
+		if k >= 3 && total[k] >= total[k-2] {
+			t.Fatalf("voltage latency not falling at K=%d: %v ≥ %v at K=%d", k, total[k], total[k-2], k-2)
+		}
 	}
-	improvement := 1 - float64(prev)/float64(single.Total())
+	improvement := 1 - float64(total[6])/float64(single.Total())
 	if improvement < 0.15 || improvement > 0.9 {
 		t.Fatalf("K=6 improvement %.1f%%, want a substantial reduction (paper ≈28%%)", 100*improvement)
+	}
+}
+
+// TestAllGatherTermMatchesTheLink times comm.AllGather on the link the model
+// describes — a 50 Mbps in-memory mesh, partitions of the benchmark's shape —
+// and holds the model's All-Gather term to it. The emulated link never runs
+// ahead of the model, whatever the host does, so the fastest of ten rounds is
+// compared: within 15% at K = 2 and 3, where direct exchange meets the
+// floor; from K = 4 on direct exchange is schedule-limited (≈ 10 partition
+// times against a floor of 6 at K = 4, 16 against 10 at K = 5) and the term
+// only bounds it below. The term moved the prediction at odd K alone, so with
+// K = 3 and 5 every EXPERIMENTS cell it moved has a measurement behind it.
+func TestAllGatherTermMatchesTheLink(t *testing.T) {
+	const mbps, rounds = 50, 10
+	for _, k := range []int{2, 3, 4, 5} {
+		n := 96 - 96%k // whole rows per device, as the model's N/K assumes
+		cfg := model.Config{Name: "one-gather", Kind: model.KindEncoder, Layers: 2, F: 128, Heads: 4, FFN: 256,
+			Act: tensor.GELU, VocabSize: 100, MaxSeq: n, NumClasses: 2}
+		sys := System{Model: cfg, N: n, K: k, Net: netem.Profile{BandwidthMbps: mbps}, Device: EdgeCPU, CommEfficiency: 1}
+		b, err := sys.Predict(cluster.StrategyVoltage)
+		if err != nil {
+			t.Fatal(err)
+		}
+		predicted := b.Comm // two layers: one All-Gather
+		peers, err := comm.NewMemMesh(k, sys.Net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob := tensor.Encode(nil, tensor.New(n/k, cfg.F))
+		best := time.Duration(1<<62 - 1)
+		for round := 0; round < rounds; round++ {
+			var wg sync.WaitGroup
+			start := time.Now()
+			for r := range peers {
+				wg.Add(1)
+				go func(p comm.Peer) {
+					defer wg.Done()
+					if _, err := comm.AllGather(context.Background(), p, blob); err != nil {
+						t.Error(err)
+					}
+				}(peers[r])
+			}
+			wg.Wait()
+			best = min(best, time.Since(start))
+		}
+		_ = peers[0].Close()
+		ratio := float64(best) / float64(predicted)
+		t.Logf("K=%d: model %v, link %v (×%.2f)", k, predicted, best, ratio)
+		if ratio < 0.99 || (k <= 3 && ratio > 1.15) {
+			t.Errorf("K=%d: an All-Gather took %v on the link, the model says %v (×%.2f)", k, best, predicted, ratio)
+		}
 	}
 }
 

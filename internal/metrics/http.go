@@ -51,18 +51,11 @@ func healthHandler(fn HealthFunc) http.Handler {
 	})
 }
 
-// Endpoint is one extra admin route mounted alongside the built-in ones
-// (e.g. the cluster's /debug/flight and /debug/trace).
-type Endpoint struct {
-	Path    string
-	Handler http.Handler
-}
-
 // AdminMux assembles the admin endpoints over one registry and health
 // probe. The pprof handlers are mounted explicitly (not via the package's
 // DefaultServeMux side effect) so multiple admin listeners in one process —
 // e.g. the tests — stay independent.
-func AdminMux(reg *Registry, health HealthFunc, extra ...Endpoint) *http.ServeMux {
+func AdminMux(reg *Registry, health HealthFunc) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", Handler(reg))
 	mux.Handle("/healthz", healthHandler(health))
@@ -71,9 +64,6 @@ func AdminMux(reg *Registry, health HealthFunc, extra ...Endpoint) *http.ServeMu
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	for _, e := range extra {
-		mux.Handle(e.Path, e.Handler)
-	}
 	return mux
 }
 
@@ -85,13 +75,13 @@ type AdminServer struct {
 
 // StartAdmin binds addr (host:port; port 0 picks a free port) and serves
 // the admin endpoints in a background goroutine until Close.
-func StartAdmin(addr string, reg *Registry, health HealthFunc, extra ...Endpoint) (*AdminServer, error) {
+func StartAdmin(addr string, reg *Registry, health HealthFunc) (*AdminServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	srv := &http.Server{
-		Handler:           AdminMux(reg, health, extra...),
+		Handler:           AdminMux(reg, health),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	go func() { _ = srv.Serve(ln) }()

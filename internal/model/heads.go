@@ -28,16 +28,24 @@ func NewRandomClassifier(cfg Config, rng *tensor.RNG) (*Classifier, error) {
 	}, nil
 }
 
-// Logits maps the N×F final hidden states to class logits.
+// PooledRow is the one of n final hidden rows Logits reads: the first (the
+// [CLS]/class token) of an encoder or vision model, the last of a decoder.
+func (c *Classifier) PooledRow(n int) int {
+	if c.cfg.Kind == KindDecoder {
+		return n - 1
+	}
+	return 0
+}
+
+// Logits maps the N×F final hidden states to class logits. It reads
+// PooledRow alone, so the 1×F matrix holding just that row maps to the same
+// logits.
 func (c *Classifier) Logits(hidden *tensor.Matrix) ([]float32, error) {
 	if hidden.Rows() == 0 || hidden.Cols() != c.cfg.F {
 		return nil, fmt.Errorf("%w: hidden %dx%d, want ?x%d",
 			tensor.ErrShape, hidden.Rows(), hidden.Cols(), c.cfg.F)
 	}
-	row := 0
-	if c.cfg.Kind == KindDecoder {
-		row = hidden.Rows() - 1
-	}
+	row := c.PooledRow(hidden.Rows())
 	pooled, err := hidden.RowSlice(row, row+1)
 	if err != nil {
 		return nil, err

@@ -7,12 +7,16 @@
 // reporting are injected as nil-safe hooks, the All-Gather as a function
 // value, the matrix pool through the device's Exchange.
 //
-// The emulated cluster's classify rounds, its generate joins and the TCP
-// fleet (voltage-worker, voltage-server -addrs) all run this code.
+// One layer loop serves every pass; what differs between them is what the
+// caller reads of the last layer (Read) and the form the input arrives in
+// (the embedded matrix, or token ids each device embeds itself). The emulated
+// cluster's classifies, its generate joins and the TCP fleet (voltage-worker,
+// voltage-server -addrs) all run this code.
 package positionwise
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -41,6 +45,57 @@ func Quantized(ctx context.Context, group comm.Peer, part *tensor.Matrix, ranges
 	return comm.AllGatherMatrixQ(ctx, group, part, ranges, false)
 }
 
+// Read is what the caller of a pass reads of its last layer — the one thing
+// that tells the passes apart. The zero value, AllRows, is Algorithm 2 as the
+// paper has it. With One, a single Row is read (a classifier's pooled row, a
+// join's newest position) and the last layer has one reader: group member At
+// computes that row alone (P = 1) and the terminal hears 1×F from it and 0×F
+// from the others, so the synchronisation that feeds the last layer is a
+// Gather to At, after which the others are done. With Cache the reader also
+// keeps every layer's K/V over the whole input as a decode cache, running the
+// naive association that materialises them.
+type Read struct {
+	One   bool // false: every row, and the fields below stay zero
+	Row   int
+	At    int
+	Cache bool
+}
+
+// AllRows reads the whole last layer.
+var AllRows = Read{}
+
+// OneRow reads row at the member whose range holds it.
+func OneRow(ranges []partition.Range, row int) Read {
+	at := -1
+	for i, r := range ranges {
+		if r.From <= row && row < r.To {
+			at = i
+		}
+	}
+	return Read{One: true, Row: row, At: at}
+}
+
+// Pooled reads the one row cls classifies from, of a pass over ranges.
+func Pooled(cls *model.Classifier, ranges []partition.Range) Read {
+	return OneRow(ranges, cls.PooledRow(ranges[len(ranges)-1].To))
+}
+
+// Replies is what Assemble expects of each member of a pass over ranges read
+// as r.
+func (r Read) Replies(ranges []partition.Range) []partition.Range {
+	if !r.One {
+		return ranges
+	}
+	replies := make([]partition.Range, len(ranges))
+	for i := range replies {
+		replies[i] = partition.Range{From: r.Row, To: r.Row}
+	}
+	if r.At >= 0 && r.At < len(replies) {
+		replies[r.At].To++
+	}
+	return replies
+}
+
 // Device is one device's side of the protocol (Algorithm 2, lines 4–15).
 type Device struct {
 	Model *model.Model
@@ -54,57 +109,61 @@ type Device struct {
 	// pool, a pass recycles every activation it is done with — its input
 	// included — and allocates nothing per layer in the steady state.
 	Ex *comm.Exchange
-	// Gather synchronises the layers; nil is Exact(Ex).
+	// Gather synchronises the layers every member goes on to read; nil is
+	// Exact(Ex). (The Gather to a one-row pass's reader is always exact.)
 	Gather Gather
 
 	// Pace, when non-nil, is called once a layer's rows are computed, with
 	// the time the work started and its analytic Γ; the cluster runtime
 	// sleeps out the emulated device's budget in it and reports the compute
-	// span. OnComm, when non-nil, is told how long a layer's All-Gather
+	// span. It is not called for a layer the device had nothing to do at.
+	// OnComm, when non-nil, is told how long a layer's synchronisation
 	// blocked.
 	Pace   func(ctx context.Context, layer int, start time.Time, flops int64) error
 	OnComm func(layer int, d time.Duration)
 }
 
-// Classify runs the plain pass over the input x: this device's rows of
+// Classify runs the paper's pass over the input x: this device's rows of
 // every layer, the last layer's sent to the terminal.
 func (d *Device) Classify(ctx context.Context, x *tensor.Matrix, ranges []partition.Range) error {
-	_, err := d.run(ctx, x, ranges, false, false, time.Now(), 0)
+	_, err := d.Run(ctx, x, ranges, AllRows)
 	return err
 }
 
-// Prefill runs a generate join over the prefix ids, cut down to what
-// generation reads (Work): the owner of the joining sequence keeps each
-// layer's K/V as its decode cache — returned — and alone computes the last
-// layer, of which only the newest row exists; every other device returns nil
-// and answers the terminal with a 0-row partition. The embedding is charged
-// to layer 0.
-func (d *Device) Prefill(ctx context.Context, ids []int, ranges []partition.Range, owner bool) (*model.DecodeState, error) {
+// Run runs one pass over the input x, cut down to what read says the caller
+// reads (Work). A reader that keeps its cache returns it; every other device
+// returns nil.
+func (d *Device) Run(ctx context.Context, x *tensor.Matrix, ranges []partition.Range, read Read) (*model.DecodeState, error) {
+	return d.run(ctx, x, ranges, read, time.Now(), 0)
+}
+
+// RunTokens is Run over token ids, which this device embeds itself; the
+// embedding is charged to layer 0.
+func (d *Device) RunTokens(ctx context.Context, ids []int, ranges []partition.Range, read Read) (*model.DecodeState, error) {
 	start := time.Now()
 	x, err := d.Model.Embed.EmbedTokens(ids)
 	if err != nil {
 		return nil, err
 	}
-	return d.run(ctx, x, ranges, true, owner, start, flopcount.EmbedCost(len(ids), d.Model.Cfg.F))
+	return d.run(ctx, x, ranges, read, start, flopcount.EmbedCost(len(ids), d.Model.Cfg.F))
 }
 
 // Work is the rows a device computes at one layer of a pass over n positions
-// and the Γ it is paced for. In a classify that is its slice mine, in
-// Algorithm 1's selected order, at every layer. In a join it is the same up
-// to the last layer for a non-owner; the owner runs the naive association,
-// whose K = x·W_K, V = x·W_V it keeps as the layer's cache — Theorem 2's
-// reordering saves exactly those two products, so it only pays where they
-// have no other use. Of a join's last layer nothing is read but the newest
-// row, which the owner computes (P = 1) next to its cache.
-func Work(layer *model.Layer, last bool, n int, mine partition.Range, join, owner bool) (partition.Range, int64, error) {
-	if last && join {
+// and the Γ it is paced for: its slice mine, in Algorithm 1's selected order,
+// at every layer but a last layer of which one row is read — there the reader
+// computes that row and the others nothing. A reader that keeps its cache
+// runs the naive association throughout, whose K = x·W_K, V = x·W_V are the
+// layer's cache — Theorem 2's reordering saves exactly those two products, so
+// it only pays where they have no other use.
+func Work(layer *model.Layer, last bool, n int, mine partition.Range, read Read, reader bool) (partition.Range, int64, error) {
+	if last && read.One {
 		mine = partition.Range{From: n, To: n}
-		if owner {
-			mine.From = n - 1
+		if reader {
+			mine = partition.Range{From: read.Row, To: read.Row + 1}
 		}
 	}
 	cost := layer.Cost
-	if owner {
+	if reader && read.Cache {
 		cost = layer.CachedCost
 	} else if mine.Empty() {
 		return mine, 0, nil
@@ -114,10 +173,17 @@ func Work(layer *model.Layer, last bool, n int, mine partition.Range, join, owne
 }
 
 // run is the layer loop. start and lead are when this device began work it
-// has not been paced for yet and that work's Γ (a join's embedding).
-func (d *Device) run(ctx context.Context, x *tensor.Matrix, ranges []partition.Range, join, owner bool, start time.Time, lead int64) (*model.DecodeState, error) {
+// has not been paced for yet and that work's Γ (the embedding of token ids).
+func (d *Device) run(ctx context.Context, x *tensor.Matrix, ranges []partition.Range, read Read, start time.Time, lead int64) (*model.DecodeState, error) {
 	if len(ranges) != d.Group.Size() {
 		return nil, fmt.Errorf("positionwise: %d ranges for a group of %d", len(ranges), d.Group.Size())
+	}
+	n, me := x.Rows(), d.Group.Rank()
+	if read.One && (read.Row < 0 || read.Row >= n || read.At < 0 || read.At >= len(ranges)) {
+		return nil, fmt.Errorf("positionwise: reading row %d of %d at member %d of %d", read.Row, n, read.At, len(ranges))
+	}
+	if !read.One && read != AllRows {
+		return nil, fmt.Errorf("positionwise: %+v names a row or a cache without One", read)
 	}
 	gather := d.Gather
 	if gather == nil {
@@ -125,19 +191,19 @@ func (d *Device) run(ctx context.Context, x *tensor.Matrix, ranges []partition.R
 	}
 	pool := d.Ex.Pool()
 	layers := d.Model.Layers
-	n, mine := x.Rows(), ranges[d.Group.Rank()]
+	mine, reader := ranges[me], read.One && read.At == me
 	var state *model.DecodeState
-	if owner {
+	if reader && read.Cache {
 		state = &model.DecodeState{Layers: make([]*model.LayerState, len(layers)), Pos: n}
 	}
 	for li, layer := range layers {
 		last := li == len(layers)-1
-		rows, cost, err := Work(layer, last, n, mine, join, owner)
+		rows, cost, err := Work(layer, last, n, mine, read, reader)
 		if err != nil {
 			return nil, err
 		}
 		var part *tensor.Matrix
-		if owner {
+		if state != nil {
 			part, state.Layers[li], err = layer.ForwardPartitionCached(x, rows)
 		} else {
 			part, _, err = layer.ForwardPartition(x, rows)
@@ -145,8 +211,8 @@ func (d *Device) run(ctx context.Context, x *tensor.Matrix, ranges []partition.R
 		if err != nil {
 			return nil, fmt.Errorf("layer %d: %w", li, err)
 		}
-		if d.Pace != nil {
-			if err := d.Pace(ctx, li, start, lead+cost); err != nil {
+		if flops := lead + cost; flops > 0 && d.Pace != nil {
+			if err := d.Pace(ctx, li, start, flops); err != nil {
 				return nil, err
 			}
 		}
@@ -157,9 +223,14 @@ func (d *Device) run(ctx context.Context, x *tensor.Matrix, ranges []partition.R
 			return state, err
 		}
 		commStart := time.Now()
-		next, err := gather(ctx, d.Group, part, ranges)
+		var next *tensor.Matrix
+		if read.One && li == len(layers)-2 {
+			next, err = d.Ex.GatherMatrix(ctx, d.Group, read.At, part, ranges)
+		} else {
+			next, err = gather(ctx, d.Group, part, ranges)
+		}
 		if err != nil {
-			return nil, fmt.Errorf("layer %d allgather: %w", li, err)
+			return nil, fmt.Errorf("layer %d gather: %w", li, err)
 		}
 		if d.OnComm != nil {
 			d.OnComm(li, time.Since(commStart))
@@ -168,9 +239,41 @@ func (d *Device) run(ctx context.Context, x *tensor.Matrix, ranges []partition.R
 		// layer retains its input, so both recycle here.
 		pool.Put(part)
 		pool.Put(x)
+		if next == nil {
+			// The last layer is the reader's: this device is done.
+			return nil, d.Peer.Send(ctx, d.Terminal, d.Ex.Encode(tensor.New(0, layer.F())))
+		}
 		x, start, lead = next, time.Now(), 0
 	}
 	return state, nil
+}
+
+// TokenFrame is the wire form of a pass's input as token ids: [N×token u32],
+// little-endian, no header.
+func TokenFrame(ids []int) []byte {
+	buf := make([]byte, 4*len(ids))
+	for i, id := range ids {
+		binary.LittleEndian.PutUint32(buf[4*i:], uint32(id))
+	}
+	return buf
+}
+
+// ParseTokens validates a token frame said to hold n ids — by a header that
+// came before it or, for a frame that travels alone, by its own length
+// (n = len(frame)/4): exactly n ids, and a sequence the embedding accepts
+// (1 ≤ n ≤ MaxSeq, every id in the vocabulary).
+func ParseTokens(frame []byte, n int, e *model.Embedding) ([]int, error) {
+	if len(frame) != 4*n {
+		return nil, fmt.Errorf("positionwise: %d bytes of token ids for %d positions", len(frame), n)
+	}
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = int(binary.LittleEndian.Uint32(frame[4*i:]))
+	}
+	if err := e.CheckTokens(ids); err != nil {
+		return nil, err
+	}
+	return ids, nil
 }
 
 // Scatter is the terminal's sending half: it ships the same frames, in order,
@@ -188,8 +291,8 @@ func Scatter(ctx context.Context, p comm.Peer, ranks []int, frames ...[]byte) er
 
 // Assemble is the terminal's receiving half: one last-layer partition from
 // each of ranks, stacked in that order (Algorithm 2, line 8). ranges[i] is
-// what ranks[i] was given; a partition of any other size is refused in its
-// sender's name. Decoded partitions pass through pool (nil-safe); the result
+// what ranks[i] answers with (Read.Replies); a partition of any other size is
+// refused in its sender's name. Decoded partitions pass through pool (nil-safe); the result
 // is the caller's own.
 func Assemble(ctx context.Context, p comm.Peer, pool *tensor.MatrixPool, ranks []int, ranges []partition.Range) (*tensor.Matrix, error) {
 	if len(ranges) != len(ranks) {

@@ -85,28 +85,37 @@ func (f *fleet) each(t *testing.T, fn func(r int, d *Device) error) func() {
 	}
 }
 
-// checkHooks: Pace fired once per layer, in order, with the Γ of Work (plus
-// lead at layer 0); OnComm once per layer but the last.
-func (f *fleet) checkHooks(t *testing.T, name string, m *model.Model, n int, ranges []partition.Range, join bool, owner int, lead int64) {
+// checkHooks: Pace fired for exactly the layers Work gives this device
+// something to do at (the embedding, lead, counts as layer 0's), in order and
+// with that Γ; OnComm for exactly the synchronisations it took — every one
+// but, for a device that is not the reader of a one-row pass, none after the
+// Gather that feeds the last layer.
+func (f *fleet) checkHooks(t *testing.T, name string, m *model.Model, n int, ranges []partition.Range, read Read, lead int64) {
 	t.Helper()
 	layers := len(m.Layers)
 	for r := range f.devs {
-		if len(f.paced[r]) != layers || len(f.comms[r]) != layers-1 {
-			t.Fatalf("%s: device %d paced %d times and reported %d gathers over %d layers", name, r, len(f.paced[r]), len(f.comms[r]), layers)
-		}
+		var wantPaced []paceCall
 		for li, layer := range m.Layers {
-			_, want, err := Work(layer, li == layers-1, n, ranges[r], join, join && r == owner)
+			_, want, err := Work(layer, li == layers-1, n, ranges[r], read, read.One && r == read.At)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if li == 0 {
 				want += lead
 			}
-			if got := f.paced[r][li]; got != (paceCall{li, want}) {
-				t.Errorf("%s: device %d layer %d paced as %+v, want Γ %d", name, r, li, got, want)
+			if want > 0 {
+				wantPaced = append(wantPaced, paceCall{li, want})
 			}
-			if li < layers-1 && f.comms[r][li] != li {
-				t.Errorf("%s: device %d gather %d reported for layer %d", name, r, li, f.comms[r][li])
+		}
+		if fmt.Sprint(f.paced[r]) != fmt.Sprint(wantPaced) {
+			t.Errorf("%s: device %d paced as %+v, want %+v", name, r, f.paced[r], wantPaced)
+		}
+		if len(f.comms[r]) != layers-1 {
+			t.Fatalf("%s: device %d reported %d synchronisations over %d layers", name, r, len(f.comms[r]), layers)
+		}
+		for li, got := range f.comms[r] {
+			if got != li {
+				t.Errorf("%s: device %d synchronisation %d reported for layer %d", name, r, li, got)
 			}
 		}
 	}
@@ -120,26 +129,55 @@ func testTokens(n int) []int {
 	return ids
 }
 
-// naiveEverywhere reports whether every non-owner slice runs the naive
-// association, so that a join's layer inputs are the solo prefill's bit for
-// bit (a reordered slice is the same mathematics rounded differently).
-func naiveEverywhere(cfg model.Config, ranges []partition.Range, owner int) bool {
+// naiveEverywhere reports whether everything a one-row pass computes in
+// Algorithm 1's selected order — every slice but a cache-keeping reader's,
+// and the reader's P = 1 last row unless it keeps a cache — selects the naive
+// association, so that the pass is the solo forward bit for bit (a reordered
+// slice is the same mathematics rounded differently).
+func naiveEverywhere(cfg model.Config, ranges []partition.Range, read Read) bool {
 	n := ranges[len(ranges)-1].To
+	naive := func(p int) bool {
+		return flopcount.SelectOrder(flopcount.Shape{N: n, P: p, F: cfg.F, FH: cfg.FH()}) == flopcount.OrderNaive
+	}
+	if !read.Cache && !naive(1) {
+		return false
+	}
 	for i, r := range ranges {
-		if i == owner || r.Empty() {
+		if (read.Cache && i == read.At) || r.Empty() {
 			continue
 		}
-		if flopcount.SelectOrder(flopcount.Shape{N: n, P: r.Len(), F: cfg.F, FH: cfg.FH()}) != flopcount.OrderNaive {
+		if !naive(r.Len()) {
 			return false
 		}
 	}
 	return true
 }
 
-// TestPasses runs both passes over K ∈ {1, 2, 3}, even and weighted schemes
-// (one leaving a device without rows) and a few lengths: the classify pass
-// equals the layer-by-layer partition reference bit for bit, the join pass
-// the solo prefill, and the hooks see every (layer, phase) once.
+// collect receives one reply from every device of f, as Assemble does but
+// keeping them apart.
+func (f *fleet) collect(t *testing.T) []*tensor.Matrix {
+	t.Helper()
+	replies := make([]*tensor.Matrix, len(f.devs))
+	for r := range replies {
+		blob, err := f.term.Recv(context.Background(), r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if replies[r], _, err = tensor.Decode(blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return replies
+}
+
+// TestPasses runs the three passes over K ∈ {1, 2, 3}, even and weighted
+// schemes (one leaving a device without rows) and a few lengths: the full pass
+// equals the layer-by-layer partition reference bit for bit; the
+// classify-by-ids pass, reading each of the first, a middle and the last row,
+// and the join, every device taking a turn as the owner, equal the solo
+// forward (bit for bit where naiveEverywhere, to 1e-4 otherwise) and answer
+// the terminal with that one row from the reader and 0×F from the rest; and
+// the hooks see exactly the work done and the synchronisations taken.
 func TestPasses(t *testing.T) {
 	cfg := model.TinyDecoder().Scaled(3)
 	m, err := model.NewRandom(cfg, 1)
@@ -167,7 +205,7 @@ func TestPasses(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Classify, twice so the second round runs on recycled buffers.
+			// The full pass, twice so the second round runs on recycled buffers.
 			want := x
 			for li := range m.Layers {
 				parts := make([]*tensor.Matrix, k)
@@ -203,62 +241,115 @@ func TestPasses(t *testing.T) {
 				if !got.Equal(want) {
 					t.Fatalf("%s round %d: classify pass differs from the partition reference", name, round)
 				}
-				pooled.checkHooks(t, name+" classify", m, n, ranges, false, -1, 0)
+				pooled.checkHooks(t, name+" classify", m, n, ranges, AllRows, 0)
 			}
 
-			// Join prefill, every device taking a turn as the owner.
+			wantRows, err := m.ForwardFeatures(x)
+			if err != nil {
+				t.Fatal(err)
+			}
 			wantLast, wantState, err := m.Prefill(x)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for owner := 0; owner < k; owner++ {
-				name := fmt.Sprintf("%s owner %d", name, owner)
+			same := func(name, what string, a, b *tensor.Matrix, exact bool) {
+				t.Helper()
+				d, err := a.MaxAbsDiff(b)
+				if err != nil || (exact && d != 0) || d > 1e-4 {
+					t.Errorf("%s: %s differs from the solo forward's by %v (err %v, exact %v)", name, what, d, err, exact)
+				}
+			}
+			// oneRow runs the pass read as read on fleet f from a scattered
+			// token frame and checks the replies and the hooks; it returns
+			// the devices' states.
+			oneRow := func(name string, f *fleet, read Read, wantRow *tensor.Matrix) []*model.DecodeState {
+				t.Helper()
 				states := make([]*model.DecodeState, k)
-				wait := unpooled.each(t, func(r int, d *Device) (err error) {
-					states[r], err = d.Prefill(ctx, ids, ranges, r == owner)
+				wait := f.each(t, func(r int, d *Device) error {
+					blob, err := d.Peer.Recv(ctx, d.Terminal)
+					if err != nil {
+						return err
+					}
+					got, err := ParseTokens(blob, len(blob)/4, d.Model.Embed)
+					if err != nil {
+						return err
+					}
+					states[r], err = d.RunTokens(ctx, got, ranges, read)
 					return err
 				})
-				replies := make([]*tensor.Matrix, k)
-				for r := range replies {
-					blob, err := unpooled.term.Recv(ctx, r)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if replies[r], _, err = tensor.Decode(blob); err != nil {
-						t.Fatal(err)
-					}
+				if err := Scatter(ctx, f.term, f.ranks, TokenFrame(ids)); err != nil {
+					t.Fatal(err)
 				}
+				replies := f.collect(t)
 				wait()
-				exact := naiveEverywhere(cfg, ranges, owner)
-				same := func(what string, a, b *tensor.Matrix, exact bool) {
-					t.Helper()
-					d, err := a.MaxAbsDiff(b)
-					if err != nil || (exact && d != 0) || d > 1e-4 {
-						t.Errorf("%s: %s differs from the solo prefill's by %v (err %v, exact %v)", name, what, d, err, exact)
-					}
-				}
 				for r, reply := range replies {
-					if r != owner {
+					if r != read.At {
 						if states[r] != nil || reply.Rows() != 0 || reply.Cols() != cfg.F {
 							t.Errorf("%s: device %d answered %dx%d and state %v, want 0x%d and none", name, r, reply.Rows(), reply.Cols(), states[r] != nil, cfg.F)
 						}
 						continue
 					}
-					same("last hidden row", reply, wantLast, exact)
-					st := states[r]
-					if st == nil || st.Pos != n || len(st.Layers) != len(wantState.Layers) {
-						t.Fatalf("%s: owner state %+v, want position %d over %d layers", name, st, n, len(wantState.Layers))
-					}
-					for li, ls := range st.Layers {
-						for h, hs := range ls.Attn.Heads {
-							ws := wantState.Layers[li].Attn.Heads[h]
-							same(fmt.Sprintf("layer %d head %d K", li, h), hs.K, ws.K, exact || li == 0)
-							same(fmt.Sprintf("layer %d head %d V", li, h), hs.V, ws.V, exact || li == 0)
+					same(name, "the row read", reply, wantRow, naiveEverywhere(cfg, ranges, read))
+				}
+				f.checkHooks(t, name, m, n, ranges, read, flopcount.EmbedCost(n, cfg.F))
+				return states
+			}
+
+			// Classify by ids: the pooled row of an encoder, of a decoder, and
+			// one in between, each at the device whose slice holds it.
+			for _, row := range []int{0, n / 2, n - 1} {
+				name := fmt.Sprintf("%s row %d", name, row)
+				read := OneRow(ranges, row)
+				if rg := ranges[read.At]; row < rg.From || row >= rg.To {
+					t.Fatalf("%s: OneRow reads it at device %d, whose rows are %v", name, read.At, ranges[read.At])
+				}
+				wantRow, err := wantRows.RowSlice(row, row+1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for round := 0; round < 2; round++ {
+					for r, st := range oneRow(name, pooled, read, wantRow) {
+						if st != nil {
+							t.Errorf("%s: device %d kept a cache nobody asked for", name, r)
 						}
 					}
 				}
-				unpooled.checkHooks(t, name, m, n, ranges, true, owner, flopcount.EmbedCost(n, cfg.F))
 			}
+
+			// Join prefill, every device taking a turn as the owner.
+			for owner := 0; owner < k; owner++ {
+				name := fmt.Sprintf("%s owner %d", name, owner)
+				read := Read{One: true, Row: n - 1, At: owner, Cache: true}
+				st := oneRow(name, unpooled, read, wantLast)[owner]
+				if st == nil || st.Pos != n || len(st.Layers) != len(wantState.Layers) {
+					t.Fatalf("%s: owner state %+v, want position %d over %d layers", name, st, n, len(wantState.Layers))
+				}
+				exact := naiveEverywhere(cfg, ranges, read)
+				for li, ls := range st.Layers {
+					for h, hs := range ls.Attn.Heads {
+						ws := wantState.Layers[li].Attn.Heads[h]
+						same(name, fmt.Sprintf("layer %d head %d K", li, h), hs.K, ws.K, exact || li == 0)
+						same(name, fmt.Sprintf("layer %d head %d V", li, h), hs.V, ws.V, exact || li == 0)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRunRefusesAReadNobodyCanAnswer: a row outside the input, a reader
+// outside the group, or a row or cache named without One (which would run the
+// full pass in silence) is an error before any layer runs, not a hang.
+func TestRunRefusesAReadNobodyCanAnswer(t *testing.T) {
+	m, err := model.NewRandom(model.TinyDecoder(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newFleet(t, m, 1, nil)
+	ranges := []partition.Range{{From: 0, To: 4}}
+	for _, read := range []Read{{One: true, Row: 4}, {One: true, At: 1}, OneRow(ranges, 9), {Row: 3}, {Cache: true}} {
+		if _, err := f.devs[0].RunTokens(context.Background(), testTokens(4), ranges, read); err == nil {
+			t.Errorf("read %+v was accepted for 4 positions on one device", read)
 		}
 	}
 }

@@ -26,9 +26,10 @@ if go list ./... | grep -E 'loadgen|voltage-load'; then
     exit 1
 fi
 
-# Algorithm 2's layer loop and All-Gather live in internal/positionwise and
-# nowhere else: a copy in the cluster runtime or a binary would drift from it.
-if grep -rnE 'ForwardPartition|AllGatherMatrix' --include='*.go' internal/cluster cmd | grep -v _test.go; then
+# Algorithm 2's layer loop and its synchronisations (the All-Gather, and the
+# Gather to a one-row pass's reader) live in internal/positionwise and nowhere
+# else: a copy in the cluster runtime or a binary would drift from it.
+if grep -rnE 'ForwardPartition|AllGatherMatrix|GatherMatrix' --include='*.go' internal/cluster cmd | grep -v _test.go; then
     echo "the position-wise device protocol is called outside internal/positionwise" >&2
     exit 1
 fi
@@ -80,8 +81,10 @@ echo "== chaos: go test -race -count=3 (batched recovery suite)"
 go test -race -count=3 -run 'TestBatchedGenerate|TestBatchWindow' ./internal/cluster/
 
 echo "== fuzz: 5 s of FuzzParsePrefillFrame (opPrefill header + token frame)"
-# The join frames are the one place a worker parses bytes it did not
-# produce; the seed corpus is the malformed-frame table, 5 s mutates it.
+# The join frames and a classify's headerless token frame are the places a
+# worker parses bytes it did not produce; the seed corpus is the
+# malformed-frame table plus token frames as a classify sends them, 5 s
+# mutates it.
 go test -run '^$' -fuzz FuzzParsePrefillFrame -fuzztime 5s ./internal/cluster
 
 echo "== benchmark: go test + quick smoke of all four workloads"
@@ -272,16 +275,15 @@ kill "$BD_PID" 2>/dev/null || true
 wait "$BD_PID" 2>/dev/null || true
 
 echo "== batched-chaos smoke: worker killed mid-batch, streams still complete"
-# Same concurrent-generate workload, but rank 1's transport dies on its 21st
-# receive. Every rank takes part in each of the 4 co-batched prefills (4
-# receives each: header, token ids, two All-Gather shares — 16 in all; the
-# count did not move when the prompt frame became ids and the last layer
-# became the owner's alone: every rank still gets both frames and still
-# gathers after layer 0, tiny-decoder having two layers), but
-# decode is sharded by sequence: least-loaded placement puts the four
-# streams on ranks 0,1,2,0, so rank 1 then receives one step frame per round
-# only for the one stream it owns — 7 for steps=8, receives 17..23 — and
-# nothing for the other three. Receive 21 is that stream's 5th step frame:
+# Same concurrent-generate workload, but rank 1's transport dies on its 15th
+# receive. Every rank takes part in each of the 4 co-batched prefills (header
+# and token ids: 8 receives), and tiny-decoder having two layers, the one
+# synchronisation of a join is the Gather to its owner: least-loaded placement
+# puts the four streams on ranks 0,1,2,0, so rank 1 receives the two other
+# ranks' shares once, in the join it owns — 10 in all. Decode is sharded by
+# sequence, so rank 1 then receives one step frame per round only for the one
+# stream it owns — 7 for steps=8, receives 11..17 — and nothing for the
+# other three. Receive 15 is that stream's 5th step frame:
 # inside decode, with rounds to spare either side. With -retries 2 the
 # batcher must blame rank 1, re-slice over the survivors, and resume every
 # stream (whoever owned it): all finish cleanly and /metrics records the
@@ -291,7 +293,7 @@ BC_LOG="$(mktemp)"
 TMPFILES+=("$BC_LOG")
 "$BIN/voltage-server" -local 3 -model tiny-decoder -listen "$BC_ADDR" \
     -gateway-workers 4 -max-batch 8 -batch-window 200ms -retries 2 \
-    -chaos-kill-rank 1 -chaos-kill-after 21 \
+    -chaos-kill-rank 1 -chaos-kill-after 15 \
     -hold 60s -drain-timeout 5s >"$BC_LOG" 2>&1 &
 BC_PID=$!
 PIDS+=("$BC_PID")
