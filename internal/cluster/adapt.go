@@ -12,21 +12,15 @@ import (
 // cluster's half of the loop — sensing input (the profile store snapshot)
 // and actuation (swapping the serving scheme at safe boundaries).
 //
-// Safe boundaries, by serve path:
-//
-//   - exclusive/solo requests: submit() pins the current scheme on the
-//     request, so a scheme installed mid-flight only affects requests
-//     admitted after it — "between requests";
-//   - batched generation: the terminal reads the installed scheme at each
-//     join and ships the joiner's row ranges and owner in its opPrefill
-//     frame, so every rank slices that prefill identically and an install
-//     takes effect at the next join. Live sequences are not touched: a K/V
-//     cache does not depend on the scheme it was prefilled under, and a
-//     sequence stays on its owner until it leaves. The installed shares
-//     also weigh owner placement (pickOwner), which is how a re-slice
-//     moves decode work off a slow rank;
-//   - degraded rounds compose the survivors' re-slice with the installed
-//     ratios (degradedScheme), likewise at each join.
+// The safe boundary is the pass: the terminal reads the installed scheme as
+// each pass enters the mesh and ships the row ranges (and a joiner's owner) in
+// its opPass frame, so every rank slices that pass identically and an install
+// takes effect at the next one. Live sequences are not touched: a K/V cache
+// does not depend on the scheme it was prefilled under, and a sequence stays
+// on its owner until it leaves. The installed shares also weigh owner
+// placement (pickOwner), which is how a re-slice moves decode work off a slow
+// rank. Degraded rounds compose the survivors' re-slice with the installed
+// ratios (degradedScheme), likewise at each pass.
 
 // defaultAdaptInterval is the controller's evaluation period when
 // Options.AdaptInterval is zero.
@@ -47,8 +41,7 @@ func (c *Cluster) Scheme() *partition.Scheme {
 }
 
 // InstallScheme swaps the serving partition scheme. The swap itself is
-// immediate; work already holding a pinned scheme finishes under it, and
-// the running decode batch applies it from its next join on. cause labels
+// immediate; the loop applies it from the next pass on. cause labels
 // the repartition counter (adapt.CauseStraggler/CauseSkew/CauseManual);
 // predictedGain is the controller's promised fractional round-time
 // improvement (0 for manual installs).
@@ -69,6 +62,43 @@ func (c *Cluster) InstallScheme(s *partition.Scheme, cause string, predictedGain
 	c.flight.Eventf("repartition", -1, "scheme generation %d installed (cause %s, predicted gain %.1f%%): %.3f -> %.3f",
 		gen, cause, predictedGain*100, old.Ratios(), s.Ratios())
 	return nil
+}
+
+// degradedScheme re-partitions the sequence positions over the surviving
+// ranks of a degraded round — cheap by construction: Voltage's position-wise
+// partition means any contiguous re-slice of the sequence over the survivors
+// is a valid plan, and every worker holds a full model replica from the
+// shared seed, so the survivors run exactly the math a smaller cluster would.
+// Once the adaptive controller has installed a weighted scheme, a failure
+// re-slice keeps the survivors' learned relative shares — the observed speeds
+// are better evidence than the configured rates. Before any install,
+// survivors weight by their configured compute rates on heterogeneous
+// clusters, uniformly otherwise.
+func (c *Cluster) degradedScheme(live []int) (*partition.Scheme, error) {
+	c.schemeMu.RLock()
+	ratios, installed := c.scheme.Ratios(), c.schemeGen > 0
+	c.schemeMu.RUnlock()
+	weights := make([]float64, len(live))
+	if installed {
+		var sum float64
+		for i, r := range live {
+			weights[i] = ratios[r]
+			sum += ratios[r]
+		}
+		// A survivor set whose installed shares are all zero (possible when
+		// every survivor was squeezed out by the last install) falls through
+		// to the static weighting below.
+		if sum > 0 {
+			return partition.Weighted(weights)
+		}
+	}
+	if c.opts.HeteroDeviceFlops != nil {
+		for i, r := range live {
+			weights[i] = c.opts.HeteroDeviceFlops[r]
+		}
+		return partition.Weighted(weights)
+	}
+	return partition.Even(len(live))
 }
 
 // adaptLoop drives the re-partitioning controller until the cluster

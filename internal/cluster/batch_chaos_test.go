@@ -36,16 +36,16 @@ func runBatch(c *Cluster, prompts [][]int, steps int) ([]*GenerateResult, []erro
 func TestBatchedGenerateWorkerKilledMidBatchResumes(t *testing.T) {
 	// Rank 1 — owner of the second of four sequences — dies mid-batch: its
 	// receive stream is cut after the co-batched prefills have landed (4
-	// joins × header and token ids, plus the two Gather shares of the join it
-	// owns: 10 receives; then one receive per round it owns rows in), on its
-	// 5th step frame, killing a fused round under 4 live sequences. The batcher must
+	// joins × one pass frame, plus the two Gather shares of the join it owns:
+	// 6 receives; then one receive per round it owns rows in), on its 5th
+	// step frame, killing a fused round under 4 live sequences. The batcher must
 	// blame rank 1, re-slice the partition over ranks {0,2}, and resume
 	// every sequence, whoever owned it, from its committed prefix on a
 	// fresh owner — all four token streams stay bit-identical to solo runs.
 	c := newTinyDecoder(t, 3, Options{
 		MaxBatch: 4, BatchWindow: 60 * time.Millisecond, MaxRetries: 2,
 		WrapTransport: wrapRank(1, func(p comm.Peer) comm.Peer {
-			return &comm.FlakyPeer{Inner: p, FailRecvAfter: 15}
+			return &comm.FlakyPeer{Inner: p, FailRecvAfter: 11}
 		}),
 	})
 	defer c.Close()

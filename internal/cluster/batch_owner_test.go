@@ -19,7 +19,8 @@ import (
 // Tests for decode sharded by sequence: placement (one owner rank and one
 // KV cache per live sequence), the faults particular to it (an owner dying,
 // a rank that owns nothing dying, idle ranks under the per-op watchdog), and
-// validation of the opPrefill header that carries owner and row ranges.
+// validation of the opPass frame that carries the input, its reader or owner
+// and the row ranges.
 
 // placementPrompts is eight sequences of distinct lengths (2..9).
 func placementPrompts() [][]int {
@@ -178,10 +179,10 @@ func TestOwnerPlacementFollowsInstalledRatios(t *testing.T) {
 }
 
 func TestPickOwner(t *testing.T) {
-	live := func(owners ...int) []*batchSeq {
-		var out []*batchSeq
+	live := func(owners ...int) []*request {
+		var out []*request
 		for _, o := range owners {
-			out = append(out, &batchSeq{owner: o})
+			out = append(out, &request{gen: &generation{owner: o}})
 		}
 		return out
 	}
@@ -248,15 +249,15 @@ func TestLoneSequencesVisitEveryRank(t *testing.T) {
 
 func TestBatchedGenerateIdleRankKilledMidBatchResumes(t *testing.T) {
 	// Two sequences land on ranks 0 and 1; rank 2 owns nothing, so after the
-	// two prefills (header and token ids each; the Gather sends to the owner
-	// and nothing comes back) its next receive, the 5th, is the idle wait
+	// two prefills (one pass frame each; the Gather sends to the owner and
+	// nothing comes back) its next receive, the 3rd, is the idle wait
 	// for the next join — which dies while the owners are decoding. The round
 	// must fail, blame rank 2, and resume both streams over ranks {0,1},
 	// bit-identical to solo.
 	c := newTinyDecoder(t, 3, Options{
 		MaxBatch: 2, BatchWindow: 60 * time.Millisecond, MaxRetries: 2,
 		WrapTransport: wrapRank(2, func(p comm.Peer) comm.Peer {
-			return &comm.FlakyPeer{Inner: p, FailRecvAfter: 5}
+			return &comm.FlakyPeer{Inner: p, FailRecvAfter: 3}
 		}),
 	})
 	const steps = 8
@@ -319,15 +320,16 @@ func TestBatchedGenerateIdleRanksOutliveOpTimeout(t *testing.T) {
 }
 
 func TestBatchedGenerateOwnerKilledReleasesIdleRanksUnderWatchdog(t *testing.T) {
-	// With a per-op watchdog a failed fenced round is not canceled: every
+	// With a per-op watchdog and retries on, a failed round is not canceled: every
 	// blocked role must resolve by its own means so the votes stay
 	// attributed. Ranks 1 and 2 wait unwatched (they own nothing), so the
 	// abort itself has to release them — or the round never resolves. Rank 0
-	// dies on its 7th receive: 4 for the prefill, then its 3rd step frame.
+	// dies on its 6th receive: 3 for the prefill (the pass frame, two Gather
+	// shares), then its 3rd step frame.
 	c := newTinyDecoder(t, 3, Options{
 		MaxBatch: 1, OpTimeout: 150 * time.Millisecond, MaxRetries: 1,
 		WrapTransport: wrapRank(0, func(p comm.Peer) comm.Peer {
-			return &comm.FlakyPeer{Inner: p, FailRecvAfter: 7}
+			return &comm.FlakyPeer{Inner: p, FailRecvAfter: 6}
 		}),
 	})
 	const steps = 8
@@ -366,17 +368,25 @@ func TestBatchedGenerateOwnerKilledReleasesIdleRanksUnderWatchdog(t *testing.T) 
 	}
 }
 
-// --- opPrefill frame validation ---------------------------------------------
+// --- opPass frame validation ---------------------------------------------------
 
-// rawPrefill builds an opPrefill header without the encoder's guarantees.
-func rawPrefill(owner, count int, bounds ...int) []byte {
+// rawPass builds an opPass frame without the encoder's guarantees: the range
+// count written is `count`, whatever bounds holds.
+func rawPass(form, kind byte, at, count int, payload []byte, bounds ...int) []byte {
 	ranges := make([]partition.Range, len(bounds)/2)
 	for i := range ranges {
 		ranges[i] = partition.Range{From: bounds[2*i], To: bounds[2*i+1]}
 	}
-	frame := prefillFrame(77, owner, ranges)
-	frame[7], frame[8] = byte(count), byte(count>>8)
-	return frame
+	frame := encodePass(kind, at, 77, ranges, []int{}, nil)
+	frame[1] = form
+	frame[9], frame[10] = byte(count), byte(count>>8)
+	return append(frame, payload...)
+}
+
+// join is a token-form join frame — what an opPrefill header and the token
+// frame after it used to say.
+func join(owner, count int, tokens []byte, bounds ...int) []byte {
+	return rawPass(formIDs, readJoin, owner, count, tokens, bounds...)
 }
 
 // fiveTokens is the well-formed token frame of a five-position prefix; ids(n)
@@ -391,195 +401,203 @@ func ids(n int) []byte {
 	return positionwise.TokenFrame(prefix)
 }
 
-// badPrefillFrames are malformed opPrefill header + token frame pairs for a
-// two-rank live set {0,1} on the tiny decoder (vocabulary 100, MaxSeq 64).
-var badPrefillFrames = []struct {
-	name   string
-	header []byte
-	tokens []byte
+// matrix is the encoding of a rows×cols input.
+func matrix(rows, cols int) []byte { return tensor.Encode(nil, tensor.New(rows, cols)) }
+
+// badPassFrames are malformed opPass frames — joins and classifies, in both
+// input forms — for a two-rank round {0,1} on the tiny decoder (vocabulary
+// 100, MaxSeq 64, F 32).
+var badPassFrames = []struct {
+	name  string
+	frame []byte
 }{
-	{"opcode only", []byte{opPrefill}, fiveTokens},
-	{"another opcode", append([]byte{opStep}, rawPrefill(0, 2, 0, 3, 3, 5)[1:]...), fiveTokens},
-	{"short frame", rawPrefill(0, 2, 0, 3, 3, 5)[:8], fiveTokens},
-	{"truncated range", rawPrefill(0, 2, 0, 3, 3, 5)[:21], fiveTokens},
-	{"trailing bytes", append(rawPrefill(0, 2, 0, 3, 3, 5), 0, 0, 0, 0), fiveTokens},
-	{"one range for two live ranks", rawPrefill(0, 1, 0, 5), fiveTokens},
-	{"three ranges for two live ranks", rawPrefill(0, 3, 0, 2, 2, 4, 4, 5), fiveTokens},
-	{"count disagrees with length", rawPrefill(0, 3, 0, 3, 3, 5), fiveTokens},
-	{"owner is the terminal", rawPrefill(2, 2, 0, 3, 3, 5), fiveTokens},
-	{"owner outside the mesh", rawPrefill(900, 2, 0, 3, 3, 5), fiveTokens},
-	{"ranges overlap", rawPrefill(0, 2, 0, 3, 2, 5), fiveTokens},
-	{"ranges leave a gap", rawPrefill(0, 2, 0, 3, 4, 5), fiveTokens},
-	{"range runs backwards", rawPrefill(0, 2, 0, 3, 3, 2), fiveTokens},
-	{"ranges start past row 0", rawPrefill(0, 2, 1, 3, 3, 5), fiveTokens},
-	{"ranges stop short of the prefix", rawPrefill(0, 2, 0, 2, 2, 4), fiveTokens},
-	{"ranges run past the prefix", rawPrefill(0, 2, 0, 3, 3, 9), fiveTokens},
-	{"no token ids", rawPrefill(0, 2, 0, 3, 3, 5), []byte{}},
-	{"no positions and no token ids", rawPrefill(0, 2, 0, 0, 0, 0), []byte{}},
-	{"token bytes not a multiple of four", rawPrefill(0, 2, 0, 3, 3, 5), fiveTokens[:19]},
-	{"a byte past the last id", rawPrefill(0, 2, 0, 3, 3, 5), append(ids(5), 7)},
-	{"an embedded matrix where the ids belong", rawPrefill(0, 2, 0, 3, 3, 5), tensor.Encode(nil, tensor.New(5, 32))},
-	{"id outside the vocabulary", rawPrefill(0, 2, 0, 3, 3, 5), positionwise.TokenFrame([]int{4, 8, 100, 16, 23})},
-	{"id with the sign bit set", rawPrefill(0, 2, 0, 3, 3, 5), positionwise.TokenFrame([]int{4, 8, -1, 16, 23})},
-	{"more positions than MaxSeq", rawPrefill(0, 2, 0, 30, 30, 65), ids(65)},
+	{"opcode only", []byte{opPass}},
+	{"another opcode", append([]byte{opStep}, join(0, 2, fiveTokens, 0, 3, 3, 5)[1:]...)},
+	{"short frame", join(0, 2, nil, 0, 3, 3, 5)[:8]},
+	{"truncated range", join(0, 2, nil, 0, 3, 3, 5)[:23]},
+	{"trailing bytes", append(join(0, 2, fiveTokens, 0, 3, 3, 5), 0, 0, 0, 0)},
+	{"one range for two serving ranks", join(0, 1, fiveTokens, 0, 5)},
+	{"three ranges for two serving ranks", join(0, 3, fiveTokens, 0, 2, 2, 4, 4, 5)},
+	{"count disagrees with length", join(0, 3, fiveTokens, 0, 3, 3, 5)},
+	{"owner is the terminal", join(2, 2, fiveTokens, 0, 3, 3, 5)},
+	{"owner outside the mesh", join(900, 2, fiveTokens, 0, 3, 3, 5)},
+	{"ranges overlap", join(0, 2, fiveTokens, 0, 3, 2, 5)},
+	{"ranges leave a gap", join(0, 2, fiveTokens, 0, 3, 4, 5)},
+	{"range runs backwards", join(0, 2, fiveTokens, 0, 3, 3, 2)},
+	{"ranges start past row 0", join(0, 2, fiveTokens, 1, 3, 3, 5)},
+	{"ranges stop short of the prefix", join(0, 2, fiveTokens, 0, 2, 2, 4)},
+	{"ranges run past the prefix", join(0, 2, fiveTokens, 0, 3, 3, 9)},
+	{"no token ids", join(0, 2, nil, 0, 3, 3, 5)},
+	{"no positions and no token ids", join(0, 2, nil, 0, 0, 0, 0)},
+	{"token bytes not a multiple of four", join(0, 2, fiveTokens[:19], 0, 3, 3, 5)},
+	{"a byte past the last id", join(0, 2, append(ids(5), 7), 0, 3, 3, 5)},
+	{"an embedded matrix where the ids belong", join(0, 2, matrix(5, 32), 0, 3, 3, 5)},
+	{"id outside the vocabulary", join(0, 2, positionwise.TokenFrame([]int{4, 8, 100, 16, 23}), 0, 3, 3, 5)},
+	{"id with the sign bit set", join(0, 2, positionwise.TokenFrame([]int{4, 8, -1, 16, 23}), 0, 3, 3, 5)},
+	{"more positions than MaxSeq", join(0, 2, ids(65), 0, 30, 30, 65)},
+	{"unknown input form", rawPass(2, readAll, 0, 2, fiveTokens, 0, 3, 3, 5)},
+	{"unknown read kind", rawPass(formIDs, 3, 0, 2, fiveTokens, 0, 3, 3, 5)},
+	{"every row read, yet a reader named", rawPass(formIDs, readAll, 1, 2, fiveTokens, 0, 3, 3, 5)},
+	{"pooled reader outside the round", rawPass(formIDs, readPooled, 2, 2, fiveTokens, 0, 3, 3, 5)},
+	{"a pooled row of no positions", rawPass(formX, readPooled, 0, 2, matrix(0, 32), 0, 0, 0, 0)},
+	{"every row of no positions", rawPass(formX, readAll, 0, 2, matrix(0, 32), 0, 0, 0, 0)},
+	{"token ids where the matrix belongs", rawPass(formX, readAll, 0, 2, fiveTokens, 0, 3, 3, 5)},
+	{"matrix of another width", rawPass(formX, readAll, 0, 2, matrix(5, 16), 0, 3, 3, 5)},
+	{"matrix shorter than the ranges", rawPass(formX, readAll, 0, 2, matrix(4, 32), 0, 3, 3, 5)},
+	{"matrix cut short", rawPass(formX, readPooled, 1, 2, matrix(5, 32)[:600], 0, 3, 3, 5)},
+	{"bytes past the matrix", rawPass(formX, readAll, 0, 2, append(matrix(5, 32), 0), 0, 3, 3, 5)},
 }
 
-func tinyEmbedding(t testing.TB) *model.Embedding {
+// goodPassFrames are well-formed: a join, a token classify, a scattered x read
+// whole and read at its pooled row.
+var goodPassFrames = [][]byte{
+	join(1, 2, fiveTokens, 0, 3, 3, 5),
+	rawPass(formIDs, readPooled, 1, 2, fiveTokens, 0, 3, 3, 5),
+	rawPass(formIDs, readPooled, 0, 2, ids(64), 0, 64, 64, 64),
+	rawPass(formX, readAll, 0, 2, matrix(5, 32), 0, 3, 3, 5),
+	rawPass(formX, readPooled, 0, 2, matrix(1, 32), 0, 0, 0, 1),
+}
+
+func tinyDecoderModel(t testing.TB) *model.Model {
 	t.Helper()
 	m, err := model.NewRandom(model.TinyDecoder(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m.Embed
+	return m
 }
 
 func TestParsePrefillFrame(t *testing.T) {
-	live := []int{0, 1}
-	embed := tinyEmbedding(t)
-	for _, tc := range badPrefillFrames {
-		_, _, ranges, err := parsePrefillFrame(tc.header, live)
-		if err == nil {
-			var got []int
-			if got, err = parsePrefillTokens(tc.tokens, ranges[len(ranges)-1].To, embed); err == nil {
-				t.Errorf("%s: accepted as ranges %v and ids %v", tc.name, ranges, got)
-			}
-		}
-		if !errors.Is(err, errBadFrame) {
-			t.Errorf("%s: error %v is not errBadFrame", tc.name, err)
+	m := tinyDecoderModel(t)
+	for _, tc := range badPassFrames {
+		if pf, err := parsePassFrame(tc.frame, 2, m, nil); !errors.Is(err, errBadFrame) {
+			t.Errorf("%s: parsed as %+v with error %v, want errBadFrame", tc.name, pf, err)
 		}
 	}
-	// A degraded round's live set is not a prefix of the ranks: the owner
-	// must be one of its members, and there is one range per member.
-	if _, _, _, err := parsePrefillFrame(rawPrefill(1, 2, 0, 3, 3, 5), []int{0, 2}); !errors.Is(err, errBadFrame) {
-		t.Errorf("owner 1 accepted for live ranks [0 2]: %v", err)
+	for i, frame := range goodPassFrames {
+		if _, err := parsePassFrame(frame, 2, m, nil); err != nil {
+			t.Errorf("well-formed frame %d rejected: %v", i, err)
+		}
 	}
-	id, owner, ranges, err := parsePrefillFrame(rawPrefill(2, 2, 0, 0, 0, 5), []int{0, 2})
-	if err != nil || id != 77 || owner != 2 || len(ranges) != 2 || !ranges[0].Empty() || ranges[1] != (partition.Range{From: 0, To: 5}) {
-		t.Errorf("valid degraded header parsed as id %d owner %d ranges %v err %v", id, owner, ranges, err)
+	// One range per serving rank: a frame for two ranks is not one for three.
+	if _, err := parsePassFrame(goodPassFrames[0], 3, m, nil); !errors.Is(err, errBadFrame) {
+		t.Errorf("two ranges accepted by a round of three: %v", err)
 	}
-	if got, err := parsePrefillTokens(fiveTokens, 5, embed); err != nil || !equalTokens(got, []int{4, 8, 15, 16, 23}) {
-		t.Errorf("valid token frame parsed as %v, err %v", got, err)
+	// A degraded round's owner is named by its place among the serving ranks,
+	// and may hold no rows.
+	pf, err := parsePassFrame(join(1, 2, fiveTokens, 0, 0, 0, 5), 2, m, nil)
+	want := positionwise.Read{One: true, Row: 4, At: 1, Cache: true}
+	if err != nil || pf.seq != 77 || pf.read != want || !pf.ranges[0].Empty() || pf.ranges[1] != (partition.Range{From: 0, To: 5}) || !equalTokens(pf.ids, []int{4, 8, 15, 16, 23}) {
+		t.Errorf("valid join parsed as %+v, err %v", pf, err)
 	}
-	if _, err := parsePrefillTokens(ids(64), 64, embed); err != nil {
-		t.Errorf("a MaxSeq-long prefix was rejected: %v", err)
+	// A classify is read at the classifier's pooled row (a decoder's last),
+	// wherever the frame puts the reader.
+	pf, err = parsePassFrame(goodPassFrames[1], 2, m, nil)
+	if want := (positionwise.Read{One: true, Row: 4, At: 1}); err != nil || pf.read != want {
+		t.Errorf("valid token classify reads %+v, err %v; want %+v", pf.read, err, want)
+	}
+	pf, err = parsePassFrame(goodPassFrames[3], 2, m, nil)
+	if err != nil || pf.read != positionwise.AllRows || pf.ids != nil || pf.x.Rows() != 5 || pf.x.Cols() != 32 {
+		t.Errorf("valid scattered input parsed as %+v, err %v", pf, err)
 	}
 }
 
 func FuzzParsePrefillFrame(f *testing.F) {
-	for _, tc := range badPrefillFrames {
-		f.Add(tc.header, tc.tokens)
+	for _, tc := range badPassFrames {
+		f.Add(tc.frame)
 	}
-	f.Add(rawPrefill(1, 2, 0, 3, 3, 5), fiveTokens)
-	// A token classify scatters the token frame with no header before it: the
-	// frame's own length is then the only word on N.
-	f.Add([]byte{}, fiveTokens)
-	f.Add([]byte{}, ids(64))
-	f.Add([]byte{}, fiveTokens[:19])
-	live := []int{0, 1}
-	embed := tinyEmbedding(f)
-	cfg := model.TinyDecoder()
-	// tokenFrame holds parsePrefillTokens to its contract for a frame said to
-	// cover n positions.
-	tokenFrame := func(t *testing.T, tokens []byte, n int) {
-		got, err := parsePrefillTokens(tokens, n, embed)
-		if err != nil {
-			if !errors.Is(err, errBadFrame) {
-				t.Fatalf("token frame error %v is not errBadFrame", err)
-			}
-			return
-		}
-		if len(got) != n || n < 1 || n > cfg.MaxSeq {
-			t.Fatalf("accepted %d ids for %d of at most %d positions", len(got), n, cfg.MaxSeq)
-		}
-		for _, id := range got {
-			if id < 0 || id >= cfg.VocabSize {
-				t.Fatalf("accepted id %d outside the vocabulary of %d", id, cfg.VocabSize)
-			}
-		}
-		if again := positionwise.TokenFrame(got); string(again) != string(tokens) {
-			t.Fatalf("accepted token frame %x re-encodes as %x", tokens, again)
-		}
+	for _, frame := range goodPassFrames {
+		f.Add(frame)
 	}
-	f.Fuzz(func(t *testing.T, frame, tokens []byte) {
-		tokenFrame(t, tokens, len(tokens)/4) // as voltageRunner.worker reads a classify's
-		id, owner, ranges, err := parsePrefillFrame(frame, live)
+	m := tinyDecoderModel(f)
+	cfg := m.Cfg
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		pf, err := parsePassFrame(frame, 2, m, nil)
 		if err != nil {
 			if !errors.Is(err, errBadFrame) {
 				t.Fatalf("error %v is not errBadFrame", err)
 			}
 			return
 		}
-		if owner != 0 && owner != 1 {
-			t.Fatalf("accepted owner %d outside live ranks %v", owner, live)
+		if len(pf.ranges) != 2 || pf.ranges[0].From != 0 || pf.ranges[0].To != pf.ranges[1].From || pf.ranges[1].To < pf.ranges[1].From {
+			t.Fatalf("accepted ranges %v for two serving ranks", pf.ranges)
 		}
-		if len(ranges) != len(live) || ranges[0].From != 0 {
-			t.Fatalf("accepted ranges %v for live ranks %v", ranges, live)
+		n := pf.ranges[1].To
+		if n < 1 || (pf.ids != nil) == (pf.x != nil) {
+			t.Fatalf("accepted %d positions as ids %v and x %v", n, pf.ids, pf.x)
 		}
-		for i, r := range ranges {
-			if r.To < r.From || (i > 0 && r.From != ranges[i-1].To) {
-				t.Fatalf("accepted non-contiguous ranges %v", ranges)
+		if r := pf.read; r.One && (r.At < 0 || r.At > 1 || r.Row < 0 || r.Row >= n) || !r.One && r != positionwise.AllRows {
+			t.Fatalf("accepted read %+v over %d positions on two ranks", r, n)
+		}
+		kind := byte(readAll)
+		if pf.read.One {
+			kind = readPooled
+		}
+		if pf.read.Cache {
+			kind = readJoin
+		}
+		again := encodePass(kind, pf.read.At, pf.seq, pf.ranges, pf.ids, pf.x)
+		if pf.ids != nil {
+			if len(pf.ids) != n || n > cfg.MaxSeq {
+				t.Fatalf("accepted %d ids for %d of at most %d positions", len(pf.ids), n, cfg.MaxSeq)
 			}
+			for _, id := range pf.ids {
+				if id < 0 || id >= cfg.VocabSize {
+					t.Fatalf("accepted id %d outside the vocabulary of %d", id, cfg.VocabSize)
+				}
+			}
+			if string(again) != string(frame) {
+				t.Fatalf("accepted frame %x re-encodes as %x", frame, again)
+			}
+			return
 		}
-		if again := prefillFrame(id, owner, ranges); string(again) != string(frame) {
+		if pf.x.Rows() != n || pf.x.Cols() != cfg.F {
+			t.Fatalf("accepted a %dx%d input for %d positions of %d features", pf.x.Rows(), pf.x.Cols(), n, cfg.F)
+		}
+		// A float's NaN payload need not survive the decode: the header and
+		// the length must.
+		hdr := passHeader + 16
+		if len(again) != len(frame) || string(again[:hdr+8]) != string(frame[:hdr+8]) {
 			t.Fatalf("accepted frame %x re-encodes as %x", frame, again)
 		}
-		tokenFrame(t, tokens, ranges[len(ranges)-1].To) // as prefillWorker reads a join's
 	})
-}
-
-// workerRound runs batchWorker on every rank of c for one hand-fed batch
-// request; stop ends it the way a failed round ends (abort, then flush) and
-// returns each rank's result.
-func workerRound(c *Cluster) (req *request, stop func() []error) {
-	req = &request{}
-	req.ctx, req.cancel = context.WithCancel(context.Background())
-	req.idle, req.stopIdle = context.WithCancel(comm.Unwatched(req.ctx))
-	errs := make([]error, c.k)
-	var wg sync.WaitGroup
-	for r := 0; r < c.k; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			errs[r] = c.batchWorker(req.ctx, c.peers[r], comm.NewExchange(c.pool), r, req)
-		}(r)
-	}
-	return req, func() []error {
-		wg.Wait()
-		req.cancel()
-		c.flushResidue()
-		return errs
-	}
 }
 
 func TestBatchWorkerRejectsMalformedPrefillHeader(t *testing.T) {
 	c := newTinyDecoder(t, 2, Options{})
 	ctx := context.Background()
 	term := c.peers[c.terminalRank()]
-	send := func(hdr, tokens []byte) {
+	send := func(frame []byte) {
 		t.Helper()
 		for r := 0; r < c.k; r++ {
-			if err := term.Send(ctx, r, hdr); err != nil {
-				t.Fatal(err)
-			}
-			if err := term.Send(ctx, r, tokens); err != nil {
+			if err := term.Send(ctx, r, frame); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	for _, tc := range badPrefillFrames {
-		_, stop := workerRound(c)
-		send(tc.header, tc.tokens)
-		for r, err := range stop() {
-			if !errors.Is(err, errBadFrame) {
-				t.Errorf("%s: rank %d returned %v, want errBadFrame", tc.name, r, err)
+	// Each rank in turn is handed the frame in a round of its own, which its
+	// refusal ends the way a failed round ends: abort, wait, flush.
+	for _, tc := range append(badPassFrames, struct {
+		name  string
+		frame []byte
+	}{"an empty frame", []byte{}}) {
+		for r := 0; r < c.k; r++ {
+			rd := c.newRound(nil)
+			if err := term.Send(ctx, r, tc.frame); err != nil {
+				t.Fatal(err)
+			}
+			rd.workers.Wait()
+			c.endRound(rd, errBadFrame)
+			if !errors.Is(rd.errs[r], errBadFrame) {
+				t.Errorf("%s: rank %d returned %v, want errBadFrame", tc.name, r, rd.errs[r])
 			}
 		}
 	}
 	// Whatever each rejected frame left unread was flushed with its round:
-	// on the same links a well-formed round runs prefill, a decode step on
-	// the owner, and a clean shutdown.
-	_, stop := workerRound(c)
-	send(prefillFrame(5, 1, []partition.Range{{From: 0, To: 3}, {From: 3, To: 5}}), fiveTokens)
+	// on the same links a well-formed round runs a join, a decode step on
+	// the owner, and ends when the terminal stops it.
+	rd := c.newRound(nil)
+	send(encodePass(readJoin, 1, 5, []partition.Range{{From: 0, To: 3}, {From: 3, To: 5}}, []int{4, 8, 15, 16, 23}, nil))
 	for r := 0; r < c.k; r++ {
 		got, err := term.Recv(ctx, r)
 		if err != nil {
@@ -593,7 +611,7 @@ func TestBatchWorkerRejectsMalformedPrefillHeader(t *testing.T) {
 		}
 		comm.ReleaseBuffer(got)
 	}
-	step := stepFrame(1, 1, []*batchSeq{{id: 5, tokens: []int{42}}}, []int{0})
+	step := stepFrame(1, 1, []*request{{id: 5, gen: &generation{tokens: []int{42}}}}, []int{0})
 	if err := term.Send(ctx, 1, step); err != nil {
 		t.Fatal(err)
 	}
@@ -606,18 +624,17 @@ func TestBatchWorkerRejectsMalformedPrefillHeader(t *testing.T) {
 		t.Fatalf("owner's step reply: %v, err %v; want one hidden row", row, err)
 	}
 	// Rank 0 holds no cache for sequence 5: a step addressed to it is
-	// rejected, not served from a replica.
+	// rejected, not served from a replica — and its failure ends the round
+	// for the owner too.
 	if err := term.Send(ctx, 0, step); err != nil {
 		t.Fatal(err)
 	}
-	if err := term.Send(ctx, 1, []byte{}); err != nil {
-		t.Fatal(err)
+	rd.workers.Wait()
+	c.endRound(rd, nil)
+	if !errors.Is(rd.errs[0], errBadFrame) {
+		t.Errorf("rank 0 served a step for a sequence it does not own: %v", rd.errs[0])
 	}
-	errs := stop()
-	if !errors.Is(errs[0], errBadFrame) {
-		t.Errorf("rank 0 served a step for a sequence it does not own: %v", errs[0])
-	}
-	if errs[1] != nil {
-		t.Errorf("owner rank 1 ended with %v, want a clean shutdown", errs[1])
+	if !errors.Is(rd.errs[1], context.Canceled) {
+		t.Errorf("owner rank 1 ended with %v, want the round's cancellation", rd.errs[1])
 	}
 }

@@ -206,7 +206,8 @@ func rankBytes(cfg model.Config, ranges []partition.Range, r, reader int) int64 
 	return sent + mine + enc(0)
 }
 
-// TestClassifyTokensTraffic: a token classify moves K·4N bytes of ids out,
+// TestClassifyTokensTraffic: a token classify moves K·(header + 4N) bytes of
+// ids out,
 // L−2 All-Gathers and one Gather between the workers, and one F-row plus K−1
 // empty partitions back — nothing else.
 func TestClassifyTokensTraffic(t *testing.T) {
@@ -232,8 +233,8 @@ func TestClassifyTokensTraffic(t *testing.T) {
 			t.Fatalf("a hidden row encodes to %d bytes over an empty partition, want 4F", enc(1)-enc(0))
 		}
 		term := res.PerDevice[k]
-		if term.BytesSent != k*4*n || term.MsgsSent != k {
-			t.Errorf("%s: terminal sent %d bytes in %d messages, want %d in %d (one token frame per rank)", kind, term.BytesSent, term.MsgsSent, k*4*n, k)
+		if want := int64(k * (passHeader + 8*k + 4*n)); term.BytesSent != want || term.MsgsSent != k {
+			t.Errorf("%s: terminal sent %d bytes in %d messages, want %d in %d (one pass frame per rank: header, K ranges, the ids)", kind, term.BytesSent, term.MsgsSent, want, k)
 		}
 		if want := enc(1) + (k-1)*enc(0); term.BytesRecv != want || term.MsgsRecv != k {
 			t.Errorf("%s: terminal received %d bytes in %d messages, want %d in %d (the pooled row, %d empty partitions)", kind, term.BytesRecv, term.MsgsRecv, want, k, k-1)
@@ -284,8 +285,8 @@ func TestSubmitPooledReadsOneRowOfAScatteredInput(t *testing.T) {
 			t.Errorf("rank %d sent %d bytes, want %d", r, res.PerDevice[r].BytesSent, want)
 		}
 	}
-	if got, want := res.PerDevice[k].BytesSent, int64(k*len(tensor.Encode(nil, x))); got != want {
-		t.Errorf("terminal sent %d bytes, want the embedding to each of %d ranks: %d", got, k, want)
+	if got, want := res.PerDevice[k].BytesSent, int64(k*(passHeader+8*k+len(tensor.Encode(nil, x)))); got != want {
+		t.Errorf("terminal sent %d bytes, want the pass header and the embedding to each of %d ranks: %d", got, k, want)
 	}
 }
 

@@ -10,9 +10,9 @@
 // goroutines exactly as separate machines would), and all traffic flows
 // through netem-shaped links.
 //
-// The runtime is a persistent serving system (see serve.go): Submit admits
-// requests to long-lived worker loops through a dispatcher, and the
-// blocking Infer/GenerateVoltage calls are thin wrappers over Submit + Wait.
+// The runtime is a persistent serving system: every request — Submit and its
+// variants, Infer, GenerateVoltage — waits in one bounded queue and is served
+// by one loop (serve.go, batch.go).
 package cluster
 
 import (
@@ -117,9 +117,10 @@ type Options struct {
 	// cluster (§V-B). Length must equal K.
 	HeteroDeviceFlops []float64
 
-	// QueueDepth bounds the admission queue (default 64; negative values
-	// are rejected): Submit blocks — or fails its context — once this many
-	// requests are waiting. An inference gateway that maintains its own
+	// QueueDepth bounds the pending queue every request waits in (default
+	// 64; negative values are rejected): Submit and GenerateVoltage block —
+	// or fail their context — once this many requests are waiting to enter
+	// the mesh. An inference gateway that maintains its own
 	// per-class admission queues (internal/sched) should set it low so
 	// requests wait in the gateway — where they can be shed, re-ordered by
 	// deadline, and withdrawn on cancel — instead of double-buffering in
@@ -145,10 +146,12 @@ type Options struct {
 	// Fault tolerance (see DESIGN.md "Fault tolerance"). All knobs default
 	// off, preserving the fail-fast behaviour of earlier revisions.
 
-	// RequestTimeout bounds each request (each attempt, when retries are
-	// enabled) end-to-end: a request that cannot finish in time — a dropped
-	// message, a stalled device — resolves as comm.ErrTimeout instead of
-	// hanging forever. Zero disables the deadline.
+	// RequestTimeout bounds each trip of the terminal over the mesh — one
+	// request's pass (each attempt, when retries are enabled), one fused
+	// decode step: one that cannot finish in time — a dropped message, a
+	// stalled device — ends the round, and what was on the mesh resolves as
+	// comm.ErrTimeout (or retries) instead of hanging forever. Zero disables
+	// the deadline.
 	RequestTimeout time.Duration
 	// OpTimeout is the transport watchdog: every Send/Recv on the mesh is
 	// individually bounded (comm.WithOpTimeout), so a single lost message
@@ -161,7 +164,8 @@ type Options struct {
 	// unhealthy and the retry re-partitions the positions over the
 	// surviving workers (comm.NewSubgroup + a fresh partition scheme); when
 	// no worker survives, the terminal computes the request locally. Zero
-	// disables retries and supervision entirely.
+	// disables retries: whatever a failed round interrupted resolves with
+	// its cause.
 	MaxRetries int
 	// ProbeAfter is the probation window: an unhealthy rank is offered one
 	// probing request after this much time, recovering to healthy on
@@ -226,7 +230,7 @@ type Options struct {
 // Cluster is an in-process emulation of a terminal device plus K workers.
 // Every worker holds a full replica of the model (Voltage's design).
 //
-// Requests flow through the persistent serving runtime in serve.go.
+// Requests flow through the serving loop in serve.go and batch.go.
 type Cluster struct {
 	cfg    model.Config
 	k      int
@@ -238,8 +242,8 @@ type Cluster struct {
 
 	// The serving partition scheme. It starts as Options.Scheme (or even)
 	// and is swapped by InstallScheme — the adaptive controller's actuator
-	// — at safe boundaries only: requests pin the scheme at submit, and the
-	// decode batch reads it at each join (live sequences never re-slice).
+	// — at safe boundaries only: the loop reads it as each pass enters the
+	// mesh (live sequences never re-slice).
 	// schemeGen counts installs: zero means never re-partitioned.
 	schemeMu  sync.RWMutex
 	scheme    *partition.Scheme
@@ -256,14 +260,11 @@ type Cluster struct {
 	stepRound atomic.Uint32
 
 	// Serving runtime state.
-	batcher     *batcher // continuous-batching manager for generation
+	batcher     *batcher // the serving loop and its pending queue
 	pool        *tensor.MatrixPool
 	serveOnce   sync.Once
 	serveCtx    context.Context
 	serveCancel context.CancelFunc
-	queue       chan *request   // admission queue
-	admitCh     []chan *request // per-worker request tagging
-	collectCh   chan *request   // in-flight window
 	nextID      atomic.Uint64
 }
 
@@ -359,12 +360,9 @@ func NewMem(cfg model.Config, k int, opts Options) (*Cluster, error) {
 		cfg: cfg, k: k, mesh: mesh, peers: peers,
 		models: models,
 		scheme: scheme, opts: opts,
-		health:    newHealthTracker(k, opts.ProbeAfter),
-		metrics:   cm,
-		pool:      &tensor.MatrixPool{},
-		queue:     make(chan *request, queueDepth),
-		collectCh: make(chan *request, inflightDepth),
-		admitCh:   make([]chan *request, k),
+		health:  newHealthTracker(k, opts.ProbeAfter),
+		metrics: cm,
+		pool:    &tensor.MatrixPool{},
 	}
 	// The flight recorder and profile store are always on; skew rounds and
 	// straggler flips mirror into gauges and the flight-recorder event log.
@@ -388,10 +386,7 @@ func NewMem(cfg model.Config, k int, opts Options) (*Cluster, error) {
 		cm.healthTransition(rank, from, to)
 		c.flight.Eventf("health", rank, "rank %d: %s -> %s", rank, from, to)
 	}
-	c.batcher = &batcher{c: c, lastOwner: -1}
-	for r := range c.admitCh {
-		c.admitCh[r] = make(chan *request, admitDepth)
-	}
+	c.batcher = newBatcher(c, queueDepth)
 	c.serveCtx, c.serveCancel = context.WithCancel(context.Background())
 	cm.setPartitionRatios(scheme.Ratios())
 	if opts.Adapt {
@@ -442,7 +437,7 @@ func (c *Cluster) maxBatch() int {
 }
 
 // BatchWidth reports the generate sequences currently live in or waiting
-// for the fused decode batch — the concurrency a batch-aware admission
+// for the fused decode batch (classifies in the queue are not counted) — the concurrency a batch-aware admission
 // estimate should divide service time by.
 func (c *Cluster) BatchWidth() int { return c.batcher.width() }
 
@@ -479,10 +474,13 @@ type Result struct {
 	// SubmitTokens and SubmitPooled.
 	Output *tensor.Matrix
 	// Latency is the terminal-observed time from input broadcast to
-	// result assembly — the paper's measurement.
+	// result assembly — the paper's measurement — of the final attempt.
 	Latency time.Duration
-	// PerDevice holds each worker's traffic during this inference
-	// (index = worker rank; the last entry is the terminal).
+	// PerDevice holds each worker's traffic during this inference's final
+	// attempt (index = worker rank; the last entry is the terminal). Passes
+	// are serial on the mesh, so it is the difference of the mesh's counters
+	// across the pass — exact but for a worker's receipt of a 5-byte leave
+	// frame sent just before the pass, which is counted where it lands.
 	PerDevice []comm.Stats
 	// Strategy echoes the strategy requested — always StrategyVoltage.
 	Strategy Strategy
@@ -517,7 +515,7 @@ func (r *Result) TotalBytesSent() int64 {
 // terminal-observed latency. x is the N×F
 // feature matrix produced by pre-processing (embedding). It is a blocking
 // wrapper over Submit; concurrent callers are sequenced by the serving
-// runtime.
+// loop.
 func (c *Cluster) Infer(ctx context.Context, strategy Strategy, x *tensor.Matrix) (*Result, error) {
 	pend, err := c.Submit(ctx, strategy, x)
 	if err != nil {
@@ -579,12 +577,4 @@ func (c *Cluster) paceBudget(rank int, flops int64) time.Duration {
 // this instead of the wall clock.
 func (c *Cluster) deviceTime(rank int, host time.Duration, flops int64) time.Duration {
 	return max(host, c.paceBudget(rank, flops))
-}
-
-// workerGroup returns the collective group over p restricted to the given
-// worker ranks (p is a worker's per-request stat scope, so collective
-// traffic is attributed to the request). Degraded requests pass their
-// survivor list.
-func (c *Cluster) workerGroup(p comm.Peer, members []int) (comm.Peer, error) {
-	return comm.NewSubgroup(p, members)
 }

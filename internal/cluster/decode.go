@@ -7,8 +7,6 @@ import (
 
 	"voltage/internal/comm"
 	"voltage/internal/model"
-	"voltage/internal/partition"
-	"voltage/internal/positionwise"
 	"voltage/internal/trace"
 )
 
@@ -77,8 +75,8 @@ func (c *Cluster) GenerateVoltage(ctx context.Context, prompt []int, steps int) 
 // onToken (when non-nil) is called with each generated token id as soon as
 // it is decoded, before the next decode step is issued — the serving
 // gateway streams these straight to the client. The callback runs on the
-// serving runtime's collector goroutine while the batch owns the mesh, so
-// it must not block indefinitely. No call to it begins after
+// serving loop's goroutine, between two rounds on the mesh, so it must not
+// block indefinitely. No call to it begins after
 // GenerateVoltageStream has returned, and every call made happens before
 // the return: a caller may touch what the callback touched without further
 // synchronisation, whichever way the stream ended.
@@ -100,75 +98,31 @@ func (c *Cluster) GenerateVoltageStream(ctx context.Context, prompt []int, steps
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	seq := &batchSeq{
-		ctx:     ctx,
-		prompt:  append([]int(nil), prompt...),
-		steps:   steps,
-		onToken: onToken,
-		enq:     time.Now(),
-		res:     &GenerateResult{},
-		done:    make(chan struct{}),
+	req := &request{
+		input: input{ids: append([]int(nil), prompt...)},
+		gen:   &generation{steps: steps, onToken: onToken, res: &GenerateResult{}},
 	}
-	if c.opts.TraceRequests {
-		seq.trace = trace.NewRequestTrace()
-		seq.res.Trace = seq.trace
-	}
-	if err := c.batcher.add(seq); err != nil {
+	if err := c.enqueue(ctx, req); err != nil {
 		return nil, err
 	}
-	select {
-	case <-seq.done:
-	case <-c.serveCtx.Done():
+	if err := c.wait(ctx, req); err != nil {
 		select {
-		case <-seq.done: // resolution raced the shutdown; prefer it
+		case <-req.done: // the sequence's own outcome, reported below
 		default:
-			seq.closeStream()
-			return nil, errServingStopped
+			// Shutdown, or the caller gave up: the sequence leaves the batch
+			// at its next step boundary; the caller need not wait for that
+			// housekeeping — only for a token callback already in flight.
+			req.gen.closeStream()
+			return nil, err
 		}
-	case <-ctx.Done():
-		// The sequence leaves the batch at its next step boundary; the
-		// caller need not wait for that housekeeping — only for a token
-		// callback already in flight.
-		seq.closeStream()
-		return nil, ctx.Err()
 	}
-	if seq.err != nil {
-		// The batcher commits the sequence's accumulated accounting
-		// (tokens so far, attempts, degradation, batch wait, decode time)
-		// into res before resolving it, so a failed stream still reports
-		// what it measured — callers get the partial result alongside the
-		// error. The cancel/shutdown paths above return nil instead: there
-		// the batcher may still be writing the result concurrently.
-		return seq.res, seq.err
-	}
-	return seq.res, nil
-}
-
-// prefillWorker runs the worker side of one sequence's join prefill: it takes
-// the token frame that follows the opPrefill header and runs the position-wise
-// pass a join is — the newest row read at the owner, which keeps its cache
-// (positionwise.Read) — over the row ranges the terminal computed at join (one
-// per live rank, in live-set order — so a degraded round, re-sliced over the
-// survivors after a device failure, prefills over exactly its live ranks, and
-// a scheme installed mid-batch reaches the next joiner without touching live
-// sequences). The owner answers the terminal with the newest position's
-// hidden row and returns the decode state; every other rank answers with a
-// 0-row partition — the terminal hears from every live rank — and returns nil.
-func (c *Cluster) prefillWorker(ctx context.Context, p comm.Peer, ex *comm.Exchange, rank int, req *request, ranges []partition.Range, owner int) (*model.DecodeState, error) {
-	payload, err := p.Recv(ctx, c.terminalRank())
-	if err != nil {
-		return nil, err
-	}
-	ids, err := parsePrefillTokens(payload, ranges[len(ranges)-1].To, c.models[rank].Embed)
-	if err != nil {
-		return nil, err
-	}
-	comm.ReleaseBuffer(payload)
-	dev, err := c.device(p, ex, rank, req)
-	if err != nil {
-		return nil, err
-	}
-	return dev.RunTokens(ctx, ids, ranges, positionwise.Read{One: true, Row: len(ids) - 1, At: req.liveIndex(c, owner), Cache: true})
+	// The loop commits the sequence's accumulated accounting (tokens so far,
+	// attempts, degradation, batch wait, decode time) into res before
+	// resolving it, so a failed stream still reports what it measured —
+	// callers get the partial result alongside the error. The cancel/shutdown
+	// path above returns nil instead: there the loop may still be writing the
+	// result concurrently.
+	return req.gen.res, req.err
 }
 
 // decodeStepCost is the analytic Γ of one rank's fused KV-cached decode

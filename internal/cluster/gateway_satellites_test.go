@@ -11,23 +11,68 @@ import (
 	"voltage/internal/model"
 )
 
-// Satellite coverage for the gateway PR's serving-runtime changes:
-// configurable channel depths, the canceled-in-queue drop + metric, and
-// exclusive-fence metering.
+// Satellite coverage for the gateway PR's serving-runtime changes: the
+// pending queue's bound and the canceled-in-queue drop + metric.
 
+// TestConfigurableChannelDepths: Options.QueueDepth bounds every pending
+// request. With depth 1 and the loop held busy by a first request, a second
+// fills the queue and a third — a generate, as bounded as a classify — waits
+// for a slot until its context ends: it returns ctx.Err(), counted under
+// voltage_requests_canceled_total only.
 func TestConfigurableChannelDepths(t *testing.T) {
-	c := newTiny(t, 2, Options{QueueDepth: 1})
-	if got := cap(c.queue); got != 1 {
-		t.Errorf("queue cap = %d, want 1", got)
-	}
-	// Default preserved when unset.
-	d := newTiny(t, 2, Options{})
-	if got := cap(d.queue); got != defaultQueueDepth {
-		t.Errorf("default queue cap = %d, want %d", got, defaultQueueDepth)
-	}
-	// The sized cluster still serves.
-	if _, err := c.Infer(context.Background(), StrategyVoltage, embedTiny(t, c, 4)); err != nil {
+	release := make(chan struct{})
+	entered := make(chan struct{})
+	c := newTinyDecoder(t, 2, Options{
+		QueueDepth: 1,
+		WrapTransport: func(rank int, p comm.Peer) comm.Peer {
+			if rank == 0 {
+				return &gatePeer{Peer: p, release: release, entered: entered}
+			}
+			return p
+		},
+	})
+	first, err := c.Submit(context.Background(), StrategyVoltage, embedTiny(t, c, 4))
+	if err != nil {
 		t.Fatal(err)
+	}
+	<-entered // the first request is on the mesh, out of the queue
+	second, err := c.SubmitTokens(context.Background(), StrategyVoltage, []int{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Metrics().Gauge("voltage_queue_length"); got != 1 {
+		t.Errorf("voltage_queue_length = %v with one request waiting, want 1", got)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if _, err := c.GenerateVoltage(ctx, []int{1, 2, 3}, 2); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("a generate behind a full queue returned %v, want its context's error", err)
+	}
+	if _, err := c.Submit(ctx, StrategyVoltage, embedTiny(t, c, 4)); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("a classify behind a full queue returned %v, want its context's error", err)
+	}
+	if w := c.BatchWidth(); w != 0 {
+		t.Errorf("BatchWidth = %d with no generate admitted, want 0", w)
+	}
+	close(release)
+	for _, pend := range []*Pending{first, second} {
+		if _, err := pend.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := c.Metrics()
+	if got := snap.Counter("voltage_requests_canceled_total"); got != 2 {
+		t.Errorf("voltage_requests_canceled_total = %v, want the 2 refused waiters", got)
+	}
+	if ok, bad := snap.Counter(`voltage_requests_total{outcome="ok"}`), snap.Counter(`voltage_requests_total{outcome="error"}`); ok != 2 || bad != 0 {
+		t.Errorf("requests ok/error = %v/%v, want 2/0 (a refused waiter is not a request)", ok, bad)
+	}
+	if got := snap.Gauge("voltage_queue_length"); got != 0 {
+		t.Errorf("voltage_queue_length = %v after the queue drained, want 0", got)
+	}
+	// Default depth when unset.
+	if got := cap(newTiny(t, 2, Options{}).batcher.slots); got != defaultQueueDepth {
+		t.Errorf("default queue bound = %d, want %d", got, defaultQueueDepth)
 	}
 }
 
@@ -72,10 +117,10 @@ func (g *gatePeer) Recv(ctx context.Context, from int) ([]byte, error) {
 	return g.Peer.Recv(ctx, from)
 }
 
-// TestCanceledWhileQueuedDroppedAndCounted holds the dispatcher in an
-// exclusive generation fence, cancels a request still sitting in the
-// admission queue, and asserts the dispatcher drops it without dispatching
-// and counts it under voltage_requests_canceled_total.
+// TestCanceledWhileQueuedDroppedAndCounted holds the loop in a generation's
+// join, cancels a request still sitting in the pending queue, and asserts the
+// loop drops it without dispatching and counts it under
+// voltage_requests_canceled_total.
 func TestCanceledWhileQueuedDroppedAndCounted(t *testing.T) {
 	release := make(chan struct{})
 	entered := make(chan struct{})
@@ -88,16 +133,15 @@ func TestCanceledWhileQueuedDroppedAndCounted(t *testing.T) {
 		},
 	})
 
-	// Exclusive generation: the dispatcher fences the queue on it until it
-	// resolves, and the gate holds it in flight until we release.
+	// The gate holds the generation's join on the mesh until we release.
 	genErr := make(chan error, 1)
 	go func() {
 		_, err := c.GenerateVoltage(context.Background(), []int{1, 2, 3}, 2)
 		genErr <- err
 	}()
-	<-entered // the generation is in flight; the queue is fenced
+	<-entered // the generation is in flight; the loop is busy
 
-	// Queue a classification behind the fence, then abandon it.
+	// Queue a classification behind it, then abandon it.
 	ctx, cancel := context.WithCancel(context.Background())
 	pend, err := c.Submit(ctx, StrategyVoltage, embedTiny(t, c, 4))
 	if err != nil {
@@ -107,7 +151,7 @@ func TestCanceledWhileQueuedDroppedAndCounted(t *testing.T) {
 	close(release)
 
 	if err := <-genErr; err != nil {
-		t.Fatalf("fenced generation: %v", err)
+		t.Fatalf("held generation: %v", err)
 	}
 	if _, err := pend.Wait(context.Background()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled-in-queue request resolved %v, want context.Canceled", err)
@@ -123,40 +167,6 @@ func TestCanceledWhileQueuedDroppedAndCounted(t *testing.T) {
 	// The runtime still serves afterwards.
 	if _, err := c.Infer(context.Background(), StrategyVoltage, embedTiny(t, c, 4)); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestFenceMetering asserts exclusive runs are counted and timed by the
-// fence instruments.
-func TestFenceMetering(t *testing.T) {
-	c := newTinyDecoder(t, 2, Options{})
-	start := time.Now()
-	if _, err := c.GenerateVoltage(context.Background(), []int{1, 2, 3}, 2); err != nil {
-		t.Fatal(err)
-	}
-	// The fence-duration observation lands when the dispatcher leaves the
-	// fence; running one more (unfenced) request through the
-	// single-goroutine dispatcher guarantees it has. The elapsed upper
-	// bound must be captured after that flush: the dispatcher may leave
-	// the fence a beat after GenerateVoltage returns to the caller.
-	if _, err := c.Infer(context.Background(), StrategyVoltage, embedTiny(t, c, 4)); err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	snap := c.Metrics()
-	if got := snap.Counter(`voltage_queue_fences_total{reason="exclusive"}`); got != 1 {
-		t.Errorf("exclusive fences = %v, want 1", got)
-	}
-	h, ok := snap.Histograms["voltage_fence_duration_seconds"]
-	if !ok || h.Count != 1 {
-		t.Fatalf("fence duration histogram = %+v ok=%v, want 1 observation", h, ok)
-	}
-	if h.Sum <= 0 || h.Sum > elapsed.Seconds() {
-		t.Errorf("fence duration sum = %v s, want within (0, %v]", h.Sum, elapsed.Seconds())
-	}
-	// Plain classification takes no fence.
-	if got := snap.Counter(`voltage_queue_fences_total{reason="fault_isolation"}`); got != 0 {
-		t.Errorf("fault_isolation fences = %v, want 0", got)
 	}
 }
 
@@ -199,7 +209,7 @@ func TestCanceledMetricConcurrent(t *testing.T) {
 	}
 	close(release)
 	if err := <-genErr; err != nil {
-		t.Fatalf("fenced generation: %v", err)
+		t.Fatalf("held generation: %v", err)
 	}
 	wg.Wait()
 	for i, err := range errs {

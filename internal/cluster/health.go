@@ -10,7 +10,7 @@ import (
 )
 
 // Device health tracking for degraded-mode serving. The tracker records
-// per-rank failure causes gathered from a failed request's error slots and
+// per-rank failure causes gathered from a failed round's error slots and
 // drives three states:
 //
 //	Healthy   — serves requests normally.
@@ -23,7 +23,7 @@ import (
 // comm.RemoteError names a culprit (a corrupt frame names its sender, a
 // receive timeout names the silent source), and a worker that failed with
 // a directly-injected or local fault blames itself. Secondary
-// cancellations — healthy ranks released by the request context after the
+// cancellations — healthy ranks released by the round's context after the
 // first failure — carry no vote.
 
 // HealthState is one rank's serving eligibility.
@@ -67,7 +67,7 @@ type RankHealth struct {
 }
 
 // healthTracker is the cluster's shared rank-health state. All methods are
-// safe for concurrent use by the per-request supervisors.
+// safe for concurrent use (the serving loop writes, Health reads).
 type healthTracker struct {
 	mu         sync.Mutex
 	probeAfter time.Duration
@@ -161,7 +161,7 @@ func (c *Cluster) Health() []RankHealth {
 	return c.health.snapshot()
 }
 
-// blameRank inspects a failed request's per-role errors (worker ranks
+// blameRank inspects a failed round's per-role errors (worker ranks
 // first, terminal last) and elects the culprit worker by vote count:
 // every attributed error names its remote rank, and a worker whose own
 // failure is unattributed but not a secondary cancellation names itself.
@@ -203,7 +203,7 @@ func blameRank(errs []error, k int) (int, error) {
 }
 
 // isSecondary reports whether an error is a knock-on cancellation rather
-// than a root cause: once one role fails, the request context is cancelled
+// than a root cause: once one role fails, the round's context is cancelled
 // and every other blocked role resolves with context.Canceled.
 func isSecondary(err error) bool {
 	return errors.Is(err, context.Canceled) && !errors.Is(err, comm.ErrTimeout)

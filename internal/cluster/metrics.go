@@ -23,9 +23,9 @@ import (
 type clusterMetrics struct {
 	reg *metrics.Registry
 
-	// Request/attempt outcomes. An "attempt" is one dispatch through the
+	// Request/attempt outcomes. An "attempt" is one pass dispatched to the
 	// mesh; a "request" is the caller-visible unit (one or more attempts
-	// under supervision).
+	// when a failed round's requests are retried).
 	requestsOK     *metrics.Counter
 	requestsErr    *metrics.Counter
 	attemptsOK     *metrics.Counter
@@ -34,16 +34,9 @@ type clusterMetrics struct {
 	degraded       *metrics.Counter
 	localFallbacks *metrics.Counter
 
-	// canceled counts requests dropped by the dispatcher because their
-	// context ended while they were still queued (never dispatched).
+	// canceled counts requests dropped because their context ended while
+	// they were still queued (or waiting for a queue slot): never dispatched.
 	canceled *metrics.Counter
-
-	// Queue fencing: exclusive runners (generation, pipeline) and fenced
-	// fault-tolerant attempts own the mesh alone, stalling every queued
-	// request behind them.
-	fenceExclusive *metrics.Counter
-	fenceIsolation *metrics.Counter
-	fenceDur       *metrics.Histogram
 
 	latency      *metrics.Histogram
 	attemptsHist *metrics.Histogram
@@ -71,10 +64,10 @@ type clusterMetrics struct {
 	stragglerOn    *metrics.Counter
 	stragglerOff   *metrics.Counter
 
-	// Batch fault recovery: failed fused rounds whose survivors were
-	// re-sliced and resumed (by cause), plus blast-radius accounting — how
-	// many co-batched sequences a fault actually killed versus how many were
-	// parked and resumed.
+	// Fault recovery: failed rounds whose survivors were re-sliced and
+	// resumed (by cause), plus blast-radius accounting — how many generate
+	// sequences a fault actually killed versus how many requests were parked
+	// and resumed.
 	recTimeout  *metrics.Counter
 	recCorrupt  *metrics.Counter
 	recInjected *metrics.Counter
@@ -143,7 +136,7 @@ func newClusterMetrics(k int) *clusterMetrics {
 	m.requestsOK = requests.With("ok")
 	m.requestsErr = requests.With("error")
 	attempts := reg.CounterVec("voltage_attempts_total",
-		"Dispatched attempts through the mesh, by outcome (retries count each attempt).", "outcome")
+		"Passes dispatched to the mesh, by outcome (retries count each attempt; a round that died counts one error).", "outcome")
 	m.attemptsOK = attempts.With("ok")
 	m.attemptsErr = attempts.With("error")
 	m.retries = reg.Counter("voltage_retries_total",
@@ -156,16 +149,8 @@ func newClusterMetrics(k int) *clusterMetrics {
 	m.canceled = reg.Counter("voltage_requests_canceled_total",
 		"Requests whose context ended while still queued, dropped before dispatch (not counted as served requests).")
 
-	fences := reg.CounterVec("voltage_queue_fences_total",
-		"Requests that fenced the admission queue (owned the mesh exclusively), by reason.", "reason")
-	m.fenceExclusive = fences.With("exclusive")
-	m.fenceIsolation = fences.With("fault_isolation")
-	m.fenceDur = reg.Histogram("voltage_fence_duration_seconds",
-		"How long each queue fence held the mesh (time no other request could dispatch).",
-		metrics.LatencyBuckets)
-
 	m.latency = reg.Histogram("voltage_request_latency_seconds",
-		"Terminal-observed attempt latency (input broadcast to result assembly).",
+		"Terminal-observed latency of a pass (input broadcast to result assembly).",
 		metrics.LatencyBuckets)
 	m.attemptsHist = reg.Histogram("voltage_request_attempts",
 		"Dispatches needed per completed request (1 = clean first try).",
@@ -210,7 +195,7 @@ func newClusterMetrics(k int) *clusterMetrics {
 	m.stragglerOff = stragglerFlips.With("cleared")
 
 	recoveries := reg.CounterVec("voltage_batch_recoveries_total",
-		"Batch rounds that died to a retryable fault and were re-dispatched over the surviving workers, by cause.", "cause")
+		"Rounds that died to a retryable fault and were followed by one over the surviving workers, by cause.", "cause")
 	m.recTimeout = recoveries.With("timeout")
 	m.recCorrupt = recoveries.With("corrupt")
 	m.recInjected = recoveries.With("injected")
@@ -218,7 +203,7 @@ func newClusterMetrics(k int) *clusterMetrics {
 	m.seqsFailed = reg.Counter("voltage_batch_seqs_failed_total",
 		"Co-batched sequences resolved with a fault error — the blast radius actually paid.")
 	m.seqsResumed = reg.Counter("voltage_batch_seqs_resumed_total",
-		"Co-batched sequences parked across a batch fault and requeued for resumption — the blast radius avoided.")
+		"Requests parked across a fault and dispatched again — the blast radius avoided.")
 
 	reparts := reg.CounterVec("voltage_repartitions_total",
 		"Partition schemes installed by the adaptive controller, by cause.", "cause")
@@ -233,10 +218,10 @@ func newClusterMetrics(k int) *clusterMetrics {
 	}
 
 	m.queueLen = reg.Gauge("voltage_queue_length",
-		"Requests currently waiting in the admission queue.")
+		"Requests currently pending: waiting to enter the mesh (classifies and generates alike).")
 
 	causes := reg.CounterVec("voltage_errors_total",
-		"Requests resolved with a typed error, by cause.", "type")
+		"Failed attempts, by typed cause.", "type")
 	m.errTimeout = causes.With("timeout")
 	m.errCorrupt = causes.With("corrupt")
 	m.errInjected = causes.With("injected")
@@ -301,8 +286,8 @@ func (m *clusterMetrics) fault(kind comm.FaultKind, _ int) {
 	}
 }
 
-// queueLength tracks the admission queue's depth as requests are submitted
-// and the dispatcher drains them.
+// queueLength tracks the pending queue's depth as requests are submitted and
+// the loop takes them.
 func (m *clusterMetrics) queueLength(depth int) {
 	m.queueLen.Set(float64(depth))
 }
@@ -311,21 +296,6 @@ func (m *clusterMetrics) queueLength(depth int) {
 // context ended while it waited in the admission queue.
 func (m *clusterMetrics) canceledInQueue() {
 	m.canceled.Inc()
-}
-
-// fenceBegin counts a queue fence starting: exclusive terminal protocols
-// (generation, pipeline) or fault-isolation fencing of supervised attempts.
-func (m *clusterMetrics) fenceBegin(exclusive bool) {
-	if exclusive {
-		m.fenceExclusive.Inc()
-	} else {
-		m.fenceIsolation.Inc()
-	}
-}
-
-// fenceEnd records how long a fence held the mesh.
-func (m *clusterMetrics) fenceEnd(d time.Duration) {
-	m.fenceDur.Observe(d.Seconds())
 }
 
 // observeBatchStep records one fused decode step of the given width.
@@ -375,7 +345,7 @@ func (m *clusterMetrics) batchLeave() {
 	m.batchLeaves.Inc()
 }
 
-// batchRecovery counts one failed batch round being recovered from,
+// batchRecovery counts one failed round being recovered from,
 // classified by the fault's typed cause.
 func (m *clusterMetrics) batchRecovery(err error) {
 	switch {
@@ -395,8 +365,8 @@ func (m *clusterMetrics) batchSeqFailed() {
 	m.seqsFailed.Inc()
 }
 
-// batchSeqResumed counts a co-batched sequence parked across a fault for
-// resumption instead of being killed with the batch.
+// batchSeqResumed counts a request parked across a fault and dispatched
+// again instead of being killed with the round.
 func (m *clusterMetrics) batchSeqResumed() {
 	m.seqsResumed.Inc()
 }
@@ -430,25 +400,25 @@ func (m *clusterMetrics) observeBatchWait(d time.Duration) {
 	m.batchWait.Observe(d.Seconds())
 }
 
-// observeAttempt records one resolved dispatch: its latency, outcome, typed
-// cause, and the per-rank traffic it moved.
-func (m *clusterMetrics) observeAttempt(latency time.Duration, perDevice []comm.Stats, err error) {
+// attemptOK records one pass that returned, with its latency.
+func (m *clusterMetrics) attemptOK(latency time.Duration) {
 	m.latency.Observe(latency.Seconds())
-	if err == nil {
-		m.attemptsOK.Inc()
-	} else {
-		m.attemptsErr.Inc()
-		m.countCause(err)
-	}
-	for r, s := range perDevice {
-		if r >= len(m.bytesSent) {
-			break
-		}
-		m.bytesSent[r].Add(float64(s.BytesSent))
-		m.bytesRecv[r].Add(float64(s.BytesRecv))
-		m.msgsSent[r].Add(float64(s.MsgsSent))
-		m.msgsRecv[r].Add(float64(s.MsgsRecv))
-	}
+	m.attemptsOK.Inc()
+}
+
+// attemptFailed records one failed dispatch — a pass whose own reply was bad,
+// or a round that died — under its typed cause.
+func (m *clusterMetrics) attemptFailed(err error) {
+	m.attemptsErr.Inc()
+	m.countCause(err)
+}
+
+// traffic adds what mesh rank r moved since it was last reported.
+func (m *clusterMetrics) traffic(r int, d comm.Stats) {
+	m.bytesSent[r].Add(float64(d.BytesSent))
+	m.bytesRecv[r].Add(float64(d.BytesRecv))
+	m.msgsSent[r].Add(float64(d.MsgsSent))
+	m.msgsRecv[r].Add(float64(d.MsgsRecv))
 }
 
 // observeRequest records one caller-visible resolution.
@@ -475,7 +445,7 @@ func (m *clusterMetrics) fallbackServed() {
 	m.localFallbacks.Inc()
 }
 
-// countCause classifies a resolved error into the typed-cause counters.
+// countCause classifies a failed attempt's error into the typed-cause counters.
 func (m *clusterMetrics) countCause(err error) {
 	switch {
 	case errors.Is(err, comm.ErrTimeout) || errors.Is(err, context.DeadlineExceeded):

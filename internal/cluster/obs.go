@@ -10,18 +10,18 @@ import (
 	"voltage/internal/obs"
 )
 
-// Continuous profiling & diagnostics wiring (see DESIGN.md §13). The
-// cluster feeds the always-on obs.Store and obs.FlightRecorder from its
-// existing observation points — recordPhase, fused decode rounds, health
-// transitions, batch recoveries — and exposes snapshots through Profile,
-// FlightDump, ChromeTrace, and the admin listener's /debug endpoints.
+// Continuous profiling & diagnostics wiring (see DESIGN.md "Continuous
+// profiling & diagnostics"). The cluster feeds the always-on obs.Store and
+// obs.FlightRecorder from its existing observation points — recordPhase,
+// fused decode rounds, health transitions, recoveries, resolved requests —
+// and exposes snapshots through Profile, FlightDump and ChromeTrace.
 
 // flightDumpCooldown rate-limits automatic failure dumps to FlightSink.
 const flightDumpCooldown = 30 * time.Second
 
 // Profile returns the live per-rank profile: per-phase EWMA timings, comm
 // bytes, fused-step estimates, and the skew/straggler state. This snapshot
-// is the sensing input for adaptive re-partitioning (ROADMAP item 2).
+// is the sensing input for adaptive re-partitioning (adapt.go).
 func (c *Cluster) Profile() obs.Profile {
 	return c.obs.Profile()
 }
@@ -48,21 +48,17 @@ func (c *Cluster) ChromeTrace() []byte {
 	return obs.ChromeTrace(c.flight.Traces(), c.terminalRank())
 }
 
-// observeResolved feeds one resolved attempt into the diagnostics layer:
-// scoped comm bytes into the profile store, the request's trace into the
-// flight recorder, and — on a real failure — a structured event plus the
-// automatic FlightSink dump.
+// observeResolved feeds one resolved request into the diagnostics layer: its
+// trace into the flight recorder and — on a real failure — a structured event
+// plus the automatic FlightSink dump.
 func (c *Cluster) observeResolved(req *request, cause error) {
-	for r, s := range req.perDevice {
-		c.obs.RecordComm(r, int64(s.BytesSent), int64(s.BytesRecv))
-	}
 	rec := obs.TraceRecord{
 		ID:       req.id,
-		Kind:     req.runner.name(),
-		Start:    req.start,
-		Latency:  req.latency,
+		Kind:     req.kind(),
+		Start:    req.enq,
+		Latency:  time.Since(req.enq),
 		Degraded: req.degraded,
-		Attempts: req.attempts + 1,
+		Attempts: req.attempts,
 		Spans:    req.trace.Spans(),
 	}
 	if cause != nil {
@@ -70,7 +66,7 @@ func (c *Cluster) observeResolved(req *request, cause error) {
 	}
 	c.flight.RecordTrace(rec)
 	if cause != nil && !errors.Is(cause, context.Canceled) {
-		c.flight.Eventf("request_failed", -1, "request %d (%s): %v", req.id, req.runner.name(), cause)
+		c.flight.Eventf("request_failed", -1, "request %d (%s): %v", req.id, req.kind(), cause)
 		c.maybeDumpFlight()
 	}
 }

@@ -40,36 +40,45 @@ func prefillPrompt(n int) []int {
 	return p
 }
 
-// drivePrefill runs one join prefill by hand — prefillWorker on every live
-// rank, the terminal's token frame and reply collection here — and returns
-// the row the terminal got back and the owner's decode state.
+// drivePrefill runs one join prefill by hand — every live rank's device
+// (Cluster.device, as its worker builds it) over the pass a join is, the
+// terminal's reply collection here — and returns the row the terminal got
+// back and the owner's decode state.
 func drivePrefill(t *testing.T, c *Cluster, live []int, ranges []partition.Range, owner int, prefix []int) (*tensor.Matrix, *model.DecodeState) {
 	t.Helper()
-	req := &request{live: live}
-	ranks := req.liveRanks(c)
+	rd := &round{ranks: live, live: live}
+	if live == nil {
+		rd.ranks = c.allRanks()
+	}
+	read := positionwise.Read{One: true, Row: len(prefix) - 1, Cache: true}
+	for i, r := range rd.ranks {
+		if r == owner {
+			read.At = i
+		}
+	}
 	ctx := context.Background()
 	states := make([]*model.DecodeState, c.k)
 	errs := make([]error, c.k)
 	var wg sync.WaitGroup
-	for _, r := range ranks {
+	for _, r := range rd.ranks {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			states[r], errs[r] = c.prefillWorker(ctx, c.peers[r], comm.NewExchange(c.pool), r, req, ranges, owner)
+			dev, err := c.device(rd, r)
+			if err != nil {
+				errs[r] = err
+				return
+			}
+			dev.Ex = comm.NewExchange(c.pool)
+			states[r], errs[r] = dev.RunTokens(ctx, prefix, ranges, read)
 		}(r)
 	}
-	term := c.peers[c.terminalRank()]
-	for _, r := range ranks {
-		if err := term.Send(ctx, r, positionwise.TokenFrame(prefix)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	last, seqErr, err := c.batcher.collectJoin(ctx, term, comm.NewExchange(c.pool), ranks)
+	last, seqErr, err := collect(ctx, c.peers[c.terminalRank()], c.pool, rd.ranks, read.Replies(ranges))
 	wg.Wait()
 	if err != nil || seqErr != nil {
 		t.Fatalf("collecting the join: %v / %v", err, seqErr)
 	}
-	for _, r := range ranks {
+	for _, r := range rd.ranks {
 		if errs[r] != nil {
 			t.Fatalf("rank %d: %v", r, errs[r])
 		}
@@ -147,8 +156,8 @@ func TestJoinPrefillMatchesSolo(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(c.Close)
-			// The joins driven by hand get a mesh no batch request ever ran
-			// on: a retiring batch worker would race them for the frames.
+			// The joins driven by hand get a mesh no round ever ran on: its
+			// workers would race them for the frames.
 			byHand, err := NewMem(cfg, k, Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -224,7 +233,7 @@ func TestJoinPrefillOwnerWithoutRowsAndDegradedRound(t *testing.T) {
 }
 
 // TestJoinPrefillTraffic: a join moves K·(header + 4N) bytes of token ids
-// out, L−2 All-Gathers and one Gather to the owner between the workers
+// out in K messages, L−2 All-Gathers and one Gather to the owner between the workers
 // (rankBytes), and one F-row plus K−1 empty partitions back — nothing else.
 // Two layers have the Gather alone, three one All-Gather before it.
 func TestJoinPrefillTraffic(t *testing.T) {
@@ -247,18 +256,25 @@ func TestJoinPrefillTraffic(t *testing.T) {
 		}
 		enc := func(rows int) int64 { return int64(len(tensor.Encode(nil, tensor.New(rows, cfg.F)))) }
 		const owner, leave = 0, 5 // the first joiner lands on rank 0; opLeave is 5 bytes
-		header := int64(9 + 8*k)
+		header := int64(passHeader + 8*k)
 		term := res.PerDevice[k]
-		if want := k*(header+4*n) + leave; term.BytesSent != want || term.MsgsSent != 2*k+1 {
-			t.Errorf("L=%d: terminal sent %d bytes in %d messages, want %d in %d (K headers, K token frames, one leave)", layers, term.BytesSent, term.MsgsSent, want, 2*k+1)
+		if want := k*(header+4*n) + leave; term.BytesSent != want || term.MsgsSent != k+1 {
+			t.Errorf("L=%d: terminal sent %d bytes in %d messages, want %d in %d (one pass frame per rank, one leave)", layers, term.BytesSent, term.MsgsSent, want, k+1)
 		}
-		if want := enc(1) + (k-1)*enc(0); term.BytesRecv != want {
-			t.Errorf("L=%d: terminal received %d bytes, want %d (one hidden row, %d empty partitions)", layers, term.BytesRecv, want, k-1)
+		if want := enc(1) + (k-1)*enc(0); term.BytesRecv != want || term.MsgsRecv != k {
+			t.Errorf("L=%d: terminal received %d bytes in %d messages, want %d in %d (one hidden row, %d empty partitions)", layers, term.BytesRecv, term.MsgsRecv, want, k, k-1)
 		}
 		for r := 0; r < k; r++ {
 			if want := rankBytes(cfg, ranges, r, owner); res.PerDevice[r].BytesSent != want {
 				t.Errorf("L=%d: rank %d sent %d bytes, want %d (%d All-Gathers of its %d rows to %d peers, the Gather to rank %d, its reply)",
 					layers, r, res.PerDevice[r].BytesSent, want, layers-2, ranges[r].Len(), k-1, owner)
+			}
+			msgs := int64((layers-2)*(k-1) + 2)
+			if r == owner {
+				msgs-- // the Gather's root sends nothing
+			}
+			if res.PerDevice[r].MsgsSent != msgs {
+				t.Errorf("L=%d: rank %d sent %d messages, want %d", layers, r, res.PerDevice[r].MsgsSent, msgs)
 			}
 		}
 	}

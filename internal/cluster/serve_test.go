@@ -119,10 +119,9 @@ func TestPooledMatchesUnpooled(t *testing.T) {
 	}
 }
 
-// TestGenerateBetweenConcurrentInfers interleaves an exclusive request
-// (KV-cached generation) with overlapping classification traffic: the
-// dispatcher must fence the queue around it without deadlock or
-// cross-request corruption.
+// TestGenerateBetweenConcurrentInfers interleaves a generation with queued
+// classification traffic: the loop serves both, pass by pass, without
+// deadlock or cross-request corruption.
 func TestGenerateBetweenConcurrentInfers(t *testing.T) {
 	c, err := NewMem(model.TinyDecoder(), 2, Options{})
 	if err != nil {
@@ -193,8 +192,8 @@ func TestSubmitAfterClose(t *testing.T) {
 }
 
 // TestScopedStatsSumToMeshTotals cross-checks the per-request attribution:
-// the scoped per-device stats of consecutive requests must sum to the
-// mesh's cumulative counters.
+// the per-device stats of consecutive requests must sum to the mesh's
+// cumulative counters.
 func TestScopedStatsSumToMeshTotals(t *testing.T) {
 	c := newTiny(t, 2, Options{})
 	x := embedTiny(t, c, 8)
@@ -209,7 +208,7 @@ func TestScopedStatsSumToMeshTotals(t *testing.T) {
 			sum[r] = sum[r].Add(res.PerDevice[r])
 		}
 	}
-	// The per-request scopes must account for every byte the mesh moved.
+	// The per-request differences must account for every byte the mesh moved.
 	for r := 0; r < 3; r++ {
 		got := c.peers[r].Stats()
 		if got != sum[r] {
@@ -231,42 +230,42 @@ func waitCond(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("timed out after %v waiting for %s", d, what)
 }
 
-// TestShutdownDuringFencedAttemptFlushesResidue pins the shutdown-path
-// fencing fix: when Close lands while a fenced attempt owns the mesh, the
-// dispatcher previously returned without flushing, leaving the aborted
-// attempt's undelivered messages queued on the FIFO links (pinning their
-// pooled buffers) forever. The fixed path resolves the request and flushes
-// the residue before the dispatcher exits.
-func TestShutdownDuringFencedAttemptFlushesResidue(t *testing.T) {
-	c, err := NewMem(model.Tiny(), 2, Options{
-		MaxRetries: 1, // supervised → every attempt is fenced
-		// Rank 0's first receive hangs forever: its input from the terminal
-		// and its peer's collective sends stay queued as residue. No
-		// watchdog, so only Close can resolve the attempt.
-		WrapTransport: func(rank int, p comm.Peer) comm.Peer {
-			if rank == 0 {
-				return &comm.FlakyPeer{Inner: p, StallRecvAfter: 1}
-			}
-			return p
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestCloseDuringFailedRoundLeavesNoResidue: when Close lands while a round
+// is wedged mid-pass, the loop still ends the round the way every round ends —
+// workers stopped, links flushed — so no frame stays queued on any link
+// (pinning its pooled buffer) past Close, with retries on or off.
+func TestCloseDuringFailedRoundLeavesNoResidue(t *testing.T) {
+	for _, retries := range []int{0, 1} {
+		c, err := NewMem(model.Tiny(), 2, Options{
+			MaxRetries: retries,
+			// Rank 0's first receive hangs forever: its input from the terminal
+			// and its peer's collective sends stay queued as residue. No
+			// watchdog, so only Close can resolve the pass.
+			WrapTransport: func(rank int, p comm.Peer) comm.Peer {
+				if rank == 0 {
+					return &comm.FlakyPeer{Inner: p, StallRecvAfter: 1}
+				}
+				return p
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		pend, err := c.Submit(context.Background(), StrategyVoltage, embedTiny(t, c, 8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitCond(t, 2*time.Second, "residue on the links", func() bool { return c.mesh[0].Queued() > 0 })
+		// Let the remaining roles reach their blocking points so no send races
+		// the flush below.
+		time.Sleep(50 * time.Millisecond)
+		c.Close()
+		if _, err := pend.Wait(context.Background()); err == nil {
+			t.Fatal("request must fail when shutdown aborts its pass")
+		}
+		waitCond(t, 2*time.Second, "residue flushed at shutdown", func() bool { return c.mesh[0].Queued() == 0 })
 	}
-	defer c.Close()
-	pend, err := c.Submit(context.Background(), StrategyVoltage, embedTiny(t, c, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitCond(t, 2*time.Second, "residue on the links", func() bool { return c.mesh[0].Queued() > 0 })
-	// Let the remaining roles reach their blocking points so no send races
-	// the flush below.
-	time.Sleep(50 * time.Millisecond)
-	c.Close()
-	if _, err := pend.Wait(context.Background()); err == nil {
-		t.Fatal("request must fail when shutdown aborts its attempt")
-	}
-	waitCond(t, 2*time.Second, "residue flushed at shutdown", func() bool { return c.mesh[0].Queued() == 0 })
 }
 
 // TestWaitContextCancelLeavesRequestRunning pins the Wait contract: the

@@ -85,13 +85,14 @@ type Peer interface {
 // in-memory mesh implements it (its FIFO links hold frames an aborted
 // collective never drained); wrappers delegate it so the capability
 // survives the wrapper stack — a wrapper that swallowed it would silently
-// turn mesh fencing into a no-op (the classic wrapper-hides-optional-
+// turn the flush between rounds into a no-op (the classic wrapper-hides-optional-
 // interface bug). Flush reports whether buffered traffic was actually
 // discardable: a delegating wrapper over a transport with no flush support
 // (e.g. TCP, whose in-flight bytes live in kernel buffers) returns false.
 //
 // Callers must guarantee no rank is concurrently sending or receiving (the
-// cluster fences the mesh around fault-tolerant attempts before flushing).
+// cluster flushes between rounds, once every worker of the ended one has
+// returned).
 type Flusher interface {
 	Flush() bool
 }
@@ -154,7 +155,7 @@ func (s Stats) Add(o Stats) Stats {
 }
 
 // Sub returns the element-wise difference s−o — the traffic between two
-// snapshots of one scope (o taken earlier than s).
+// snapshots of one peer's counters (o taken earlier than s).
 func (s Stats) Sub(o Stats) Stats {
 	return Stats{
 		BytesSent: s.BytesSent - o.BytesSent,
@@ -173,6 +174,12 @@ type counters struct {
 func (c *counters) sent(n int) {
 	c.bytesSent.Add(int64(n))
 	c.msgsSent.Add(1)
+}
+
+// unsent takes back a sent that did not happen.
+func (c *counters) unsent(n int) {
+	c.bytesSent.Add(-int64(n))
+	c.msgsSent.Add(-1)
 }
 
 func (c *counters) received(n int) {

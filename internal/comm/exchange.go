@@ -10,8 +10,8 @@ import (
 
 // Exchange bundles the per-goroutine reusable resources of the matrix
 // collectives: an encode scratch buffer and a matrix pool. One Exchange
-// belongs to exactly one goroutine (a worker loop, the dispatcher, or the
-// collector); the pool it references may be shared across goroutines.
+// belongs to exactly one goroutine (a device's worker or the terminal's
+// loop); the pool it references may be shared across goroutines.
 //
 // The scratch reuse relies on the Peer contract that Send does not retain
 // the payload after it returns — the in-memory mesh copies on send, the TCP

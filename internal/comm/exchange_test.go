@@ -189,46 +189,6 @@ func TestExchangeGatherMatrixNamesTheSender(t *testing.T) {
 	}
 }
 
-func TestScopedPeerCountsOnlyScopeTraffic(t *testing.T) {
-	peers, err := NewMemMesh(2, netem.Profile{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer peers[0].Close()
-	ctx := context.Background()
-
-	// Pre-scope traffic lands on the base counters only.
-	if err := peers[0].Send(ctx, 1, []byte("warmup")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := peers[1].Recv(ctx, 0); err != nil {
-		t.Fatal(err)
-	}
-
-	s0 := Scoped(peers[0])
-	s1 := Scoped(peers[1])
-	if err := s0.Send(ctx, 1, []byte("abc")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s1.Recv(ctx, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "abc" {
-		t.Fatalf("payload %q", got)
-	}
-	if st := s0.Stats(); st.BytesSent != 3 || st.MsgsSent != 1 || st.BytesRecv != 0 {
-		t.Fatalf("sender scope %+v", st)
-	}
-	if st := s1.Stats(); st.BytesRecv != 3 || st.MsgsRecv != 1 || st.BytesSent != 0 {
-		t.Fatalf("receiver scope %+v", st)
-	}
-	// The base peer still accumulates everything, warmup included.
-	if st := peers[0].Stats(); st.BytesSent != 9 || st.MsgsSent != 2 {
-		t.Fatalf("base stats %+v", st)
-	}
-}
-
 func TestMemSendKeepsCallerBuffer(t *testing.T) {
 	// The Peer contract: Send does not retain the caller's slice, so a
 	// scratch buffer may be rewritten immediately after Send returns.

@@ -84,7 +84,7 @@ func (f *FlakyPeer) Send(ctx context.Context, to int, data []byte) error {
 	if f.CorruptEvery > 0 && n%f.CorruptEvery == 0 && len(data) > 0 {
 		// The corrupted copy is pooled and released after the transport has
 		// taken ownership, and its length equals the clean payload's, so
-		// Stats() scopes above and below the wrapper count the corrupted
+		// Stats() counters above and below the wrapper count the corrupted
 		// send identically to a clean one.
 		corrupted := GetBuffer(len(data))
 		copy(corrupted, data)
@@ -133,7 +133,7 @@ func (f *FlakyPeer) closedCh() chan struct{} {
 func (f *FlakyPeer) Stats() Stats { return f.Inner.Stats() }
 
 // Flush delegates the optional Flusher capability to the wrapped peer, so
-// chaos-wrapped meshes still flush fenced-attempt residue.
+// chaos-wrapped meshes still flush a dead round's residue.
 func (f *FlakyPeer) Flush() bool { return TryFlush(f.Inner) }
 
 // Close implements Peer, also releasing any stalled receives.

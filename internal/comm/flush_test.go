@@ -11,7 +11,7 @@ import (
 
 // TestWrappedPeerStillFlushes pins the fencing bugfix: Flush must survive
 // the full wrapper stack the cluster actually builds (fault injection →
-// framing → stat scope → watchdog), not just the concrete *MemPeer. Before
+// framing → watchdog), not just the concrete *MemPeer. Before
 // the Flusher interface, fencing flushed the raw mesh directly and any
 // wrapper-level view of the transport was bypassed.
 func TestWrappedPeerStillFlushes(t *testing.T) {
@@ -20,11 +20,9 @@ func TestWrappedPeerStillFlushes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mesh[0].Close()
-	// The cluster's exact stack: WrapTransport → Framed → (per-request
-	// Scoped) → watchdog.
+	// The cluster's exact stack: WrapTransport → Framed → watchdog.
 	var wrapped Peer = &FlakyPeer{Inner: mesh[0]}
 	wrapped = NewFramed(wrapped)
-	wrapped = Scoped(wrapped)
 	wrapped = WithOpTimeout(wrapped, time.Minute)
 
 	// Queue residue the way an aborted protocol would: a sent frame nobody

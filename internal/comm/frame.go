@@ -84,13 +84,16 @@ func (p *FramedPeer) Send(ctx context.Context, to int, data []byte) error {
 	binary.LittleEndian.PutUint32(buf[4:], uint32(len(data)))
 	binary.LittleEndian.PutUint32(buf[8:], crc32.Checksum(data, frameTable))
 	copy(buf[frameHeader:], data)
+	// Counted before the frame is handed over: whoever reads these counters
+	// after receiving the message finds it counted — the cluster takes a
+	// request's traffic as their difference across its pass.
+	p.stats.sent(len(data))
 	err := p.base.Send(ctx, to, buf)
 	ReleaseBuffer(buf)
 	if err != nil {
-		return err
+		p.stats.unsent(len(data))
 	}
-	p.stats.sent(len(data))
-	return nil
+	return err
 }
 
 // Recv implements Peer, validating the frame before releasing the payload

@@ -150,8 +150,8 @@ func (p *MemPeer) NIC(r int) *netem.NIC {
 // the recovery hook for a protocol aborted mid-flight: a failed collective
 // leaves undelivered messages queued on the FIFO links, which would
 // misalign the next protocol's stream. The caller must guarantee no rank
-// is concurrently sending or receiving (the cluster fences the mesh around
-// fault-tolerant attempts before flushing).
+// is concurrently sending or receiving (the cluster flushes between rounds,
+// once every worker of the ended one has returned).
 func (p *MemPeer) Flush() bool {
 	for _, row := range p.links {
 		for _, ch := range row {

@@ -82,9 +82,8 @@ func (e *Engine) Serve() { e.cluster.Serve() }
 
 // Submit admits one raw inference request (pre-embedded features) without
 // blocking; the returned handle resolves when the distributed run
-// completes. Overlapping submissions are sequenced by the cluster's
-// dispatcher, pipelining the terminal's I/O for one request with the
-// workers' compute for another.
+// completes. Overlapping submissions wait in the cluster's queue and enter
+// the mesh in admission order, one pass at a time.
 func (e *Engine) Submit(ctx context.Context, strategy cluster.Strategy, x *tensor.Matrix) (*cluster.Pending, error) {
 	return e.cluster.Submit(ctx, strategy, x)
 }
@@ -114,7 +113,7 @@ func (p *PendingPrediction) Wait(ctx context.Context) (*Prediction, error) {
 // SubmitTokens admits one text-classification request without blocking: the
 // token ids go to the devices as they are (each embeds them itself), the
 // distributed run — cut down to the pooled row the classifier reads — is
-// sequenced by the dispatcher, and Wait post-processes.
+// sequenced by the cluster's loop, and Wait post-processes.
 func (e *Engine) SubmitTokens(ctx context.Context, strategy cluster.Strategy, ids []int) (*PendingPrediction, error) {
 	pend, err := e.cluster.SubmitTokens(ctx, strategy, ids)
 	if err != nil {
@@ -181,8 +180,8 @@ func (e *Engine) GenerateCached(ctx context.Context, prompt []int, steps int) (*
 // GenerateStream is GenerateCached with incremental delivery: onToken is
 // called with each generated token id as soon as it is decoded, before the
 // next decode step runs — the serving gateway's streaming endpoint rides on
-// this. The callback runs on the serving runtime's collector goroutine and
-// must not block indefinitely; no call to it begins after GenerateStream
+// this. The callback runs on the serving loop's goroutine and must not
+// block indefinitely; no call to it begins after GenerateStream
 // returns, however the stream ended.
 func (e *Engine) GenerateStream(ctx context.Context, prompt []int, steps int, onToken func(tok int)) (*cluster.GenerateResult, error) {
 	return e.cluster.GenerateVoltageStream(ctx, prompt, steps, onToken)

@@ -2,10 +2,10 @@
 // that turns the cluster's raw Submit API into a *served* workload with
 // throughput and latency SLOs.
 //
-// The cluster's own admission queue is a single bounded FIFO — it blocks
-// an overloaded caller, lets a prefill-heavy generation request fence
-// cheap classification traffic behind it, and keeps no notion of
-// deadlines. The scheduler sits in front of the engine and adds the
+// The cluster's own pending queue is a single bounded FIFO — it blocks
+// an overloaded caller, serves one pass at a time in arrival order (a
+// classify behind a burst of prefills waits for each of them), and keeps no
+// notion of deadlines. The scheduler sits in front of the engine and adds the
 // serving policy the cluster deliberately does not have:
 //
 //   - bounded per-class queues (interactive vs. batch) with explicit load
@@ -30,8 +30,8 @@
 //
 // Queued requests whose caller gives up are withdrawn: Do returns the
 // caller's context error immediately and the entry is dropped from the
-// queue — it never reaches the engine (mirroring the cluster dispatcher's
-// own canceled-in-queue drop).
+// queue — it never reaches the engine (mirroring the cluster loop's own
+// canceled-in-queue drop).
 package sched
 
 import (
@@ -70,10 +70,10 @@ type Class int
 // SLO classes.
 const (
 	// Interactive is latency-sensitive work: classification, single
-	// embeddings — cheap, non-exclusive requests the mesh can pipeline.
+	// embeddings — cheap requests that hold the mesh for one pass.
 	Interactive Class = iota
-	// Batch is throughput work: prefill-heavy generation and pipeline
-	// runs, which fence the mesh and are first to shed under pressure.
+	// Batch is throughput work: prefill-heavy generation, which stays on
+	// the mesh for many rounds and is first to shed under pressure.
 	Batch
 	numClasses
 )

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repository CI gate: vet, build, full test suite, then the concurrency
 # suites under the race detector (the serving runtime's correctness claims —
-# overlapping requests, per-request stat scopes, pooled buffers — only mean
+# overlapping requests, per-request traffic, pooled buffers — only mean
 # something raced), and finally the chaos stage: the fault-injection suite
 # twice under -race, since its bugs are scheduling-dependent by nature.
 set -euo pipefail
@@ -45,6 +45,14 @@ if grep -rnE 'voltage/internal/(tparallel|pipeline)"|Quantized' --include='*.go'
     exit 1
 fi
 
+# The serving runtime has one request path: the batcher's terminal loop. The
+# dispatcher/collector pipeline, the strategyRunner seam, the fence and the
+# per-request retry supervisor it replaced must not grow back beside it.
+if grep -rnE 'strategyRunner|exclusive\(\)|submitSupervised|fenceBegin|collectLoop' --include='*.go' internal/cluster | grep -v _test.go; then
+    echo "a second request path is back in internal/cluster" >&2
+    exit 1
+fi
+
 echo "== gofmt -l ."
 if [ -n "$(gofmt -l .)" ]; then
     gofmt -l . >&2
@@ -71,7 +79,7 @@ go test -race ./internal/cluster/... ./internal/positionwise/... ./internal/harn
 
 echo "== chaos: go test -race -count=2 (fault-injection suite)"
 go test -race -count=2 -run \
-    'Chaos|Killed|Dropped|Corrupt|Stalled|AllWorkersDead|Probation|NonRetryable|Flaky|OpTimeout|VerifyFrame|Framed|TCPSend|DecodeHostile|DecodeDeclared' \
+    'Chaos|Killed|Dropped|Corrupt|Stalled|AllWorkersDead|Probation|NonRetryable|LostMessage|EveryReceiveFault|FailedRound|Flaky|OpTimeout|VerifyFrame|Framed|TCPSend|DecodeHostile|DecodeDeclared' \
     ./internal/cluster/... ./internal/comm/... ./internal/tensor/...
 
 echo "== chaos: go test -race -count=3 (batched recovery suite)"
@@ -80,11 +88,10 @@ echo "== chaos: go test -race -count=3 (batched recovery suite)"
 # scheduling-dependent; run them three times under the race detector.
 go test -race -count=3 -run 'TestBatchedGenerate|TestBatchWindow' ./internal/cluster/
 
-echo "== fuzz: 5 s of FuzzParsePrefillFrame (opPrefill header + token frame)"
-# The join frames and a classify's headerless token frame are the places a
-# worker parses bytes it did not produce; the seed corpus is the
-# malformed-frame table plus token frames as a classify sends them, 5 s
-# mutates it.
+echo "== fuzz: 5 s of FuzzParsePrefillFrame (the opPass frame: joins and classifies, ids and x)"
+# The pass frame is the place a worker parses bytes it did not produce; the
+# seed corpus is the malformed-frame table plus well-formed joins, token
+# classifies and scattered inputs, 5 s mutates it.
 go test -run '^$' -fuzz FuzzParsePrefillFrame -fuzztime 5s ./internal/cluster
 
 echo "== benchmark: go test + quick smoke of all four workloads"
@@ -275,25 +282,27 @@ kill "$BD_PID" 2>/dev/null || true
 wait "$BD_PID" 2>/dev/null || true
 
 echo "== batched-chaos smoke: worker killed mid-batch, streams still complete"
-# Same concurrent-generate workload, but rank 1's transport dies on its 15th
-# receive. Every rank takes part in each of the 4 co-batched prefills (header
-# and token ids: 8 receives), and tiny-decoder having two layers, the one
-# synchronisation of a join is the Gather to its owner: least-loaded placement
-# puts the four streams on ranks 0,1,2,0, so rank 1 receives the two other
-# ranks' shares once, in the join it owns — 10 in all. Decode is sharded by
-# sequence, so rank 1 then receives one step frame per round only for the one
-# stream it owns — 7 for steps=8, receives 11..17 — and nothing for the
-# other three. Receive 15 is that stream's 5th step frame:
-# inside decode, with rounds to spare either side. With -retries 2 the
-# batcher must blame rank 1, re-slice over the survivors, and resume every
-# stream (whoever owned it): all finish cleanly and /metrics records the
-# recovery.
+# Same concurrent-generate workload with a classify beside it, but rank 1's
+# transport dies on its 11th receive. Every rank takes part in each of the 4
+# co-batched prefills and in the classify (one pass frame each: 5 receives),
+# and tiny-decoder having two layers, the one synchronisation of a pass is the
+# Gather to its reader: least-loaded placement puts the four streams on ranks
+# 0,1,2,0, so rank 1 receives the two other ranks' shares once, in the join it
+# owns (the classify's reader is the rank holding its last row, rank 2) — 7 in
+# all. Decode is sharded by sequence, so rank 1 then receives one step frame
+# per round only for the one stream it owns — 7 for steps=8, receives 8..14 —
+# and nothing for the other three. Receive 11 is that stream's 4th step frame
+# (its 5th if the classify arrives after the streams have drained): inside
+# decode, with rounds to spare either side. With -retries 2 the loop must
+# blame rank 1, re-slice over the survivors, and resume every stream (whoever
+# owned it): all finish cleanly, the classify answers whichever side of the
+# kill it lands on, and /metrics records the recovery.
 BC_ADDR="127.0.0.1:19158"
 BC_LOG="$(mktemp)"
 TMPFILES+=("$BC_LOG")
 "$BIN/voltage-server" -local 3 -model tiny-decoder -listen "$BC_ADDR" \
     -gateway-workers 4 -max-batch 8 -batch-window 200ms -retries 2 \
-    -chaos-kill-rank 1 -chaos-kill-after 15 \
+    -chaos-kill-rank 1 -chaos-kill-after 11 \
     -hold 60s -drain-timeout 5s >"$BC_LOG" 2>&1 &
 BC_PID=$!
 PIDS+=("$BC_PID")
@@ -318,8 +327,15 @@ TMPFILES+=("$BC_DIR")
             -d "{\"prompt\":[$i,$((i+3)),$((i+7))],\"steps\":8}" \
             >"$BC_DIR/stream$i" &
     done
+    curl -s -X POST "http://$BC_ADDR/v1/classify" \
+        -d '{"tokens":[5,2,3,4]}' >"$BC_DIR/classify" &
     wait
 )
+grep -q '"logits"' "$BC_DIR/classify" || {
+    echo "batched-chaos smoke: the classify beside the streams failed" >&2
+    cat "$BC_DIR/classify" "$BC_LOG" >&2
+    exit 1
+}
 BC_DONE=0
 for i in 1 2 3 4; do
     if grep -q '"done":true' "$BC_DIR/stream$i" && ! grep -q '"error"' "$BC_DIR/stream$i"; then
