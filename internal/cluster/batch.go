@@ -30,7 +30,8 @@ import (
 //	         partition. A classify resolves here. A generate's pass is its
 //	         join: the terminal gives it one owner rank — the least-loaded,
 //	         load being owned sequences ÷ the rank's share of the scheme, ties
-//	         taking turns from the lowest rank up — which keeps its attention's
+//	         taking turns from the lowest rank up — which holds the last slice
+//	         (the one a causal pass sends every row to), keeps its attention's
 //	         K/V as the sequence's cache and answers with the newest row. A
 //	         sequence never moves while it is live;
 //	produce: each live sequence's next token is decoded from its last
@@ -62,18 +63,20 @@ import (
 // surviving worker, requests are served on the terminal replica one at a time.
 //
 // Terminal→worker frames (FIFO links; first byte is the opcode, integers
-// little-endian). R is the round's serving-rank count; ranges are in
-// serving-rank order, contiguous from row 0, and cover the input's N
-// positions:
+// little-endian). R is the round's serving-rank count; ranges are in member
+// order — serving-rank order, for a join rotated so that the owner comes last
+// (memberOrder) — contiguous from row 0, and cover the input's N positions:
 //
 //	opPass   [1][form u8][read u8][at u16][seq u32][R u16][R×(from u32, to u32)][input]
 //	         form 0: input is [N×token u32] (positionwise.TokenFrame), ids in
 //	         the vocabulary, 1 ≤ N ≤ MaxSeq; form 1: the N×F matrix
 //	         (tensor.Encode). read 0: every row (at = 0); 1: the classifier's
 //	         pooled row at serving rank number at; 2: the newest row at owner
-//	         number at, which keeps its K/V under seq. To every serving rank,
-//	         which answers with a partition: its rows of the last layer, or
-//	         for a one-row read the reader's 1×F and the others' 0×F
+//	         number at, which holds the last slice and keeps its K/V under
+//	         seq. On a causal model a one-row reader's slice ends at N. To
+//	         every serving rank, which answers with a partition: its rows of
+//	         the last layer, or for a one-row read the reader's 1×F and the
+//	         others' 0×F
 //	opStep   [2][round u32][owners u16][n u16][n×(seq u32, token u32)]
 //	         to each of the round's `owners` ranks, its own n ≥ 1 rows
 //	opLeave  [3][seq u32]            to the owner
@@ -705,10 +708,10 @@ func (b *batcher) step(rd *round, p comm.Peer, live []*request, rows [][]int, ow
 			return err
 		}
 		out, _, err := tensor.Decode(got)
+		comm.ReleaseBuffer(got)
 		if err != nil {
 			return err
 		}
-		comm.ReleaseBuffer(got)
 		if out.Rows() != len(rows[r]) {
 			return fmt.Errorf("rank %d returned %d rows for %d sequences", r, out.Rows(), len(rows[r]))
 		}
@@ -763,7 +766,7 @@ func (b *batcher) enter(rd *round, p comm.Peer, req *request, live []*request) (
 			c.metrics.observeBatchWait(wait)
 		}
 	}
-	frame, replies, err := b.passFrame(rd, req, live)
+	frame, members, replies, err := b.passFrame(rd, req, live)
 	if err != nil {
 		b.leaveLocked(rd, req, err)
 		return false, nil
@@ -779,13 +782,13 @@ func (b *batcher) enter(rd *round, p comm.Peer, req *request, live []*request) (
 	defer cancel()
 	rd.tracing.Store(req.trace)
 	start := time.Now()
-	err = positionwise.Scatter(ctx, p, rd.ranks, frame)
+	err = positionwise.Scatter(ctx, p, members, frame)
 	c.recordPhase(req.trace, c.terminalRank(), -1, trace.PhaseBoundary, time.Since(start))
 	if err != nil {
 		return false, err
 	}
 	collectStart := time.Now()
-	out, seqErr, err := collect(ctx, p, b.ex.Pool(), rd.ranks, replies)
+	out, seqErr, err := collect(ctx, p, b.ex.Pool(), members, replies)
 	c.recordPhase(req.trace, c.terminalRank(), -1, trace.PhaseBoundary, time.Since(collectStart))
 	if err != nil {
 		return false, err
@@ -818,14 +821,17 @@ func (b *batcher) enter(rd *round, p comm.Peer, req *request, live []*request) (
 	return false, nil
 }
 
-// passFrame builds the frame of req's pass over the round's ranks and what
-// each of them answers with (positionwise.Read.Replies).
-func (b *batcher) passFrame(rd *round, req *request, live []*request) ([]byte, []partition.Range, error) {
+// passFrame builds the frame of req's pass over the round's ranks, the order
+// the ranks are members of it in, and what each member answers with
+// (positionwise.Read.Replies). A join's owner is the last member: it reads one
+// row of every position's K/V, so it holds the slice that sees them all, and
+// each rank's share of the scheme follows it to its place.
+func (b *batcher) passFrame(rd *round, req *request, live []*request) ([]byte, []int, []partition.Range, error) {
 	c := b.c
 	ids, n := req.prefix(), 0
 	if ids != nil {
 		if err := c.cfg.CheckTokens(ids); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		n = len(ids)
 	} else {
@@ -833,26 +839,35 @@ func (b *batcher) passFrame(rd *round, req *request, live []*request) ([]byte, [
 	}
 	scheme, err := c.passScheme(rd)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
+	}
+	kind, at, members, read := byte(readAll), 0, rd.ranks, positionwise.AllRows
+	if req.gen != nil {
+		shares := scheme.Ratios()
+		req.gen.owner = pickOwner(rd.ranks, shares, live, b.lastOwner)
+		kind, at = readJoin, slices.Index(rd.ranks, req.gen.owner)
+		members = memberOrder(rd.ranks, at)
+		if scheme, err = partition.New(memberOrder(shares, at)); err != nil {
+			return nil, nil, nil, err
+		}
+		read = positionwise.Read{One: true, Row: n - 1, At: len(members) - 1, Cache: true}
 	}
 	ranges, err := scheme.Ranges(n)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	kind, read := byte(readAll), positionwise.AllRows
-	switch {
-	case req.gen != nil:
-		req.gen.owner = pickOwner(rd.ranks, scheme.Ratios(), live, b.lastOwner)
-		kind = readJoin
-		for i, r := range rd.ranks {
-			if r == req.gen.owner {
-				read = positionwise.Read{One: true, Row: n - 1, At: i, Cache: true}
-			}
-		}
-	case req.pooled():
-		kind, read = readPooled, positionwise.Pooled(c.models[0].Classifier, ranges)
+	if req.gen == nil && req.pooled() {
+		read = positionwise.Pooled(c.models[0].Classifier, ranges)
+		kind, at = readPooled, read.At
 	}
-	return encodePass(kind, read.At, uint32(req.id), ranges, ids, req.x), read.Replies(ranges), nil
+	return encodePass(kind, at, uint32(req.id), ranges, ids, req.x), members, read.Replies(ranges), nil
+}
+
+// memberOrder is serving (one entry per serving rank, in rank order) in the
+// member order of a pass whose last member is serving rank number last: the
+// rotation that ends there — the identity for last = len(serving)−1.
+func memberOrder[T any](serving []T, last int) []T {
+	return append(append(make([]T, 0, len(serving)), serving[last+1:]...), serving[:last+1]...)
 }
 
 // encodePass encodes an opPass frame (see the frame table above); the input is
@@ -924,7 +939,8 @@ func pickOwner(ranks []int, shares []float64, live []*request, last int) int {
 // parsedPass is a validated opPass frame.
 type parsedPass struct {
 	seq    uint32
-	ranges []partition.Range
+	last   int               // serving rank number of the last member (memberOrder)
+	ranges []partition.Range // in member order
 	read   positionwise.Read
 	ids    []int          // form 0
 	x      *tensor.Matrix // form 1, drawn from the pool
@@ -932,8 +948,9 @@ type parsedPass struct {
 
 // parsePassFrame validates an opPass frame against a round of `serving` ranks
 // and the model: opcode, input form, read kind, one range per serving rank
-// contiguous from row 0, a reader among them, and an input of exactly the
-// positions the ranges cover — ids the embedding accepts (1 ≤ N ≤ MaxSeq,
+// contiguous from row 0, a reader among them — on a causal model one whose
+// slice ends at N, since it has to see every row — and an input of exactly
+// the positions the ranges cover: ids the embedding accepts (1 ≤ N ≤ MaxSeq,
 // every id in the vocabulary) or an N×F matrix and nothing after it.
 func parsePassFrame(frame []byte, serving int, m *model.Model, pool *tensor.MatrixPool) (parsedPass, error) {
 	bad := func(format string, args ...any) (parsedPass, error) {
@@ -944,8 +961,8 @@ func parsePassFrame(frame []byte, serving int, m *model.Model, pool *tensor.Matr
 	}
 	form, kind := frame[1], frame[2]
 	at := int(binary.LittleEndian.Uint16(frame[3:]))
-	pf := parsedPass{seq: binary.LittleEndian.Uint32(frame[5:])}
 	r := int(binary.LittleEndian.Uint16(frame[9:]))
+	pf := parsedPass{seq: binary.LittleEndian.Uint32(frame[5:]), last: r - 1}
 	if r != serving || len(frame) < passHeader+8*r {
 		return bad("%d ranges for %d serving ranks", r, serving)
 	}
@@ -964,9 +981,12 @@ func parsePassFrame(frame []byte, serving int, m *model.Model, pool *tensor.Matr
 	case kind == readPooled && at < r && n > 0:
 		pf.read = positionwise.Read{One: true, Row: m.Classifier.PooledRow(n), At: at}
 	case kind == readJoin && at < r && n > 0:
-		pf.read = positionwise.Read{One: true, Row: n - 1, At: at, Cache: true}
+		pf.last, pf.read = at, positionwise.Read{One: true, Row: n - 1, At: r - 1, Cache: true}
 	default:
-		return bad("read kind %d at member %d of %d over %d positions", kind, at, r, n)
+		return bad("read kind %d at rank number %d of %d over %d positions", kind, at, r, n)
+	}
+	if pf.read.One && m.Causal() && pf.ranges[pf.read.At].To != n {
+		return bad("the reader's slice %v of a causal pass does not end at row %d", pf.ranges[pf.read.At], n)
 	}
 	payload := frame[passHeader+8*r:]
 	switch form {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -446,16 +447,22 @@ var badPassFrames = []struct {
 	{"matrix shorter than the ranges", rawPass(formX, readAll, 0, 2, matrix(4, 32), 0, 3, 3, 5)},
 	{"matrix cut short", rawPass(formX, readPooled, 1, 2, matrix(5, 32)[:600], 0, 3, 3, 5)},
 	{"bytes past the matrix", rawPass(formX, readAll, 0, 2, append(matrix(5, 32), 0), 0, 3, 3, 5)},
+	{"a causal reader that does not see the last row", rawPass(formIDs, readPooled, 0, 2, fiveTokens, 0, 3, 3, 5)},
+	{"a causal reader without rows before the last", rawPass(formX, readPooled, 0, 2, matrix(1, 32), 0, 0, 0, 1)},
 }
 
 // goodPassFrames are well-formed: a join, a token classify, a scattered x read
-// whole and read at its pooled row.
+// whole and read at its pooled row, and joins owned by rank number 0 — the
+// member order rotated, rank 1 holding the first slice — one of them with an
+// owner that has no rows.
 var goodPassFrames = [][]byte{
 	join(1, 2, fiveTokens, 0, 3, 3, 5),
 	rawPass(formIDs, readPooled, 1, 2, fiveTokens, 0, 3, 3, 5),
 	rawPass(formIDs, readPooled, 0, 2, ids(64), 0, 64, 64, 64),
 	rawPass(formX, readAll, 0, 2, matrix(5, 32), 0, 3, 3, 5),
-	rawPass(formX, readPooled, 0, 2, matrix(1, 32), 0, 0, 0, 1),
+	rawPass(formX, readPooled, 1, 2, matrix(1, 32), 0, 0, 0, 1),
+	join(0, 2, fiveTokens, 0, 3, 3, 5),
+	join(0, 2, fiveTokens, 0, 5, 5, 5),
 }
 
 func tinyDecoderModel(t testing.TB) *model.Model {
@@ -484,11 +491,15 @@ func TestParsePrefillFrame(t *testing.T) {
 		t.Errorf("two ranges accepted by a round of three: %v", err)
 	}
 	// A degraded round's owner is named by its place among the serving ranks,
-	// and may hold no rows.
-	pf, err := parsePassFrame(join(1, 2, fiveTokens, 0, 0, 0, 5), 2, m, nil)
+	// and may hold no rows; whichever rank it is, it is the last member.
 	want := positionwise.Read{One: true, Row: 4, At: 1, Cache: true}
-	if err != nil || pf.seq != 77 || pf.read != want || !pf.ranges[0].Empty() || pf.ranges[1] != (partition.Range{From: 0, To: 5}) || !equalTokens(pf.ids, []int{4, 8, 15, 16, 23}) {
+	pf, err := parsePassFrame(join(1, 2, fiveTokens, 0, 0, 0, 5), 2, m, nil)
+	if err != nil || pf.seq != 77 || pf.read != want || pf.last != 1 || !pf.ranges[0].Empty() || pf.ranges[1] != (partition.Range{From: 0, To: 5}) || !equalTokens(pf.ids, []int{4, 8, 15, 16, 23}) {
 		t.Errorf("valid join parsed as %+v, err %v", pf, err)
+	}
+	pf, err = parsePassFrame(goodPassFrames[5], 2, m, nil)
+	if err != nil || pf.read != want || pf.last != 0 || !slices.Equal(memberOrder([]int{4, 7}, pf.last), []int{7, 4}) {
+		t.Errorf("a join owned by rank number 0 parsed as %+v, err %v; want it the last of the members [7 4]", pf, err)
 	}
 	// A classify is read at the classifier's pooled row (a decoder's last),
 	// wherever the frame puts the reader.
@@ -529,14 +540,22 @@ func FuzzParsePrefillFrame(f *testing.F) {
 		if r := pf.read; r.One && (r.At < 0 || r.At > 1 || r.Row < 0 || r.Row >= n) || !r.One && r != positionwise.AllRows {
 			t.Fatalf("accepted read %+v over %d positions on two ranks", r, n)
 		}
-		kind := byte(readAll)
+		// The tiny decoder is causal: a one-row reader sees every row, and a
+		// join's owner is the last member whichever rank the frame names.
+		if pf.read.One && pf.ranges[pf.read.At].To != n {
+			t.Fatalf("accepted a reader whose slice %v stops short of the %d positions of a causal pass", pf.ranges[pf.read.At], n)
+		}
+		if pf.last < 0 || pf.last > 1 || (!pf.read.Cache && pf.last != 1) || (pf.read.Cache && pf.read.At != 1) {
+			t.Fatalf("accepted read %+v with rank number %d as the last of two members", pf.read, pf.last)
+		}
+		kind, at := byte(readAll), pf.read.At
 		if pf.read.One {
 			kind = readPooled
 		}
 		if pf.read.Cache {
-			kind = readJoin
+			kind, at = readJoin, pf.last
 		}
-		again := encodePass(kind, pf.read.At, pf.seq, pf.ranges, pf.ids, pf.x)
+		again := encodePass(kind, at, pf.seq, pf.ranges, pf.ids, pf.x)
 		if pf.ids != nil {
 			if len(pf.ids) != n || n > cfg.MaxSeq {
 				t.Fatalf("accepted %d ids for %d of at most %d positions", len(pf.ids), n, cfg.MaxSeq)

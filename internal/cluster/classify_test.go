@@ -91,7 +91,8 @@ func soloLogits(t *testing.T, m *model.Model, ids []int) (*tensor.Matrix, []floa
 // 1e-4·(1+|ref|) of the solo forward's and the class is the same. The pooled
 // row is bit-identical to the solo forward's wherever the pass and the solo
 // run do the same arithmetic: every non-empty slice selects the naive order
-// under Theorem 2 at (N, P) and so does the reader's last row at (N, 1) —
+// under Theorem 2 at (N, P) — at (To, P) on the decoder, whose slices are
+// computed over their prefix — and so does the reader's last row at (N, 1) —
 // which at this shape it does only at N = 1; a reordered product is the same
 // mathematics rounded differently. (Under the race detector the whole grid runs
 // at wireCfg's shape: what is raced is the pass's goroutines and frames, which
@@ -170,7 +171,11 @@ func TestClassifyTokensMatchesSolo(t *testing.T) {
 					}
 					exact := naive(n, 1)
 					for _, r := range ranges {
-						exact = exact && (r.Empty() || naive(n, r.Len()))
+						seen := n
+						if kind == model.KindDecoder {
+							seen = r.To // a causal slice is computed over its prefix
+						}
+						exact = exact && (r.Empty() || naive(seen, r.Len()))
 					}
 					if exact {
 						exactRuns++
@@ -192,24 +197,32 @@ func TestClassifyTokensMatchesSolo(t *testing.T) {
 	}
 }
 
-// rankBytes is what worker r of a one-row pass over ranges sends, exactly: its
-// rows to K−1 peers at each of the L−2 All-Gathers, once more to the reader at
-// the Gather (the reader itself sends nothing there), and its reply — the one
-// row from the reader, an empty partition from the rest.
-func rankBytes(cfg model.Config, ranges []partition.Range, r, reader int) int64 {
+// rankTraffic is what member j of a one-row pass over ranges (in member order)
+// sends, exactly: its rows to the members that read them at each of the L−2
+// gathers every member takes — the K−1 others on a bidirectional model (the
+// paper's All-Gather), the K−1−j after it on a causal one — once more to the
+// reader at the Gather (the reader itself sends nothing there), and its reply:
+// the one row from the reader, an empty partition from the rest.
+func rankTraffic(cfg model.Config, ranges []partition.Range, j, reader int) (bytes, msgs int64) {
 	enc := func(rows int) int64 { return int64(len(tensor.Encode(nil, tensor.New(rows, cfg.F)))) }
-	k, mine := int64(len(ranges)), enc(ranges[r].Len())
-	sent := int64(cfg.Layers-2) * (k - 1) * mine
-	if r == reader {
-		return sent + enc(1)
+	mine := enc(ranges[j].Len())
+	readers := int64(len(ranges) - 1)
+	if cfg.Kind == model.KindDecoder {
+		readers -= int64(j)
 	}
-	return sent + mine + enc(0)
+	msgs = int64(cfg.Layers-2) * readers
+	bytes = msgs * mine
+	if j == reader {
+		return bytes + enc(1), msgs + 1
+	}
+	return bytes + mine + enc(0), msgs + 2
 }
 
 // TestClassifyTokensTraffic: a token classify moves K·(header + 4N) bytes of
-// ids out,
-// L−2 All-Gathers and one Gather between the workers, and one F-row plus K−1
-// empty partitions back — nothing else.
+// ids out, L−2 gathers and one Gather to the reader between the workers
+// (rankTraffic), and one F-row plus K−1 empty partitions back — nothing else.
+// The encoder's gathers are the paper's All-Gathers, (K−1)·NF/K out of every
+// rank; in the decoder's, rank j sends to the K−1−j ranks after it.
 func TestClassifyTokensTraffic(t *testing.T) {
 	const k, n = 3, 17
 	for _, kind := range []model.Kind{model.KindDecoder, model.KindEncoder} {
@@ -240,15 +253,9 @@ func TestClassifyTokensTraffic(t *testing.T) {
 			t.Errorf("%s: terminal received %d bytes in %d messages, want %d in %d (the pooled row, %d empty partitions)", kind, term.BytesRecv, term.MsgsRecv, want, k, k-1)
 		}
 		for r := 0; r < k; r++ {
-			if want := rankBytes(cfg, ranges, r, reader); res.PerDevice[r].BytesSent != want {
-				t.Errorf("%s: rank %d sent %d bytes, want %d (reader %d)", kind, r, res.PerDevice[r].BytesSent, want, reader)
-			}
-			msgs := int64((cfg.Layers-2)*(k-1) + 2)
-			if r == reader {
-				msgs--
-			}
-			if res.PerDevice[r].MsgsSent != msgs {
-				t.Errorf("%s: rank %d sent %d messages, want %d", kind, r, res.PerDevice[r].MsgsSent, msgs)
+			bytes, msgs := rankTraffic(cfg, ranges, r, reader)
+			if got := res.PerDevice[r]; got.BytesSent != bytes || got.MsgsSent != msgs {
+				t.Errorf("%s: rank %d sent %d bytes in %d messages, want %d in %d (reader %d)", kind, r, got.BytesSent, got.MsgsSent, bytes, msgs, reader)
 			}
 		}
 	}
@@ -281,7 +288,7 @@ func TestSubmitPooledReadsOneRowOfAScatteredInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 0; r < k; r++ {
-		if want := rankBytes(c.cfg, ranges, r, 0); res.PerDevice[r].BytesSent != want {
+		if want, _ := rankTraffic(c.cfg, ranges, r, 0); res.PerDevice[r].BytesSent != want {
 			t.Errorf("rank %d sent %d bytes, want %d", r, res.PerDevice[r].BytesSent, want)
 		}
 	}
@@ -305,7 +312,8 @@ func TestClassifyTokensRejectedBeforeAdmission(t *testing.T) {
 }
 
 // TestClassifyTokensKilledWorkerResolvesOnSurvivors: rank 2 dies inside its
-// first All-Gather (its second send). Supervised, the ids request is
+// first gather — its second receive, the first of the two partitions the last
+// slice is sent whether the model is causal or not. Supervised, the ids request is
 // re-sliced over ranks {0,1} — the reader now the survivor whose slice holds
 // the pooled row — and answers with the logits a healthy two-worker cluster
 // gives, bit for bit.
@@ -315,7 +323,7 @@ func TestClassifyTokensKilledWorkerResolvesOnSurvivors(t *testing.T) {
 		cfg := wireCfg(kind)
 		c, err := NewMem(cfg, 3, Options{
 			MaxRetries:    2,
-			WrapTransport: wrapRank(2, func(p comm.Peer) comm.Peer { return &comm.FlakyPeer{Inner: p, FailSendAfter: 2} }),
+			WrapTransport: wrapRank(2, func(p comm.Peer) comm.Peer { return &comm.FlakyPeer{Inner: p, FailRecvAfter: 2} }),
 		})
 		if err != nil {
 			t.Fatal(err)

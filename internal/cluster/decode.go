@@ -15,14 +15,16 @@ import (
 // decode the independent unit is the sequence, so the two phases are
 // distributed along different axes:
 //
-//   - prefill runs under Algorithm 2 (position-wise partitions +
-//     All-Gather; package positionwise) over every live rank, cut down to
-//     what generation reads (positionwise.Read): the prefix travels as token
-//     ids; the sequence's owner rank — chosen by the terminal at join —
-//     keeps the K/V its own attention materialises over each complete layer
-//     input as the cache, which so costs no extra communication or
-//     projection and exists on exactly one device; and the last layer is the
-//     newest row alone;
+//   - prefill runs under Algorithm 2 (position-wise partitions + a gather
+//     per layer; package positionwise) over every live rank, cut down to
+//     what generation reads (positionwise.Read) and, the model being causal,
+//     to what each slice attends to — the rank holding slice j is sent the
+//     slices before it and no other: the prefix travels as token ids; the
+//     sequence's owner rank — chosen by the terminal at join, and given the
+//     last slice, the one that sees every position — keeps the K/V its own
+//     attention materialises over each complete layer input as the cache,
+//     which so costs no extra communication or projection and exists on
+//     exactly one device; and the last layer is the newest row alone;
 //   - each decode step moves only the token id to the owner and one
 //     F-vector back: communication per generated token drops from
 //     L·(K−1)·N·F/K floats to F floats, with no per-layer collective.

@@ -3,10 +3,13 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"voltage/internal/adapt"
 	"voltage/internal/comm"
 	"voltage/internal/flopcount"
 	"voltage/internal/model"
@@ -41,21 +44,28 @@ func prefillPrompt(n int) []int {
 }
 
 // drivePrefill runs one join prefill by hand — every live rank's device
-// (Cluster.device, as its worker builds it) over the pass a join is, the
-// terminal's reply collection here — and returns the row the terminal got
-// back and the owner's decode state.
-func drivePrefill(t *testing.T, c *Cluster, live []int, ranges []partition.Range, owner int, prefix []int) (*tensor.Matrix, *model.DecodeState) {
+// (Cluster.device, as its worker builds it) over the pass a join is, laid out
+// as the terminal lays it out (the owner the last member, every rank's share
+// of scheme following it), the terminal's reply collection here — and returns
+// the row the terminal got back, the owner's decode state and whether every
+// other slice ran the naive association (naiveEverywhere).
+func drivePrefill(t *testing.T, c *Cluster, live []int, scheme *partition.Scheme, owner int, prefix []int) (*tensor.Matrix, *model.DecodeState, bool) {
 	t.Helper()
 	rd := &round{ranks: live, live: live}
 	if live == nil {
 		rd.ranks = c.allRanks()
 	}
-	read := positionwise.Read{One: true, Row: len(prefix) - 1, Cache: true}
-	for i, r := range rd.ranks {
-		if r == owner {
-			read.At = i
-		}
+	at := slices.Index(rd.ranks, owner)
+	members := memberOrder(rd.ranks, at)
+	rotated, err := partition.New(memberOrder(scheme.Ratios(), at))
+	if err != nil {
+		t.Fatal(err)
 	}
+	ranges, err := rotated.Ranges(len(prefix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := positionwise.Read{One: true, Row: len(prefix) - 1, At: len(members) - 1, Cache: true}
 	ctx := context.Background()
 	states := make([]*model.DecodeState, c.k)
 	errs := make([]error, c.k)
@@ -64,16 +74,15 @@ func drivePrefill(t *testing.T, c *Cluster, live []int, ranges []partition.Range
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			dev, err := c.device(rd, r)
-			if err != nil {
-				errs[r] = err
+			dev := c.device(rd, r)
+			if dev.Group, errs[r] = comm.NewSubgroup(c.peers[r], members); errs[r] != nil {
 				return
 			}
 			dev.Ex = comm.NewExchange(c.pool)
 			states[r], errs[r] = dev.RunTokens(ctx, prefix, ranges, read)
 		}(r)
 	}
-	last, seqErr, err := collect(ctx, c.peers[c.terminalRank()], c.pool, rd.ranks, read.Replies(ranges))
+	last, seqErr, err := collect(ctx, c.peers[c.terminalRank()], c.pool, members, read.Replies(ranges))
 	wg.Wait()
 	if err != nil || seqErr != nil {
 		t.Fatalf("collecting the join: %v / %v", err, seqErr)
@@ -86,19 +95,20 @@ func drivePrefill(t *testing.T, c *Cluster, live []int, ranges []partition.Range
 			t.Fatalf("rank %d holds a cache: %v, owner is %d", r, states[r] != nil, owner)
 		}
 	}
-	return last, states[owner]
+	return last, states[owner], naiveEverywhere(c.cfg, ranges)
 }
 
-// naiveEverywhere reports whether every non-owner slice ran the naive
-// association, so that every row of every layer input is the solo run's bit
-// for bit. (A reordered slice is the same mathematics rounded differently.)
-func naiveEverywhere(cfg model.Config, ranges []partition.Range, ownerIndex int) bool {
-	n := ranges[len(ranges)-1].To
-	for i, r := range ranges {
-		if i == ownerIndex || r.Empty() {
+// naiveEverywhere reports whether every slice but the last member's — the
+// owner's, which runs the naive association by rule — selected it too, at the
+// horizon the slice is computed over, so that every row of every layer input
+// is the solo run's bit for bit. (A reordered slice is the same mathematics
+// rounded differently.)
+func naiveEverywhere(cfg model.Config, ranges []partition.Range) bool {
+	for _, r := range ranges[:len(ranges)-1] {
+		if r.Empty() {
 			continue
 		}
-		if flopcount.SelectOrder(flopcount.Shape{N: n, P: r.Len(), F: cfg.F, FH: cfg.FH()}) != flopcount.OrderNaive {
+		if flopcount.SelectOrder(flopcount.Shape{N: r.To, P: r.Len(), F: cfg.F, FH: cfg.FH()}) != flopcount.OrderNaive {
 			return false
 		}
 	}
@@ -177,13 +187,8 @@ func TestJoinPrefillMatchesSolo(t *testing.T) {
 				if !equalTokens(res.Tokens, want) {
 					t.Errorf("%s: tokens %v != solo %v", name, res.Tokens, want)
 				}
-				ranges, err := c.currentScheme().Ranges(n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				owner := n % k
-				last, state := drivePrefill(t, byHand, nil, ranges, owner, prompt)
-				checkOwnerCache(t, name, ref, prompt, last, state, naiveEverywhere(cfg, ranges, owner))
+				last, state, exact := drivePrefill(t, byHand, nil, c.currentScheme(), n%k, prompt)
+				checkOwnerCache(t, name, ref, prompt, last, state, exact)
 			}
 		}
 	}
@@ -209,33 +214,25 @@ func TestJoinPrefillOwnerWithoutRowsAndDegradedRound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ranges, err := starved.Ranges(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ranges[0].Empty() {
-			t.Fatalf("weights 0:1:1 gave rank 0 rows %v", ranges[0])
-		}
-		last, state := drivePrefill(t, c, nil, ranges, 0, prompt)
-		checkOwnerCache(t, fmt.Sprintf("owner without rows, N=%d", n), ref, prompt, last, state, naiveEverywhere(cfg, ranges, 0))
+		last, state, exact := drivePrefill(t, c, nil, starved, 0, prompt)
+		checkOwnerCache(t, fmt.Sprintf("owner without rows, N=%d", n), ref, prompt, last, state, exact)
 
 		live := []int{0, 2}
 		resliced, err := c.degradedScheme(live)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ranges, err = resliced.Ranges(n); err != nil {
-			t.Fatal(err)
-		}
-		last, state = drivePrefill(t, c, live, ranges, 2, prompt)
-		checkOwnerCache(t, fmt.Sprintf("degraded round, N=%d", n), ref, prompt, last, state, naiveEverywhere(cfg, ranges, 1))
+		last, state, exact = drivePrefill(t, c, live, resliced, 2, prompt)
+		checkOwnerCache(t, fmt.Sprintf("degraded round, N=%d", n), ref, prompt, last, state, exact)
 	}
 }
 
 // TestJoinPrefillTraffic: a join moves K·(header + 4N) bytes of token ids
-// out in K messages, L−2 All-Gathers and one Gather to the owner between the workers
-// (rankBytes), and one F-row plus K−1 empty partitions back — nothing else.
-// Two layers have the Gather alone, three one All-Gather before it.
+// out in K messages, L−2 gathers and one Gather to the owner between the
+// workers (rankTraffic, with the owner the last member and the ranks after it
+// the first: member j sends its rows to the K−1−j members after it at each
+// gather), and one F-row plus K−1 empty partitions back — nothing else — for
+// every owner. Two layers have the Gather alone, three one gather before it.
 func TestJoinPrefillTraffic(t *testing.T) {
 	const k, n = 3, 8
 	for _, layers := range []int{2, 3} {
@@ -245,36 +242,33 @@ func TestJoinPrefillTraffic(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(c.Close)
-		// One token: join, produce, leave — no decode step.
-		res, err := c.GenerateVoltage(context.Background(), []int{2, 4, 6, 8, 10, 12, 14, 16}, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ranges, err := c.currentScheme().Ranges(n)
+		ranges, err := c.currentScheme().Ranges(n) // an even scheme: the same in any member order
 		if err != nil {
 			t.Fatal(err)
 		}
 		enc := func(rows int) int64 { return int64(len(tensor.Encode(nil, tensor.New(rows, cfg.F)))) }
-		const owner, leave = 0, 5 // the first joiner lands on rank 0; opLeave is 5 bytes
-		header := int64(passHeader + 8*k)
-		term := res.PerDevice[k]
-		if want := k*(header+4*n) + leave; term.BytesSent != want || term.MsgsSent != k+1 {
-			t.Errorf("L=%d: terminal sent %d bytes in %d messages, want %d in %d (one pass frame per rank, one leave)", layers, term.BytesSent, term.MsgsSent, want, k+1)
-		}
-		if want := enc(1) + (k-1)*enc(0); term.BytesRecv != want || term.MsgsRecv != k {
-			t.Errorf("L=%d: terminal received %d bytes in %d messages, want %d in %d (one hidden row, %d empty partitions)", layers, term.BytesRecv, term.MsgsRecv, want, k, k-1)
-		}
-		for r := 0; r < k; r++ {
-			if want := rankBytes(cfg, ranges, r, owner); res.PerDevice[r].BytesSent != want {
-				t.Errorf("L=%d: rank %d sent %d bytes, want %d (%d All-Gathers of its %d rows to %d peers, the Gather to rank %d, its reply)",
-					layers, r, res.PerDevice[r].BytesSent, want, layers-2, ranges[r].Len(), k-1, owner)
+		// Placement ties take turns, so three lone joins visit every owner.
+		for owner := 0; owner < k; owner++ {
+			// One token: join, produce, leave — no decode step.
+			res, err := c.GenerateVoltage(context.Background(), []int{2, 4, 6, 8, 10, 12, 14, 16}, 1)
+			if err != nil {
+				t.Fatal(err)
 			}
-			msgs := int64((layers-2)*(k-1) + 2)
-			if r == owner {
-				msgs-- // the Gather's root sends nothing
+			const leave = 5 // opLeave is 5 bytes
+			header := int64(passHeader + 8*k)
+			term := res.PerDevice[k]
+			if want := k*(header+4*n) + leave; term.BytesSent != want || term.MsgsSent != k+1 {
+				t.Errorf("L=%d: terminal sent %d bytes in %d messages, want %d in %d (one pass frame per rank, one leave)", layers, term.BytesSent, term.MsgsSent, want, k+1)
 			}
-			if res.PerDevice[r].MsgsSent != msgs {
-				t.Errorf("L=%d: rank %d sent %d messages, want %d", layers, r, res.PerDevice[r].MsgsSent, msgs)
+			if want := enc(1) + (k-1)*enc(0); term.BytesRecv != want || term.MsgsRecv != k {
+				t.Errorf("L=%d: terminal received %d bytes in %d messages, want %d in %d (one hidden row, %d empty partitions)", layers, term.BytesRecv, term.MsgsRecv, want, k, k-1)
+			}
+			for j, r := range memberOrder(c.allRanks(), owner) {
+				bytes, msgs := rankTraffic(cfg, ranges, j, k-1)
+				if got := res.PerDevice[r]; got.BytesSent != bytes || got.MsgsSent != msgs {
+					t.Errorf("L=%d owner %d: rank %d, member %d, sent %d bytes in %d messages, want %d in %d (%d gathers of its %d rows to %d members, the Gather to rank %d, its reply)",
+						layers, owner, r, j, got.BytesSent, got.MsgsSent, bytes, msgs, layers-2, ranges[j].Len(), k-1-j, owner)
+				}
 			}
 		}
 	}
@@ -402,5 +396,155 @@ func TestJoinPrefillPacedForItsWork(t *testing.T) {
 	}
 	if budget := time.Duration(float64(work) / deviceFlops * float64(time.Second)); res.PrefillLatency < budget {
 		t.Errorf("prefill took %v, under the %v its %d MACs are paced for", res.PrefillLatency, budget, work)
+	}
+}
+
+// sliceReference runs the pass over x slice by slice as the devices do — each
+// member's rows of a layer from the rows it reads (its prefix, the model being
+// causal), in Algorithm 1's selected order or, where naive[i], in the naive
+// association a cache-keeping owner runs — and returns every layer's input,
+// assembled, with the last layer's output after them.
+func sliceReference(t *testing.T, m *model.Model, x *tensor.Matrix, ranges []partition.Range, naive func(member int) bool) []*tensor.Matrix {
+	t.Helper()
+	inputs := []*tensor.Matrix{x}
+	for _, layer := range m.Layers {
+		cur := inputs[len(inputs)-1]
+		parts := make([]*tensor.Matrix, len(ranges))
+		for i, r := range ranges {
+			seen, err := cur.RowSlice(0, r.To)
+			if err == nil && naive(i) {
+				parts[i], err = layer.ForwardPartitionFixedOrder(seen, r, flopcount.OrderNaive)
+			} else if err == nil {
+				parts[i], _, err = layer.ForwardPartition(seen, r)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		next, err := tensor.ConcatRows(parts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, next)
+	}
+	return inputs
+}
+
+// TestCausalPassProperty: over random lengths, K ∈ {1…4} and weighted schemes
+// one of whose members has no share, a causal pass is what its slices say it
+// is, bit for bit. The full pass returns the slice-by-slice reference's rows.
+// A join — every rank taking a turn as the owner, the one without a share
+// too — leaves on its owner exactly the K/V that reference's layer inputs
+// project to and answers with the row its last layer gives; they are
+// Model.ResumeState's bit for bit wherever every other slice selected the
+// naive order, and to rounding otherwise. And a served stream's greedy
+// continuation is the solo run's, whichever rank owns it.
+func TestCausalPassProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	cfg := prefillCfg(3)
+	ref, err := model.NewRandom(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := 6
+	if raceEnabled {
+		cases = 2
+	}
+	for range cases {
+		k := 1 + rng.Intn(4)
+		n := 1 + rng.Intn(cfg.MaxSeq-4)
+		weights := make([]float64, k)
+		for i := range weights {
+			weights[i] = float64(1 + rng.Intn(5))
+		}
+		if k > 1 {
+			weights[rng.Intn(k)] = 0
+		}
+		scheme, err := partition.Weighted(weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("K=%d N=%d weights %v", k, n, weights)
+		prompt := prefillPrompt(n)
+		x, err := ref.Embed.EmbedTokens(prompt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := NewMem(cfg, k, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		if err := c.InstallScheme(scheme, adapt.CauseManual, 0); err != nil {
+			t.Fatal(err)
+		}
+
+		// The full pass.
+		ranges, err := scheme.Ranges(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Infer(context.Background(), StrategyVoltage, x)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := sliceReference(t, ref, x, ranges, func(int) bool { return false })
+		if !res.Output.Equal(want[len(want)-1]) {
+			t.Errorf("%s: the full pass differs from its slices' reference", name)
+		}
+
+		// Served streams: placement ties take turns, so K of them visit
+		// every rank with a share.
+		solo, err := ref.GenerateIncremental(prompt, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range k {
+			got, err := c.GenerateVoltage(context.Background(), prompt, 3)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !equalTokens(got.Tokens, solo) {
+				t.Errorf("%s: tokens %v != solo %v", name, got.Tokens, solo)
+			}
+		}
+
+		// Joins by hand, on a mesh no round ran on, for the owner's state.
+		byHand, err := NewMem(cfg, k, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(byHand.Close)
+		for owner := 0; owner < k; owner++ {
+			name := fmt.Sprintf("%s owner %d", name, owner)
+			last, state, exact := drivePrefill(t, byHand, nil, scheme, owner, prompt)
+			checkOwnerCache(t, name, ref, prompt, last, state, exact)
+			rotated, err := partition.New(memberOrder(scheme.Ratios(), owner))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ranges, err = rotated.Ranges(n); err != nil {
+				t.Fatal(err)
+			}
+			inputs := sliceReference(t, ref, x, ranges, func(member int) bool { return member == k-1 })
+			for li, layer := range ref.Layers {
+				rows := partition.Range{From: n, To: n}
+				if li == len(ref.Layers)-1 {
+					rows.From = n - 1
+				}
+				row, ls, err := layer.ForwardPartitionCached(inputs[li], rows)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for h, hs := range state.Layers[li].Attn.Heads {
+					if ws := ls.Attn.Heads[h]; !hs.K.Equal(ws.K) || !hs.V.Equal(ws.V) {
+						t.Errorf("%s: layer %d head %d K/V differ from the projection of the slices' reference", name, li, h)
+					}
+				}
+				if !rows.Empty() && !last.Equal(row) {
+					t.Errorf("%s: the row answered differs from the last layer over the slices' reference", name)
+				}
+			}
+		}
 	}
 }

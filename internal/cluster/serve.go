@@ -317,17 +317,12 @@ func (c *Cluster) recordPhase(tr *trace.RequestTrace, rank, layer int, phase tra
 	c.obs.RecordPhase(rank, phase, d)
 }
 
-// device is worker rank's side of the position-wise protocol over the round's
-// ranks — the one place a pass is paced at the rank's emulated rate and its
-// compute and synchronisation spans are reported.
-func (c *Cluster) device(rd *round, rank int) (*positionwise.Device, error) {
-	p := c.peers[rank]
-	group, err := comm.NewSubgroup(p, rd.ranks)
-	if err != nil {
-		return nil, err
-	}
+// device is worker rank's side of the position-wise protocol — the one place a
+// pass is paced at the rank's emulated rate and its compute and
+// synchronisation spans are reported. Each pass names its own Group.
+func (c *Cluster) device(rd *round, rank int) *positionwise.Device {
 	return &positionwise.Device{
-		Model: c.models[rank], Peer: p, Terminal: c.terminalRank(), Group: group,
+		Model: c.models[rank], Peer: c.peers[rank], Terminal: c.terminalRank(),
 		Pace: func(ctx context.Context, layer int, start time.Time, flops int64) error {
 			if err := c.paceRank(ctx, rank, start, flops); err != nil {
 				return err
@@ -338,7 +333,7 @@ func (c *Cluster) device(rd *round, rank int) (*positionwise.Device, error) {
 		OnComm: func(layer int, d time.Duration) {
 			c.recordPhase(rd.tracing.Load(), rank, layer, trace.PhaseComm, d)
 		},
-	}, nil
+	}
 }
 
 // worker is one device's side of a round: a switch over the terminal's
@@ -350,10 +345,7 @@ func (c *Cluster) device(rd *round, rank int) (*positionwise.Device, error) {
 // malformed frame fails the round with errBadFrame.
 func (c *Cluster) worker(rd *round, rank int) error {
 	ctx, p, term, m := rd.ctx, c.peers[rank], c.terminalRank(), c.models[rank]
-	dev, err := c.device(rd, rank)
-	if err != nil {
-		return err
-	}
+	dev := c.device(rd, rank)
 	// A join's activations stay out of the matrix pool, left to the garbage
 	// collector: the pool keeps one class per N×F and prompt lengths rarely
 	// repeat — recycling them measured +3–4 MB of peak RSS on both generate
@@ -390,6 +382,9 @@ func (c *Cluster) worker(rd *round, rank int) error {
 				return err
 			}
 			comm.ReleaseBuffer(frame)
+			if dev.Group, err = comm.NewSubgroup(p, memberOrder(rd.ranks, pf.last)); err != nil {
+				return err
+			}
 			dev.Ex = ex
 			if pf.read.Cache {
 				dev.Ex = joinEx

@@ -75,38 +75,85 @@ func Broadcast(ctx context.Context, p Peer, root int, data []byte) ([]byte, erro
 	return p.Recv(ctx, root)
 }
 
-// Gather collects every rank's blob at root. Root receives all blobs
-// (result[i] = rank i's contribution, result[root] = own data); other
-// ranks send and return nil.
-func Gather(ctx context.Context, p Peer, root int, data []byte) ([][]byte, error) {
-	if root < 0 || root >= p.Size() {
-		return nil, fmt.Errorf("comm: gather root %d of %d", root, p.Size())
+// Readers says who reads whom in a gather: which members of the group a
+// member's contribution is sent to. It is the one thing that tells the
+// gathers apart — the zero value, Everyone, is the All-Gather.
+type Readers struct {
+	kind readersKind
+	root int
+}
+
+type readersKind uint8
+
+const (
+	everyone readersKind = iota
+	successors
+	only
+)
+
+var (
+	// Everyone reads every member: the All-Gather, K(K−1) transfers.
+	Everyone = Readers{}
+	// Successors is the gather of a causal pass, whose member j reads the
+	// rows of members 0…j only: a contribution goes to the members after its
+	// sender, K(K−1)/2 transfers, and member 0 waits for nobody.
+	Successors = Readers{kind: successors}
+)
+
+// Only is the gather one member reads: K−1 transfers, all to root.
+func Only(root int) Readers { return Readers{kind: only, root: root} }
+
+// Reads reports whether member `to` reads member `from`'s contribution. A
+// member that does not read its own takes nothing away from the gather.
+func (r Readers) Reads(from, to int) bool {
+	switch r.kind {
+	case successors:
+		return from <= to
+	case only:
+		return to == r.root
+	default:
+		return true
 	}
-	if p.Rank() != root {
-		return nil, p.Send(ctx, root, data)
+}
+
+// GatherTo exchanges blobs directly: each rank sends its blob to every other
+// rank that reads it and receives the blobs it reads, so a reader ends with
+// result[i] = rank i's contribution for every i it reads (result[rank] = own
+// data, the rest nil). A rank that reads nothing only sends, and returns nil.
+func GatherTo(ctx context.Context, p Peer, readers Readers, data []byte) ([][]byte, error) {
+	me, k := p.Rank(), p.Size()
+	if readers.kind == only && (readers.root < 0 || readers.root >= k) {
+		return nil, fmt.Errorf("comm: gather root %d of %d", readers.root, k)
 	}
-	out := make([][]byte, p.Size())
-	out[root] = data
+	out := make([][]byte, k)
+	out[me] = data
 	var wg sync.WaitGroup
-	errs := make([]error, p.Size())
-	for r := 0; r < p.Size(); r++ {
-		if r == root {
+	errs := make([]error, 2*k)
+	for r := 0; r < k; r++ {
+		if r == me {
 			continue
 		}
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			blob, err := p.Recv(ctx, r)
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			out[r] = blob
-		}(r)
+		if readers.Reads(me, r) {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				errs[r] = p.Send(ctx, r, data)
+			}(r)
+		}
+		if readers.Reads(r, me) {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				out[r], errs[k+r] = p.Recv(ctx, r)
+			}(r)
+		}
 	}
 	wg.Wait()
 	if err := firstError(errs); err != nil {
 		return nil, err
+	}
+	if !readers.Reads(me, me) {
+		return nil, nil
 	}
 	return out, nil
 }
@@ -115,34 +162,7 @@ func Gather(ctx context.Context, p Peer, root int, data []byte) ([][]byte, error
 // contribution. This is the naive (direct-exchange) algorithm: each rank
 // sends its blob to the K−1 others.
 func AllGather(ctx context.Context, p Peer, data []byte) ([][]byte, error) {
-	out := make([][]byte, p.Size())
-	out[p.Rank()] = data
-	var wg sync.WaitGroup
-	errs := make([]error, 2*p.Size())
-	for r := 0; r < p.Size(); r++ {
-		if r == p.Rank() {
-			continue
-		}
-		wg.Add(2)
-		go func(r int) {
-			defer wg.Done()
-			errs[r] = p.Send(ctx, r, data)
-		}(r)
-		go func(r int) {
-			defer wg.Done()
-			blob, err := p.Recv(ctx, r)
-			if err != nil {
-				errs[p.Size()+r] = err
-				return
-			}
-			out[r] = blob
-		}(r)
-	}
-	wg.Wait()
-	if err := firstError(errs); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return GatherTo(ctx, p, Everyone, data)
 }
 
 // RingAllGather is the bandwidth-optimal ring variant: K−1 steps, each

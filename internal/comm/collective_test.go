@@ -66,7 +66,7 @@ func TestGather(t *testing.T) {
 	peers := memPair(t, 4, netem.Unlimited)
 	runSPMD(t, peers, func(p Peer) error {
 		blob := []byte{byte(p.Rank())}
-		out, err := Gather(context.Background(), p, 2, blob)
+		out, err := GatherTo(context.Background(), p, Only(2), blob)
 		if err != nil {
 			return err
 		}
@@ -83,7 +83,7 @@ func TestGather(t *testing.T) {
 		}
 		return nil
 	})
-	if _, err := Gather(context.Background(), peers[0], -1, nil); err == nil {
+	if _, err := GatherTo(context.Background(), peers[0], Only(-1), nil); err == nil {
 		t.Fatal("want error for bad root")
 	}
 }

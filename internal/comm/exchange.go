@@ -41,41 +41,43 @@ func (ex *Exchange) Encode(m *tensor.Matrix) []byte {
 // AllGatherMatrix is Voltage's between-layer synchronization with buffer
 // reuse: every rank contributes its output partition `mine` (rows
 // ranges[rank] of the full matrix) and receives the assembled full matrix,
-// drawn from the exchange's pool. Received blobs are released back to the
-// transport's buffer pool and decoded partitions are recycled, so the
-// steady-state cost is one pooled matrix per call.
+// drawn from the exchange's pool — GatherTo with Everyone reading, or, when
+// ring is true, the same gather forwarded around the ring.
 //
 // ranges must be the partition scheme's ranges for the current sequence
-// length, identical on every rank. When ring is true the ring all-gather is
-// used; otherwise the naive direct exchange.
+// length, identical on every rank.
 func (ex *Exchange) AllGatherMatrix(ctx context.Context, p Peer, mine *tensor.Matrix, ranges []partition.Range, ring bool) (*tensor.Matrix, error) {
+	if !ring {
+		return ex.GatherTo(ctx, p, Everyone, mine, ranges)
+	}
 	if err := checkPartition(p, mine, ranges); err != nil {
 		return nil, err
 	}
-	gather := AllGather
-	if ring {
-		gather = RingAllGather
-	}
-	blobs, err := gather(ctx, p, ex.Encode(mine))
+	blobs, err := RingAllGather(ctx, p, ex.Encode(mine))
 	if err != nil {
 		return nil, err
 	}
-	return ex.assemble(p, mine, ranges, blobs)
+	return ex.assemble(p, Everyone, mine, ranges, blobs, decodeExact)
 }
 
-// GatherMatrix is AllGatherMatrix for a synchronisation only one member reads:
-// every other member sends its partition to root and returns nil — K−1
-// transfers where the All-Gather makes K(K−1) — and root assembles the full
-// matrix, drawn from the exchange's pool.
-func (ex *Exchange) GatherMatrix(ctx context.Context, p Peer, root int, mine *tensor.Matrix, ranges []partition.Range) (*tensor.Matrix, error) {
+// GatherTo is the synchronisation between two layers of a position-wise pass,
+// for whoever reads the layer: every member contributes its partition `mine`
+// (rows ranges[rank]) to the members that read it and gets back the rows it
+// reads itself, assembled into one matrix drawn from the exchange's pool —
+// every row under Everyone (the paper's All-Gather), rows [0, ranges[rank].To)
+// under Successors, every row at the root of Only and nil at the others.
+// Received blobs are released back to the transport's buffer pool and decoded
+// partitions are recycled, so the steady-state cost is one pooled matrix per
+// call.
+func (ex *Exchange) GatherTo(ctx context.Context, p Peer, readers Readers, mine *tensor.Matrix, ranges []partition.Range) (*tensor.Matrix, error) {
 	if err := checkPartition(p, mine, ranges); err != nil {
 		return nil, err
 	}
-	blobs, err := Gather(ctx, p, root, ex.Encode(mine))
+	blobs, err := GatherTo(ctx, p, readers, ex.Encode(mine))
 	if err != nil || blobs == nil {
 		return nil, err
 	}
-	return ex.assemble(p, mine, ranges, blobs)
+	return ex.assemble(p, readers, mine, ranges, blobs, decodeExact)
 }
 
 // checkPartition holds a collective's own contribution to its range.
@@ -89,52 +91,73 @@ func checkPartition(p Peer, mine *tensor.Matrix, ranges []partition.Range) error
 	return nil
 }
 
-// assemble stacks the gathered partitions (blobs[p.Rank()] is mine, not
-// decoded again) into one pooled matrix. A partition that does not fit its
-// range is refused in its sender's name. Received blobs go back to the
-// transport's buffer pool and decoded partitions are recycled.
-func (ex *Exchange) assemble(p Peer, mine *tensor.Matrix, ranges []partition.Range, blobs [][]byte) (*tensor.Matrix, error) {
+// decodeExact is the float32 wire form of a partition.
+func decodeExact(pool *tensor.MatrixPool, blob []byte) (*tensor.Matrix, error) {
+	part, _, err := tensor.DecodePooled(pool, blob)
+	return part, err
+}
+
+// assemble stacks the partitions this member reads (mine, which is not
+// decoded again, and blobs[i] of every other member i it reads) into one
+// pooled matrix. A partition that does not decode or does not fit its range
+// is refused in its sender's name. Received blobs go back to the transport's
+// buffer pool and decoded partitions are recycled, on every path.
+func (ex *Exchange) assemble(p Peer, readers Readers, mine *tensor.Matrix, ranges []partition.Range, blobs [][]byte,
+	decode func(*tensor.MatrixPool, []byte) (*tensor.Matrix, error)) (out *tensor.Matrix, err error) {
+	me := p.Rank()
 	total := 0
 	cols := mine.Cols()
 	contiguous := true
-	for _, rr := range ranges {
+	for rank, rr := range ranges {
+		if !readers.Reads(rank, me) {
+			continue
+		}
 		if rr.From != total {
 			contiguous = false
 		}
 		total += rr.Len()
 	}
 	// A pooled matrix has unspecified contents, so it is only safe when the
-	// ranges tile [0, total) exactly (which partition schemes guarantee);
-	// otherwise fall back to a zeroed allocation, preserving the historical
-	// semantics for irregular range sets.
-	var out *tensor.Matrix
+	// ranges read tile [0, total) exactly (which partition schemes
+	// guarantee); otherwise fall back to a zeroed allocation, preserving the
+	// historical semantics for irregular range sets.
 	if contiguous {
 		out = ex.pool.Get(total, cols)
 	} else {
 		out = tensor.New(total, cols)
 	}
-	for rank, blob := range blobs {
+	defer func() {
+		for rank, blob := range blobs {
+			if rank != me {
+				ReleaseBuffer(blob)
+			}
+		}
+		if err != nil {
+			ex.pool.Put(out)
+			out = nil
+		}
+	}()
+	for rank, rr := range ranges {
+		if !readers.Reads(rank, me) {
+			continue
+		}
 		part := mine
-		if rank != p.Rank() {
-			decoded, _, err := tensor.DecodePooled(ex.pool, blob)
-			if err != nil {
+		if rank != me {
+			if part, err = decode(ex.pool, blobs[rank]); err != nil {
 				return nil, &RemoteError{Rank: meshRank(p, rank), Err: fmt.Errorf("comm: gather decode: %w", err)}
 			}
-			part = decoded
 		}
-		rr := ranges[rank]
 		if part.Rows() != rr.Len() || part.Cols() != cols {
-			return nil, &RemoteError{Rank: meshRank(p, rank), Err: fmt.Errorf(
+			err = &RemoteError{Rank: meshRank(p, rank), Err: fmt.Errorf(
 				"comm: a partition of %dx%d, range %v wants %dx%d", part.Rows(), part.Cols(), rr, rr.Len(), cols)}
+		} else if !rr.Empty() {
+			err = out.SetRowSlice(rr.From, part)
 		}
-		if !rr.Empty() {
-			if err := out.SetRowSlice(rr.From, part); err != nil {
-				return nil, err
-			}
-		}
-		if rank != p.Rank() {
+		if rank != me {
 			ex.pool.Put(part)
-			ReleaseBuffer(blob)
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	return out, nil

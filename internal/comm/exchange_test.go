@@ -130,7 +130,7 @@ func TestExchangeGatherMatrix(t *testing.T) {
 				wg.Add(1)
 				go func(r int) {
 					defer wg.Done()
-					outs[r], errs[r] = exs[r].GatherMatrix(ctx, peers[r], root, part, ranges)
+					outs[r], errs[r] = exs[r].GatherTo(ctx, peers[r], Only(root), part, ranges)
 				}(r)
 			}
 			wg.Wait()
@@ -169,23 +169,146 @@ func TestExchangeGatherMatrixNamesTheSender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out, err := NewExchange(nil).GatherMatrix(ctx, sender, 0, tensor.New(3, 4), senderView); out != nil || err != nil {
+	if out, err := NewExchange(nil).GatherTo(ctx, sender, Only(0), tensor.New(3, 4), senderView); out != nil || err != nil {
 		t.Fatalf("sender returned %v, %v", out, err)
 	}
 	root, err := NewSubgroup(peers[1], members)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = NewExchange(nil).GatherMatrix(ctx, root, 0, tensor.New(3, 4), rootView)
+	_, err = NewExchange(nil).GatherTo(ctx, root, Only(0), tensor.New(3, 4), rootView)
 	if r, ok := RemoteRank(err); !ok || r != 3 {
 		t.Fatalf("root got %v, want the three-row partition refused in mesh rank 3's name", err)
 	}
 	// Its own partition a member checks before sending anything.
-	if _, err := NewExchange(nil).GatherMatrix(ctx, sender, 0, tensor.New(1, 4), senderView); err == nil {
+	if _, err := NewExchange(nil).GatherTo(ctx, sender, Only(0), tensor.New(1, 4), senderView); err == nil {
 		t.Fatal("a member sent a partition that does not fit its own range")
 	}
-	if _, err := NewExchange(nil).GatherMatrix(ctx, root, 0, tensor.New(3, 4), rootView[:1]); err == nil {
+	if _, err := NewExchange(nil).GatherTo(ctx, root, Only(0), tensor.New(3, 4), rootView[:1]); err == nil {
 		t.Fatal("one range accepted for a group of two")
+	}
+}
+
+// TestExchangeGatherToSuccessors: under Successors member j's rows go to the
+// K−1−j members after it and to nobody else — (K−1−j) messages of its encoded
+// partition out, j partitions in, exactly — and it ends with rows
+// [0, ranges[j].To), its own included; member 0 receives nothing. A second
+// round on recycled buffers is still exact, and a member without rows takes
+// part with an empty partition.
+func TestExchangeGatherToSuccessors(t *testing.T) {
+	ctx := context.Background()
+	const n, cols = 9, 4
+	for _, weights := range [][]float64{{1}, {1, 2}, {2, 1, 1}, {1, 0, 1, 1}} {
+		k := len(weights)
+		peers, err := NewMemMesh(k, netem.Profile{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer peers[0].Close()
+		scheme, err := partition.Weighted(weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranges, err := scheme.Ranges(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool := &tensor.MatrixPool{}
+		for round := 0; round < 2; round++ {
+			full := tensor.NewRNG(int64(round+1)).Normal(n, cols, 1)
+			before := make([]Stats, k)
+			outs := make([]*tensor.Matrix, k)
+			errs := make([]error, k)
+			var wg sync.WaitGroup
+			for r := 0; r < k; r++ {
+				before[r] = peers[r].Stats()
+				part, err := full.RowSlice(ranges[r].From, ranges[r].To)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					outs[r], errs[r] = NewExchange(pool).GatherTo(ctx, peers[r], Successors, part, ranges)
+				}(r)
+			}
+			wg.Wait()
+			var recv int64
+			for r := 0; r < k; r++ {
+				if errs[r] != nil {
+					t.Fatalf("weights %v rank %d: %v", weights, r, errs[r])
+				}
+				want, err := full.RowSlice(0, ranges[r].To)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !outs[r].Equal(want) {
+					t.Errorf("weights %v round %d: rank %d assembled %dx%d, want rows [0,%d) of the input", weights, round, r, outs[r].Rows(), outs[r].Cols(), ranges[r].To)
+				}
+				pool.Put(outs[r])
+				mine := int64(tensor.EncodedSize(ranges[r].Len(), cols))
+				got := peers[r].Stats().Sub(before[r])
+				if got.MsgsSent != int64(k-1-r) || got.BytesSent != int64(k-1-r)*mine || got.MsgsRecv != int64(r) || got.BytesRecv != recv {
+					t.Errorf("weights %v round %d: rank %d moved %+v, want its %d bytes out to the %d ranks after it and %d bytes in from the %d before",
+						weights, round, r, got, mine, k-1-r, recv, r)
+				}
+				recv += mine
+			}
+		}
+	}
+}
+
+// TestExchangeGatherToSuccessorsNamesTheSender: a partition that does not
+// decode, or does not fit its range, is refused by the member that reads it in
+// its sender's name — its mesh rank, through a subgroup whose member order is
+// a rotation of the rank order — and a member checks its own before sending.
+func TestExchangeGatherToSuccessorsNamesTheSender(t *testing.T) {
+	ctx := context.Background()
+	peers, err := NewMemMesh(4, netem.Profile{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peers[0].Close()
+	members := []int{2, 3, 1} // ranks 1, 2, 3 with rank 1 last
+	group := func(rank int) Peer {
+		g, err := NewSubgroup(peers[rank], members)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	ranges := []partition.Range{{From: 0, To: 2}, {From: 2, To: 5}, {From: 5, To: 6}}
+	// Member 0 (rank 2) sends bytes that are no matrix; member 1 (rank 3)
+	// believes its slice is two rows long.
+	for to := 1; to <= 2; to++ {
+		if err := group(2).Send(ctx, to, []byte{1, 2, 3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	skewed := []partition.Range{{From: 0, To: 2}, {From: 2, To: 4}, {From: 4, To: 6}}
+	_, err = NewExchange(nil).GatherTo(ctx, group(3), Successors, tensor.New(2, 4), skewed)
+	if r, ok := RemoteRank(err); !ok || r != 2 {
+		t.Fatalf("member 1 got %v, want the undecodable partition refused in mesh rank 2's name", err)
+	}
+	// Member 2 (rank 1) reads both: the first bad one it meets is member 0's.
+	_, err = NewExchange(nil).GatherTo(ctx, group(1), Successors, tensor.New(1, 4), ranges)
+	if r, ok := RemoteRank(err); !ok || r != 2 {
+		t.Fatalf("member 2 got %v, want the undecodable partition refused in mesh rank 2's name", err)
+	}
+	// With member 0 honest, the two-row partition of member 1 is what is left
+	// to refuse.
+	if out, err := NewExchange(nil).GatherTo(ctx, group(2), Successors, tensor.New(2, 4), ranges); err != nil || out.Rows() != 2 {
+		t.Fatalf("member 0 returned %v, %v; want its own two rows", out, err)
+	}
+	if _, err = NewExchange(nil).GatherTo(ctx, group(3), Successors, tensor.New(2, 4), skewed); err != nil {
+		t.Fatalf("member 1: %v", err)
+	}
+	_, err = NewExchange(nil).GatherTo(ctx, group(1), Successors, tensor.New(1, 4), ranges)
+	if r, ok := RemoteRank(err); !ok || r != 3 {
+		t.Fatalf("member 2 got %v, want the two-row partition for [2,5) refused in mesh rank 3's name", err)
+	}
+	if _, err := NewExchange(nil).GatherTo(ctx, group(3), Successors, tensor.New(1, 4), ranges); err == nil {
+		t.Fatal("a member sent a partition that does not fit its own range")
 	}
 }
 

@@ -2,59 +2,34 @@ package comm
 
 import (
 	"context"
-	"fmt"
 
 	"voltage/internal/partition"
 	"voltage/internal/quantize"
 	"voltage/internal/tensor"
 )
 
-// AllGatherMatrixQ is AllGatherMatrix with int8 activation quantization on
-// the wire: each rank quantizes its partition (per-row absmax), the blobs
-// are exchanged at ≈¼ the float32 size, and every rank dequantizes into
-// the assembled matrix. The result is approximate within
-// quantize.MaxError of each contribution; the surrounding layer norms keep
-// the error from compounding across layers.
-func AllGatherMatrixQ(ctx context.Context, p Peer, mine *tensor.Matrix, ranges []partition.Range, ring bool) (*tensor.Matrix, error) {
-	if len(ranges) != p.Size() {
-		return nil, fmt.Errorf("comm: %d ranges for %d peers", len(ranges), p.Size())
-	}
-	r := ranges[p.Rank()]
-	if mine.Rows() != r.Len() {
-		return nil, fmt.Errorf("comm: partition has %d rows, range %v wants %d", mine.Rows(), r, r.Len())
-	}
-	total := 0
-	cols := mine.Cols()
-	for _, rr := range ranges {
-		total += rr.Len()
-	}
-
-	gather := AllGather
-	if ring {
-		gather = RingAllGather
-	}
-	blobs, err := gather(ctx, p, quantize.Encode(nil, quantize.Quantize(mine)))
-	if err != nil {
+// GatherToQ is Exchange.GatherTo with int8 activation quantization on the
+// wire: each rank quantizes its partition (per-row absmax), the blobs are
+// exchanged at ≈¼ the float32 size, and every reader dequantizes into the
+// assembled matrix — its own rows too, so all readers of a row hold the same
+// values. The result is approximate within quantize.MaxError of each
+// contribution; the surrounding layer norms keep the error from compounding
+// across layers.
+func GatherToQ(ctx context.Context, p Peer, readers Readers, mine *tensor.Matrix, ranges []partition.Range) (*tensor.Matrix, error) {
+	if err := checkPartition(p, mine, ranges); err != nil {
 		return nil, err
 	}
-	out := tensor.New(total, cols)
-	for rank, blob := range blobs {
-		q, _, err := quantize.Decode(blob)
-		if err != nil {
-			return nil, fmt.Errorf("comm: quantized allgather decode from %d: %w", rank, err)
-		}
-		part := q.Dequantize()
-		rr := ranges[rank]
-		if part.Rows() != rr.Len() || part.Cols() != cols {
-			return nil, fmt.Errorf("comm: partition from %d is %dx%d, range %v wants %dx%d",
-				rank, part.Rows(), part.Cols(), rr, rr.Len(), cols)
-		}
-		if rr.Empty() {
-			continue
-		}
-		if err := out.SetRowSlice(rr.From, part); err != nil {
-			return nil, err
-		}
+	q := quantize.Quantize(mine)
+	blobs, err := GatherTo(ctx, p, readers, quantize.Encode(nil, q))
+	if err != nil || blobs == nil {
+		return nil, err
 	}
-	return out, nil
+	return NewExchange(nil).assemble(p, readers, q.Dequantize(), ranges, blobs,
+		func(_ *tensor.MatrixPool, blob []byte) (*tensor.Matrix, error) {
+			part, _, err := quantize.Decode(blob)
+			if err != nil {
+				return nil, err
+			}
+			return part.Dequantize(), nil
+		})
 }

@@ -11,15 +11,19 @@ import (
 	"voltage/internal/tensor"
 )
 
+// TestAllGatherMatrixQAssembles: whoever reads the gather, a reader ends with
+// the quantization round trip of every partition it reads — every row under
+// Everyone, its prefix under Successors, every row at the root of Only and
+// nothing at the others.
 func TestAllGatherMatrixQAssembles(t *testing.T) {
-	for _, ring := range []bool{false, true} {
-		t.Run(fmt.Sprintf("ring=%v", ring), func(t *testing.T) {
+	for name, readers := range map[string]Readers{"everyone": Everyone, "successors": Successors, "only": Only(1)} {
+		t.Run(name, func(t *testing.T) {
 			peers := memPair(t, 3, netem.Unlimited)
 			full := tensor.NewRNG(21).Normal(12, 8, 1)
 			scheme, _ := partition.Even(3)
 			ranges, _ := scheme.Ranges(12)
-			// Reference: what every rank should see — the quantization
-			// round trip of each partition.
+			// Reference: what a reader of every row should see — the
+			// quantization round trip of each partition.
 			want := tensor.New(12, 8)
 			for _, r := range ranges {
 				part, _ := full.RowSlice(r.From, r.To)
@@ -33,14 +37,29 @@ func TestAllGatherMatrixQAssembles(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				got, err := AllGatherMatrixQ(context.Background(), p, mine, ranges, ring)
+				got, err := GatherToQ(context.Background(), p, readers, mine, ranges)
 				if err != nil {
 					return err
 				}
-				if !got.Equal(want) {
+				if !readers.Reads(p.Rank(), p.Rank()) {
+					if got != nil {
+						return fmt.Errorf("rank %d reads nothing and got %dx%d", p.Rank(), got.Rows(), got.Cols())
+					}
+					return nil
+				}
+				rows := 12
+				if readers == Successors {
+					rows = r.To
+				}
+				wantRows, err := want.RowSlice(0, rows)
+				if err != nil {
+					return err
+				}
+				if !got.Equal(wantRows) {
 					return fmt.Errorf("rank %d: quantized assembly differs from reference", p.Rank())
 				}
-				d, err := got.MaxAbsDiff(full)
+				fullRows, _ := full.RowSlice(0, rows)
+				d, err := got.MaxAbsDiff(fullRows)
 				if err != nil {
 					return err
 				}
@@ -67,7 +86,7 @@ func TestAllGatherMatrixQConsistentAcrossRanks(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		got, err := AllGatherMatrixQ(context.Background(), p, mine, ranges, false)
+		got, err := GatherToQ(context.Background(), p, Everyone, mine, ranges)
 		if err != nil {
 			return err
 		}
@@ -82,11 +101,11 @@ func TestAllGatherMatrixQConsistentAcrossRanks(t *testing.T) {
 func TestAllGatherMatrixQValidation(t *testing.T) {
 	peers := memPair(t, 2, netem.Unlimited)
 	m := tensor.New(3, 2)
-	if _, err := AllGatherMatrixQ(context.Background(), peers[0], m, []partition.Range{{From: 0, To: 3}}, false); err == nil {
+	if _, err := GatherToQ(context.Background(), peers[0], Everyone, m, []partition.Range{{From: 0, To: 3}}); err == nil {
 		t.Fatal("want error for range count mismatch")
 	}
 	ranges := []partition.Range{{From: 0, To: 5}, {From: 5, To: 10}}
-	if _, err := AllGatherMatrixQ(context.Background(), peers[0], m, ranges, false); err == nil {
+	if _, err := GatherToQ(context.Background(), peers[0], Everyone, m, ranges); err == nil {
 		t.Fatal("want error for row mismatch")
 	}
 }
@@ -102,7 +121,7 @@ func TestAllGatherMatrixQTrafficQuarter(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		_, err = AllGatherMatrixQ(context.Background(), p, mine, ranges, false)
+		_, err = GatherToQ(context.Background(), p, Everyone, mine, ranges)
 		return err
 	})
 	floatBytes := int64((k - 1) * tensor.EncodedSize(n/k, f))

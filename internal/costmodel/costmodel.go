@@ -135,14 +135,22 @@ func (s System) single() Breakdown {
 	return Breakdown{Compute: seconds(compute), Boundary: seconds(inOut)}
 }
 
-// voltage models Algorithm 2: per-layer partition compute + one All-Gather,
-// with the final layer handing partitions to the terminal.
+// voltage models Algorithm 2: per-layer partition compute + one gather, with
+// the final layer handing partitions to the terminal. A bidirectional model's
+// gather is the All-Gather. A decoder's devices keep only the prefix their
+// slice attends to (positionwise): the critical path is the last member's,
+// which reads all N positions — the same compute chain — and waits for the
+// prefix gather, half the transfers.
 func (s System) voltage() Breakdown {
 	p := (s.N + s.K - 1) / s.K // critical path: the largest partition
 	compute := float64(s.Model.Layers) * s.layerFlopsVoltage(p) / s.Device.FlopsPerSec
 
+	parts := allGatherParts(s.K)
+	if s.Model.Kind == model.KindDecoder {
+		parts = prefixGatherParts(s.K)
+	}
 	part := bytesOf(s.N, s.Model.F) / float64(s.K)
-	perGather := s.xferTime(allGatherParts(s.K)*part) + s.lat()
+	perGather := s.xferTime(parts*part) + s.lat()
 	comm := float64(s.Model.Layers-1) * perGather
 	if s.K == 1 {
 		comm = 0 // no synchronization with a single device
@@ -180,6 +188,24 @@ func allGatherParts(k int) float64 {
 		return 0
 	}
 	return float64(max(2*(k-1), k*(k-1)/(k/2)))
+}
+
+// prefixGatherParts is allGatherParts for the gather of a causal pass, in
+// which a partition goes only to the members after its sender: k(k−1)/2
+// transfers, of which the last member takes in k−1 one after the other and at
+// most ⌊k/2⌋ are in flight at once — k−1 partition times at even k, k at odd.
+// At k ≤ 3 that is every transfer in turn (1 at k = 2, 3 at k = 3) and what
+// direct exchange takes; from k = 4 on it is a floor under a schedule-limited
+// exchange, as the All-Gather's is (≈ 5.2 partition times against 3 at k = 4,
+// 7.2 against 5 at k = 5: TestPrefixGatherTermMatchesTheLink). In a pass the
+// members finish a layer in slice order, so part of even this is hidden
+// behind the last member's compute; the term prices the gather as if all
+// started together.
+func prefixGatherParts(k int) float64 {
+	if k < 2 {
+		return 0
+	}
+	return float64(max(k-1, k*(k-1)/2/(k/2)))
 }
 
 // tpLayerFlops is one device's math in a tensor-parallel layer: H/K heads
@@ -222,7 +248,10 @@ func (s System) tensorParallel() Breakdown {
 
 // CommBytesPerLayer returns the paper's per-device per-layer communication
 // volume in bytes for each strategy (Section V-C): Voltage (K−1)NF/K,
-// tensor parallelism 4(K−1)NF/K, single device 0.
+// tensor parallelism 4(K−1)NF/K, single device 0. The Voltage figure is the
+// All-Gather's, what every device of a bidirectional pass sends; member j of
+// a causal pass sends its partition to the K−1−j members after it,
+// (K−1−j)·NF/K — half the paper's figure on average, none from the last.
 func (s System) CommBytesPerLayer(strategy cluster.Strategy) float64 {
 	nf := bytesOf(s.N, s.Model.F)
 	switch strategy {

@@ -92,17 +92,29 @@ func TestFig4ShapeVoltageScalesDown(t *testing.T) {
 // only bounds it below. The term moved the prediction at odd K alone, so with
 // K = 3 and 5 every EXPERIMENTS cell it moved has a measurement behind it.
 func TestAllGatherTermMatchesTheLink(t *testing.T) {
+	gatherTermMatchesTheLink(t, model.KindEncoder, comm.Everyone)
+}
+
+// TestPrefixGatherTermMatchesTheLink is the same for a decoder's gather, in
+// which a partition goes to the members after its sender only: 1 partition
+// time at K = 2 and 3 at K = 3, where the model predicts the exchange, and a
+// floor from K = 4 on (≈ 5.2 against 3 at K = 4, 7.2 against 5 at K = 5).
+func TestPrefixGatherTermMatchesTheLink(t *testing.T) {
+	gatherTermMatchesTheLink(t, model.KindDecoder, comm.Successors)
+}
+
+func gatherTermMatchesTheLink(t *testing.T, kind model.Kind, readers comm.Readers) {
 	const mbps, rounds = 50, 10
 	for _, k := range []int{2, 3, 4, 5} {
 		n := 96 - 96%k // whole rows per device, as the model's N/K assumes
-		cfg := model.Config{Name: "one-gather", Kind: model.KindEncoder, Layers: 2, F: 128, Heads: 4, FFN: 256,
+		cfg := model.Config{Name: "one-gather", Kind: kind, Layers: 2, F: 128, Heads: 4, FFN: 256,
 			Act: tensor.GELU, VocabSize: 100, MaxSeq: n, NumClasses: 2}
 		sys := System{Model: cfg, N: n, K: k, Net: netem.Profile{BandwidthMbps: mbps}, Device: EdgeCPU, CommEfficiency: 1}
 		b, err := sys.Predict(cluster.StrategyVoltage)
 		if err != nil {
 			t.Fatal(err)
 		}
-		predicted := b.Comm // two layers: one All-Gather
+		predicted := b.Comm // two layers: one gather
 		peers, err := comm.NewMemMesh(k, sys.Net)
 		if err != nil {
 			t.Fatal(err)
@@ -116,7 +128,7 @@ func TestAllGatherTermMatchesTheLink(t *testing.T) {
 				wg.Add(1)
 				go func(p comm.Peer) {
 					defer wg.Done()
-					if _, err := comm.AllGather(context.Background(), p, blob); err != nil {
+					if _, err := comm.GatherTo(context.Background(), p, readers, blob); err != nil {
 						t.Error(err)
 					}
 				}(peers[r])
@@ -128,7 +140,7 @@ func TestAllGatherTermMatchesTheLink(t *testing.T) {
 		ratio := float64(best) / float64(predicted)
 		t.Logf("K=%d: model %v, link %v (×%.2f)", k, predicted, best, ratio)
 		if ratio < 0.99 || (k <= 3 && ratio > 1.15) {
-			t.Errorf("K=%d: an All-Gather took %v on the link, the model says %v (×%.2f)", k, best, predicted, ratio)
+			t.Errorf("K=%d: a %s's gather took %v on the link, the model says %v (×%.2f)", k, kind, best, predicted, ratio)
 		}
 	}
 }

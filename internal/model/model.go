@@ -66,6 +66,19 @@ func (m *Model) ForwardFeatures(x *tensor.Matrix) (*tensor.Matrix, error) {
 	return cur, nil
 }
 
+// Causal reports whether every layer masks future positions, so that rows
+// [0, n) of the stack's output are a function of rows [0, n) of its input
+// alone — what lets a position-wise device keep only the prefix its slice
+// reads.
+func (m *Model) Causal() bool {
+	for _, l := range m.Layers {
+		if !l.Causal {
+			return false
+		}
+	}
+	return len(m.Layers) > 0
+}
+
 // ClassifyTokens embeds a token sequence, runs the stack, and returns the
 // predicted class — the end-to-end single-device text path.
 func (m *Model) ClassifyTokens(ids []int) (int, error) {

@@ -4,14 +4,20 @@
 // layer output on every device, and the last layer's slices go back to the
 // terminal. It sits beside tparallel and pipeline, the two baselines, and
 // like them knows nothing of the runtime around it: device pacing and span
-// reporting are injected as nil-safe hooks, the All-Gather as a function
-// value, the matrix pool through the device's Exchange.
+// reporting are injected as nil-safe hooks, the gather as a function value,
+// the matrix pool through the device's Exchange.
 //
 // One layer loop serves every pass; what differs between them is what the
-// caller reads of the last layer (Read) and the form the input arrives in
-// (the embedded matrix, or token ids each device embeds itself). The emulated
-// cluster's classifies, its generate joins and the TCP fleet (voltage-worker,
-// voltage-server -addrs) all run this code.
+// caller reads of the last layer (Read), the form the input arrives in (the
+// embedded matrix, or token ids each device embeds itself) and whether the
+// model is causal. The paper All-Gathers because in BERT and ViT every
+// position reads every position; in a decoder position i reads positions ≤ i
+// only, so the device holding slice j keeps rows [0, ranges[j].To) and nothing
+// else — it embeds, is sent and is paced for attention over that prefix alone
+// (a deviation from the paper, which All-Gathers GPT-2 too, that leaves the
+// outputs what they were). The emulated cluster's classifies, its generate
+// joins and the TCP fleet (voltage-worker, voltage-server -addrs) all run
+// this code.
 package positionwise
 
 import (
@@ -28,21 +34,13 @@ import (
 )
 
 // Gather is the between-layer synchronisation: every member of group
-// contributes its rows (ranges[group.Rank()]) and gets the assembled layer
-// output back.
-type Gather func(ctx context.Context, group comm.Peer, part *tensor.Matrix, ranges []partition.Range) (*tensor.Matrix, error)
+// contributes its rows (ranges[group.Rank()]) to the members that read them
+// and gets back, assembled, the rows it reads itself — nil if it reads none.
+type Gather func(ctx context.Context, group comm.Peer, readers comm.Readers, part *tensor.Matrix, ranges []partition.Range) (*tensor.Matrix, error)
 
-// Exact is the float32 All-Gather by direct exchange — the schedule of the
-// paper's accounting — through ex's encode scratch and matrix pool.
-func Exact(ex *comm.Exchange) Gather {
-	return func(ctx context.Context, group comm.Peer, part *tensor.Matrix, ranges []partition.Range) (*tensor.Matrix, error) {
-		return ex.AllGatherMatrix(ctx, group, part, ranges, false)
-	}
-}
-
-// Quantized is the int8 All-Gather (≈¼ the bytes, bounded per-layer error).
-func Quantized(ctx context.Context, group comm.Peer, part *tensor.Matrix, ranges []partition.Range) (*tensor.Matrix, error) {
-	return comm.AllGatherMatrixQ(ctx, group, part, ranges, false)
+// Quantized is the int8 gather (≈¼ the bytes, bounded per-layer error).
+func Quantized(ctx context.Context, group comm.Peer, readers comm.Readers, part *tensor.Matrix, ranges []partition.Range) (*tensor.Matrix, error) {
+	return comm.GatherToQ(ctx, group, readers, part, ranges)
 }
 
 // Read is what the caller of a pass reads of its last layer — the one thing
@@ -53,7 +51,8 @@ func Quantized(ctx context.Context, group comm.Peer, part *tensor.Matrix, ranges
 // from the others, so the synchronisation that feeds the last layer is a
 // Gather to At, after which the others are done. With Cache the reader also
 // keeps every layer's K/V over the whole input as a decode cache, running the
-// naive association that materialises them.
+// naive association that materialises them. On a causal model the reader must
+// be a member that sees every row: one whose slice ends at N.
 type Read struct {
 	One   bool // false: every row, and the fields below stay zero
 	Row   int
@@ -109,8 +108,9 @@ type Device struct {
 	// pool, a pass recycles every activation it is done with — its input
 	// included — and allocates nothing per layer in the steady state.
 	Ex *comm.Exchange
-	// Gather synchronises the layers every member goes on to read; nil is
-	// Exact(Ex). (The Gather to a one-row pass's reader is always exact.)
+	// Gather synchronises the layers; nil is Ex.GatherTo, the float32 gather
+	// by direct exchange — the schedule of the paper's accounting — through
+	// Ex's encode scratch and matrix pool.
 	Gather Gather
 
 	// Pace, when non-nil, is called once a layer's rows are computed, with
@@ -131,25 +131,73 @@ func (d *Device) Classify(ctx context.Context, x *tensor.Matrix, ranges []partit
 }
 
 // Run runs one pass over the input x, cut down to what read says the caller
-// reads (Work). A reader that keeps its cache returns it; every other device
+// reads (Work) and, on a causal model, to the rows this device's slice attends
+// to (horizon). A reader that keeps its cache returns it; every other device
 // returns nil.
 func (d *Device) Run(ctx context.Context, x *tensor.Matrix, ranges []partition.Range, read Read) (*model.DecodeState, error) {
-	return d.run(ctx, x, ranges, read, time.Now(), 0)
-}
-
-// RunTokens is Run over token ids, which this device embeds itself; the
-// embedding is charged to layer 0.
-func (d *Device) RunTokens(ctx context.Context, ids []int, ranges []partition.Range, read Read) (*model.DecodeState, error) {
 	start := time.Now()
-	x, err := d.Model.Embed.EmbedTokens(ids)
+	seen, err := d.horizon(x.Rows(), ranges, read)
 	if err != nil {
 		return nil, err
 	}
-	return d.run(ctx, x, ranges, read, start, flopcount.EmbedCost(len(ids), d.Model.Cfg.F))
+	if seen < x.Rows() {
+		head, err := x.RowSlice(0, seen)
+		if err != nil {
+			return nil, err
+		}
+		d.Ex.Pool().Put(x)
+		x = head
+	}
+	return d.run(ctx, x, ranges, read, start, 0)
 }
 
-// Work is the rows a device computes at one layer of a pass over n positions
-// and the Γ it is paced for: its slice mine, in Algorithm 1's selected order,
+// RunTokens is Run over token ids, of which this device embeds the ones it
+// reads; the embedding is charged to layer 0.
+func (d *Device) RunTokens(ctx context.Context, ids []int, ranges []partition.Range, read Read) (*model.DecodeState, error) {
+	start := time.Now()
+	seen, err := d.horizon(len(ids), ranges, read)
+	if err != nil {
+		return nil, err
+	}
+	x := tensor.New(0, d.Model.Cfg.F) // a device whose slice is [0,0) reads nothing
+	if seen > 0 {
+		if x, err = d.Model.Embed.EmbedTokens(ids[:seen]); err != nil {
+			return nil, err
+		}
+	}
+	return d.run(ctx, x, ranges, read, start, flopcount.EmbedCost(seen, d.Model.Cfg.F))
+}
+
+// horizon checks a pass over n positions, sliced as ranges and read as read,
+// and returns how many of the positions this device reads: all n, or on a
+// causal model the prefix its own rows attend to, [0, ranges[me].To).
+func (d *Device) horizon(n int, ranges []partition.Range, read Read) (int, error) {
+	if len(ranges) != d.Group.Size() {
+		return 0, fmt.Errorf("positionwise: %d ranges for a group of %d", len(ranges), d.Group.Size())
+	}
+	mine := ranges[d.Group.Rank()]
+	if n < 1 || mine.From < 0 || mine.To < mine.From || mine.To > n {
+		return 0, fmt.Errorf("positionwise: the slice %v of %d positions", mine, n)
+	}
+	if read.One && (read.Row < 0 || read.Row >= n || read.At < 0 || read.At >= len(ranges)) {
+		return 0, fmt.Errorf("positionwise: reading row %d of %d at member %d of %d", read.Row, n, read.At, len(ranges))
+	}
+	if !read.One && read != AllRows {
+		return 0, fmt.Errorf("positionwise: %+v names a row or a cache without One", read)
+	}
+	if !d.Model.Causal() {
+		return n, nil
+	}
+	if read.One && ranges[read.At].To != n {
+		return 0, fmt.Errorf("positionwise: member %d, whose slice is %v, reads one row of a causal pass over %d positions but does not see them all",
+			read.At, ranges[read.At], n)
+	}
+	return mine.To, nil
+}
+
+// Work is the rows a device computes at one layer of a pass of which it reads
+// n positions (all of them, or its causal horizon) and the Γ it is paced for:
+// its slice mine, in Algorithm 1's selected order for that n,
 // at every layer but a last layer of which one row is read — there the reader
 // computes that row and the others nothing. A reader that keeps its cache
 // runs the naive association throughout, whose K = x·W_K, V = x·W_V are the
@@ -172,26 +220,25 @@ func Work(layer *model.Layer, last bool, n int, mine partition.Range, read Read,
 	return mine, g, err
 }
 
-// run is the layer loop. start and lead are when this device began work it
-// has not been paced for yet and that work's Γ (the embedding of token ids).
+// run is the layer loop over x, the rows of the input this device reads.
+// start and lead are when the device began work it has not been paced for yet
+// and that work's Γ (the embedding of token ids). Between two layers the
+// members that go on to read this one gather it: everyone, on a causal model
+// each member's successors, before the last layer of a one-row read the
+// reader alone.
 func (d *Device) run(ctx context.Context, x *tensor.Matrix, ranges []partition.Range, read Read, start time.Time, lead int64) (*model.DecodeState, error) {
-	if len(ranges) != d.Group.Size() {
-		return nil, fmt.Errorf("positionwise: %d ranges for a group of %d", len(ranges), d.Group.Size())
-	}
-	n, me := x.Rows(), d.Group.Rank()
-	if read.One && (read.Row < 0 || read.Row >= n || read.At < 0 || read.At >= len(ranges)) {
-		return nil, fmt.Errorf("positionwise: reading row %d of %d at member %d of %d", read.Row, n, read.At, len(ranges))
-	}
-	if !read.One && read != AllRows {
-		return nil, fmt.Errorf("positionwise: %+v names a row or a cache without One", read)
-	}
 	gather := d.Gather
 	if gather == nil {
-		gather = Exact(d.Ex)
+		gather = d.Ex.GatherTo
 	}
 	pool := d.Ex.Pool()
 	layers := d.Model.Layers
+	n, me := x.Rows(), d.Group.Rank()
 	mine, reader := ranges[me], read.One && read.At == me
+	readers := comm.Everyone
+	if d.Model.Causal() {
+		readers = comm.Successors
+	}
 	var state *model.DecodeState
 	if reader && read.Cache {
 		state = &model.DecodeState{Layers: make([]*model.LayerState, len(layers)), Pos: n}
@@ -222,13 +269,12 @@ func (d *Device) run(ctx context.Context, x *tensor.Matrix, ranges []partition.R
 			pool.Put(x)
 			return state, err
 		}
-		commStart := time.Now()
-		var next *tensor.Matrix
+		to := readers
 		if read.One && li == len(layers)-2 {
-			next, err = d.Ex.GatherMatrix(ctx, d.Group, read.At, part, ranges)
-		} else {
-			next, err = gather(ctx, d.Group, part, ranges)
+			to = comm.Only(read.At)
 		}
+		commStart := time.Now()
+		next, err := gather(ctx, d.Group, to, part, ranges)
 		if err != nil {
 			return nil, fmt.Errorf("layer %d gather: %w", li, err)
 		}
@@ -298,29 +344,27 @@ func Assemble(ctx context.Context, p comm.Peer, pool *tensor.MatrixPool, ranks [
 	if len(ranges) != len(ranks) {
 		return nil, fmt.Errorf("positionwise: %d ranges for %d ranks", len(ranges), len(ranks))
 	}
-	parts := make([]*tensor.Matrix, len(ranks))
+	parts := make([]*tensor.Matrix, 0, len(ranks))
+	defer func() {
+		for _, part := range parts {
+			pool.Put(part)
+		}
+	}()
 	for i, r := range ranks {
 		got, err := p.Recv(ctx, r)
 		if err != nil {
 			return nil, err
 		}
 		part, _, err := tensor.DecodePooled(pool, got)
+		comm.ReleaseBuffer(got)
 		if err != nil {
 			return nil, fmt.Errorf("positionwise: partition from rank %d: %w", r, err)
 		}
-		comm.ReleaseBuffer(got)
+		parts = append(parts, part)
 		if part.Rows() != ranges[i].Len() {
 			return nil, &comm.RemoteError{Rank: r, Err: fmt.Errorf(
 				"positionwise: a partition of %d rows for the range %v", part.Rows(), ranges[i])}
 		}
-		parts[i] = part
 	}
-	out, err := tensor.ConcatRows(parts...)
-	if err != nil {
-		return nil, err
-	}
-	for _, part := range parts {
-		pool.Put(part)
-	}
-	return out, nil
+	return tensor.ConcatRows(parts...)
 }

@@ -26,10 +26,11 @@ if go list ./... | grep -E 'loadgen|voltage-load'; then
     exit 1
 fi
 
-# Algorithm 2's layer loop and its synchronisations (the All-Gather, and the
-# Gather to a one-row pass's reader) live in internal/positionwise and nowhere
-# else: a copy in the cluster runtime or a binary would drift from it.
-if grep -rnE 'ForwardPartition|AllGatherMatrix|GatherMatrix' --include='*.go' internal/cluster cmd | grep -v _test.go; then
+# Algorithm 2's layer loop and its one synchronisation (comm.Exchange.GatherTo:
+# the All-Gather, a causal pass's prefix gather, the Gather to a one-row pass's
+# reader) live in internal/positionwise and nowhere else: a copy in the cluster
+# runtime or a binary would drift from it.
+if grep -rnE 'ForwardPartition|AllGatherMatrix|GatherTo' --include='*.go' internal/cluster cmd | grep -v _test.go; then
     echo "the position-wise device protocol is called outside internal/positionwise" >&2
     exit 1
 fi
@@ -45,9 +46,8 @@ if grep -rnE 'voltage/internal/(tparallel|pipeline)"|Quantized' --include='*.go'
     exit 1
 fi
 
-# The serving runtime has one request path: the batcher's terminal loop. The
-# dispatcher/collector pipeline, the strategyRunner seam, the fence and the
-# per-request retry supervisor it replaced must not grow back beside it.
+# The serving runtime has one request path: the batcher's terminal loop. No
+# second runner, supervisor or collector loop may grow beside it.
 if grep -rnE 'strategyRunner|exclusive\(\)|submitSupervised|fenceBegin|collectLoop' --include='*.go' internal/cluster | grep -v _test.go; then
     echo "a second request path is back in internal/cluster" >&2
     exit 1
@@ -90,8 +90,10 @@ go test -race -count=3 -run 'TestBatchedGenerate|TestBatchWindow' ./internal/clu
 
 echo "== fuzz: 5 s of FuzzParsePrefillFrame (the opPass frame: joins and classifies, ids and x)"
 # The pass frame is the place a worker parses bytes it did not produce; the
-# seed corpus is the malformed-frame table plus well-formed joins, token
-# classifies and scattered inputs, 5 s mutates it.
+# seed corpus is the malformed-frame table plus well-formed joins (owner last
+# in rank order and rotated), token classifies and scattered inputs, 5 s
+# mutates it. Every accepted one-row frame must leave its reader seeing every
+# row of the causal pass.
 go test -run '^$' -fuzz FuzzParsePrefillFrame -fuzztime 5s ./internal/cluster
 
 echo "== benchmark: go test + quick smoke of all four workloads"
