@@ -330,7 +330,7 @@ func (b *meshBackend) ClassifyTokens(ctx context.Context, strategy cluster.Strat
 	if err := b.cfg.CheckTokens(ids); err != nil {
 		return nil, err
 	}
-	ranges, err := b.scheme.Ranges(len(ids))
+	ranges, err := positionwise.Slice(b.m, b.scheme, len(ids), false)
 	if err != nil {
 		return nil, err
 	}

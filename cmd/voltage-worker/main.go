@@ -199,7 +199,7 @@ func runWorker(ctx context.Context, w io.Writer, peer comm.Peer, cfg model.Confi
 		if err != nil {
 			return err
 		}
-		ranges, err := scheme.Ranges(len(ids))
+		ranges, err := positionwise.Slice(m, scheme, len(ids), false)
 		if err != nil {
 			return err
 		}
@@ -249,7 +249,7 @@ func runTerminal(ctx context.Context, w io.Writer, peer comm.Peer, cfg model.Con
 	if err := m.Embed.CheckTokens(ids); err != nil {
 		return err
 	}
-	ranges, err := scheme.Ranges(len(ids))
+	ranges, err := positionwise.Slice(m, scheme, len(ids), false)
 	if err != nil {
 		return err
 	}

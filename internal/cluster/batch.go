@@ -22,15 +22,18 @@ import (
 // cluster's data plane; it alternates three boundaries —
 //
 //	admit:   pending requests enter the mesh in arrival order, one pass each
-//	         (a generate that finds MaxBatch sequences live waits, without
-//	         blocking what is behind it). The terminal slices the input under
-//	         the scheme installed right now and ships it with the ranges in
-//	         one frame per serving rank; the ranks run Algorithm 2 cut down to
-//	         what the caller reads (positionwise.Read) and each answers with a
-//	         partition. A classify resolves here. A generate's pass is its
-//	         join: the terminal gives it one owner rank — the least-loaded,
-//	         load being owned sequences ÷ the rank's share of the scheme, ties
-//	         taking turns from the lowest rank up — which holds the last slice
+//	         and up to one per serving rank on the mesh at once (a generate
+//	         that finds MaxBatch sequences live waits, without blocking what
+//	         is behind it). The terminal cuts the input under the scheme
+//	         installed right now (positionwise.Slice) and ships it with the
+//	         ranges in one frame per serving rank; the ranks run Algorithm 2
+//	         cut down to what the caller reads (positionwise.Read) and each
+//	         answers with a partition. Passes land in scatter order, all of
+//	         them before the next step; a classify resolves as its lands. A
+//	         generate's pass is its join: the terminal gives it one owner
+//	         rank — the least-loaded, load being owned sequences ÷ the rank's
+//	         share of the scheme, ties taking turns from the lowest rank up —
+//	         which holds the last slice
 //	         (the one a causal pass sends every row to), keeps its attention's
 //	         K/V as the sequence's cache and answers with the newest row. A
 //	         sequence never moves while it is live;
@@ -161,7 +164,7 @@ type batcher struct {
 
 	mu      sync.Mutex
 	pending []*request // arrival order; parked requests re-enter at the front
-	live    int        // sequences taken by the running batch, not yet left
+	taken   []*request // generates taken by the loop, not yet left
 	// slots bounds pending at Options.QueueDepth: add takes one, the loop
 	// returns it when the request leaves pending. wake tells a sleeping loop
 	// that pending is no longer empty.
@@ -243,7 +246,7 @@ func (b *batcher) take(room int) []*request {
 		default:
 			if req.gen != nil {
 				room--
-				b.live++
+				b.taken = append(b.taken, req)
 			}
 			taken = append(taken, req)
 		}
@@ -263,11 +266,16 @@ func (b *batcher) take(room int) []*request {
 	return taken
 }
 
-// release returns n live slots after sequences leave the batch.
-func (b *batcher) release(n int) {
+// release returns a generate's live slot once it has left the batch.
+func (b *batcher) release(req *request) {
 	b.mu.Lock()
-	b.live -= n
+	b.untake(req)
 	b.mu.Unlock()
+}
+
+// untake drops req from taken; b.mu is held.
+func (b *batcher) untake(req *request) {
+	b.taken = slices.DeleteFunc(b.taken, func(r *request) bool { return r == req })
 }
 
 // requeue moves requests back to the front of the pending queue, so work a
@@ -278,22 +286,23 @@ func (b *batcher) requeue(reqs []*request) {
 	}
 	b.mu.Lock()
 	for _, req := range reqs {
-		if req.gen != nil {
-			b.live--
-		}
+		b.untake(req)
 	}
 	b.pending = append(append(make([]*request, 0, len(reqs)+len(b.pending)), reqs...), b.pending...)
 	b.c.metrics.queueLength(len(b.pending))
 	b.mu.Unlock()
 }
 
-// width reports generate sequences live in or waiting for the batch.
+// width reports generate sequences live in, on their way into or waiting for
+// the batch whose callers are still waiting: one whose caller gave up leaves
+// at the loop's next boundary — after a pass on the mesh lands, when it is in
+// one — but its call has already returned.
 func (b *batcher) width() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	n := b.live
-	for _, req := range b.pending {
-		if req.gen != nil {
+	n := 0
+	for _, req := range slices.Concat(b.taken, b.pending) {
+		if req.gen != nil && req.ctx.Err() == nil {
 			n++
 		}
 	}
@@ -510,7 +519,7 @@ func (b *batcher) fallback(req *request) {
 		return
 	}
 	done := func(cause error) {
-		b.release(1)
+		b.release(req)
 		g.stopClock()
 		b.resolve(req, cause)
 	}
@@ -579,22 +588,32 @@ func (g *generation) stopClock() {
 // next round is planned afresh), and the fault when the mesh failed or the
 // cluster closed; whatever was on the mesh is parked and back in pending by
 // then.
+//
+// Up to one pass per serving rank is on the mesh at once (flights, in scatter
+// order). A worker runs its frames in the order they arrive, so it starts the
+// next pass as soon as its own part of the one before is done — on a causal
+// model the first slices long before the last — and the mesh works as a
+// pipeline whose rate the busiest rank sets. Passes land, collected and
+// resolved, in the order they were scattered, so the FIFO links stay aligned,
+// and every one of them has landed before a fused step goes out: step frames
+// and replies never interleave with a pass's.
 func (b *batcher) terminal(rd *round) error {
 	c := b.c
 	p, m := c.peers[c.terminalRank()], c.models[0] // pre/post-processing replica
 	maxBatch := c.maxBatch()
 	var live []*request
+	var flights []*flight
 	// Per-round scratch: rows[r] lists the positions in live of the
 	// sequences rank r owns, owners the ranks with any, ascending.
 	rows := make([][]int, c.k)
 	owners := make([]int, 0, len(rd.ranks))
 	// fail tears the round down on a mesh fault: live sequences whose callers
 	// are gone resolve with their own context error, the rest park for the
-	// next round's resumption along with the request whose pass was on the
-	// mesh; requests taken but not yet run go back as they came. adjudicate
-	// (run loop) then blames the rank and decides, with the elected root
-	// cause in hand, which parked requests are still in budget.
-	fail := func(err error, onMesh *request, unrun []*request) error {
+	// next round's resumption along with every pass on the mesh; requests
+	// taken but not yet run go back as they came. adjudicate (run loop) then
+	// blames the rank and decides, with the elected root cause in hand, which
+	// parked requests are still in budget.
+	fail := func(err error, unrun []*request) error {
 		var back []*request
 		for _, req := range live {
 			if cerr := req.ctx.Err(); cerr != nil {
@@ -603,35 +622,83 @@ func (b *batcher) terminal(rd *round) error {
 			}
 			back = append(back, b.park(rd, req))
 		}
-		if onMesh != nil {
-			back = append(back, b.park(rd, onMesh))
+		for _, f := range flights {
+			f.cancel()
+			back = append(back, b.park(rd, f.req))
 		}
 		b.requeue(append(back, unrun...))
-		live = nil
+		live, flights = nil, nil
 		return err
 	}
+	// land resolves the oldest pass on the mesh once its replies are in: a
+	// classify answers its caller, a join goes live.
+	land := func() error {
+		joined, err := b.land(rd, p, flights[0])
+		if err != nil {
+			return err
+		}
+		if joined {
+			live = append(live, flights[0].req)
+		}
+		flights = flights[1:]
+		return nil
+	}
 	for {
-		// Admit boundary. An empty batch is where the loop sleeps — any abort
+		// Admit boundary. An empty mesh is where the loop sleeps — any abort
 		// of the round wakes it — and where a changed plan (a rank back on
 		// probation, a rank blamed for one request's corrupt reply) takes effect.
-		if len(live) == 0 && b.await(rd.idle) && !samePlan(b.plan(), rd.live) {
+		if len(live) == 0 && len(flights) == 0 && b.await(rd.idle) && !samePlan(b.plan(), rd.live) {
 			return nil
 		}
 		if err := rd.idle.Err(); err != nil {
-			return fail(err, nil, nil) // a role has failed the round, or the cluster is closing
-		}
-		taken := b.take(maxBatch - len(live))
-		for i, req := range taken {
-			joined, err := b.enter(rd, p, req, live)
-			if err != nil {
-				return fail(err, req, taken[i+1:])
+			// A role has failed the round, or the cluster is closing. What is
+			// on the mesh lands first: its collectors resolve by a reply, a
+			// watchdog or the round's end, and their errors are the
+			// terminal's evidence for the blame vote.
+			for len(flights) > 0 {
+				if lerr := land(); lerr != nil {
+					return fail(lerr, nil)
+				}
 			}
-			if joined {
-				live = append(live, req)
+			return fail(err, nil)
+		}
+		taken := b.take(maxBatch - len(live) - joining(flights))
+		for i, req := range taken {
+			if len(flights) == len(rd.ranks) {
+				if err := land(); err != nil {
+					return fail(err, taken[i:])
+				}
+			}
+			f, err := b.scatter(rd, p, req, live, flights)
+			if f != nil {
+				flights = append(flights, f)
+			}
+			if err != nil {
+				return fail(err, taken[i+1:])
 			}
 		}
 		if len(live) == 0 {
+			// No batch to step: land the oldest pass once its replies are
+			// in, unless a request arrives first and the mesh has room for it.
+			if len(flights) > 0 {
+				var wake <-chan struct{}
+				if len(flights) < len(rd.ranks) {
+					wake = b.wake
+				}
+				select {
+				case <-flights[0].landed:
+					if err := land(); err != nil {
+						return fail(err, nil)
+					}
+				case <-wake:
+				}
+			}
 			continue
+		}
+		for len(flights) > 0 {
+			if err := land(); err != nil {
+				return fail(err, nil)
+			}
 		}
 
 		// Produce boundary: decode each live sequence's next token;
@@ -652,7 +719,7 @@ func (b *batcher) terminal(rd *round) error {
 			}
 			if lerr != nil {
 				live = append(keep, live[i+1:]...)
-				return fail(lerr, nil, nil)
+				return fail(lerr, nil)
 			}
 		}
 		if live = keep; len(live) == 0 {
@@ -675,9 +742,21 @@ func (b *batcher) terminal(rd *round) error {
 			}
 		}
 		if err := b.step(rd, p, live, rows, owners); err != nil {
-			return fail(err, nil, nil)
+			return fail(err, nil)
 		}
 	}
+}
+
+// joining counts the joins among flights: sequences already holding a place
+// in the batch.
+func joining(flights []*flight) int {
+	n := 0
+	for _, f := range flights {
+		if f.req.gen != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // bounded is the context one trip of the terminal over the mesh — a pass, a
@@ -745,17 +824,45 @@ func (g *generation) exhausted(c *Cluster) bool {
 	return g.produced >= g.steps || len(g.tokens) >= c.cfg.MaxSeq
 }
 
-// enter runs one request's pass: the terminal slices the input — for a
-// generate resuming after a fault, its committed prefix — under the scheme
-// installed right now, picks the reader (a generate's owner: the least-loaded
-// serving rank given the sequences already live), scatters one frame per
-// serving rank and collects one partition from each, while whatever is live
-// waits at the step boundary. Passes run back-to-back, each on its own, so
-// the partition math is untouched and the mesh's counters across a pass are
-// that request's traffic. A classify resolves here; joined reports a generate
-// that is now live. Failures of this request alone are resolved or re-parked
-// here; a non-nil error is a mesh fault, fatal for the round.
-func (b *batcher) enter(rd *round, p comm.Peer, req *request, live []*request) (joined bool, err error) {
+// flight is a pass on the mesh: scattered, not yet landed.
+type flight struct {
+	req    *request
+	ctx    context.Context    // bounded: the pass's RequestTimeout runs from its scatter
+	cancel context.CancelFunc // called once the pass has landed or parked
+	start  time.Time
+
+	// stats is the pass's traffic by mesh rank, but for the terminal's
+	// scatter, which is counted into the request as it happens: worker r
+	// writes slot r once its run of the pass is over (ran counts them down),
+	// the collector the terminal's receipts.
+	stats []comm.Stats
+	ran   sync.WaitGroup
+
+	// landed is closed once the collector has set out, seqErr and err as
+	// collect returns them.
+	landed      chan struct{}
+	out         *tensor.Matrix
+	seqErr, err error
+}
+
+// pass returns the pass on the mesh numbered seq, or nil: a frame the
+// terminal loop never scattered (a test's, handed straight to a worker).
+func (rd *round) pass(seq uint32) *flight {
+	rd.passesMu.Lock()
+	defer rd.passesMu.Unlock()
+	return rd.passes[seq]
+}
+
+// scatter puts req's pass on the mesh behind flights, the passes already on
+// it: the terminal slices the input — for a generate resuming after a fault,
+// its committed prefix — under the scheme installed right now, picks the
+// reader (a generate's owner: the least-loaded serving rank given the
+// sequences already live or joining), sends one frame to every serving rank
+// and starts the pass's collector, which receives its replies once the pass
+// before it has landed. Failures of this request alone resolve here; a
+// non-nil error is a mesh fault, fatal for the round, with the pass (when
+// there is one) to park.
+func (b *batcher) scatter(rd *round, p comm.Peer, req *request, live []*request, flights []*flight) (*flight, error) {
 	c := b.c
 	g := req.gen
 	if req.parkedAt.IsZero() {
@@ -766,67 +873,146 @@ func (b *batcher) enter(rd *round, p comm.Peer, req *request, live []*request) (
 			c.metrics.observeBatchWait(wait)
 		}
 	}
-	frame, members, replies, err := b.passFrame(rd, req, live)
+	// A join on the mesh already holds its owner's place, and placement ties
+	// take turns from the last one scattered.
+	owned, last := live, b.lastOwner
+	for _, f := range flights {
+		if f.req.gen != nil {
+			owned, last = append(owned[:len(owned):len(owned)], f.req), f.req.gen.owner
+		}
+	}
+	frame, members, replies, err := b.passFrame(rd, req, owned, last)
 	if err != nil {
 		b.leaveLocked(rd, req, err)
-		return false, nil
+		return nil, nil
 	}
 	b.dispatch(req)
-	req.joinStats = b.snapshot()
+	req.resident = true
 	if g != nil {
 		c.metrics.batchJoin()
 	} else {
 		req.perDevice = nil // a classify reports its final attempt's traffic
 	}
-	ctx, cancel := b.bounded(rd)
-	defer cancel()
-	rd.tracing.Store(req.trace)
-	start := time.Now()
-	err = positionwise.Scatter(ctx, p, members, frame)
-	c.recordPhase(req.trace, c.terminalRank(), -1, trace.PhaseBoundary, time.Since(start))
+	f := &flight{req: req, stats: make([]comm.Stats, c.k+1), landed: make(chan struct{})}
+	f.ctx, f.cancel = b.bounded(rd)
+	f.ran.Add(len(members))
+	rd.passesMu.Lock()
+	rd.passes[uint32(req.id)] = f
+	rd.passesMu.Unlock()
+	// The terminal goroutine alone sends on its peer, so the difference of
+	// its counters across the scatter is the scatter's.
+	before := p.Stats()
+	f.start = time.Now()
+	err = positionwise.Scatter(f.ctx, p, members, frame)
+	c.recordPhase(req.trace, c.terminalRank(), -1, trace.PhaseBoundary, time.Since(f.start))
+	scattered := make([]comm.Stats, c.k+1)
+	scattered[c.terminalRank()] = sent(p.Stats().Sub(before))
+	req.perDevice = addStats(req.perDevice, scattered)
 	if err != nil {
-		return false, err
+		return f, err
 	}
-	collectStart := time.Now()
-	out, seqErr, err := collect(ctx, p, b.ex.Pool(), members, replies)
-	c.recordPhase(req.trace, c.terminalRank(), -1, trace.PhaseBoundary, time.Since(collectStart))
-	if err != nil {
-		return false, err
+	var prev *flight
+	if len(flights) > 0 {
+		prev = flights[len(flights)-1]
 	}
-	if seqErr != nil {
-		c.metrics.attemptFailed(seqErr)
+	rd.workers.Add(1)
+	go func() {
+		defer rd.workers.Done()
+		defer close(f.landed)
+		if prev != nil {
+			<-prev.landed
+			if prev.err != nil {
+				f.err = prev.err // the links are out of step: the round is over
+				return
+			}
+		}
+		// The one receiver on the terminal's peer while passes are on the
+		// mesh, so the difference of its counters is this pass's receipts.
+		before := p.Stats()
+		start := time.Now()
+		f.out, f.seqErr, f.err = collect(f.ctx, p, b.ex.Pool(), members, replies)
+		c.recordPhase(req.trace, c.terminalRank(), -1, trace.PhaseBoundary, time.Since(start))
+		f.stats[c.terminalRank()] = received(p.Stats().Sub(before))
+	}()
+	return f, nil
+}
+
+// land resolves a pass whose collector has finished: a classify resolves
+// here, and joined reports a generate that is now live. A corrupt reply
+// retires or re-parks the request alone; a non-nil error is a mesh fault,
+// fatal for the round, with the pass still to park.
+func (b *batcher) land(rd *round, p comm.Peer, f *flight) (joined bool, err error) {
+	c := b.c
+	<-f.landed
+	if f.err != nil {
+		return false, f.err
+	}
+	defer f.cancel()
+	// Every member has answered; each adds its traffic on its way to the
+	// next frame.
+	f.ran.Wait()
+	req, g := f.req, f.req.gen
+	rd.passesMu.Lock()
+	delete(rd.passes, uint32(req.id))
+	rd.passesMu.Unlock()
+	req.perDevice = addStats(req.perDevice, f.stats)
+	if f.seqErr != nil {
+		c.metrics.attemptFailed(f.seqErr)
 		// Every serving rank delivered (the bad partition was consumed, so
 		// the streams stay aligned): retire or re-park this request alone —
 		// the round goes on. A joiner's owner holds the new caches: drop them.
 		if g != nil {
-			if lerr := b.dropSeq(ctx, p, req); lerr != nil {
+			if lerr := b.dropSeq(f.ctx, p, req); lerr != nil {
 				return false, lerr
 			}
 		}
-		b.retire(rd, req, seqErr)
+		b.retire(rd, req, f.seqErr)
 		return false, nil
 	}
-	c.metrics.attemptOK(time.Since(start))
+	c.metrics.attemptOK(time.Since(f.start))
 	if c.opts.MaxRetries > 0 {
 		c.health.recordSuccess(rd.ranks) // a clean pass is the probe result for any probing rank
 	}
 	if g != nil {
-		g.res.PrefillLatency += time.Since(start)
-		g.joined(req, out)
+		g.res.PrefillLatency += time.Since(f.start)
+		g.joined(req, f.out)
+		req.joinStats = b.snapshot()
 		b.lastOwner = g.owner
 		return true, nil
 	}
-	req.output, req.latency = out, time.Since(start)
+	req.output, req.latency = f.out, time.Since(f.start)
 	b.leaveLocked(rd, req, nil)
 	return false, nil
 }
 
+// sent and received are the sending and the receiving half of s.
+func sent(s comm.Stats) comm.Stats {
+	return comm.Stats{BytesSent: s.BytesSent, MsgsSent: s.MsgsSent}
+}
+
+func received(s comm.Stats) comm.Stats {
+	return comm.Stats{BytesRecv: s.BytesRecv, MsgsRecv: s.MsgsRecv}
+}
+
+// addStats adds s into sum, one entry per mesh rank, making sum if nil.
+func addStats(sum, s []comm.Stats) []comm.Stats {
+	if sum == nil {
+		sum = make([]comm.Stats, len(s))
+	}
+	for r := range s {
+		sum[r] = sum[r].Add(s[r])
+	}
+	return sum
+}
+
 // passFrame builds the frame of req's pass over the round's ranks, the order
 // the ranks are members of it in, and what each member answers with
-// (positionwise.Read.Replies). A join's owner is the last member: it reads one
-// row of every position's K/V, so it holds the slice that sees them all, and
-// each rank's share of the scheme follows it to its place.
-func (b *batcher) passFrame(rd *round, req *request, live []*request) ([]byte, []int, []partition.Range, error) {
+// (positionwise.Read.Replies). A join's owner is picked among the sequences
+// owned — live or joining — taking turns from the owner last; it is the last
+// member: it reads one row of every position's K/V, so it holds the slice that
+// sees them all, and each rank's share of the scheme follows it to its place.
+// The slices are positionwise.Slice's.
+func (b *batcher) passFrame(rd *round, req *request, owned []*request, last int) ([]byte, []int, []partition.Range, error) {
 	c := b.c
 	ids, n := req.prefix(), 0
 	if ids != nil {
@@ -844,7 +1030,7 @@ func (b *batcher) passFrame(rd *round, req *request, live []*request) ([]byte, [
 	kind, at, members, read := byte(readAll), 0, rd.ranks, positionwise.AllRows
 	if req.gen != nil {
 		shares := scheme.Ratios()
-		req.gen.owner = pickOwner(rd.ranks, shares, live, b.lastOwner)
+		req.gen.owner = pickOwner(rd.ranks, shares, owned, last)
 		kind, at = readJoin, slices.Index(rd.ranks, req.gen.owner)
 		members = memberOrder(rd.ranks, at)
 		if scheme, err = partition.New(memberOrder(shares, at)); err != nil {
@@ -852,7 +1038,7 @@ func (b *batcher) passFrame(rd *round, req *request, live []*request) ([]byte, [
 		}
 		read = positionwise.Read{One: true, Row: n - 1, At: len(members) - 1, Cache: true}
 	}
-	ranges, err := scheme.Ranges(n)
+	ranges, err := positionwise.Slice(c.models[0], scheme, n, req.gen != nil)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -908,7 +1094,8 @@ func (c *Cluster) passScheme(rd *round) (*partition.Scheme, error) {
 // ranks: load is the number of live sequences a rank already owns divided by
 // its share of the scheme (shares[i] belongs to ranks[i]), so owned counts
 // follow the installed ratios. Ties take turns — the first tied rank after
-// `last`, the owner of the last sequence to join, wrapping round — so a batch
+// `last`, the owner of the last sequence to join (or, while joins are on the
+// mesh, of the last one scattered), wrapping round — so a batch
 // narrower than the mesh still visits every rank with a share and each keeps
 // feeding the step-time profile the controller reads. A rank with no share is
 // passed over.
@@ -1110,7 +1297,7 @@ func (b *batcher) dropSeq(ctx context.Context, p comm.Peer, req *request) error 
 // it, never held it, or are being torn down with the whole round).
 func (b *batcher) leaveLocked(rd *round, req *request, cause error) {
 	if req.gen != nil {
-		b.release(1)
+		b.release(req)
 	}
 	b.accumulate(rd, req)
 	b.resolve(req, cause)
@@ -1135,22 +1322,23 @@ func (b *batcher) resolve(req *request, cause error) {
 }
 
 // accumulate folds the request's current residency on the mesh into its
-// result: a sequence's decode time since join, the traffic every rank moved
-// since the pass began, and the ranks it ran on. It is idempotent per
-// residency (joinStats clears), so a parked-then-resolved request counts each
-// round exactly once; the batch-leave counter mirrors the join counter by
-// firing only for residencies that actually joined.
+// result: a sequence's decode time since it joined and the traffic every rank
+// moved since (its pass's own traffic is counted as the pass scatters and
+// lands), and the ranks it ran on. It is idempotent per residency (resident
+// clears), so a parked-then-resolved request counts each round exactly once;
+// the batch-leave counter mirrors the join counter by firing only for
+// residencies that were scattered as joins.
 func (b *batcher) accumulate(rd *round, req *request) {
-	if req.joinStats == nil {
+	if !req.resident {
 		return
 	}
-	if req.perDevice == nil {
-		req.perDevice = make([]comm.Stats, len(req.joinStats))
+	req.resident = false
+	if req.joinStats != nil {
+		for r, now := range b.snapshot() {
+			req.perDevice[r] = req.perDevice[r].Add(now.Sub(req.joinStats[r]))
+		}
+		req.joinStats = nil
 	}
-	for r, now := range b.snapshot() {
-		req.perDevice[r] = req.perDevice[r].Add(now.Sub(req.joinStats[r]))
-	}
-	req.joinStats = nil
 	req.live = rd.live
 	if g := req.gen; g != nil {
 		g.stopClock()
@@ -1163,9 +1351,7 @@ func (b *batcher) accumulate(rd *round, req *request) {
 	}
 }
 
-// snapshot reads every mesh rank's traffic counters. Passes are serial on the
-// mesh, so the difference of two snapshots around a pass is that pass's
-// traffic and nothing else's.
+// snapshot reads every mesh rank's traffic counters.
 func (b *batcher) snapshot() []comm.Stats {
 	stats := make([]comm.Stats, len(b.c.peers))
 	for r, p := range b.c.peers {

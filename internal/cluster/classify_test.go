@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"voltage/internal/adapt"
@@ -12,6 +13,7 @@ import (
 	"voltage/internal/flopcount"
 	"voltage/internal/model"
 	"voltage/internal/partition"
+	"voltage/internal/positionwise"
 	"voltage/internal/tensor"
 )
 
@@ -220,9 +222,11 @@ func rankTraffic(cfg model.Config, ranges []partition.Range, j, reader int) (byt
 
 // TestClassifyTokensTraffic: a token classify moves K·(header + 4N) bytes of
 // ids out, L−2 gathers and one Gather to the reader between the workers
-// (rankTraffic), and one F-row plus K−1 empty partitions back — nothing else.
-// The encoder's gathers are the paper's All-Gathers, (K−1)·NF/K out of every
-// rank; in the decoder's, rank j sends to the K−1−j ranks after it.
+// (rankTraffic, over the ranges the frame carries: positionwise.Slice's), and
+// one F-row plus K−1 empty partitions back — nothing else. The encoder's
+// gathers are the paper's All-Gathers of scheme.Ranges' slices, (K−1)·NF/K
+// out of every rank; in the decoder's, rank j sends its slice — cut by cost,
+// so the early ones are the larger — to the K−1−j ranks after it.
 func TestClassifyTokensTraffic(t *testing.T) {
 	const k, n = 3, 17
 	for _, kind := range []model.Kind{model.KindDecoder, model.KindEncoder} {
@@ -233,9 +237,12 @@ func TestClassifyTokensTraffic(t *testing.T) {
 		}
 		t.Cleanup(c.Close)
 		res, _ := classifyTokens(t, c, promptIn(cfg, n))
-		ranges, err := c.currentScheme().Ranges(n)
+		ranges, err := positionwise.Slice(c.Model(0), c.currentScheme(), n, false)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if even, _ := c.currentScheme().Ranges(n); (kind == model.KindEncoder) != slices.Equal(ranges, even) {
+			t.Errorf("%s: the pass is cut as %v, the scheme's even ranges are %v", kind, ranges, even)
 		}
 		reader := 0
 		if kind == model.KindDecoder {

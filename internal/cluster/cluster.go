@@ -474,13 +474,14 @@ type Result struct {
 	// SubmitTokens and SubmitPooled.
 	Output *tensor.Matrix
 	// Latency is the terminal-observed time from input broadcast to
-	// result assembly — the paper's measurement — of the final attempt.
+	// result assembly — the paper's measurement — of the final attempt,
+	// including any time its pass waited on the mesh behind the one
+	// before it.
 	Latency time.Duration
 	// PerDevice holds each worker's traffic during this inference's final
-	// attempt (index = worker rank; the last entry is the terminal). Passes
-	// are serial on the mesh, so it is the difference of the mesh's counters
-	// across the pass — exact but for a worker's receipt of a 5-byte leave
-	// frame sent just before the pass, which is counted where it lands.
+	// attempt (index = worker rank; the last entry is the terminal), exact:
+	// a worker runs passes one after the other and counts its own across
+	// its run of this one, the terminal its scatter and its collect.
 	PerDevice []comm.Stats
 	// Strategy echoes the strategy requested — always StrategyVoltage.
 	Strategy Strategy

@@ -15,10 +15,12 @@ import (
 // pending queue's bound and the canceled-in-queue drop + metric.
 
 // TestConfigurableChannelDepths: Options.QueueDepth bounds every pending
-// request. With depth 1 and the loop held busy by a first request, a second
-// fills the queue and a third — a generate, as bounded as a classify — waits
-// for a slot until its context ends: it returns ctx.Err(), counted under
-// voltage_requests_canceled_total only.
+// request. With depth 1 and the mesh full — one pass per serving rank, held
+// by a gate on rank 0 — a further request fills the queue, and a third — a
+// generate, as bounded as a classify — waits for a slot until its context
+// ends: it returns ctx.Err(), counted under voltage_requests_canceled_total
+// only. One of the held passes is a generate whose caller gives up while it
+// is on the mesh: once its call has returned, BatchWidth no longer counts it.
 func TestConfigurableChannelDepths(t *testing.T) {
 	release := make(chan struct{})
 	entered := make(chan struct{})
@@ -36,12 +38,28 @@ func TestConfigurableChannelDepths(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-entered // the first request is on the mesh, out of the queue
+	genCtx, giveUp := context.WithCancel(context.Background())
+	gone := make(chan error, 1)
+	go func() {
+		_, err := c.GenerateVoltage(genCtx, []int{1, 2, 3}, 2)
+		gone <- err
+	}()
+	waitCond(t, 10*time.Second, "the generate to be taken onto the mesh", func() bool {
+		return c.BatchWidth() == 1 && c.Metrics().Gauge("voltage_queue_length") == 0
+	})
+	giveUp()
+	if err := <-gone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("a generate whose caller gave up returned %v", err)
+	}
+	if w := c.BatchWidth(); w != 0 {
+		t.Errorf("BatchWidth = %d after the only generate's call returned, want 0", w)
+	}
 	second, err := c.SubmitTokens(context.Background(), StrategyVoltage, []int{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Metrics().Gauge("voltage_queue_length"); got != 1 {
-		t.Errorf("voltage_queue_length = %v with one request waiting, want 1", got)
+		t.Errorf("voltage_queue_length = %v with one request waiting behind a full mesh, want 1", got)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
@@ -52,7 +70,7 @@ func TestConfigurableChannelDepths(t *testing.T) {
 		t.Fatalf("a classify behind a full queue returned %v, want its context's error", err)
 	}
 	if w := c.BatchWidth(); w != 0 {
-		t.Errorf("BatchWidth = %d with no generate admitted, want 0", w)
+		t.Errorf("BatchWidth = %d with no generate's caller waiting, want 0", w)
 	}
 	close(release)
 	for _, pend := range []*Pending{first, second} {
@@ -60,12 +78,17 @@ func TestConfigurableChannelDepths(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The abandoned generate leaves at the first boundary after its pass
+	// lands.
+	waitCond(t, 10*time.Second, "the abandoned generate to resolve", func() bool {
+		return c.Metrics().Counter(`voltage_requests_total{outcome="error"}`) == 1
+	})
 	snap := c.Metrics()
 	if got := snap.Counter("voltage_requests_canceled_total"); got != 2 {
 		t.Errorf("voltage_requests_canceled_total = %v, want the 2 refused waiters", got)
 	}
-	if ok, bad := snap.Counter(`voltage_requests_total{outcome="ok"}`), snap.Counter(`voltage_requests_total{outcome="error"}`); ok != 2 || bad != 0 {
-		t.Errorf("requests ok/error = %v/%v, want 2/0 (a refused waiter is not a request)", ok, bad)
+	if ok, bad := snap.Counter(`voltage_requests_total{outcome="ok"}`), snap.Counter(`voltage_requests_total{outcome="error"}`); ok != 2 || bad != 1 {
+		t.Errorf("requests ok/error = %v/%v, want 2/1 (the abandoned generate; a refused waiter is not a request)", ok, bad)
 	}
 	if got := snap.Gauge("voltage_queue_length"); got != 0 {
 		t.Errorf("voltage_queue_length = %v after the queue drained, want 0", got)

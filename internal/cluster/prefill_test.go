@@ -61,7 +61,7 @@ func drivePrefill(t *testing.T, c *Cluster, live []int, scheme *partition.Scheme
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranges, err := rotated.Ranges(len(prefix))
+	ranges, err := positionwise.Slice(c.models[0], rotated, len(prefix), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func drivePrefill(t *testing.T, c *Cluster, live []int, scheme *partition.Scheme
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			dev := c.device(rd, r)
+			dev := c.device(r, nil)
 			if dev.Group, errs[r] = comm.NewSubgroup(c.peers[r], members); errs[r] != nil {
 				return
 			}
@@ -229,10 +229,11 @@ func TestJoinPrefillOwnerWithoutRowsAndDegradedRound(t *testing.T) {
 
 // TestJoinPrefillTraffic: a join moves K·(header + 4N) bytes of token ids
 // out in K messages, L−2 gathers and one Gather to the owner between the
-// workers (rankTraffic, with the owner the last member and the ranks after it
-// the first: member j sends its rows to the K−1−j members after it at each
-// gather), and one F-row plus K−1 empty partitions back — nothing else — for
-// every owner. Two layers have the Gather alone, three one gather before it.
+// workers (rankTraffic over the ranges the frame carries, positionwise.Slice's
+// with the owner the last member and the ranks after it the first: member j
+// sends its rows to the K−1−j members after it at each gather), and one F-row
+// plus K−1 empty partitions back — nothing else — for every owner. Two layers
+// have the Gather alone, three one gather before it.
 func TestJoinPrefillTraffic(t *testing.T) {
 	const k, n = 3, 8
 	for _, layers := range []int{2, 3} {
@@ -242,7 +243,8 @@ func TestJoinPrefillTraffic(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(c.Close)
-		ranges, err := c.currentScheme().Ranges(n) // an even scheme: the same in any member order
+		// An even scheme: the same shares in any member order.
+		ranges, err := positionwise.Slice(c.Model(0), c.currentScheme(), n, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -431,8 +433,8 @@ func sliceReference(t *testing.T, m *model.Model, x *tensor.Matrix, ranges []par
 }
 
 // TestCausalPassProperty: over random lengths, K ∈ {1…4} and weighted schemes
-// one of whose members has no share, a causal pass is what its slices say it
-// is, bit for bit. The full pass returns the slice-by-slice reference's rows.
+// one of whose members has no share, a causal pass is what its slices — the
+// ones positionwise.Slice cuts, as the terminal does — say it is, bit for bit. The full pass returns the slice-by-slice reference's rows.
 // A join — every rank taking a turn as the owner, the one without a share
 // too — leaves on its owner exactly the K/V that reference's layer inputs
 // project to and answers with the row its last layer gives; they are
@@ -480,7 +482,7 @@ func TestCausalPassProperty(t *testing.T) {
 		}
 
 		// The full pass.
-		ranges, err := scheme.Ranges(n)
+		ranges, err := positionwise.Slice(ref, scheme, n, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -523,7 +525,7 @@ func TestCausalPassProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ranges, err = rotated.Ranges(n); err != nil {
+			if ranges, err = positionwise.Slice(ref, rotated, n, true); err != nil {
 				t.Fatal(err)
 			}
 			inputs := sliceReference(t, ref, x, ranges, func(member int) bool { return member == k-1 })

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"voltage/internal/comm"
@@ -17,13 +16,15 @@ import (
 )
 
 // The serving runtime is one loop (batch.go): the terminal goroutine admits
-// pending requests at boundaries, one pass at a time, and every worker rank
-// runs one frame switch. A request is a pass — an input plus what its caller
-// reads of the last layer (positionwise.Read): every row for Submit, the
-// classifier's pooled row for SubmitTokens and SubmitPooled, the newest row
-// with the owner's K/V kept for a generate, which then stays live for decode
-// steps. Passes are serial on the mesh, so a request's traffic is the
-// difference of the mesh's counters across its pass.
+// pending requests at boundaries, up to one pass per serving rank on the mesh
+// at once, and every worker rank runs one frame switch. A request is a pass —
+// an input plus what its caller reads of the last layer (positionwise.Read):
+// every row for Submit, the classifier's pooled row for SubmitTokens and
+// SubmitPooled, the newest row with the owner's K/V kept for a generate,
+// which then stays live for decode steps. A worker runs passes one after the
+// other, so a pass's traffic is the difference of each worker's counters
+// across its run of it, and of the terminal's across its scatter and its
+// collect.
 //
 // This file is the request's side of that: the handle, the submit calls, and
 // the round — the stretch of the loop's life over which the set of serving
@@ -57,10 +58,12 @@ type request struct {
 
 	// Recovery state. attempts counts the passes dispatched for this request;
 	// parkedAt is non-zero while it waits in pending after surviving a failed
-	// round; joinStats is the mesh's counters when its current residency
-	// began.
+	// round; resident is set from its pass's scatter until accumulate folds
+	// the residency into its result; joinStats is the mesh's counters when a
+	// generate joined the batch.
 	attempts  int
 	parkedAt  time.Time
+	resident  bool
 	joinStats []comm.Stats
 
 	output    *tensor.Matrix
@@ -161,7 +164,8 @@ func (c *Cluster) Serve() {
 
 // Submit admits one inference request — the paper's pass: x scattered, every
 // one of its N rows back in Result.Output — and returns immediately with its
-// handle. Requests enter the mesh in admission order, one pass at a time.
+// handle. Requests enter the mesh in admission order, up to one pass per
+// serving rank on it at once.
 func (c *Cluster) Submit(ctx context.Context, strategy Strategy, x *tensor.Matrix) (*Pending, error) {
 	return c.submitInput(ctx, strategy, input{x: x})
 }
@@ -233,12 +237,14 @@ type round struct {
 	// its own watchdog (see abort).
 	votes bool
 
-	// tracing is the span trace of the pass on the mesh, set by the terminal
-	// before it scatters the pass; the workers' spans land there.
-	tracing atomic.Pointer[trace.RequestTrace]
+	// passes are the passes on the mesh by seq: the terminal adds each before
+	// it scatters it and removes it once it has landed; a worker finds there
+	// the trace its spans go to and the slot its traffic goes in.
+	passesMu sync.Mutex
+	passes   map[uint32]*flight
 
 	errs    []error        // slot r written only by rank r (terminal = k)
-	workers sync.WaitGroup // one count per serving rank
+	workers sync.WaitGroup // one count per serving rank and per pass collector
 }
 
 // newRound starts a round over ranks (nil = every worker): one goroutine per
@@ -246,8 +252,9 @@ type round struct {
 func (c *Cluster) newRound(live []int) *round {
 	rd := &round{
 		ranks: live, live: live,
-		errs:  make([]error, c.k+1),
-		votes: c.opts.MaxRetries > 0 && c.opts.OpTimeout > 0,
+		errs:   make([]error, c.k+1),
+		votes:  c.opts.MaxRetries > 0 && c.opts.OpTimeout > 0,
+		passes: make(map[uint32]*flight),
 	}
 	if live == nil {
 		rd.ranks = c.allRanks()
@@ -317,21 +324,22 @@ func (c *Cluster) recordPhase(tr *trace.RequestTrace, rank, layer int, phase tra
 	c.obs.RecordPhase(rank, phase, d)
 }
 
-// device is worker rank's side of the position-wise protocol — the one place a
-// pass is paced at the rank's emulated rate and its compute and
-// synchronisation spans are reported. Each pass names its own Group.
-func (c *Cluster) device(rd *round, rank int) *positionwise.Device {
+// device is worker rank's side of the position-wise protocol for one pass —
+// the one place a pass is paced at the rank's emulated rate and its compute
+// and synchronisation spans are reported, to tr. The caller names its Group
+// and Ex.
+func (c *Cluster) device(rank int, tr *trace.RequestTrace) *positionwise.Device {
 	return &positionwise.Device{
 		Model: c.models[rank], Peer: c.peers[rank], Terminal: c.terminalRank(),
 		Pace: func(ctx context.Context, layer int, start time.Time, flops int64) error {
 			if err := c.paceRank(ctx, rank, start, flops); err != nil {
 				return err
 			}
-			c.recordPhase(rd.tracing.Load(), rank, layer, trace.PhaseCompute, time.Since(start))
+			c.recordPhase(tr, rank, layer, trace.PhaseCompute, time.Since(start))
 			return nil
 		},
 		OnComm: func(layer int, d time.Duration) {
-			c.recordPhase(rd.tracing.Load(), rank, layer, trace.PhaseComm, d)
+			c.recordPhase(tr, rank, layer, trace.PhaseComm, d)
 		},
 	}
 }
@@ -345,7 +353,6 @@ func (c *Cluster) device(rd *round, rank int) *positionwise.Device {
 // malformed frame fails the round with errBadFrame.
 func (c *Cluster) worker(rd *round, rank int) error {
 	ctx, p, term, m := rd.ctx, c.peers[rank], c.terminalRank(), c.models[rank]
-	dev := c.device(rd, rank)
 	// A join's activations stay out of the matrix pool, left to the garbage
 	// collector: the pool keeps one class per N×F and prompt lengths rarely
 	// repeat — recycling them measured +3–4 MB of peak RSS on both generate
@@ -368,6 +375,7 @@ func (c *Cluster) worker(rd *round, rank int) error {
 		if len(states) == 0 {
 			wait = rd.idle
 		}
+		before := p.Stats()
 		frame, err := p.Recv(wait, term)
 		if err != nil {
 			return err
@@ -382,6 +390,12 @@ func (c *Cluster) worker(rd *round, rank int) error {
 				return err
 			}
 			comm.ReleaseBuffer(frame)
+			f := rd.pass(pf.seq)
+			var tr *trace.RequestTrace
+			if f != nil {
+				tr = f.req.trace
+			}
+			dev := c.device(rank, tr)
 			if dev.Group, err = comm.NewSubgroup(p, memberOrder(rd.ranks, pf.last)); err != nil {
 				return err
 			}
@@ -394,6 +408,12 @@ func (c *Cluster) worker(rd *round, rank int) error {
 				state, err = dev.RunTokens(ctx, pf.ids, pf.ranges, pf.read)
 			} else {
 				state, err = dev.Run(ctx, pf.x, pf.ranges, pf.read)
+			}
+			if f != nil {
+				// This rank runs its frames one at a time: the difference of
+				// its counters is its traffic in this pass.
+				f.stats[rank] = p.Stats().Sub(before)
+				f.ran.Done()
 			}
 			if err != nil {
 				return err

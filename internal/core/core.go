@@ -83,7 +83,7 @@ func (e *Engine) Serve() { e.cluster.Serve() }
 // Submit admits one raw inference request (pre-embedded features) without
 // blocking; the returned handle resolves when the distributed run
 // completes. Overlapping submissions wait in the cluster's queue and enter
-// the mesh in admission order, one pass at a time.
+// the mesh in admission order, up to one pass per worker on it at once.
 func (e *Engine) Submit(ctx context.Context, strategy cluster.Strategy, x *tensor.Matrix) (*cluster.Pending, error) {
 	return e.cluster.Submit(ctx, strategy, x)
 }

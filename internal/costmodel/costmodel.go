@@ -17,6 +17,7 @@ import (
 	"voltage/internal/flopcount"
 	"voltage/internal/model"
 	"voltage/internal/netem"
+	"voltage/internal/positionwise"
 )
 
 // DeviceProfile describes one emulated edge device's compute capability.
@@ -110,7 +111,7 @@ func (s System) Predict(strategy cluster.Strategy) (Breakdown, error) {
 	case cluster.StrategySingle:
 		return s.single(), nil
 	case cluster.StrategyVoltage:
-		return s.voltage(), nil
+		return s.voltage()
 	case cluster.StrategyTensorParallel:
 		return s.tensorParallel(), nil
 	default:
@@ -118,10 +119,16 @@ func (s System) Predict(strategy cluster.Strategy) (Breakdown, error) {
 	}
 }
 
+// layerCost is Γ(Algorithm 1) for one layer computing p rows over a horizon
+// of n positions — model.Layer.Cost, from the configuration alone.
+func (s System) layerCost(n, p int) (int64, error) {
+	shape := flopcount.Shape{N: n, P: p, F: s.Model.F, FH: s.Model.FH()}
+	return flopcount.LayerCost(shape, s.Model.Heads, s.Model.FFN, flopcount.SelectOrder(shape))
+}
+
 // layerFlopsVoltage is Γ(Algorithm 1) for one layer at partition size P.
 func (s System) layerFlopsVoltage(p int) float64 {
-	shape := flopcount.Shape{N: s.N, P: p, F: s.Model.F, FH: s.Model.FH()}
-	c, err := flopcount.LayerCost(shape, s.Model.Heads, s.Model.FFN, flopcount.SelectOrder(shape))
+	c, err := s.layerCost(s.N, p)
 	if err != nil {
 		return 0
 	}
@@ -137,13 +144,35 @@ func (s System) single() Breakdown {
 
 // voltage models Algorithm 2: per-layer partition compute + one gather, with
 // the final layer handing partitions to the terminal. A bidirectional model's
-// gather is the All-Gather. A decoder's devices keep only the prefix their
-// slice attends to (positionwise): the critical path is the last member's,
-// which reads all N positions — the same compute chain — and waits for the
-// prefix gather, half the transfers.
-func (s System) voltage() Breakdown {
-	p := (s.N + s.K - 1) / s.K // critical path: the largest partition
-	compute := float64(s.Model.Layers) * s.layerFlopsVoltage(p) / s.Device.FlopsPerSec
+// gather is the All-Gather and its critical path the largest partition. A
+// decoder's devices keep only the prefix their slice attends to and the pass
+// is cut by cost (positionwise.Slice): the critical path is the heaviest
+// member's compute chain under that cut, and its gather the prefix gather,
+// half the transfers.
+func (s System) voltage() (Breakdown, error) {
+	layer := s.layerFlopsVoltage((s.N + s.K - 1) / s.K)
+	if s.Model.Kind == model.KindDecoder {
+		shares := make([]float64, s.K)
+		for i := range shares {
+			shares[i] = 1 / float64(s.K)
+		}
+		ranges, err := positionwise.SliceByCost(shares, s.N, s.layerCost, nil)
+		if err != nil {
+			return Breakdown{}, err
+		}
+		layer = 0
+		for _, r := range ranges {
+			if r.Empty() {
+				continue
+			}
+			c, err := s.layerCost(r.To, r.Len())
+			if err != nil {
+				return Breakdown{}, err
+			}
+			layer = max(layer, float64(c))
+		}
+	}
+	compute := float64(s.Model.Layers) * layer / s.Device.FlopsPerSec
 
 	parts := allGatherParts(s.K)
 	if s.Model.Kind == model.KindDecoder {
@@ -164,7 +193,7 @@ func (s System) voltage() Breakdown {
 		Compute:  seconds(compute),
 		Comm:     seconds(comm),
 		Boundary: seconds(broadcast + collect),
-	}
+	}, nil
 }
 
 // allGatherParts is the time one All-Gather among k devices occupies the

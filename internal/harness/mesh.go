@@ -237,14 +237,15 @@ func (m *Mesh) TensorParallel(ctx context.Context, x *tensor.Matrix) (*Run, erro
 	})
 }
 
-// positionwise runs one pass of Algorithm 2 over an even partition with the
-// given between-layer gather (nil: the exact All-Gather).
+// positionwise runs one pass of Algorithm 2 over an even partition — cut as
+// the serving runtime cuts it (positionwise.Slice) — with the given
+// between-layer gather (nil: the exact All-Gather).
 func (m *Mesh) positionwise(ctx context.Context, x *tensor.Matrix, gather positionwise.Gather) (*Run, error) {
 	scheme, err := partition.Even(m.K)
 	if err != nil {
 		return nil, err
 	}
-	ranges, err := scheme.Ranges(x.Rows())
+	ranges, err := positionwise.Slice(m.Model, scheme, x.Rows(), false)
 	if err != nil {
 		return nil, err
 	}

@@ -24,6 +24,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"time"
 
 	"voltage/internal/comm"
@@ -218,6 +219,117 @@ func Work(layer *model.Layer, last bool, n int, mine partition.Range, read Read,
 	}
 	g, err := cost(n, mine.Len())
 	return mine, g, err
+}
+
+// Slice cuts a pass over n positions among the members of scheme, in member
+// order. On a bidirectional model every member reads all n positions, so its
+// Γ is proportional to its row count and the cut is scheme.Ranges(n). On a
+// causal one member j reads the prefix its slice ends at, so equal row counts
+// are unequal work — the last slice attends to n rows, the first to n/K — and
+// once passes overlap on the mesh the busiest member sets its rate. There the
+// cut is the contiguous one whose largest per-layer Γ ÷ share is smallest,
+// each member priced by the Layer.Cost it is paced for (Work) and, with
+// cache, the last by Layer.CachedCost, as a join's owner is. A member with no
+// share gets an empty slice.
+func Slice(m *model.Model, scheme *partition.Scheme, n int, cache bool) ([]partition.Range, error) {
+	if !m.Causal() {
+		return scheme.Ranges(n)
+	}
+	var last func(n, p int) (int64, error)
+	if cache {
+		last = m.Layers[0].CachedCost
+	}
+	return SliceByCost(scheme.Ratios(), n, m.Layers[0].Cost, last)
+}
+
+// SliceByCost is Slice's search for a causal pass over n positions among
+// len(shares) members, where a member computing p ≥ 1 rows over a horizon of
+// n costs cost(n, p), an empty slice nothing, and — when lastCost is non-nil
+// — the last member lastCost(n, p), its empty slice too: of the contiguous
+// cuts, the one minimising the largest cost ÷ share. Both costs grow with n
+// and with p, so the best cut of [0, b) among the first j+1 members is found
+// from the first j by a binary search for the boundary where their best
+// grows past member j's load. The cost model calls it with costs of its own.
+func SliceByCost(shares []float64, n int, cost, lastCost func(n, p int) (int64, error)) ([]partition.Range, error) {
+	k := len(shares)
+	if k == 0 || n < 0 {
+		return nil, fmt.Errorf("positionwise: slicing %d positions among %d members", n, k)
+	}
+	var failed error
+	load := func(j, a, b int) float64 {
+		c, p := cost, b-a
+		switch {
+		case shares[j] <= 0 && p > 0:
+			return math.Inf(1)
+		case shares[j] <= 0:
+			return 0
+		case j == k-1 && lastCost != nil:
+			c = lastCost
+		case p == 0:
+			return 0
+		}
+		g, err := c(b, p)
+		if err != nil && failed == nil {
+			failed = err
+		}
+		return float64(g) / shares[j]
+	}
+	// best[j][b] is the smallest largest load cutting [0, b) among members
+	// 0…j, from[j][b] where member j's slice then starts; NaN until computed.
+	best, from := make([][]float64, k), make([][]int, k)
+	for j := range best {
+		best[j], from[j] = make([]float64, n+1), make([]int, n+1)
+		for b := range best[j] {
+			best[j][b] = math.NaN()
+		}
+	}
+	var opt func(j, b int) float64
+	opt = func(j, b int) float64 {
+		if !math.IsNaN(best[j][b]) {
+			return best[j][b]
+		}
+		if j == 0 {
+			best[j][b] = load(0, 0, b)
+			return best[j][b]
+		}
+		// The smallest a at which the first j members' best reaches member
+		// j's load over [a, b); the optimum is there or just before it.
+		lo, hi := 0, b+1
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if opt(j-1, mid) >= load(j, mid, b) {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		a, v := lo, math.Inf(1)
+		if lo <= b {
+			v = opt(j-1, lo)
+		}
+		if lo > 0 {
+			if w := load(j, lo-1, b); w < v {
+				a, v = lo-1, w
+			}
+		}
+		best[j][b], from[j][b] = v, a
+		return v
+	}
+	opt(k-1, n)
+	if failed != nil {
+		return nil, failed
+	}
+	ranges := make([]partition.Range, k)
+	for j, b := k-1, n; j >= 0; j-- {
+		a := 0
+		if j > 0 {
+			opt(j, b) // the search may have passed over this boundary
+			a = from[j][b]
+		}
+		ranges[j] = partition.Range{From: a, To: b}
+		b = a
+	}
+	return ranges, nil
 }
 
 // run is the layer loop over x, the rows of the input this device reads.

@@ -3,6 +3,8 @@ package positionwise
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -450,5 +452,118 @@ func TestAssembleNamesTheRankWithTheWrongPartition(t *testing.T) {
 	}
 	if _, err := Assemble(ctx, mesh[2], nil, []int{0, 1}, ranges[:1]); err == nil {
 		t.Fatal("Assemble accepted one range for two ranks")
+	}
+}
+
+// TestSlice: on a causal model Slice's cut is contiguous from row 0, covers
+// the n positions, leaves a member with no share empty, and its largest
+// per-layer Γ ÷ share — each member priced by Work at its horizon, a join's
+// owner as the cache-keeping reader — is the smallest any contiguous cut
+// reaches, found by brute force over N ≤ 24 and K ≤ 4, even and weighted
+// schemes, with and without a cache-keeping last member; Theorem 2's order
+// flips inside those lengths on the wider decoder. On an encoder it is
+// scheme.Ranges(n), whatever the scheme.
+func TestSlice(t *testing.T) {
+	wide := model.TinyDecoder().Scaled(1)
+	wide.F, wide.FFN = 128, 256
+	rng := rand.New(rand.NewSource(28))
+	for _, cfg := range []model.Config{model.TinyDecoder().Scaled(1), wide, model.Tiny().Scaled(1)} {
+		m, err := model.NewRandom(cfg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 1; k <= 4; k++ {
+			for trial := range 4 {
+				weights := make([]float64, k)
+				for i := range weights {
+					weights[i] = 1
+					if trial > 0 {
+						weights[i] = float64(1 + rng.Intn(4))
+					}
+				}
+				if trial == 3 && k > 1 {
+					weights[rng.Intn(k)] = 0
+				}
+				scheme, err := partition.Weighted(weights)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for n := 1; n <= 24; n++ {
+					for _, cache := range []bool{false, true} {
+						checkSlice(t, m, scheme, n, cache)
+					}
+				}
+			}
+		}
+	}
+}
+
+func checkSlice(t *testing.T, m *model.Model, scheme *partition.Scheme, n int, cache bool) {
+	t.Helper()
+	name := fmt.Sprintf("%s N=%d shares %.3v cache %v", m.Cfg.Name, n, scheme.Ratios(), cache)
+	got, err := Slice(m, scheme, n, cache)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if !m.Causal() {
+		if want, _ := scheme.Ranges(n); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: an encoder's pass cut as %v, want scheme.Ranges %v", name, got, want)
+		}
+		return
+	}
+	shares := scheme.Ratios()
+	at := 0
+	for j, r := range got {
+		if r.From != at || r.To < r.From {
+			t.Fatalf("%s: %v is not contiguous from row 0", name, got)
+		}
+		if shares[j] == 0 && !r.Empty() {
+			t.Errorf("%s: member %d has no share, yet rows %v", name, j, r)
+		}
+		at = r.To
+	}
+	if at != n {
+		t.Fatalf("%s: %v does not cover %d positions", name, got, n)
+	}
+	// worst is the largest Γ ÷ share of a cut, as the devices are paced.
+	k := len(shares)
+	worst := func(ranges []partition.Range) float64 {
+		w := 0.0
+		for j, r := range ranges {
+			reader := cache && j == k-1
+			read := AllRows
+			if reader {
+				read = Read{One: true, Row: n - 1, At: k - 1, Cache: true}
+			}
+			_, g, err := Work(m.Layers[0], false, r.To, r, read, reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case shares[j] > 0:
+				w = max(w, float64(g)/shares[j])
+			case !r.Empty():
+				w = math.Inf(1)
+			}
+		}
+		return w
+	}
+	best := math.Inf(1)
+	cut := make([]partition.Range, k)
+	var search func(j, from int)
+	search = func(j, from int) {
+		if j == k-1 {
+			cut[j] = partition.Range{From: from, To: n}
+			best = min(best, worst(cut))
+			return
+		}
+		for to := from; to <= n; to++ {
+			cut[j] = partition.Range{From: from, To: to}
+			search(j+1, to)
+		}
+	}
+	search(0, 0)
+	if w := worst(got); w != best {
+		t.Errorf("%s: cut %v has a largest Γ ÷ share of %v, the best contiguous cut %v", name, got, w, best)
 	}
 }

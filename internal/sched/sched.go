@@ -3,8 +3,8 @@
 // throughput and latency SLOs.
 //
 // The cluster's own pending queue is a single bounded FIFO — it blocks
-// an overloaded caller, serves one pass at a time in arrival order (a
-// classify behind a burst of prefills waits for each of them), and keeps no
+// an overloaded caller, serves passes in arrival order (a classify behind a
+// burst of prefills waits for each of them to be scattered), and keeps no
 // notion of deadlines. The scheduler sits in front of the engine and adds the
 // serving policy the cluster deliberately does not have:
 //

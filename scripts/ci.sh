@@ -53,6 +53,15 @@ if grep -rnE 'strategyRunner|exclusive\(\)|submitSupervised|fenceBegin|collectLo
     exit 1
 fi
 
+# Passes overlap on the mesh, so nothing may hold "the pass on the mesh" for
+# the whole round: a worker finds its pass's trace and traffic slot by seq
+# (round.passes). One round-wide trace pointer would file one request's spans
+# under another's.
+if grep -rnE 'rd\.tracing|tracing[[:space:]]+atomic\.Pointer' --include='*.go' internal/cluster | grep -v _test.go; then
+    echo "a round-wide pass trace is back in internal/cluster" >&2
+    exit 1
+fi
+
 echo "== gofmt -l ."
 if [ -n "$(gofmt -l .)" ]; then
     gofmt -l . >&2
@@ -79,7 +88,7 @@ go test -race ./internal/cluster/... ./internal/positionwise/... ./internal/harn
 
 echo "== chaos: go test -race -count=2 (fault-injection suite)"
 go test -race -count=2 -run \
-    'Chaos|Killed|Dropped|Corrupt|Stalled|AllWorkersDead|Probation|NonRetryable|LostMessage|EveryReceiveFault|FailedRound|Flaky|OpTimeout|VerifyFrame|Framed|TCPSend|DecodeHostile|DecodeDeclared' \
+    'Chaos|Killed|Dropped|Corrupt|Stalled|AllWorkersDead|Probation|NonRetryable|LostMessage|EveryReceiveFault|FailedRound|Overlapped|Flaky|OpTimeout|VerifyFrame|Framed|TCPSend|DecodeHostile|DecodeDeclared' \
     ./internal/cluster/... ./internal/comm/... ./internal/tensor/...
 
 echo "== chaos: go test -race -count=3 (batched recovery suite)"
@@ -289,9 +298,12 @@ echo "== batched-chaos smoke: worker killed mid-batch, streams still complete"
 # co-batched prefills and in the classify (one pass frame each: 5 receives),
 # and tiny-decoder having two layers, the one synchronisation of a pass is the
 # Gather to its reader: least-loaded placement puts the four streams on ranks
-# 0,1,2,0, so rank 1 receives the two other ranks' shares once, in the join it
-# owns (the classify's reader is the rank holding its last row, rank 2) — 7 in
-# all. Decode is sharded by sequence, so rank 1 then receives one step frame
+# 0,1,2,0 — ties take turns in the order the joins are scattered, up to three
+# of them (or two and the classify) on the mesh at once — so rank 1 receives
+# the two other ranks' shares once, in the join it owns (the classify's reader
+# is the rank holding its last row, rank 2: positionwise.Slice cuts its four
+# positions [0,2) [2,3) [3,4)) — 7 in all, whichever joins the classify
+# overlaps, since a rank counts its receives, not their order. Decode is sharded by sequence, so rank 1 then receives one step frame
 # per round only for the one stream it owns — 7 for steps=8, receives 8..14 —
 # and nothing for the other three. Receive 11 is that stream's 4th step frame
 # (its 5th if the classify arrives after the streams have drained): inside
