@@ -87,13 +87,8 @@ func run(args []string, w io.Writer) error {
 	estBatch := fs.Duration("estimate-batch", 0, "expected batch service time for deadline shedding")
 	chaosKillRank := fs.Int("chaos-kill-rank", -1, "fault injection (-local only): worker rank whose transport dies mid-run (-1 = none; pair with -chaos-kill-after and -retries)")
 	chaosKillAfter := fs.Int64("chaos-kill-after", 0, "fault injection: the doomed rank's n-th transport receive, and every later one, fails")
-	chaosSlowRank := fs.Int("chaos-slow-rank", -1, "fault injection (-local only): worker rank to throttle by -chaos-slow-factor (-1 = none; requires -device-flops)")
+	chaosSlowRank := fs.Int("chaos-slow-rank", -1, "fault injection (-local only): worker rank to throttle by -chaos-slow-factor; the scheme weighs ranks by rate, so it gets a smaller share (-1 = none; requires -device-flops)")
 	chaosSlowFactor := fs.Float64("chaos-slow-factor", 0, "fault injection: divide the slow rank's emulated compute rate by this factor (> 1)")
-	adapt := fs.Bool("adapt", false, "enable the closed-loop re-partitioning controller (-local only)")
-	adaptInterval := fs.Duration("adapt-interval", 0, "controller evaluation period (0 = default 50ms)")
-	adaptThreshold := fs.Float64("adapt-threshold", 0, "minimum predicted round-time gain to arm a re-partition (0 = default 0.10)")
-	adaptEvals := fs.Int("adapt-evals", 0, "consecutive over-threshold evaluations before a move (0 = default 3)")
-	adaptCooldown := fs.Duration("adapt-cooldown", 0, "minimum spacing between installed schemes (0 = default 2s)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful-drain budget on shutdown")
 	hold := fs.Duration("hold", 0, "exit (with drain) after this long instead of waiting for a signal (tests, smoke)")
 	meshTimeout := fs.Duration("mesh-timeout", 10*time.Minute, "TCP mesh formation budget")
@@ -146,11 +141,6 @@ func run(args []string, w io.Writer) error {
 			QueueDepth:      *engineQueue,
 			MaxBatch:        *maxBatch,
 			BatchWindow:     *batchWindow,
-			Adapt:           *adapt,
-			AdaptInterval:   *adaptInterval,
-			AdaptThreshold:  *adaptThreshold,
-			AdaptEvals:      *adaptEvals,
-			AdaptCooldown:   *adaptCooldown,
 			ChaosSlowRank:   *chaosSlowRank,
 			ChaosSlowFactor: *chaosSlowFactor,
 			WrapTransport:   chaosWrap(*chaosKillRank, *chaosKillAfter),

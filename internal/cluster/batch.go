@@ -1080,25 +1080,27 @@ func encodePass(kind byte, at int, seq uint32, ranges []partition.Range, ids []i
 }
 
 // passScheme is the scheme a pass's rows are sliced under and a joiner's
-// owner is weighed by: the installed scheme on a full round — read at each
-// pass, so an install reaches the next pass while live sequences keep
-// decoding — and its re-slice over the round's survivors on a degraded one.
+// owner is weighed by: the cluster's scheme on a full round, and on a degraded
+// one the survivors' rates (rateScheme) — Voltage's position-wise partition
+// makes any contiguous re-slice over them a valid plan, and every worker holds
+// a full model replica from the shared seed, so the survivors run exactly the
+// math a smaller cluster would.
 func (c *Cluster) passScheme(rd *round) (*partition.Scheme, error) {
 	if rd.live != nil {
-		return c.degradedScheme(rd.live)
+		return c.rateScheme(rd.live)
 	}
-	return c.currentScheme(), nil
+	return c.scheme, nil
 }
 
 // pickOwner places a joining sequence on the least-loaded of the round's
 // ranks: load is the number of live sequences a rank already owns divided by
 // its share of the scheme (shares[i] belongs to ranks[i]), so owned counts
-// follow the installed ratios. Ties take turns — the first tied rank after
+// follow the scheme's ratios. Ties take turns — the first tied rank after
 // `last`, the owner of the last sequence to join (or, while joins are on the
-// mesh, of the last one scattered), wrapping round — so a batch
-// narrower than the mesh still visits every rank with a share and each keeps
-// feeding the step-time profile the controller reads. A rank with no share is
-// passed over.
+// mesh, of the last one scattered), wrapping round — so a batch narrower than
+// the mesh still spreads its decode work over every rank with a share, and
+// each keeps feeding the step-time profile behind the skew gauges. A rank with
+// no share is passed over.
 func pickOwner(ranks []int, shares []float64, live []*request, last int) int {
 	first := 0 // scan from the first rank after last
 	for first < len(ranks) && ranks[first] <= last {

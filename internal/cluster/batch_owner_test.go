@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"voltage/internal/adapt"
 	"voltage/internal/comm"
 	"voltage/internal/model"
 	"voltage/internal/partition"
@@ -153,18 +152,15 @@ func TestOwnerPlacementOneCachePerSequence(t *testing.T) {
 	}
 }
 
-func TestOwnerPlacementFollowsInstalledRatios(t *testing.T) {
+func TestOwnerPlacementFollowsSchemeRatios(t *testing.T) {
 	prompts := placementPrompts()[:6]
 	const steps = 4
 	want := soloReference(t, prompts, steps)
-	c := newTinyDecoder(t, 3, Options{MaxBatch: len(prompts), BatchWindow: 200 * time.Millisecond})
 	target, err := partition.Weighted([]float64{3, 2, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.InstallScheme(target, adapt.CauseManual, 0); err != nil {
-		t.Fatal(err)
-	}
+	c := newTinyDecoder(t, 3, Options{MaxBatch: len(prompts), BatchWindow: 200 * time.Millisecond, Scheme: target})
 	release, wait := heldBatch(t, c, prompts, steps)
 	if seqs, _ := kvResidency(c); seqs[0] != 3 || seqs[1] != 2 || seqs[2] != 1 {
 		t.Errorf("owned counts %v under shares 3:2:1, want [3 2 1]", seqs)
@@ -214,22 +210,17 @@ func TestPickOwner(t *testing.T) {
 }
 
 // TestLoneSequencesVisitEveryRank: a batch narrower than the mesh must not
-// leave the higher ranks unobserved. One stream at a time on three ranks,
-// placement ties take turns, so after three streams every rank has owned one
-// and fed step times to the profile the re-partitioning controller reads —
-// including a rank an installed scheme has squeezed, which is how it can win
-// its share back.
+// leave the higher ranks idle. One stream at a time on three ranks, placement
+// ties take turns, so after three streams every rank has owned one and fed
+// step times to the profile — including a rank the scheme has squeezed.
 func TestLoneSequencesVisitEveryRank(t *testing.T) {
 	const steps = 5
 	want := soloReference(t, batchPrompts[:3], steps)
-	c := newTinyDecoder(t, 3, Options{MaxBatch: 4})
 	squeezed, err := partition.Weighted([]float64{4, 4, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.InstallScheme(squeezed, adapt.CauseManual, 0); err != nil {
-		t.Fatal(err)
-	}
+	c := newTinyDecoder(t, 3, Options{MaxBatch: 4, Scheme: squeezed})
 	for i, p := range batchPrompts[:3] {
 		res, err := c.GenerateVoltage(context.Background(), p, steps)
 		if err != nil {

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"testing"
 
-	"voltage/internal/adapt"
 	"voltage/internal/comm"
 	"voltage/internal/flopcount"
 	"voltage/internal/model"
@@ -129,13 +128,6 @@ func TestClassifyTokensMatchesSolo(t *testing.T) {
 			if k > 1 {
 				schemes["rank 0 without rows"] = starved
 			}
-			// One cluster per K, re-sliced between schemes as an operator
-			// would: a request pins the scheme installed when it is admitted.
-			c, err := NewMem(cfg, k, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(c.Close)
 			for sname, weights := range schemes {
 				scheme, err := partition.Even(k)
 				if weights != nil {
@@ -144,9 +136,11 @@ func TestClassifyTokensMatchesSolo(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := c.InstallScheme(scheme, adapt.CauseManual, 0); err != nil {
+				c, err := NewMem(cfg, k, Options{Scheme: scheme})
+				if err != nil {
 					t.Fatal(err)
 				}
+				t.Cleanup(c.Close)
 				for _, n := range []int{1, 2, k - 1, k, 17, cfg.MaxSeq} {
 					if n < 1 {
 						continue
@@ -167,7 +161,7 @@ func TestClassifyTokensMatchesSolo(t *testing.T) {
 					if model.Argmax(got) != model.Argmax(want) {
 						t.Errorf("%s: class %d, solo %d", name, model.Argmax(got), model.Argmax(want))
 					}
-					ranges, err := c.currentScheme().Ranges(n)
+					ranges, err := scheme.Ranges(n)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -237,11 +231,11 @@ func TestClassifyTokensTraffic(t *testing.T) {
 		}
 		t.Cleanup(c.Close)
 		res, _ := classifyTokens(t, c, promptIn(cfg, n))
-		ranges, err := positionwise.Slice(c.Model(0), c.currentScheme(), n, false)
+		ranges, err := positionwise.Slice(c.Model(0), c.scheme, n, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if even, _ := c.currentScheme().Ranges(n); (kind == model.KindEncoder) != slices.Equal(ranges, even) {
+		if even, _ := c.scheme.Ranges(n); (kind == model.KindEncoder) != slices.Equal(ranges, even) {
 			t.Errorf("%s: the pass is cut as %v, the scheme's even ranges are %v", kind, ranges, even)
 		}
 		reader := 0
@@ -290,7 +284,7 @@ func TestSubmitPooledReadsOneRowOfAScatteredInput(t *testing.T) {
 	if d, err := res.Output.MaxAbsDiff(want); err != nil || d > 1e-4 {
 		t.Fatalf("pooled row differs from the solo forward's row 0 by %v (err %v)", d, err)
 	}
-	ranges, err := c.currentScheme().Ranges(n)
+	ranges, err := c.scheme.Ranges(n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,11 +20,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"voltage/internal/adapt"
 	"voltage/internal/comm"
 	"voltage/internal/metrics"
 	"voltage/internal/model"
@@ -56,6 +56,11 @@ const (
 // ErrStrategyNotServed refuses a request for a baseline strategy: those are
 // experiment subjects of package harness, not modes of the serving runtime.
 var ErrStrategyNotServed = errors.New("cluster: only the voltage strategy is served")
+
+// ErrInvalidRate refuses a device rate no device can run at: a DeviceFlops
+// that is negative or NaN, or a HeteroDeviceFlops entry that is not a
+// positive finite number.
+var ErrInvalidRate = errors.New("cluster: invalid device rate")
 
 // Served is the one check every request path makes of a strategy it was
 // handed: nil for StrategyVoltage, ErrStrategyNotServed for anything else.
@@ -100,7 +105,9 @@ func ParseStrategy(name string) (Strategy, error) {
 type Options struct {
 	// Profile shapes every link (default netem.Unlimited).
 	Profile netem.Profile
-	// Scheme is the Voltage partition scheme (default Even(k)).
+	// Scheme is the Voltage partition scheme. By default each device's
+	// share is its rate (rateScheme): Weighted over the K rates when they
+	// differ, Even(k) when they are equal or unpaced.
 	Scheme *partition.Scheme
 	// Seed derives the replicated model weights (default 1).
 	Seed int64
@@ -196,33 +203,13 @@ type Options struct {
 	// default is off so fault-injection tests stay quiet.
 	FlightSink io.Writer
 
-	// Adaptive re-partitioning (see DESIGN.md "Adaptive re-partitioning").
-	// The controller closes the loop the profile store opened: it watches
-	// per-rank fused-step EWMAs and the straggler flags, derives a
-	// speed-proportional candidate scheme, and installs it at a safe
-	// boundary when the predicted round-time improvement clears the
-	// hysteresis guards. Outputs stay bit-identical across installs.
-
-	// Adapt starts the re-partitioning controller loop.
-	Adapt bool
-	// AdaptInterval is the controller's evaluation period (default 50ms).
-	AdaptInterval time.Duration
-	// AdaptThreshold is the minimum predicted fractional round-time
-	// improvement required to count an evaluation toward a move
-	// (default 0.10 — a candidate must promise rounds at most 90% as long).
-	AdaptThreshold float64
-	// AdaptEvals is how many consecutive over-threshold evaluations arm a
-	// move (default 3), and AdaptCooldown the minimum spacing between
-	// installed schemes (default 2s).
-	AdaptEvals    int
-	AdaptCooldown time.Duration
-
 	// Chaos: deterministic slow-rank fault injection (tests/CI), mirroring
 	// the -chaos-kill-* flags. With ChaosSlowFactor > 1, worker
 	// ChaosSlowRank's emulated compute rate is divided by the factor — a
-	// throttled device the adaptation loop should detect and re-slice
-	// around. Requires pacing (DeviceFlops or HeteroDeviceFlops) so there
-	// is a rate to throttle; ChaosSlowFactor 0 disables the injector.
+	// throttled device, which the default scheme then gives a smaller
+	// share like any slower rate. Requires pacing (DeviceFlops or
+	// HeteroDeviceFlops) so there is a rate to throttle; ChaosSlowFactor 0
+	// disables the injector.
 	ChaosSlowRank   int
 	ChaosSlowFactor float64
 }
@@ -240,15 +227,9 @@ type Cluster struct {
 	opts   Options
 	health *healthTracker
 
-	// The serving partition scheme. It starts as Options.Scheme (or even)
-	// and is swapped by InstallScheme — the adaptive controller's actuator
-	// — at safe boundaries only: the loop reads it as each pass enters the
-	// mesh (live sequences never re-slice).
-	// schemeGen counts installs: zero means never re-partitioned.
-	schemeMu  sync.RWMutex
-	scheme    *partition.Scheme
-	schemeGen uint64
-	adaptCtl  *adapt.Controller // nil unless Options.Adapt
+	// scheme is the serving partition scheme of a full round, fixed at
+	// construction.
+	scheme *partition.Scheme
 
 	// Observability. The profile store and flight recorder are always on
 	// (bounded, lock-cheap); stepRound numbers fused decode rounds
@@ -283,19 +264,19 @@ func NewMem(cfg model.Config, k int, opts Options) (*Cluster, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	scheme := opts.Scheme
-	if scheme == nil {
-		var err error
-		scheme, err = partition.Even(k)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if scheme.K() != k {
-		return nil, fmt.Errorf("cluster: scheme for %d devices, cluster has %d", scheme.K(), k)
+	if opts.Scheme != nil && opts.Scheme.K() != k {
+		return nil, fmt.Errorf("cluster: scheme for %d devices, cluster has %d", opts.Scheme.K(), k)
 	}
 	if opts.HeteroDeviceFlops != nil && len(opts.HeteroDeviceFlops) != k {
 		return nil, fmt.Errorf("cluster: %d per-device rates for %d workers", len(opts.HeteroDeviceFlops), k)
+	}
+	if opts.DeviceFlops < 0 || math.IsNaN(opts.DeviceFlops) {
+		return nil, fmt.Errorf("%w: DeviceFlops = %v", ErrInvalidRate, opts.DeviceFlops)
+	}
+	for r, rate := range opts.HeteroDeviceFlops {
+		if !(rate > 0) || math.IsInf(rate, 0) {
+			return nil, fmt.Errorf("%w: HeteroDeviceFlops[%d] = %v", ErrInvalidRate, r, rate)
+		}
 	}
 	if opts.MaxRetries < 0 {
 		return nil, fmt.Errorf("cluster: negative MaxRetries %d", opts.MaxRetries)
@@ -306,9 +287,6 @@ func NewMem(cfg model.Config, k int, opts Options) (*Cluster, error) {
 	if opts.MaxBatch < 0 || opts.BatchWindow < 0 {
 		return nil, fmt.Errorf("cluster: negative batching knob (max batch %d, window %s)",
 			opts.MaxBatch, opts.BatchWindow)
-	}
-	if opts.AdaptInterval < 0 {
-		return nil, fmt.Errorf("cluster: negative adapt interval %s", opts.AdaptInterval)
 	}
 	if opts.ChaosSlowFactor != 0 {
 		if opts.ChaosSlowFactor <= 1 {
@@ -359,7 +337,7 @@ func NewMem(cfg model.Config, k int, opts Options) (*Cluster, error) {
 	c := &Cluster{
 		cfg: cfg, k: k, mesh: mesh, peers: peers,
 		models: models,
-		scheme: scheme, opts: opts,
+		scheme: opts.Scheme, opts: opts,
 		health:  newHealthTracker(k, opts.ProbeAfter),
 		metrics: cm,
 		pool:    &tensor.MatrixPool{},
@@ -386,24 +364,15 @@ func NewMem(cfg model.Config, k int, opts Options) (*Cluster, error) {
 		cm.healthTransition(rank, from, to)
 		c.flight.Eventf("health", rank, "rank %d: %s -> %s", rank, from, to)
 	}
-	c.batcher = newBatcher(c, queueDepth)
-	c.serveCtx, c.serveCancel = context.WithCancel(context.Background())
-	cm.setPartitionRatios(scheme.Ratios())
-	if opts.Adapt {
-		ctl, err := adapt.New(adapt.Config{
-			K:         k,
-			Threshold: opts.AdaptThreshold,
-			Evals:     opts.AdaptEvals,
-			Cooldown:  opts.AdaptCooldown,
-		})
-		if err != nil {
-			c.serveCancel()
+	if c.scheme == nil {
+		if c.scheme, err = c.rateScheme(c.allRanks()); err != nil {
 			_ = peers[0].Close()
 			return nil, err
 		}
-		c.adaptCtl = ctl
-		go c.adaptLoop()
 	}
+	cm.setPartitionRatios(c.scheme.Ratios())
+	c.batcher = newBatcher(c, queueDepth)
+	c.serveCtx, c.serveCancel = context.WithCancel(context.Background())
 	return c, nil
 }
 
@@ -549,6 +518,24 @@ func (c *Cluster) deviceRate(rank int) float64 {
 	return rate
 }
 
+// rateScheme is the scheme a round over ranks serves when Options.Scheme does
+// not set one: each rank's share is its compute rate (§V-B) — Weighted over
+// the rates when they differ, Even when they are equal, unpaced included. A
+// full round slices by it over every rank from the first pass, a degraded one
+// over the survivors.
+func (c *Cluster) rateScheme(ranks []int) (*partition.Scheme, error) {
+	rates := make([]float64, len(ranks))
+	equal := true
+	for i, r := range ranks {
+		rates[i] = c.deviceRate(r)
+		equal = equal && rates[i] == rates[0]
+	}
+	if equal {
+		return partition.Even(len(ranks))
+	}
+	return partition.Weighted(rates)
+}
+
 // paceRank sleeps until worker rank's emulated compute duration for flops has
 // elapsed since start. Unpaced, it is a no-op and latencies reflect raw host
 // math.
@@ -574,8 +561,8 @@ func (c *Cluster) paceBudget(rank int, flops int64) time.Duration {
 // host: the paced budget, or the host's own time where that ran over it. A
 // paced sleep wakes late by the host timer's slack — a cost of the emulation,
 // not of the device, and a constant per step, so it weighs heavier per MAC on
-// a rank with fewer rows. The sensing feed compares ranks per MAC and reads
-// this instead of the wall clock.
+// a rank with fewer rows. The profile store compares ranks per MAC for its skew
+// and straggler signals and reads this instead of the wall clock.
 func (c *Cluster) deviceTime(rank int, host time.Duration, flops int64) time.Duration {
 	return max(host, c.paceBudget(rank, flops))
 }

@@ -75,13 +75,8 @@ type clusterMetrics struct {
 	seqsFailed  *metrics.Counter
 	seqsResumed *metrics.Counter
 
-	// Adaptive re-partitioning: installed moves by controller cause and the
-	// currently serving per-rank ratios. (Each move's promised and measured
-	// round-time improvement is a flight-recorder event.)
-	repartStraggler *metrics.Counter
-	repartSkew      *metrics.Counter
-	repartManual    *metrics.Counter
-	partitionRatio  []*metrics.Gauge
+	// The serving scheme's per-rank ratios, set once at construction.
+	partitionRatio []*metrics.Gauge
 
 	queueLen *metrics.Gauge
 
@@ -205,13 +200,8 @@ func newClusterMetrics(k int) *clusterMetrics {
 	m.seqsResumed = reg.Counter("voltage_batch_seqs_resumed_total",
 		"Requests parked across a fault and dispatched again — the blast radius avoided.")
 
-	reparts := reg.CounterVec("voltage_repartitions_total",
-		"Partition schemes installed by the adaptive controller, by cause.", "cause")
-	m.repartStraggler = reparts.With("straggler")
-	m.repartSkew = reparts.With("skew")
-	m.repartManual = reparts.With("manual")
 	ratioVec := reg.GaugeVec("voltage_partition_ratio",
-		"Currently installed partition ratio per worker rank (fraction of sequence positions).", "rank")
+		"Partition ratio per worker rank of the serving scheme (fraction of sequence positions).", "rank")
 	m.partitionRatio = make([]*metrics.Gauge, k)
 	for r := 0; r < k; r++ {
 		m.partitionRatio[r] = ratioVec.With(rankLabel(r, k))
@@ -371,28 +361,12 @@ func (m *clusterMetrics) batchSeqResumed() {
 	m.seqsResumed.Inc()
 }
 
-// setPartitionRatios mirrors the installed scheme into the per-rank
-// ratio gauges.
+// setPartitionRatios mirrors the serving scheme into the per-rank ratio
+// gauges.
 func (m *clusterMetrics) setPartitionRatios(ratios []float64) {
 	for r, g := range m.partitionRatio {
-		if r < len(ratios) {
-			g.Set(ratios[r])
-		}
+		g.Set(ratios[r])
 	}
-}
-
-// repartition records one installed scheme: the cause counter and the new
-// ratio gauges.
-func (m *clusterMetrics) repartition(cause string, ratios []float64) {
-	switch cause {
-	case "straggler":
-		m.repartStraggler.Inc()
-	case "skew":
-		m.repartSkew.Inc()
-	default:
-		m.repartManual.Inc()
-	}
-	m.setPartitionRatios(ratios)
 }
 
 // observeBatchWait records how long a sequence waited to join a batch.

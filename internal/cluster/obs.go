@@ -20,8 +20,8 @@ import (
 const flightDumpCooldown = 30 * time.Second
 
 // Profile returns the live per-rank profile: per-phase EWMA timings, comm
-// bytes, fused-step estimates, and the skew/straggler state. This snapshot
-// is the sensing input for adaptive re-partitioning (adapt.go).
+// bytes, fused-step estimates, and the skew/straggler state — what the skew
+// gauges and flight dumps report.
 func (c *Cluster) Profile() obs.Profile {
 	return c.obs.Profile()
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"voltage/internal/adapt"
 	"voltage/internal/comm"
 	"voltage/internal/flopcount"
 	"voltage/internal/model"
@@ -187,7 +186,7 @@ func TestJoinPrefillMatchesSolo(t *testing.T) {
 				if !equalTokens(res.Tokens, want) {
 					t.Errorf("%s: tokens %v != solo %v", name, res.Tokens, want)
 				}
-				last, state, exact := drivePrefill(t, byHand, nil, c.currentScheme(), n%k, prompt)
+				last, state, exact := drivePrefill(t, byHand, nil, c.scheme, n%k, prompt)
 				checkOwnerCache(t, name, ref, prompt, last, state, exact)
 			}
 		}
@@ -218,7 +217,7 @@ func TestJoinPrefillOwnerWithoutRowsAndDegradedRound(t *testing.T) {
 		checkOwnerCache(t, fmt.Sprintf("owner without rows, N=%d", n), ref, prompt, last, state, exact)
 
 		live := []int{0, 2}
-		resliced, err := c.degradedScheme(live)
+		resliced, err := c.rateScheme(live)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +243,7 @@ func TestJoinPrefillTraffic(t *testing.T) {
 		}
 		t.Cleanup(c.Close)
 		// An even scheme: the same shares in any member order.
-		ranges, err := positionwise.Slice(c.Model(0), c.currentScheme(), n, true)
+		ranges, err := positionwise.Slice(c.Model(0), c.scheme, n, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -472,14 +471,11 @@ func TestCausalPassProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := NewMem(cfg, k, Options{})
+		c, err := NewMem(cfg, k, Options{Scheme: scheme})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(c.Close)
-		if err := c.InstallScheme(scheme, adapt.CauseManual, 0); err != nil {
-			t.Fatal(err)
-		}
 
 		// The full pass.
 		ranges, err := positionwise.Slice(ref, scheme, n, false)

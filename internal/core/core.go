@@ -54,7 +54,7 @@ func (e *Engine) Metrics() metrics.Snapshot { return e.cluster.Metrics() }
 
 // Profile returns the continuous profiler's rolling per-rank estimates:
 // EWMA phase and fused-step times, comm bytes, round skew, and straggler
-// flags. This is the input a re-partitioning policy would consume.
+// flags — what the skew gauges and flight dumps report.
 func (e *Engine) Profile() obs.Profile { return e.cluster.Profile() }
 
 // Flight returns the engine's always-on flight recorder (never nil).

@@ -1,6 +1,6 @@
 // Package obs is the continuous profiling and diagnostics layer: a rolling
-// per-rank profile store (the sensing input for adaptive re-partitioning),
-// a fused-round straggler/skew detector, an always-on flight recorder of
+// per-rank profile store (behind the skew gauges and flight dumps), a
+// fused-round straggler/skew detector, an always-on flight recorder of
 // recent traces and cluster events, and a Chrome trace-event exporter so
 // per-rank timelines render directly in Perfetto / chrome://tracing.
 //
@@ -129,9 +129,8 @@ type partialRound struct {
 }
 
 // Store is the rolling per-rank profile: per-phase EWMA timings, scoped
-// comm bytes, fused-step estimates, and the straggler/skew detector. It is
-// the snapshot source the re-partitioning controller (ROADMAP item 2)
-// will consume.
+// comm bytes, fused-step estimates, and the straggler/skew detector. Its
+// snapshots feed the cluster's skew gauges and flight dumps.
 type Store struct {
 	opts StoreOptions
 
@@ -358,8 +357,8 @@ type RankProfile struct {
 	// StepEWMASeconds is the rolling fused-decode-step time per unit of the
 	// rank's own work (seconds per MAC in the cluster's feed, the step's
 	// fixed cost counted as Profile.StepFixedWork more units) — the primary
-	// skew signal for re-partitioning, comparable across ranks however the
-	// round's sequences were split between them.
+	// skew signal, comparable across ranks however the round's sequences
+	// were split between them.
 	StepEWMASeconds float64 `json:"step_ewma_seconds,omitempty"`
 	StepSamples     uint64  `json:"step_samples,omitempty"`
 	BytesSent       int64   `json:"bytes_sent,omitempty"`
@@ -387,7 +386,7 @@ type Profile struct {
 
 // StepSkew is the converged skew estimate: max/mean of the per-rank fused
 // step EWMAs over worker ranks with samples. Smoother than the per-round
-// Skew and the natural input for a re-partitioning decision.
+// Skew.
 func (p Profile) StepSkew() float64 {
 	var max, sum float64
 	n := 0

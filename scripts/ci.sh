@@ -26,6 +26,15 @@ if go list ./... | grep -E 'loadgen|voltage-load'; then
     exit 1
 fi
 
+# A device's share of the positions is its rate, fixed when the cluster is
+# built (rateScheme): the closed-loop re-partitioning controller and its
+# sensing packages were retired and must not come back.
+if [ -e internal/adapt ] || [ -e internal/balance ] \
+    || grep -rnE 'InstallScheme|schemeMu' --include='*.go' .; then
+    echo "the retired re-partitioning controller is back" >&2
+    exit 1
+fi
+
 # Algorithm 2's layer loop and its one synchronisation (comm.Exchange.GatherTo:
 # the All-Gather, a causal pass's prefix gather, the Gather to a one-row pass's
 # reader) live in internal/positionwise and nowhere else: a copy in the cluster
@@ -83,8 +92,8 @@ go build ./cmd/...
 echo "== go test ./..."
 go test ./...
 
-echo "== go test -race ./internal/cluster/... ./internal/positionwise/... ./internal/harness/... ./internal/comm/... ./internal/trace/... ./internal/obs/... ./internal/adapt/... ./internal/balance/... ./internal/server/..."
-go test -race ./internal/cluster/... ./internal/positionwise/... ./internal/harness/... ./internal/comm/... ./internal/trace/... ./internal/obs/... ./internal/adapt/... ./internal/balance/... ./internal/server/...
+echo "== go test -race ./internal/cluster/... ./internal/positionwise/... ./internal/harness/... ./internal/comm/... ./internal/trace/... ./internal/obs/... ./internal/server/..."
+go test -race ./internal/cluster/... ./internal/positionwise/... ./internal/harness/... ./internal/comm/... ./internal/trace/... ./internal/obs/... ./internal/server/...
 
 echo "== chaos: go test -race -count=2 (fault-injection suite)"
 go test -race -count=2 -run \
@@ -382,79 +391,65 @@ done
 kill "$BC_PID" 2>/dev/null || true
 wait "$BC_PID" 2>/dev/null || true
 
-echo "== adapt smoke: controller re-slices the partition around a throttled rank"
-# Boot a paced 3-worker engine with rank 2 throttled 4x and the adaptive
-# controller on a fast evaluation cadence, drive two rounds of concurrent
-# generates so the fused-step profile sees the skew, then require the loop
-# to have closed: voltage_repartitions_total moved and the slow rank's
-# installed partition share shrank well below its even third.
-AD_ADDR="127.0.0.1:19161"
-AD_LOG="$(mktemp)"
-TMPFILES+=("$AD_LOG")
-"$BIN/voltage-server" -local 3 -model tiny-decoder -listen "$AD_ADDR" \
+echo "== hetero smoke: a throttled rank serves its rate's share from boot"
+# Boot a paced 3-worker engine with rank 2 throttled 4x. The scheme weighs
+# each rank by its rate from the first pass, so the very first scrape must
+# show the slow rank's share well below its even third (4/9 4/9 1/9); then
+# every concurrent stream must complete cleanly, with nothing re-prefilled.
+HT_ADDR="127.0.0.1:19161"
+HT_LOG="$(mktemp)"
+TMPFILES+=("$HT_LOG")
+"$BIN/voltage-server" -local 3 -model tiny-decoder -listen "$HT_ADDR" \
     -gateway-workers 8 -max-batch 8 -batch-window 2ms \
     -device-flops 4e6 -chaos-slow-rank 2 -chaos-slow-factor 4 \
-    -adapt -adapt-interval 25ms -adapt-evals 2 -adapt-cooldown 250ms \
-    -hold 120s -drain-timeout 5s >"$AD_LOG" 2>&1 &
-AD_PID=$!
-PIDS+=("$AD_PID")
-AD_READY=""
+    -hold 120s -drain-timeout 5s >"$HT_LOG" 2>&1 &
+HT_PID=$!
+PIDS+=("$HT_PID")
+HT_READY=""
 for _ in $(seq 1 100); do
-    if curl -fsS "http://$AD_ADDR/healthz" 2>/dev/null | grep -q '"ok":true'; then
-        AD_READY=1
+    if curl -fsS "http://$HT_ADDR/healthz" 2>/dev/null | grep -q '"ok":true'; then
+        HT_READY=1
         break
     fi
     sleep 0.3
 done
-if [ -z "$AD_READY" ]; then
-    echo "adapt smoke: gateway never became healthy" >&2
-    cat "$AD_LOG" >&2
-    exit 1
-fi
-for _ in 1 2; do
-    (
-        for i in 1 2 3 4; do
-            curl -sN -X POST "http://$AD_ADDR/v1/generate" \
-                -d "{\"prompt\":[$i,$((i+3)),$((i+7))],\"steps\":12}" >/dev/null &
-        done
-        wait
-    )
-done
-# The controller keeps evaluating the stored profile after the burst
-# drains; poll for the install.
-AD_METRICS=""
-for _ in $(seq 1 100); do
-    AD_METRICS="$(curl -fsS "http://$AD_ADDR/metrics")"
-    if awk '
-        /^voltage_repartitions_total\{/ { moved += $2 }
-        END { exit !(moved >= 1) }' <<<"$AD_METRICS"; then
-        break
-    fi
-    AD_METRICS=""
-    sleep 0.3
-done
-if [ -z "$AD_METRICS" ]; then
-    echo "adapt smoke: voltage_repartitions_total never moved" >&2
-    curl -fsS "http://$AD_ADDR/metrics" | grep -E 'repartition|partition_ratio' >&2 || true
-    cat "$AD_LOG" >&2
+if [ -z "$HT_READY" ]; then
+    echo "hetero smoke: gateway never became healthy" >&2
+    cat "$HT_LOG" >&2
     exit 1
 fi
 awk '
     /^voltage_partition_ratio\{rank="2"\} / { ratio = $2; seen = 1 }
     END {
         if (!seen || ratio >= 0.3) {
-            printf "adapt smoke: slow rank partition share %.3f, want < 0.3\n", ratio > "/dev/stderr"
+            printf "hetero smoke: slow rank partition share %.3f on the first scrape, want < 0.3\n", ratio > "/dev/stderr"
             exit 1
         }
-    }' <<<"$AD_METRICS"
-# An install reaches the next joiner; it never parks a live sequence for a
-# re-prefill.
-grep -qE '^voltage_batch_seqs_resumed_total 0$' <<<"$AD_METRICS" || {
-    echo "adapt smoke: an install re-prefilled live sequences" >&2
-    grep -F 'voltage_batch_seqs_resumed_total' <<<"$AD_METRICS" >&2 || true
+    }' <<<"$(curl -fsS "http://$HT_ADDR/metrics")"
+HT_DIR="$(mktemp -d)"
+TMPFILES+=("$HT_DIR")
+for round in 1 2; do
+    (
+        for i in 1 2 3 4; do
+            curl -sN -X POST "http://$HT_ADDR/v1/generate" \
+                -d "{\"prompt\":[$i,$((i+3)),$((i+7))],\"steps\":12}" \
+                >"$HT_DIR/stream$round-$i" &
+        done
+        wait
+    )
+done
+for f in "$HT_DIR"/stream*; do
+    if ! grep -q '"done":true' "$f" || grep -q '"error"' "$f"; then
+        echo "hetero smoke: stream ${f##*/} did not complete cleanly" >&2
+        cat "$f" "$HT_LOG" >&2
+        exit 1
+    fi
+done
+grep -qE '^voltage_batch_seqs_resumed_total 0$' <<<"$(curl -fsS "http://$HT_ADDR/metrics")" || {
+    echo "hetero smoke: live sequences were re-prefilled" >&2
     exit 1
 }
-kill "$AD_PID" 2>/dev/null || true
-wait "$AD_PID" 2>/dev/null || true
+kill "$HT_PID" 2>/dev/null || true
+wait "$HT_PID" 2>/dev/null || true
 
 echo "CI OK (wall ${SECONDS}s)"
