@@ -80,8 +80,8 @@ import (
 //	         every serving rank, which answers with a partition: its rows of
 //	         the last layer, or for a one-row read the reader's 1×F and the
 //	         others' 0×F
-//	opStep   [2][round u32][owners u16][n u16][n×(seq u32, token u32)]
-//	         to each of the round's `owners` ranks, its own n ≥ 1 rows
+//	opStep   [2][n u16][n×(seq u32, token u32)]
+//	         to each owner in the step, its own n ≥ 1 rows
 //	opLeave  [3][seq u32]            to the owner
 const (
 	opPass  = 1
@@ -775,9 +775,8 @@ func (b *batcher) step(rd *round, p comm.Peer, live []*request, rows [][]int, ow
 	c := b.c
 	ctx, cancel := b.bounded(rd)
 	defer cancel()
-	round := c.stepRound.Add(1)
 	for _, r := range owners {
-		if err := p.Send(ctx, r, stepFrame(round, len(owners), live, rows[r])); err != nil {
+		if err := p.Send(ctx, r, stepFrame(live, rows[r])); err != nil {
 			return err
 		}
 	}
@@ -1098,9 +1097,8 @@ func (c *Cluster) passScheme(rd *round) (*partition.Scheme, error) {
 // follow the scheme's ratios. Ties take turns — the first tied rank after
 // `last`, the owner of the last sequence to join (or, while joins are on the
 // mesh, of the last one scattered), wrapping round — so a batch narrower than
-// the mesh still spreads its decode work over every rank with a share, and
-// each keeps feeding the step-time profile behind the skew gauges. A rank with
-// no share is passed over.
+// the mesh still spreads its decode work over every rank with a share. A rank
+// with no share is passed over.
 func pickOwner(ranks []int, shares []float64, live []*request, last int) int {
 	first := 0 // scan from the first rank after last
 	for first < len(ranks) && ranks[first] <= last {
@@ -1363,32 +1361,25 @@ func (b *batcher) snapshot() []comm.Stats {
 }
 
 // observeTraffic feeds what every rank moved since the last call to the
-// traffic counters and the profile store.
+// traffic counters.
 func (b *batcher) observeTraffic() {
 	for r, now := range b.snapshot() {
-		d := now.Sub(b.counted[r])
+		b.c.metrics.traffic(r, now.Sub(b.counted[r]))
 		b.counted[r] = now
-		b.c.metrics.traffic(r, d)
-		b.c.obs.RecordComm(r, d.BytesSent, d.BytesRecv)
 	}
 }
 
-// stepFrame encodes one owner's share of a fused decode step: the
-// cluster-global round number (so every owner's step time lands in the same
-// skew-detector round, stable across degraded transitions), how many owners
-// the round has (the detector closes the round on that many reports), then
-// the id and newest token of each sequence in idx — positions in live of the
-// sequences this owner holds, in batch order.
-func stepFrame(round uint32, owners int, live []*request, idx []int) []byte {
-	buf := make([]byte, 9+8*len(idx))
+// stepFrame encodes one owner's share of a fused decode step: the id and
+// newest token of each sequence in idx — positions in live of the sequences
+// this owner holds, in batch order.
+func stepFrame(live []*request, idx []int) []byte {
+	buf := make([]byte, 3+8*len(idx))
 	buf[0] = opStep
-	binary.LittleEndian.PutUint32(buf[1:], round)
-	binary.LittleEndian.PutUint16(buf[5:], uint16(owners))
-	binary.LittleEndian.PutUint16(buf[7:], uint16(len(idx)))
+	binary.LittleEndian.PutUint16(buf[1:], uint16(len(idx)))
 	for j, i := range idx {
 		req := live[i]
-		binary.LittleEndian.PutUint32(buf[9+8*j:], uint32(req.id))
-		binary.LittleEndian.PutUint32(buf[13+8*j:], uint32(req.gen.tokens[len(req.gen.tokens)-1]))
+		binary.LittleEndian.PutUint32(buf[3+8*j:], uint32(req.id))
+		binary.LittleEndian.PutUint32(buf[7+8*j:], uint32(req.gen.tokens[len(req.gen.tokens)-1]))
 	}
 	return buf
 }

@@ -46,6 +46,21 @@ func kvResidency(c *Cluster) (seqs, positions []int) {
 	return seqs, positions
 }
 
+// awaitDrained waits until no rank holds a cache: an owner drops one on the
+// leave frame, which may land after its stream resolved.
+func awaitDrained(t *testing.T, c *Cluster) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		seqs, _ := kvResidency(c)
+		if sum(seqs) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("caches still held after 10s (per rank %v)", seqs)
+		}
+	}
+}
+
 func sum(xs []int) int {
 	t := 0
 	for _, x := range xs {
@@ -152,6 +167,40 @@ func TestOwnerPlacementOneCachePerSequence(t *testing.T) {
 	}
 }
 
+// TestFusedStepTraffic: a fused step costs the terminal one frame per owner,
+// the opcode and count plus 8 bytes per sequence it holds — 3 + 8·n_r — and
+// nothing else. B = 5 over K = 3 even shares places 2·2·1; the streams join
+// before the first step and leave together after the last, so the terminal
+// sends steps−1 such rounds and one 5-byte leave per stream.
+func TestFusedStepTraffic(t *testing.T) {
+	prompts := placementPrompts()[:5]
+	const steps = 6
+	c := newTinyDecoder(t, 3, Options{MaxBatch: len(prompts), BatchWindow: 200 * time.Millisecond})
+	term := c.peers[c.terminalRank()]
+
+	release, wait := heldBatch(t, c, prompts, steps)
+	seqs, _ := kvResidency(c)
+	if fmt.Sprint(seqs) != "[2 2 1]" {
+		t.Fatalf("owned counts %v, want [2 2 1]", seqs)
+	}
+	before := term.Stats()
+	release()
+	wait()
+	awaitDrained(t, c) // every leave frame sent
+	got := term.Stats().Sub(before)
+	var stepBytes, owners int64
+	for _, n := range seqs {
+		stepBytes += int64(3 + 8*n)
+		owners++
+	}
+	const leave = 5
+	b := int64(len(prompts))
+	if want := (steps-1)*stepBytes + b*leave; got.BytesSent != want || got.MsgsSent != (steps-1)*owners+b {
+		t.Errorf("terminal sent %d bytes in %d messages over %d fused steps, want %d in %d (Σ(3 + 8·n_r) = %d in %d frames a step, %d leaves)",
+			got.BytesSent, got.MsgsSent, steps-1, want, (steps-1)*owners+b, stepBytes, owners, b)
+	}
+}
+
 func TestOwnerPlacementFollowsSchemeRatios(t *testing.T) {
 	prompts := placementPrompts()[:6]
 	const steps = 4
@@ -211,8 +260,8 @@ func TestPickOwner(t *testing.T) {
 
 // TestLoneSequencesVisitEveryRank: a batch narrower than the mesh must not
 // leave the higher ranks idle. One stream at a time on three ranks, placement
-// ties take turns, so after three streams every rank has owned one and fed
-// step times to the profile — including a rank the scheme has squeezed.
+// ties take turns, so stream i is owned by rank i — including a rank the
+// scheme has squeezed.
 func TestLoneSequencesVisitEveryRank(t *testing.T) {
 	const steps = 5
 	want := soloReference(t, batchPrompts[:3], steps)
@@ -222,17 +271,14 @@ func TestLoneSequencesVisitEveryRank(t *testing.T) {
 	}
 	c := newTinyDecoder(t, 3, Options{MaxBatch: 4, Scheme: squeezed})
 	for i, p := range batchPrompts[:3] {
-		res, err := c.GenerateVoltage(context.Background(), p, steps)
-		if err != nil {
-			t.Fatal(err)
+		awaitDrained(t, c)
+		release, wait := heldBatch(t, c, [][]int{p}, steps)
+		if seqs, _ := kvResidency(c); seqs[i] != 1 {
+			t.Errorf("stream %d: caches per rank %v, want it owned by rank %d", i, seqs, i)
 		}
-		if !equalTokens(res.Tokens, want[i]) {
+		release()
+		if res := wait()[0]; !equalTokens(res.Tokens, want[i]) {
 			t.Errorf("stream %d: tokens %v != solo %v", i, res.Tokens, want[i])
-		}
-	}
-	for _, r := range c.Profile().Ranks[:3] {
-		if r.StepSamples != steps-1 {
-			t.Errorf("rank %d fed %d step samples, want %d (one stream each)", r.Rank, r.StepSamples, steps-1)
 		}
 	}
 }
@@ -585,10 +631,16 @@ func TestBatchWorkerRejectsMalformedPrefillHeader(t *testing.T) {
 	}
 	// Each rank in turn is handed the frame in a round of its own, which its
 	// refusal ends the way a failed round ends: abort, wait, flush.
-	for _, tc := range append(badPassFrames, struct {
+	for _, tc := range append(badPassFrames, []struct {
 		name  string
 		frame []byte
-	}{"an empty frame", []byte{}}) {
+	}{
+		{"an empty frame", []byte{}},
+		{"a step frame shorter than its header", []byte{opStep, 1}},
+		{"a step for no sequences", []byte{opStep, 0, 0}},
+		{"a step frame one byte short of its n rows", append([]byte{opStep, 1, 0}, make([]byte, 7)...)},
+		{"a leave frame of 4 bytes", []byte{opLeave, 5, 0, 0}},
+	}...) {
 		for r := 0; r < c.k; r++ {
 			rd := c.newRound(nil)
 			if err := term.Send(ctx, r, tc.frame); err != nil {
@@ -619,7 +671,7 @@ func TestBatchWorkerRejectsMalformedPrefillHeader(t *testing.T) {
 		}
 		comm.ReleaseBuffer(got)
 	}
-	step := stepFrame(1, 1, []*request{{id: 5, gen: &generation{tokens: []int{42}}}}, []int{0})
+	step := stepFrame([]*request{{id: 5, gen: &generation{tokens: []int{42}}}}, []int{0})
 	if err := term.Send(ctx, 1, step); err != nil {
 		t.Fatal(err)
 	}

@@ -193,9 +193,8 @@ type Options struct {
 	// slow request can be decomposed without the lifetime aggregates.
 	TraceRequests bool
 
-	// Continuous profiling (see DESIGN.md "Continuous profiling &
-	// diagnostics"). The profile store and flight recorder are always on —
-	// they are bounded and lock-cheap.
+	// Diagnostics (see DESIGN.md §11). The flight recorder is always on —
+	// it is bounded and lock-cheap.
 
 	// FlightSink, when non-nil, receives an automatic flight-recorder dump
 	// (JSON) whenever a request resolves with a non-cancellation error, rate-
@@ -231,14 +230,10 @@ type Cluster struct {
 	// construction.
 	scheme *partition.Scheme
 
-	// Observability. The profile store and flight recorder are always on
-	// (bounded, lock-cheap); stepRound numbers fused decode rounds
-	// cluster-wide so workers can correlate their per-round step times
-	// across degraded transitions.
-	metrics   *clusterMetrics
-	obs       *obs.Store
-	flight    *obs.FlightRecorder
-	stepRound atomic.Uint32
+	// Observability. The flight recorder is always on (bounded,
+	// lock-cheap).
+	metrics *clusterMetrics
+	flight  *obs.FlightRecorder
 
 	// Serving runtime state.
 	batcher     *batcher // the serving loop and its pending queue
@@ -342,21 +337,7 @@ func NewMem(cfg model.Config, k int, opts Options) (*Cluster, error) {
 		metrics: cm,
 		pool:    &tensor.MatrixPool{},
 	}
-	// The flight recorder and profile store are always on; skew rounds and
-	// straggler flips mirror into gauges and the flight-recorder event log.
 	c.flight = obs.NewFlightRecorder(0, 0)
-	c.obs = obs.NewStore(obs.StoreOptions{
-		K:       k,
-		OnRound: func(_ uint64, skew, ewma float64) { cm.observeSkew(skew, ewma) },
-		OnStraggler: func(rank int, flagged bool) {
-			cm.stragglerFlag(rank, flagged)
-			state := "flagged as persistent straggler"
-			if !flagged {
-				state = "recovered from straggler state"
-			}
-			c.flight.Eventf("straggler", rank, "rank %d %s", rank, state)
-		},
-	})
 	// Health transitions mirror into the per-rank gauge and the flight
 	// recorder; the tracker invokes this under its own lock, so the handler
 	// must not call back into health (both sinks only touch their own state).
@@ -555,14 +536,4 @@ func (c *Cluster) paceBudget(rank int, flops int64) time.Duration {
 		return 0
 	}
 	return time.Duration(float64(flops) / rate * float64(time.Second))
-}
-
-// deviceTime is what rank's device is charged for flops the host computed in
-// host: the paced budget, or the host's own time where that ran over it. A
-// paced sleep wakes late by the host timer's slack — a cost of the emulation,
-// not of the device, and a constant per step, so it weighs heavier per MAC on
-// a rank with fewer rows. The profile store compares ranks per MAC for its skew
-// and straggler signals and reads this instead of the wall clock.
-func (c *Cluster) deviceTime(rank int, host time.Duration, flops int64) time.Duration {
-	return max(host, c.paceBudget(rank, flops))
 }

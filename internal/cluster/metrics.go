@@ -55,15 +55,6 @@ type clusterMetrics struct {
 	kvSeqs      []*metrics.Gauge
 	kvPositions []*metrics.Gauge
 
-	// Straggler/skew detection: per-fused-round skew of step time per owned
-	// MAC (max/mean across the round's owners) and the per-rank
-	// persistent-straggler flags.
-	roundSkew      *metrics.Gauge
-	roundSkewEWMA  *metrics.Gauge
-	stragglerRanks []*metrics.Gauge
-	stragglerOn    *metrics.Counter
-	stragglerOff   *metrics.Counter
-
 	// Fault recovery: failed rounds whose survivors were re-sliced and
 	// resumed (by cause), plus blast-radius accounting — how many generate
 	// sequences a fault actually killed versus how many requests were parked
@@ -172,22 +163,6 @@ func newClusterMetrics(k int) *clusterMetrics {
 		m.kvSeqs[r] = kvSeqs.With(rankLabel(r, k))
 		m.kvPositions[r] = kvPos.With(rankLabel(r, k))
 	}
-
-	m.roundSkew = reg.Gauge("voltage_round_skew",
-		"Last fused round's skew of step time per owned MAC: max/mean across the round's owner ranks (1.0 = equal devices).")
-	m.roundSkewEWMA = reg.Gauge("voltage_round_skew_ewma",
-		"Rolling average of per-round compute-time skew.")
-	stragglers := reg.GaugeVec("voltage_straggler",
-		"1 while the rank is flagged as a persistent straggler by the skew detector.", "rank")
-	m.stragglerRanks = make([]*metrics.Gauge, k)
-	for r := 0; r < k; r++ {
-		m.stragglerRanks[r] = stragglers.With(rankLabel(r, k))
-		m.stragglerRanks[r].Set(0)
-	}
-	stragglerFlips := reg.CounterVec("voltage_straggler_transitions_total",
-		"Straggler-flag transitions, by direction.", "state")
-	m.stragglerOn = stragglerFlips.With("flagged")
-	m.stragglerOff = stragglerFlips.With("cleared")
 
 	recoveries := reg.CounterVec("voltage_batch_recoveries_total",
 		"Rounds that died to a retryable fault and were followed by one over the surviving workers, by cause.", "cause")
@@ -303,26 +278,6 @@ func (m *clusterMetrics) kvCache(rank int, states map[uint32]*model.DecodeState)
 	}
 	m.kvSeqs[rank].Set(float64(len(states)))
 	m.kvPositions[rank].Set(float64(positions))
-}
-
-// observeSkew mirrors the profile store's per-round skew into gauges.
-func (m *clusterMetrics) observeSkew(skew, ewma float64) {
-	m.roundSkew.Set(skew)
-	m.roundSkewEWMA.Set(ewma)
-}
-
-// stragglerFlag mirrors a persistent-straggler flag flip.
-func (m *clusterMetrics) stragglerFlag(rank int, flagged bool) {
-	if rank < 0 || rank >= len(m.stragglerRanks) {
-		return
-	}
-	if flagged {
-		m.stragglerRanks[rank].Set(1)
-		m.stragglerOn.Inc()
-	} else {
-		m.stragglerRanks[rank].Set(0)
-		m.stragglerOff.Inc()
-	}
 }
 
 // batchJoin counts a sequence joining the decode batch.

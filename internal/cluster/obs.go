@@ -10,21 +10,13 @@ import (
 	"voltage/internal/obs"
 )
 
-// Continuous profiling & diagnostics wiring (see DESIGN.md "Continuous
-// profiling & diagnostics"). The cluster feeds the always-on obs.Store and
-// obs.FlightRecorder from its existing observation points — recordPhase,
-// fused decode rounds, health transitions, recoveries, resolved requests —
-// and exposes snapshots through Profile, FlightDump and ChromeTrace.
+// Diagnostics wiring (see DESIGN.md §11). The cluster feeds the always-on
+// obs.FlightRecorder from its existing observation points — health
+// transitions, recoveries, resolved requests — and exposes snapshots
+// through FlightDump and ChromeTrace.
 
 // flightDumpCooldown rate-limits automatic failure dumps to FlightSink.
 const flightDumpCooldown = 30 * time.Second
-
-// Profile returns the live per-rank profile: per-phase EWMA timings, comm
-// bytes, fused-step estimates, and the skew/straggler state — what the skew
-// gauges and flight dumps report.
-func (c *Cluster) Profile() obs.Profile {
-	return c.obs.Profile()
-}
 
 // Flight exposes the cluster's flight recorder so embedding layers (the
 // gateway, the scheduler's shed hook) can append their own events.
@@ -32,13 +24,10 @@ func (c *Cluster) Flight() *obs.FlightRecorder {
 	return c.flight
 }
 
-// FlightDump snapshots the flight recorder — recent events and request
-// traces — with the live profile attached.
+// FlightDump snapshots the flight recorder: recent events and request
+// traces.
 func (c *Cluster) FlightDump() obs.Dump {
-	d := c.flight.Dump()
-	p := c.obs.Profile()
-	d.Profile = &p
-	return d
+	return c.flight.Dump()
 }
 
 // ChromeTrace renders the flight recorder's retained request traces as a

@@ -275,26 +275,26 @@ func TestJoinPrefillTraffic(t *testing.T) {
 	}
 }
 
-// TestJoinReportsNoComputeWhereNothingRan: a rank feeds the per-rank compute
-// profile one sample per layer it had rows at (or a cache to build) — a
-// non-owner none at the last layer, where a 0 ms sample used to drag its
-// estimate down.
+// TestJoinReportsNoComputeWhereNothingRan: a rank traces one compute span
+// per layer it had rows at (or a cache to build) — a non-owner none at the
+// last layer, where a 0 ms span used to drag its per-rank time down.
 func TestJoinReportsNoComputeWhereNothingRan(t *testing.T) {
 	const k = 3
-	c := newTinyDecoder(t, k, Options{})
-	layers := uint64(c.cfg.Layers)
+	c := newTinyDecoder(t, k, Options{TraceRequests: true})
+	layers := c.cfg.Layers
 	// One token: join, produce, leave — no decode step, so every compute
-	// sample is the join's. The first joiner lands on rank 0.
-	if _, err := c.GenerateVoltage(context.Background(), []int{2, 4, 6, 8, 10, 12, 14, 16}, 1); err != nil {
+	// span is the join's. The first joiner lands on rank 0.
+	res, err := c.GenerateVoltage(context.Background(), []int{2, 4, 6, 8, 10, 12, 14, 16}, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range c.Profile().Ranks[:k] {
+	for r := 0; r < k; r++ {
 		want := layers - 1
-		if r.Rank == 0 {
+		if r == 0 {
 			want = layers
 		}
-		if got := r.Phases[trace.PhaseCompute.String()].Samples; got != want {
-			t.Errorf("rank %d reported %d compute samples over %d layers, want %d", r.Rank, got, layers, want)
+		if got, _ := phaseSpans(res.Trace, r, trace.PhaseCompute); got != want {
+			t.Errorf("rank %d reported %d compute spans over %d layers, want %d", r, got, layers, want)
 		}
 	}
 }

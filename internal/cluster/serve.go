@@ -315,13 +315,12 @@ func (c *Cluster) flushResidue() {
 	c.mesh[0].Flush()
 }
 
-// recordPhase feeds one timed step to every observer: the request's span
-// trace (nil is a no-op), the phase counters, and the rolling per-rank
-// profile. layer is -1 for boundary work that belongs to no layer.
+// recordPhase feeds one timed step to both observers: the request's span
+// trace (nil is a no-op) and the phase counters. layer is -1 for boundary
+// work that belongs to no layer.
 func (c *Cluster) recordPhase(tr *trace.RequestTrace, rank, layer int, phase trace.Phase, d time.Duration) {
 	tr.Add(rank, layer, phase, d)
 	c.metrics.phase(phase, d)
-	c.obs.RecordPhase(rank, phase, d)
 }
 
 // device is worker rank's side of the position-wise protocol for one pass —
@@ -422,18 +421,16 @@ func (c *Cluster) worker(rd *round, rank int) error {
 				states[pf.seq] = state
 			}
 		case opStep:
-			if len(frame) < 9 {
+			if len(frame) < 3 {
 				return fmt.Errorf("%w: step frame of %d bytes", errBadFrame, len(frame))
 			}
-			round := binary.LittleEndian.Uint32(frame[1:])
-			owners := int(binary.LittleEndian.Uint16(frame[5:]))
-			n := int(binary.LittleEndian.Uint16(frame[7:]))
-			if n == 0 || len(frame) != 9+8*n || owners < 1 || owners > len(rd.ranks) {
-				return fmt.Errorf("%w: step frame of %d bytes for %d sequences on %d owners", errBadFrame, len(frame), n, owners)
+			n := int(binary.LittleEndian.Uint16(frame[1:]))
+			if n == 0 || len(frame) != 3+8*n {
+				return fmt.Errorf("%w: step frame of %d bytes for %d sequences", errBadFrame, len(frame), n)
 			}
 			sts, ids, positions = sts[:0], ids[:0], positions[:0]
 			for i := 0; i < n; i++ {
-				off := 9 + 8*i
+				off := 3 + 8*i
 				id := binary.LittleEndian.Uint32(frame[off:])
 				st, ok := states[id]
 				if !ok {
@@ -448,22 +445,16 @@ func (c *Cluster) worker(rd *round, rank int) error {
 			if err != nil {
 				return err
 			}
-			host := time.Since(start)
 			// One paced interval for this rank's share of the fused step:
 			// the summed Γ of the solo steps it replaces (fusion changes
 			// latency, not MACs).
 			for _, st := range sts {
 				positions = append(positions, st.Pos)
 			}
-			cost := decodeStepCost(m, positions...)
-			if err := c.paceRank(ctx, rank, start, cost); err != nil {
+			if err := c.paceRank(ctx, rank, start, decodeStepCost(m, positions...)); err != nil {
 				return err
 			}
 			c.recordPhase(nil, rank, -1, trace.PhaseCompute, time.Since(start))
-			// The skew detector compares the owners per MAC, since they carry
-			// different shares of the round: it gets the device's time for
-			// these rows without the timer slack of the paced sleep.
-			c.obs.RecordRound(uint64(round), rank, owners, c.deviceTime(rank, host, cost), cost)
 			if err := p.Send(ctx, term, ex.Encode(out)); err != nil {
 				return err
 			}

@@ -52,16 +52,11 @@ func (e *Engine) Health() []cluster.RankHealth { return e.cluster.Health() }
 // serving runtime maintains.
 func (e *Engine) Metrics() metrics.Snapshot { return e.cluster.Metrics() }
 
-// Profile returns the continuous profiler's rolling per-rank estimates:
-// EWMA phase and fused-step times, comm bytes, round skew, and straggler
-// flags — what the skew gauges and flight dumps report.
-func (e *Engine) Profile() obs.Profile { return e.cluster.Profile() }
-
 // Flight returns the engine's always-on flight recorder (never nil).
 func (e *Engine) Flight() *obs.FlightRecorder { return e.cluster.Flight() }
 
-// FlightDump snapshots the flight recorder — recent cluster events and
-// retired request traces — together with the current profile.
+// FlightDump snapshots the flight recorder: recent cluster events and
+// retired request traces.
 func (e *Engine) FlightDump() obs.Dump { return e.cluster.FlightDump() }
 
 // ChromeTrace exports the flight recorder's retired request traces as

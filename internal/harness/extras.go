@@ -29,15 +29,15 @@ type BreakdownRow struct {
 }
 
 // BreakdownMeasured measures the per-device mean compute and communication
-// time of Voltage (the serving cluster's profile) and tensor parallelism (the
-// one-shot mesh) on a real run.
+// time of Voltage (the serving cluster's request trace) and tensor
+// parallelism (the one-shot mesh) on a real run.
 func BreakdownMeasured(ctx context.Context, cfg model.Config, k int, profile netem.Profile, cal Calibration, seed int64) ([]BreakdownRow, error) {
 	defer tensor.SetWorkers(tensor.SetWorkers(1))
 	mesh, x, err := subject(cfg, k, profile, cal, seed)
 	if err != nil {
 		return nil, err
 	}
-	c, err := mesh.system(k)
+	c, err := mesh.system(k, true)
 	if err != nil {
 		return nil, err
 	}
@@ -50,11 +50,12 @@ func BreakdownMeasured(ctx context.Context, cfg model.Config, k int, profile net
 	if err != nil {
 		return nil, fmt.Errorf("tensor-parallel: %w", err)
 	}
-	prof := c.Profile()
+	// Only workers record compute and comm spans.
+	phases := v.Trace.PhaseTotals()
 	rows := []BreakdownRow{{
 		Strategy:   cluster.StrategyVoltage.String(),
-		ComputeSec: prof.WorkerPhaseMean(trace.PhaseCompute),
-		CommSec:    prof.WorkerPhaseMean(trace.PhaseComm),
+		ComputeSec: phases[trace.PhaseCompute].Seconds() / float64(k),
+		CommSec:    phases[trace.PhaseComm].Seconds() / float64(k),
 		LatencySec: v.Latency.Seconds(),
 	}, {
 		Strategy:   cluster.StrategyTensorParallel.String(),

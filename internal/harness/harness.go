@@ -224,7 +224,7 @@ func Fig5Measured(ctx context.Context, cfg model.Config, k int, bandwidths []flo
 	if err != nil {
 		return nil, err
 	}
-	c, err := mesh.system(k)
+	c, err := mesh.system(k, false)
 	if err != nil {
 		return nil, err
 	}

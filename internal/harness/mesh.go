@@ -67,17 +67,19 @@ func paperLink(mbps float64) netem.Profile {
 
 // system builds the serving cluster a measured Voltage number comes from: k
 // devices (1 is the single-device baseline) shaped, paced and seeded like m.
-func (m *Mesh) system(k int) (*cluster.Cluster, error) {
+// traced attaches a span trace to each of its requests.
+func (m *Mesh) system(k int, traced bool) (*cluster.Cluster, error) {
 	return cluster.NewMem(m.Model.Cfg, k, cluster.Options{
-		Profile:     m.Cal.Apply(m.Profile),
-		Seed:        m.seed,
-		DeviceFlops: m.Cal.DeviceFlops,
+		Profile:       m.Cal.Apply(m.Profile),
+		Seed:          m.seed,
+		DeviceFlops:   m.Cal.DeviceFlops,
+		TraceRequests: traced,
 	})
 }
 
 // voltage serves x once on a fresh system of k devices.
 func (m *Mesh) voltage(ctx context.Context, k int, x *tensor.Matrix) (*cluster.Result, error) {
-	c, err := m.system(k)
+	c, err := m.system(k, false)
 	if err != nil {
 		return nil, err
 	}

@@ -275,7 +275,7 @@ func TestPipelineNoLatencyBenefitAtBatchOne(t *testing.T) {
 	m := newMesh(t, model.Tiny().Scaled(6), 3, netem.Unlimited, Calibration{DeviceFlops: 4e6, BwScale: 1})
 	x := embedTiny(t, m, 32)
 	ctx := context.Background()
-	c, err := m.system(1)
+	c, err := m.system(1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +488,7 @@ func TestGenerateCachedMatchesGenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := m.system(3)
+	c, err := m.system(3, false)
 	if err != nil {
 		t.Fatal(err)
 	}

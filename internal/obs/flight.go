@@ -1,3 +1,12 @@
+// Package obs is the diagnostics layer: an always-on flight recorder of
+// recent request traces and cluster events, and a Chrome trace-event
+// exporter so per-rank timelines render directly in Perfetto /
+// chrome://tracing.
+//
+// The package is cluster-agnostic: the cluster feeds it resolved requests'
+// traces and structured events and reads back snapshots. The recorder is
+// safe for concurrent use and nil-receiver-safe, so call sites need no
+// guards.
 package obs
 
 import (
@@ -22,7 +31,7 @@ type Event struct {
 	Seq  uint64    `json:"seq"`
 	Time time.Time `json:"time"`
 	// Kind is a stable machine-matchable tag ("health", "batch_recovery",
-	// "straggler", "shed", "request_failed", ...).
+	// "shed", "request_failed", ...).
 	Kind string `json:"kind"`
 	// Rank is the device the event concerns, or -1 for cluster-wide events.
 	Rank int    `json:"rank"`
@@ -145,9 +154,6 @@ type Dump struct {
 	EventsDropped uint64        `json:"events_dropped,omitempty"`
 	Traces        []TraceRecord `json:"traces,omitempty"`
 	TracesDropped uint64        `json:"traces_dropped,omitempty"`
-	// Profile is attached by the cluster so one dump carries both history
-	// and the live per-rank picture.
-	Profile *Profile `json:"profile,omitempty"`
 }
 
 // Dump snapshots the recorder.

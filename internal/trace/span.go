@@ -5,13 +5,13 @@ import (
 	"time"
 )
 
-// Per-request tracing. obs.Store aggregates phase time across the life of
-// a cluster; a RequestTrace records the individual per-device, per-layer
-// spans of one request, so an operator can see where a single slow request
-// spent its time (which layer, which device, compute or comm) instead of
-// only the lifetime aggregate. The serving runtime attaches one to each
-// request when Options.TraceRequests is set and surfaces it on
-// Result.Trace.
+// Per-request tracing. The phase counters (voltage_phase_seconds_total)
+// aggregate phase time across the life of a cluster; a RequestTrace records
+// the individual per-device, per-layer spans of one request, so an operator
+// can see where a single slow request spent its time (which layer, which
+// device, compute or comm) instead of only the lifetime aggregate. The
+// serving runtime attaches one to each request when Options.TraceRequests is
+// set and surfaces it on Result.Trace.
 
 // Span is one timed step of one request on one device.
 type Span struct {
@@ -110,7 +110,7 @@ func (t *RequestTrace) Spans() []Span {
 }
 
 // PhaseTotals sums the recorded spans by phase — the request-local
-// equivalent of the per-rank profile's phase totals.
+// equivalent of the phase counters.
 func (t *RequestTrace) PhaseTotals() map[Phase]time.Duration {
 	totals := make(map[Phase]time.Duration, 3)
 	if t == nil {

@@ -1,7 +1,7 @@
 // Package trace names the phases a distributed inference splits into —
 // compute, communication, boundary, and the serving waits around them — and
-// records them per request as spans (RequestTrace). The lifetime per-rank
-// totals live in internal/obs, fed with the same Phase values.
+// records them per request as spans (RequestTrace). The lifetime totals are
+// the cluster's phase counters, fed with the same Phase values.
 package trace
 
 import "fmt"

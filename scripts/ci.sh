@@ -35,6 +35,14 @@ if [ -e internal/adapt ] || [ -e internal/balance ] \
     exit 1
 fi
 
+# A rank's speed is configuration (its device rate), not a measurement: the
+# profile store and its skew/straggler detector were retired, and per-rank
+# time has one path, the request trace and the phase counters.
+if grep -rnE 'obs\.Store|NewStore|RecordRound|deviceTime|stepRound|voltage_straggler' --include='*.go' .; then
+    echo "the retired profile store or straggler detector is back" >&2
+    exit 1
+fi
+
 # Algorithm 2's layer loop and its one synchronisation (comm.Exchange.GatherTo:
 # the All-Gather, a causal pass's prefix gather, the Gather to a one-row pass's
 # reader) live in internal/positionwise and nowhere else: a copy in the cluster
@@ -204,7 +212,7 @@ echo "== batched-decode smoke: concurrent /v1/generate streams fuse into one bat
 # and classify to complete, then require the batch metrics to show fused
 # steps at width > 1 (the streams actually co-batched, not serialized) and
 # the diagnostics surface to answer: the Chrome trace export carries spans,
-# the flight recorder carries events and the profile.
+# the flight recorder carries events and the request traces.
 BD_ADDR="127.0.0.1:19157"
 BD_LOG="$(mktemp)"
 TMPFILES+=("$BD_LOG")
@@ -291,7 +299,7 @@ for want in '"traceEvents"' '"ph":"X"'; do
     }
 done
 BD_FLIGHT="$(curl -fsS "http://$BD_ADDR/debug/flight")"
-for want in '"kind"' '"profile"'; do
+for want in '"kind"' '"traces"'; do
     grep -qF "$want" <<<"$BD_FLIGHT" || {
         echo "batched-decode smoke: /debug/flight dump missing $want" >&2
         head -c 500 <<<"$BD_FLIGHT" >&2
