@@ -108,7 +108,9 @@ func (h *LMHead) NextTokenLogits(hidden *tensor.Matrix) ([]float32, error) {
 		return nil, fmt.Errorf("%w: hidden %dx%d, want ?x%d",
 			tensor.ErrShape, hidden.Rows(), hidden.Cols(), h.cfg.F)
 	}
-	last, err := hidden.RowSlice(hidden.Rows()-1, hidden.Rows())
+	// A 1×F view of the last row, not a copy; the product's one row is
+	// freshly allocated, so it is returned as it is.
+	last, err := tensor.NewFromData(1, h.cfg.F, hidden.Row(hidden.Rows()-1))
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +118,5 @@ func (h *LMHead) NextTokenLogits(hidden *tensor.Matrix) ([]float32, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float32, h.cfg.VocabSize)
-	copy(out, logits.Row(0))
-	return out, nil
+	return logits.Row(0), nil
 }

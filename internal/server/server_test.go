@@ -412,30 +412,42 @@ func TestShedQueueFull429(t *testing.T) {
 	const burst = 8
 	codes := make(chan int, burst)
 	var wg sync.WaitGroup
-	for i := 0; i < burst; i++ {
+	post := func() {
+		defer wg.Done()
+		b, _ := json.Marshal(map[string]any{"tokens": []int{1, 2}})
+		resp, err := http.Post(ts.URL+"/v1/classify", "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Error(err)
+			codes <- 0
+			return
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusTooManyRequests {
+			if resp.Header.Get("Retry-After") == "" {
+				t.Error("429 without Retry-After")
+			}
+			var eb errorBody
+			if err := json.Unmarshal(body, &eb); err != nil || !eb.Shed || !strings.Contains(eb.Error, "queue full") {
+				t.Errorf("429 body = %s (%v), want shed queue-full error", body, err)
+			}
+		}
+		codes <- resp.StatusCode
+	}
+	// The first request goes alone, and the other seven wait until the one
+	// worker holds it. Fired together, all eight can arrive before the
+	// worker takes the first off the queue: the queue's one slot is then
+	// full and seven shed, not six.
+	wg.Add(1)
+	go post()
+	select {
+	case <-fb.enter:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the first request never reached the backend")
+	}
+	for i := 1; i < burst; i++ {
 		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			b, _ := json.Marshal(map[string]any{"tokens": []int{1, 2}})
-			resp, err := http.Post(ts.URL+"/v1/classify", "application/json", bytes.NewReader(b))
-			if err != nil {
-				t.Error(err)
-				codes <- 0
-				return
-			}
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusTooManyRequests {
-				if resp.Header.Get("Retry-After") == "" {
-					t.Error("429 without Retry-After")
-				}
-				var eb errorBody
-				if err := json.Unmarshal(body, &eb); err != nil || !eb.Shed || !strings.Contains(eb.Error, "queue full") {
-					t.Errorf("429 body = %s (%v), want shed queue-full error", body, err)
-				}
-			}
-			codes <- resp.StatusCode
-		}()
+		go post()
 	}
 	// Release the gate once the burst has fully landed: the worker parks on
 	// the first request, everything else queues or sheds.

@@ -14,9 +14,9 @@ const parallelThreshold = 16
 // MatMul returns a × b. It panics on shape mismatch only via the error; use
 // MustMatMul in contexts where shapes are known correct.
 //
-// The implementation is an i-k-j loop order (streaming over b's rows) which
-// is cache-friendly for row-major storage, optionally fanned out over rows
-// when parallel workers are configured via SetWorkers.
+// The implementation is an i-k-j loop order (streaming over b's rows, four
+// at a time) which is cache-friendly for row-major storage, optionally fanned
+// out over rows when parallel workers are configured via SetWorkers.
 func MatMul(a, b *Matrix) (*Matrix, error) {
 	if a.cols != b.rows {
 		return nil, fmt.Errorf("%w: matmul %dx%d × %dx%d", ErrShape, a.rows, a.cols, b.rows, b.cols)
@@ -86,35 +86,48 @@ func matMulInto(out, a, b *Matrix, nworkers int) {
 	wg.Wait()
 }
 
-// matMulRows computes rows [rowStart,rowEnd) of out = a×b using the ikj loop
-// order: for each a[i][k] it streams b's k-th row into out's i-th row.
+// matMulRows computes rows [rowStart,rowEnd) of out = a×b in the ikj loop
+// order, four columns of a (four rows of b) per sweep of out's row: each
+// out[i][j] is loaded once, gets a[i][k]·b[k][j] added for k..k+3 in
+// ascending order with one rounding per term, and is stored once, so it
+// sees the same float32 operations in the same order as one sweep per
+// column. A group whose four a-values are all zero (a causal mask's zero
+// tail) is skipped; a zero inside a group adds an exact zero to a sum that
+// starts at +0, which changes no bit while b is finite.
 func matMulRows(out, a, b *Matrix, rowStart, rowEnd int) {
-	n := b.cols
+	n, kk := b.cols, a.cols
 	for i := rowStart; i < rowEnd; i++ {
-		ai := a.data[i*a.cols : (i+1)*a.cols]
+		ai := a.data[i*kk : (i+1)*kk]
 		oi := out.data[i*n : (i+1)*n]
-		for k, av := range ai {
-			if av == 0 {
+		k := 0
+		for ; k+4 <= kk; k += 4 {
+			x0, x1, x2, x3 := ai[k], ai[k+1], ai[k+2], ai[k+3]
+			if x0 == 0 && x1 == 0 && x2 == 0 && x3 == 0 {
+				continue
+			}
+			b0 := b.data[k*n : (k+1)*n]
+			b1 := b.data[(k+1)*n : (k+2)*n]
+			b2 := b.data[(k+2)*n : (k+3)*n]
+			b3 := b.data[(k+3)*n : (k+4)*n]
+			for j := range oi {
+				s := oi[j]
+				s += x0 * b0[j]
+				s += x1 * b1[j]
+				s += x2 * b2[j]
+				s += x3 * b3[j]
+				oi[j] = s
+			}
+		}
+		for ; k < kk; k++ {
+			x := ai[k]
+			if x == 0 {
 				continue
 			}
 			bk := b.data[k*n : (k+1)*n]
-			axpy(oi, bk, av)
+			for j := range oi {
+				oi[j] += x * bk[j]
+			}
 		}
-	}
-}
-
-// axpy computes dst += alpha * src with 4-way unrolling.
-func axpy(dst, src []float32, alpha float32) {
-	n := len(dst)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		dst[i] += alpha * src[i]
-		dst[i+1] += alpha * src[i+1]
-		dst[i+2] += alpha * src[i+2]
-		dst[i+3] += alpha * src[i+3]
-	}
-	for ; i < n; i++ {
-		dst[i] += alpha * src[i]
 	}
 }
 
@@ -148,14 +161,41 @@ func MatMulT(a, bT *Matrix) (*Matrix, error) {
 	return out, nil
 }
 
+// matMulTRows computes rows [rowStart,rowEnd) of out = a×bᵀ two outputs per
+// pass over a's row: out[i][j] and out[i][j+1] each keep dot's four lanes
+// and its final s0+s1+s2+s3 order, so they are bit-identical to dot's, while
+// every load of a[i][k] serves both.
 func matMulTRows(out, a, bT *Matrix, rowStart, rowEnd int) {
-	k := a.cols
+	kk, n := a.cols, bT.rows
 	for i := rowStart; i < rowEnd; i++ {
-		ai := a.data[i*k : (i+1)*k]
-		oi := out.data[i*bT.rows : (i+1)*bT.rows]
-		for j := 0; j < bT.rows; j++ {
-			bj := bT.data[j*k : (j+1)*k]
-			oi[j] = dot(ai, bj)
+		ai := a.data[i*kk : (i+1)*kk]
+		oi := out.data[i*n : (i+1)*n]
+		j := 0
+		for ; j+2 <= n; j += 2 {
+			p := bT.data[j*kk : (j+1)*kk]
+			q := bT.data[(j+1)*kk : (j+2)*kk]
+			var p0, p1, p2, p3, q0, q1, q2, q3 float32
+			k := 0
+			for ; k+4 <= kk; k += 4 {
+				a0, a1, a2, a3 := ai[k], ai[k+1], ai[k+2], ai[k+3]
+				p0 += a0 * p[k]
+				p1 += a1 * p[k+1]
+				p2 += a2 * p[k+2]
+				p3 += a3 * p[k+3]
+				q0 += a0 * q[k]
+				q1 += a1 * q[k+1]
+				q2 += a2 * q[k+2]
+				q3 += a3 * q[k+3]
+			}
+			s, t := p0+p1+p2+p3, q0+q1+q2+q3
+			for ; k < kk; k++ {
+				s += ai[k] * p[k]
+				t += ai[k] * q[k]
+			}
+			oi[j], oi[j+1] = s, t
+		}
+		if j < n {
+			oi[j] = dot(ai, bT.data[j*kk:(j+1)*kk])
 		}
 	}
 }

@@ -2,11 +2,12 @@
 // Voltage distributed inference engine.
 //
 // The package provides a row-major float32 matrix type with the operations a
-// transformer forward pass needs: matrix multiplication (blocked and
-// optionally parallel), transposition, row-wise softmax, layer
-// normalization, activation functions, concatenation and position (row)
-// slicing. Everything is implemented from scratch on the standard library so
-// the repository has no external dependencies.
+// transformer forward pass needs: matrix multiplication (an i-k-j kernel
+// that takes four columns of a per sweep of the output row, optionally fanned
+// out over rows), transposition, row-wise softmax, layer normalization,
+// activation functions, concatenation and position (row) slicing. Everything
+// is implemented from scratch on the standard library so the repository has
+// no external dependencies.
 //
 // All operations either return new matrices or write into a caller-supplied
 // destination; input matrices are never mutated unless the method name makes

@@ -100,6 +100,9 @@ go build ./cmd/...
 echo "== go test ./..."
 go test ./...
 
+echo "== kernel benchmarks compile and run once (BenchmarkMatMul*Shapes)"
+go test -run '^$' -bench 'Shapes' -benchtime 1x ./internal/tensor
+
 echo "== go test -race ./internal/cluster/... ./internal/positionwise/... ./internal/harness/... ./internal/comm/... ./internal/trace/... ./internal/obs/... ./internal/server/..."
 go test -race ./internal/cluster/... ./internal/positionwise/... ./internal/harness/... ./internal/comm/... ./internal/trace/... ./internal/obs/... ./internal/server/...
 
